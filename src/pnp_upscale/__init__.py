@@ -36,6 +36,7 @@ from .macropnp import (
     DiagnosticsRow,
     MacroConfig,
     MacroState,
+    StepConfig,
     check_local_equilibrium,
     free_energy,
     free_energy_effective,
@@ -45,7 +46,6 @@ from .macropnp import (
 )
 from .microdns import (
     FieldErrors,
-    MicroConfig,
     MicroDomain,
     MicroState,
     assemble_micro_domain,
@@ -84,6 +84,7 @@ __all__ = [
     "DiagnosticsRow",
     "MacroConfig",
     "MacroState",
+    "StepConfig",
     "check_local_equilibrium",
     "free_energy",
     "free_energy_effective",
@@ -91,7 +92,6 @@ __all__ = [
     "solve_macro_poisson",
     "step_macro_pnp",
     "FieldErrors",
-    "MicroConfig",
     "MicroDomain",
     "MicroState",
     "assemble_micro_domain",

@@ -116,10 +116,11 @@ class PinnedNeumannSolver:
     def __init__(self, A: sp.csr_matrix):
         self.A = A.tocsr()
         self.norm_A = spla.norm(self.A, np.inf)
-        pinned = A.tolil(copy=True)
-        pinned[0, :] = 0.0
-        pinned[0, 0] = 1.0
-        self.Ap = pinned.tocsr()
+        # row 0 becomes e_0; the other rows keep every stored entry, explicit
+        # zeros included (eliminate_zeros would drop those too)
+        n = self.A.shape[0]
+        e0 = sp.csr_matrix(([1.0], ([0], [0])), shape=(1, n))
+        self.Ap = sp.vstack([e0, self.A[1:]], format="csr")
         self.lu = spla.splu(self.Ap.tocsc())
 
     def solve(self, b: np.ndarray, tol: float) -> tuple[np.ndarray, float]:

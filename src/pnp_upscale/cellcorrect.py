@@ -21,7 +21,6 @@ system is consistent iff the right-hand side sums to zero.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -248,16 +247,8 @@ def _solve_periodic(problem: PeriodicEllipticProblem, tol: float,
     return u, res, it
 
 
-def _run_direction_solves(jobs, threads: int):
-    """Run independent corrector solves, optionally on a thread pool."""
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda f: f(), jobs))
-    return [job() for job in jobs]
-
-
 def solve_potential_corrector(cell: UnitCell, kappa: np.ndarray,
-                              tol: float = DEFAULT_TOL, threads: int = 1):
+                              tol: float = DEFAULT_TOL):
     """First-order potential correctors, one mean-zero field per direction.
 
     Each field solves div(kappa (grad xi_j - e_j)) = 0 on the periodic cell;
@@ -274,22 +265,17 @@ def solve_potential_corrector(cell: UnitCell, kappa: np.ndarray,
     faces = harmonic_face_coefficients(kappa)
     h = cell.h
 
-    def job(j):
-        def run():
-            rhs = (np.roll(faces[j], 1, axis=j) - faces[j]) / h
-            problem = PeriodicEllipticProblem(kappa, rhs)
-            return _solve_periodic(problem, tol)
-
-        return run
-
-    results = _run_direction_solves([job(j) for j in range(cell.dim)], threads)
+    results = []
+    for j in range(cell.dim):
+        rhs = (np.roll(faces[j], 1, axis=j) - faces[j]) / h
+        results.append(_solve_periodic(PeriodicEllipticProblem(kappa, rhs), tol))
     fields = np.stack([r[0] for r in results])
     residuals = [r[1] for r in results]
     return fields, residuals
 
 
 def solve_density_corrector_shape(cell: UnitCell, xi3: np.ndarray,
-                                  tol: float = DEFAULT_TOL, threads: int = 1):
+                                  tol: float = DEFAULT_TOL):
     """Geometry factor of the density correctors, on the fluid region.
 
     eta^j solves (grad eta, grad phi)_{Y^s} = -(grad xi_j, grad phi)_{Y^s}
@@ -307,15 +293,11 @@ def solve_density_corrector_shape(cell: UnitCell, xi3: np.ndarray,
     faces = harmonic_face_coefficients(ones, mask)
     h = cell.h
 
-    def job(j):
-        def run():
-            rhs = -apply_periodic_operator(np.asarray(xi3[j], dtype=float), faces, h)
-            problem = PeriodicEllipticProblem(ones, rhs, domain_mask=mask)
-            return _solve_periodic(problem, tol)
-
-        return run
-
-    results = _run_direction_solves([job(j) for j in range(cell.dim)], threads)
+    results = []
+    for j in range(cell.dim):
+        rhs = -apply_periodic_operator(np.asarray(xi3[j], dtype=float), faces, h)
+        problem = PeriodicEllipticProblem(ones, rhs, domain_mask=mask)
+        results.append(_solve_periodic(problem, tol))
     fields = np.stack([r[0] for r in results])
     residuals = [r[1] for r in results]
     return fields, residuals
@@ -348,8 +330,7 @@ def second_order_rhs(cell: UnitCell, kappa: np.ndarray, xi3: np.ndarray,
 
 def solve_second_order_potential_corrector(cell: UnitCell, kappa: np.ndarray,
                                            xi3: np.ndarray, eps0: np.ndarray,
-                                           tol: float = DEFAULT_TOL,
-                                           threads: int = 1):
+                                           tol: float = DEFAULT_TOL):
     """Second-order potential correctors zeta^{kl}, mean-zero on the cell.
 
     The right-hand side is compatible by construction of eps0; the defect is
@@ -363,8 +344,9 @@ def solve_second_order_potential_corrector(cell: UnitCell, kappa: np.ndarray,
     if eps0.shape != (N, N):
         raise ValueError(f"eps0 must be {N}x{N}")
 
-    def job(k, l):
-        def run():
+    results = []
+    for k in range(N):
+        for l in range(N):
             rhs = second_order_rhs(cell, kappa, xi3, eps0, k, l)
             # the volume mean of the rhs measures how much the supplied
             # eps0[k,l] deviates from the flux form implied by the correctors
@@ -376,13 +358,7 @@ def solve_second_order_potential_corrector(cell: UnitCell, kappa: np.ndarray,
                     "correctors"
                 )
             rhs -= rhs.mean()
-            problem = PeriodicEllipticProblem(kappa, rhs)
-            return _solve_periodic(problem, tol)
-
-        return run
-
-    jobs = [job(k, l) for k in range(N) for l in range(N)]
-    results = _run_direction_solves(jobs, threads)
+            results.append(_solve_periodic(PeriodicEllipticProblem(kappa, rhs), tol))
     fields = np.stack([r[0] for r in results]).reshape((N, N) + kappa.shape)
     residuals = [r[1] for r in results]
     return fields, residuals

@@ -26,7 +26,6 @@ from .fieldio import atomic_write_text, format_field
 from .macropnp import MacroConfig, MacroState, run_macro
 from .microdns import (
     BudgetError,
-    MicroConfig,
     MicroState,
     assemble_micro_domain,
     compare_fields,
@@ -76,7 +75,6 @@ def initial_density_fields(kind: str, amplitude: float, dim: int, resolution: in
 
 def _macro_config(cfg: RunConfig) -> MacroConfig:
     return MacroConfig(
-        resolution=cfg.macro_resolution,
         dt=cfg.macro_dt,
         t_end=cfg.macro_t_end,
         picard_tol=cfg.macro_picard_tol,
@@ -86,16 +84,6 @@ def _macro_config(cfg: RunConfig) -> MacroConfig:
         lin_tol=cfg.solver_tol,
         lam2=cfg.lam * cfg.lam,
         loceq_window=cfg.macro_loceq_window,
-    )
-
-
-def _micro_config(cfg: RunConfig) -> MicroConfig:
-    return MicroConfig(
-        picard_tol=cfg.macro_picard_tol,
-        picard_cap=cfg.macro_picard_cap,
-        drift=cfg.macro_drift,
-        bc=cfg.macro_bc,
-        lin_tol=cfg.solver_tol,
     )
 
 
@@ -141,7 +129,7 @@ def _build_cell(cfg: RunConfig):
     return build_unit_cell(cfg.geometry_spec(), cfg.cell_resolution)
 
 
-def _compute_tensors(cfg: RunConfig, threads: int):
+def _compute_tensors(cfg: RunConfig):
     cell = _build_cell(cfg)
     params = PermittivityParams(lam=cfg.lam, alpha=cfg.alpha)
     tensors, correctors = compute_effective_tensors(
@@ -149,14 +137,13 @@ def _compute_tensors(cfg: RunConfig, threads: int):
         params,
         tol=cfg.solver_tol,
         second_order=cfg.solver_second_order,
-        threads=threads,
     )
     tensors.provenance["config_sha256"] = cfg.config_hash
     return cell, tensors, correctors
 
 
-def cmd_cell(cfg: RunConfig, out: Path, threads: int) -> int:
-    cell, tensors, correctors = _compute_tensors(cfg, threads)
+def cmd_cell(cfg: RunConfig, out: Path) -> int:
+    cell, tensors, correctors = _compute_tensors(cfg)
     for j in range(cell.dim):
         name = f"xi3_{j + 1}"
         atomic_write_text(out / f"{name}.dat", format_field(name, correctors.xi3[j]))
@@ -174,8 +161,8 @@ def cmd_cell(cfg: RunConfig, out: Path, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_upscale(cfg: RunConfig, out: Path, threads: int) -> int:
-    _cell, tensors, _correctors = _compute_tensors(cfg, threads)
+def cmd_upscale(cfg: RunConfig, out: Path) -> int:
+    _cell, tensors, _correctors = _compute_tensors(cfg)
     if out.suffix == ".json":
         atomic_write_text(out, tensors.to_json())
     else:
@@ -183,16 +170,16 @@ def cmd_upscale(cfg: RunConfig, out: Path, threads: int) -> int:
     return EXIT_OK
 
 
-def _load_or_compute_tensors(cfg: RunConfig, tensors_path, threads: int):
+def _load_or_compute_tensors(cfg: RunConfig, tensors_path):
     if tensors_path:
         text = Path(tensors_path).read_text()
         return EffectiveTensors.from_json(text)
-    _cell, tensors, _correctors = _compute_tensors(cfg, threads)
+    _cell, tensors, _correctors = _compute_tensors(cfg)
     return tensors
 
 
-def cmd_macro(cfg: RunConfig, out: Path, tensors_path, threads: int) -> int:
-    tensors = _load_or_compute_tensors(cfg, tensors_path, threads)
+def cmd_macro(cfg: RunConfig, out: Path, tensors_path) -> int:
+    tensors = _load_or_compute_tensors(cfg, tensors_path)
     mcfg = _macro_config(cfg)
     init = _macro_initial_state(cfg)
     snapshots, rows = run_macro(mcfg, tensors, init, snapshot_times=cfg.output_snapshots)
@@ -209,10 +196,10 @@ def cmd_macro(cfg: RunConfig, out: Path, tensors_path, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_micro(cfg: RunConfig, out: Path, threads: int) -> int:
+def cmd_micro(cfg: RunConfig, out: Path) -> int:
     cell = _build_cell(cfg)
     params = PermittivityParams(lam=cfg.lam, alpha=cfg.alpha)
-    mcfg = _micro_config(cfg)
+    mcfg = _macro_config(cfg)
     n_steps = int(round(cfg.macro_t_end / cfg.macro_dt))
     for frac in cfg.micro_s:
         dom = assemble_micro_domain(cell, params, frac, max_cells=cfg.micro_budget)
@@ -236,27 +223,26 @@ def cmd_micro(cfg: RunConfig, out: Path, threads: int) -> int:
     return EXIT_OK
 
 
-def run_validation(cfg: RunConfig, threads: int = 1):
+def run_validation(cfg: RunConfig):
     """Full pipeline for each configured scale ratio.
 
     Returns one row per s: relative L2 errors of the DNS potential against
     the interpolated macro potential (macro-only) and against the two-scale
     reconstruction, plus density reconstruction errors on the fluid region.
     """
-    cell, tensors, correctors = _compute_tensors(cfg, threads)
+    cell, tensors, correctors = _compute_tensors(cfg)
     mcfg = _macro_config(cfg)
     init = _macro_initial_state(cfg)
     snapshots, _rows = run_macro(mcfg, tensors, init)
     macro_final = snapshots[-1][1]
 
     params = PermittivityParams(lam=cfg.lam, alpha=cfg.alpha)
-    micro_cfg = _micro_config(cfg)
     n_steps = int(round(cfg.macro_t_end / cfg.macro_dt))
     results = []
     for frac in cfg.micro_s:
         dom = assemble_micro_domain(cell, params, frac, max_cells=cfg.micro_budget)
         dns_init = _micro_initial_state(cfg, dom)
-        dns, _ = run_micro(dom, dns_init, cfg.macro_dt, n_steps, micro_cfg)
+        dns, _ = run_micro(dom, dns_init, cfg.macro_dt, n_steps, mcfg)
         recon = reconstruct_two_scale(macro_final, correctors, tensors, dom)
         macro_phi = interpolate_to_fine(macro_final.u3, dom.mask.shape)
         macro_phi = macro_phi - macro_phi.mean()
@@ -276,8 +262,8 @@ def run_validation(cfg: RunConfig, threads: int = 1):
     return results
 
 
-def cmd_validate(cfg: RunConfig, out: Path, threads: int) -> int:
-    results = run_validation(cfg, threads)
+def cmd_validate(cfg: RunConfig, out: Path) -> int:
+    results = run_validation(cfg)
     lines = [VALIDATE_HEADER]
     for r in results:
         lines.append(
@@ -310,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="run configuration file")
     parser.add_argument("--out", default=None, help="output directory (or file where documented)")
     parser.add_argument("--tensors", default=None, help="tensors.json to reuse (macro)")
-    parser.add_argument("--threads", type=int, default=1, help="concurrent corrector solves")
     parser.add_argument("--verbose", action="store_true")
     return parser
 
@@ -326,14 +311,14 @@ def main(argv=None) -> int:
     out = Path(args.out) if args.out else Path(cfg.output_dir)
     try:
         if args.command == "cell":
-            return cmd_cell(cfg, out, args.threads)
+            return cmd_cell(cfg, out)
         if args.command == "upscale":
-            return cmd_upscale(cfg, out, args.threads)
+            return cmd_upscale(cfg, out)
         if args.command == "macro":
-            return cmd_macro(cfg, out, args.tensors, args.threads)
+            return cmd_macro(cfg, out, args.tensors)
         if args.command == "micro":
-            return cmd_micro(cfg, out, args.threads)
-        return cmd_validate(cfg, out, args.threads)
+            return cmd_micro(cfg, out)
+        return cmd_validate(cfg, out)
     except ValidationError as exc:
         _emit_error(exc)
         return EXIT_VALIDATION

@@ -15,7 +15,7 @@ one shot; unknown and duplicate keys are rejected.  Example:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,7 +40,6 @@ class RunConfig:
     lam: float = 1.0
     alpha: float = 1.0
     solver_tol: float = 1e-10
-    solver_cap_factor: int = 50
     solver_second_order: bool = True
     macro_resolution: int = 64
     macro_dt: float = 1e-4
@@ -139,7 +138,6 @@ _SCHEMA = {
     "physics.lambda": ("lam", float, _positive),
     "physics.alpha": ("alpha", float, _positive),
     "solver.tol": ("solver_tol", float, _positive),
-    "solver.cap_factor": ("solver_cap_factor", int, _at_least(1)),
     "solver.second_order": ("solver_second_order", _parse_bool, None),
     "macro.resolution": ("macro_resolution", int, _at_least(4)),
     "macro.dt": ("macro_dt", float, _positive),
@@ -249,11 +247,3 @@ def _cross_validate(cfg: RunConfig, path: Path, seen: dict, errors: list) -> Non
             f"{where('macro.init_amplitude')}macro.init_amplitude must sit in "
             f"(-1, 1) to keep densities positive, got {cfg.macro_init_amplitude}"
         )
-
-
-def config_text_hash(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def field_names() -> list[str]:
-    return [f.name for f in fields(RunConfig)]

@@ -11,13 +11,16 @@ The loop contracts for small enough dt; hitting the iteration cap is
 reported as advice to reduce the step.  Boundary conditions follow the
 academic set (homogeneous Dirichlet densities, homogeneous Neumann
 potential) with an all-no-flux variant for conservation studies.
+
+``GridOperators`` and ``picard_step`` also drive the DNS in microdns: the
+same scheme on the perforated fine grid, with drift tensor -I.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import xlogy
@@ -65,15 +68,26 @@ class MacroState:
 
 
 @dataclass
-class MacroConfig:
-    resolution: int
-    dt: float
-    t_end: float
+class StepConfig:
+    """Picard-loop and discretization settings shared by the macro and DNS steppers."""
+
     picard_tol: float = 1e-9
     picard_cap: int = 50
     drift: str = "upwind"  # or "central"
     bc: str = "dirichlet"  # academic set; "noflux" conserves mass
     lin_tol: float = 1e-10
+
+    def __post_init__(self):
+        if self.drift not in ("upwind", "central"):
+            raise ValueError(f"unknown drift scheme {self.drift!r}")
+        if self.bc not in ("dirichlet", "noflux"):
+            raise ValueError(f"unknown bc {self.bc!r}")
+
+
+@dataclass(kw_only=True)
+class MacroConfig(StepConfig):
+    dt: float
+    t_end: float
     lam2: float = 1.0  # scalar coefficient in the free-energy diagnostic
     loceq_window: int = 4
 
@@ -82,10 +96,7 @@ class MacroConfig:
             raise ValueError("dt must be positive")
         if self.t_end < self.dt:
             raise ValueError("t_end must be at least one step")
-        if self.drift not in ("upwind", "central"):
-            raise ValueError(f"unknown drift scheme {self.drift!r}")
-        if self.bc not in ("dirichlet", "noflux"):
-            raise ValueError(f"unknown bc {self.bc!r}")
+        super().__post_init__()
 
 
 @dataclass
@@ -107,46 +118,87 @@ class StepInfo:
 
 
 # ---------------------------------------------------------------------------
-# cached operators
+# operators and the Picard stepper
 
 
-_POISSON_CACHE: dict = {}
-_DIFFUSION_CACHE: dict = {}
+class GridOperators:
+    """Operators of one square box grid on [0,1]^N, kept for a whole run.
+
+    The Poisson operator is -div(tensor grad) for a constant symmetric
+    ``tensor`` or -div(coef(x) grad) for a per-cell ``coef``; its source is
+    p (v1 - v2).  The implicit-diffusion matrices (p/dt) I - p Lap are
+    factorized on first use and kept per (dt, bc).  With a fluid ``mask``
+    the densities live on fluid cells only: diffusion and drift use only
+    the faces between two fluid cells.
+    """
+
+    def __init__(self, shape, p: float = 1.0, *, tensor=None, coef=None,
+                 mask=None):
+        self.shape = tuple(shape)
+        if len(set(self.shape)) != 1:
+            raise ValueError(f"box grids must be square, got shape {self.shape}")
+        N = len(self.shape)
+        if tensor is not None:
+            tensor = np.asarray(tensor, dtype=float)
+            if tensor.shape != (N, N):
+                raise ValueError(f"eps0 must be {N}x{N} for a {N}D grid")
+            asym = np.abs(tensor - tensor.T).max()
+            if asym > 1e-8 * max(np.abs(tensor).max(), 1e-300):
+                raise ValueError("eps0 is not symmetric")
+            eigs = np.linalg.eigvalsh(0.5 * (tensor + tensor.T))
+            if eigs.min() <= 0.0:
+                raise ValueError(f"eps0 is not positive definite (eigenvalues {eigs})")
+        self.h = 1.0 / self.shape[0]
+        self.p = p
+        self.tensor = tensor
+        self.coef = coef
+        self.mask = mask
+        self.solid = None if mask is None else ~mask
+        self.open_faces = None
+        if mask is not None:
+            self.open_faces = [mask[lo] & mask[hi] for lo, hi in _face_slices(N)]
+        self._diffusion: dict = {}
+
+    @cached_property
+    def poisson(self) -> PinnedNeumannSolver:
+        A = assemble_neumann_operator(self.shape, self.h, tensor=self.tensor,
+                                      coef=self.coef)
+        return PinnedNeumannSolver(A)
+
+    def diffusion(self, dt: float, bc: str) -> FactorizedSolver:
+        key = (float(dt), bc)
+        solver = self._diffusion.get(key)
+        if solver is None:
+            A = assemble_diffusion_matrix(self.shape, self.h, dt, self.p, bc,
+                                          mask=self.mask)
+            solver = self._diffusion[key] = FactorizedSolver(A)
+        return solver
+
+    def potential(self, v1: np.ndarray, v2: np.ndarray, tol: float) -> np.ndarray:
+        """Mean-zero solution of the Neumann Poisson problem with source p (v1 - v2).
+
+        The source is projected to mean zero for compatibility; the removed
+        mean charge is logged.
+        """
+        q = self.p * (np.asarray(v1, dtype=float) - np.asarray(v2, dtype=float))
+        if q.shape != self.shape:
+            raise ValueError(f"charge grid {q.shape} does not match the grid {self.shape}")
+        x, imbalance = self.poisson.solve(q.ravel(), tol)
+        if imbalance != 0.0:
+            logger.debug("Poisson: removed mean charge %.3e", imbalance)
+        return x.reshape(self.shape)
 
 
-def _poisson_solver(shape, eps0) -> PinnedNeumannSolver:
-    key = (shape, eps0.tobytes())
-    solver = _POISSON_CACHE.get(key)
-    if solver is None:
-        h = 1.0 / shape[0]
-        A = assemble_neumann_operator(shape, h, tensor=eps0)
-        solver = PinnedNeumannSolver(A)
-        if len(_POISSON_CACHE) > 16:
-            _POISSON_CACHE.clear()
-        _POISSON_CACHE[key] = solver
-    return solver
-
-
-def _diffusion_solver(shape, dt, p, bc) -> FactorizedSolver:
-    key = (shape, float(dt), float(p), bc)
-    solver = _DIFFUSION_CACHE.get(key)
-    if solver is None:
-        h = 1.0 / shape[0]
-        A = assemble_diffusion_matrix(shape, h, dt, p, bc)
-        solver = FactorizedSolver(A)
-        if len(_DIFFUSION_CACHE) > 16:
-            _DIFFUSION_CACHE.clear()
-        _DIFFUSION_CACHE[key] = solver
-    return solver
-
-
-def _check_square(shape):
-    if len(set(shape)) != 1:
-        raise ValueError(f"macro grids must be square, got shape {shape}")
-
-
-# ---------------------------------------------------------------------------
-# operations
+def _face_slices(N: int):
+    """(lo, hi) index tuples selecting the two cells of each interior face, per axis."""
+    out = []
+    for d in range(N):
+        lo = [slice(None)] * N
+        hi = [slice(None)] * N
+        lo[d] = slice(0, -1)
+        hi[d] = slice(1, None)
+        out.append((tuple(lo), tuple(hi)))
+    return out
 
 
 def solve_macro_poisson(u1: np.ndarray, u2: np.ndarray, eps0: np.ndarray,
@@ -155,35 +207,23 @@ def solve_macro_poisson(u1: np.ndarray, u2: np.ndarray, eps0: np.ndarray,
 
     Homogeneous Neumann potential; the source is projected to mean zero for
     compatibility (the removed mean charge is logged) and the solution is the
-    mean-zero representative.
+    mean-zero representative.  Factorizes afresh: steppers hold their own
+    ``GridOperators``.
     """
-    eps0 = np.asarray(eps0, dtype=float)
     u1 = np.asarray(u1, dtype=float)
-    N = u1.ndim
-    _check_square(u1.shape)
-    if eps0.shape != (N, N):
-        raise ValueError(f"eps0 must be {N}x{N} for a {N}D grid")
-    asym = np.abs(eps0 - eps0.T).max()
-    if asym > 1e-8 * max(np.abs(eps0).max(), 1e-300):
-        raise ValueError("eps0 is not symmetric")
-    eigs = np.linalg.eigvalsh(0.5 * (eps0 + eps0.T))
-    if eigs.min() <= 0.0:
-        raise ValueError(f"eps0 is not positive definite (eigenvalues {eigs})")
-    solver = _poisson_solver(u1.shape, eps0)
-    q = p * (u1 - np.asarray(u2, dtype=float))
-    x, imbalance = solver.solve(q.ravel(), tol)
-    if imbalance != 0.0:
-        logger.debug("macro Poisson: removed mean charge %.3e", imbalance)
-    return x.reshape(u1.shape)
+    return GridOperators(u1.shape, p, tensor=eps0).potential(u1, u2, tol)
 
 
 def _drift_divergence(v: np.ndarray, u3: np.ndarray, A: np.ndarray, h: float,
-                      z: float, bc: str, scheme: str) -> np.ndarray:
+                      z: float, bc: str, scheme: str,
+                      open_faces=None) -> np.ndarray:
     """div of the advective flux z * v * (A grad u3), face-based.
 
     Upwinding follows the sign of the face velocity z * (A grad u3).n; the
     central option averages the two cell densities.  Dirichlet boundaries see
     exterior density zero, the no-flux variant zeroes all boundary fluxes.
+    With ``open_faces`` (per-axis boolean face masks) the flux through closed
+    faces is zero.
     """
     N = v.ndim
     div = np.zeros_like(v)
@@ -191,12 +231,7 @@ def _drift_divergence(v: np.ndarray, u3: np.ndarray, A: np.ndarray, h: float,
         A[d, d2] != 0.0 for d in range(N) for d2 in range(N) if d2 != d
     )
     grads = cell_gradients(u3, h) if offdiag else None
-    for d in range(N):
-        lo = [slice(None)] * N
-        hi = [slice(None)] * N
-        lo[d] = slice(0, -1)
-        hi[d] = slice(1, None)
-        lo, hi = tuple(lo), tuple(hi)
+    for d, (lo, hi) in enumerate(_face_slices(N)):
         vel = z * A[d, d] * (u3[hi] - u3[lo]) / h
         if offdiag:
             for d2 in range(N):
@@ -208,6 +243,8 @@ def _drift_divergence(v: np.ndarray, u3: np.ndarray, A: np.ndarray, h: float,
         else:
             vup = 0.5 * (v[lo] + v[hi])
         F = vel * vup
+        if open_faces is not None:
+            F = np.where(open_faces[d], F, 0.0)
         div[lo] += F / h
         div[hi] -= F / h
         if bc == "dirichlet" and offdiag:
@@ -231,31 +268,29 @@ def _drift_divergence(v: np.ndarray, u3: np.ndarray, A: np.ndarray, h: float,
     return div
 
 
-def step_macro_pnp(state: MacroState, tensors: EffectiveTensors,
-                   cfg: MacroConfig):
-    """One accepted time step; returns (new_state, StepInfo).
+def picard_step(ops: GridOperators, v, base, A: np.ndarray, dt: float,
+                cfg: StepConfig):
+    """Fixed-point loop of one implicit step on the grid of ``ops``.
 
-    The Picard loop alternates the Poisson solve with the two linear
-    parabolic species solves until the max L2 increment drops below
-    cfg.picard_tol.  Reaching the cap raises with advice to reduce dt.
+    ``v`` holds the two densities at the start of the step, ``base`` the
+    previous-step terms of the two right-hand sides, ``A`` the drift tensor.
+    Each iteration solves the potential from the lagged densities, then the
+    implicit diffusion of each species with the lagged drift, until the max
+    L2 increment drops below cfg.picard_tol.  Reaching the cap raises with
+    advice to reduce dt.  Returns ([u1, u2], u3, StepInfo).
     """
-    shape = state.u1.shape
-    _check_square(shape)
-    h = 1.0 / shape[0]
-    p = tensors.p
-    A_drift = np.asarray(tensors.Hhat, dtype=float) - np.asarray(tensors.M, dtype=float)
-    dsolve = _diffusion_solver(shape, cfg.dt, p, cfg.bc)
-    base = [p / cfg.dt * state.u1, p / cfg.dt * state.u2]
-    v = [state.u1, state.u2]
+    dsolve = ops.diffusion(dt, cfg.bc)
     increments: list[float] = []
-    u3 = state.u3
     iters = 0
     for iters in range(1, cfg.picard_cap + 1):
-        u3 = solve_macro_poisson(v[0], v[1], tensors.eps0, p, tol=cfg.lin_tol)
+        u3 = ops.potential(v[0], v[1], cfg.lin_tol)
         new = []
         for r, z in enumerate(Z_CHARGES):
-            rhs = base[r] - _drift_divergence(v[r], u3, A_drift, h, z, cfg.bc, cfg.drift)
-            new.append(dsolve.solve(rhs.ravel()).reshape(shape))
+            rhs = base[r] - _drift_divergence(v[r], u3, A, ops.h, z, cfg.bc,
+                                              cfg.drift, ops.open_faces)
+            if ops.solid is not None:
+                rhs[ops.solid] = 0.0
+            new.append(dsolve.solve(rhs.ravel()).reshape(ops.shape))
         inc = max(
             float(np.sqrt(np.mean((new[r] - v[r]) ** 2))) for r in range(2)
         )
@@ -268,15 +303,30 @@ def step_macro_pnp(state: MacroState, tensors: EffectiveTensors,
             f"Picard loop did not contract within {cfg.picard_cap} iterations "
             f"(last increment {increments[-1]:.3e}); reduce dt"
         )
-    u3 = solve_macro_poisson(v[0], v[1], tensors.eps0, p, tol=cfg.lin_tol)
+    u3 = ops.potential(v[0], v[1], cfg.lin_tol)
     min_density = float(min(v[0].min(), v[1].min()))
     if cfg.drift == "upwind" and min_density < NEGATIVE_DENSITY_TOL:
         raise SolverError(
             f"negative density {min_density:.3e} under the upwind scheme"
         )
-    new_state = MacroState(u1=v[0], u2=v[1], u3=u3, t=state.t + cfg.dt)
-    return new_state, StepInfo(picard_iters=iters, increments=increments,
-                               min_density=min_density)
+    return v, u3, StepInfo(picard_iters=iters, increments=increments,
+                           min_density=min_density)
+
+
+def step_macro_pnp(state: MacroState, tensors: EffectiveTensors,
+                   cfg: MacroConfig, ops: GridOperators | None = None):
+    """One accepted time step; returns (new_state, StepInfo).
+
+    ``ops`` are the grid's operators, ``GridOperators(shape, tensors.p,
+    tensor=tensors.eps0)``; without them the step builds its own.
+    """
+    if ops is None:
+        ops = GridOperators(state.u1.shape, tensors.p, tensor=tensors.eps0)
+    p = tensors.p
+    A_drift = np.asarray(tensors.Hhat, dtype=float) - np.asarray(tensors.M, dtype=float)
+    base = [p / cfg.dt * state.u1, p / cfg.dt * state.u2]
+    v, u3, info = picard_step(ops, [state.u1, state.u2], base, A_drift, cfg.dt, cfg)
+    return MacroState(u1=v[0], u2=v[1], u3=u3, t=state.t + cfg.dt), info
 
 
 def free_energy(state: MacroState, lam2: float) -> float:
@@ -319,12 +369,8 @@ def _gradient_quadrature(u3: np.ndarray) -> float:
     h = 1.0 / u3.shape[0]
     vol = 1.0 / u3.size
     total = 0.0
-    for d in range(u3.ndim):
-        lo = [slice(None)] * u3.ndim
-        hi = [slice(None)] * u3.ndim
-        lo[d] = slice(0, -1)
-        hi[d] = slice(1, None)
-        g = (u3[tuple(hi)] - u3[tuple(lo)]) / h
+    for lo, hi in _face_slices(u3.ndim):
+        g = (u3[hi] - u3[lo]) / h
         total += float((g * g).sum()) * vol
     return total
 
@@ -333,24 +379,29 @@ def check_local_equilibrium(state: MacroState, window: int) -> float:
     """Max spread of the chemical potential log u_r + z_r u3 over voxel blocks.
 
     Quantifies how badly the per-cell equilibrium assumption behind the
-    upscaled model is violated.  Blocks containing nonpositive density are
-    skipped; the skipped count is reported through the module logger.
+    upscaled model is violated.  Blocks start every ``window`` cells along
+    each axis; the last block of an axis is cut short when ``window`` does
+    not divide the grid.  Blocks containing nonpositive density are skipped;
+    the skipped count is reported through the module logger.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     dev = 0.0
     skipped = 0
-    shape = state.u1.shape
-    ranges = [range(0, s, window) for s in shape]
-    for r, (z, u) in enumerate(zip(Z_CHARGES, (state.u1, state.u2))):
-        for corner in itertools.product(*ranges):
-            blk = tuple(slice(c, min(c + window, s)) for c, s in zip(corner, shape))
-            ub = u[blk]
-            if (ub <= 0.0).any():
-                skipped += 1
-                continue
-            mu = np.log(ub) + z * state.u3[blk]
-            dev = max(dev, float(mu.max() - mu.min()))
+    starts = [np.arange(0, s, window) for s in state.u1.shape]
+
+    def blockwise(ufunc, a):
+        for axis, idx in enumerate(starts):
+            a = ufunc.reduceat(a, idx, axis=axis)
+        return a
+
+    for z, u in zip(Z_CHARGES, (state.u1, state.u2)):
+        mu = np.log(np.where(u > 0.0, u, 1.0)) + z * state.u3
+        bad = blockwise(np.logical_or, u <= 0.0)
+        spread = blockwise(np.maximum, mu) - blockwise(np.minimum, mu)
+        skipped += int(bad.sum())
+        if not bad.all():
+            dev = max(dev, float(spread[~bad].max()))
     if skipped:
         logger.warning(
             "local-equilibrium check skipped %d blocks with nonpositive density",
@@ -364,18 +415,20 @@ def run_macro(cfg: MacroConfig, tensors: EffectiveTensors, init: MacroState,
     """March from t=0 to t_end, one diagnostics row per accepted step.
 
     Returns (snapshots, rows) where snapshots is a list of (t, MacroState)
-    at the configured times plus the final state.
+    at the configured times plus the final state.  The grid's operators are
+    assembled and factorized once for the whole run.
     """
     n_steps = int(round(cfg.t_end / cfg.dt))
     if n_steps < 1:
         raise ValueError("t_end shorter than one step")
+    ops = GridOperators(init.u1.shape, tensors.p, tensor=tensors.eps0)
     vol = 1.0 / init.u1.size
     state = init
     rows: list[DiagnosticsRow] = []
     snapshots: list[tuple[float, MacroState]] = []
     pending = sorted(snapshot_times)
     for _ in range(n_steps):
-        state, info = step_macro_pnp(state, tensors, cfg)
+        state, info = step_macro_pnp(state, tensors, cfg, ops=ops)
         rows.append(
             DiagnosticsRow(
                 t=state.t,

@@ -14,6 +14,7 @@ validation sweep.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,14 +22,11 @@ from fractions import Fraction
 import numpy as np
 from scipy.ndimage import map_coordinates
 
-from ._fv import (
-    FactorizedSolver,
-    PinnedNeumannSolver,
-    assemble_diffusion_matrix,
-    assemble_neumann_operator,
-)
-from .cellcorrect import CorrectorSet, SolverError
-from .macropnp import NEGATIVE_DENSITY_TOL, MacroState, Z_CHARGES
+# The DNS assembles through macropnp.GridOperators; these names stay
+# attributes of this module because perfbench/tracing.py wraps them here.
+from ._fv import assemble_diffusion_matrix, assemble_neumann_operator  # noqa: F401
+from .cellcorrect import CorrectorSet
+from .macropnp import GridOperators, MacroState, StepConfig, Z_CHARGES, picard_step
 from .unitcell import PermittivityParams, UnitCell
 from .upscale import EffectiveTensors
 
@@ -39,15 +37,22 @@ DEFAULT_CELL_BUDGET = 1 << 20  # 1024**2 fine voxels
 
 @dataclass(eq=False)
 class MicroDomain:
-    """Perforated fine grid at scale ratio s (s^-1 an integer)."""
+    """Perforated fine grid at scale ratio s (s^-1 an integer).
+
+    ``ops`` holds the grid's operators: the whole-box Poisson operator with
+    the high-contrast coefficient, and the diffusion operators on the fluid
+    voxels, each factorized on first use.
+    """
 
     s: float
     tiles: int
     cell: UnitCell
     mask: np.ndarray
     eps: np.ndarray
-    _poisson: PinnedNeumannSolver | None = field(default=None, repr=False)
-    _diffusion: dict = field(default_factory=dict, repr=False)
+    ops: GridOperators = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.ops = GridOperators(self.mask.shape, coef=self.eps, mask=self.mask)
 
     @property
     def dim(self) -> int:
@@ -56,27 +61,6 @@ class MicroDomain:
     @property
     def resolution(self) -> int:
         return self.mask.shape[0]
-
-    @property
-    def h(self) -> float:
-        return 1.0 / self.resolution
-
-    def poisson_solver(self) -> PinnedNeumannSolver:
-        if self._poisson is None:
-            A = assemble_neumann_operator(self.mask.shape, self.h, coef=self.eps)
-            self._poisson = PinnedNeumannSolver(A)
-        return self._poisson
-
-    def diffusion_solver(self, dt: float, bc: str) -> FactorizedSolver:
-        key = (float(dt), bc)
-        solver = self._diffusion.get(key)
-        if solver is None:
-            A = assemble_diffusion_matrix(
-                self.mask.shape, self.h, dt, 1.0, bc, mask=self.mask
-            )
-            solver = FactorizedSolver(A)
-            self._diffusion[key] = solver
-        return solver
 
 
 @dataclass(eq=False)
@@ -94,21 +78,6 @@ class MicroState:
         self.phi = np.asarray(self.phi, dtype=float)
         if not (self.nplus.shape == self.nminus.shape == self.phi.shape):
             raise ValueError("micro fields must share one grid")
-
-
-@dataclass
-class MicroConfig:
-    picard_tol: float = 1e-9
-    picard_cap: int = 50
-    drift: str = "upwind"
-    bc: str = "dirichlet"
-    lin_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.drift not in ("upwind", "central"):
-            raise ValueError(f"unknown drift scheme {self.drift!r}")
-        if self.bc not in ("dirichlet", "noflux"):
-            raise ValueError(f"unknown bc {self.bc!r}")
 
 
 class BudgetError(MemoryError):
@@ -136,95 +105,31 @@ def assemble_micro_domain(cell: UnitCell, params: PermittivityParams, s,
 def solve_micro_poisson(dom: MicroDomain, nplus: np.ndarray, nminus: np.ndarray,
                         tol: float = 1e-10) -> np.ndarray:
     """-div(eps(x/s) grad phi) = nplus - nminus, homogeneous Neumann, mean zero."""
-    q = np.asarray(nplus, dtype=float) - np.asarray(nminus, dtype=float)
-    if q.shape != dom.mask.shape:
-        raise ValueError("charge grid does not match the micro domain")
-    x, imbalance = dom.poisson_solver().solve(q.ravel(), tol)
-    if imbalance != 0.0:
-        logger.debug("micro Poisson: removed mean charge %.3e", imbalance)
-    return x.reshape(dom.mask.shape)
-
-
-def _micro_drift_divergence(v: np.ndarray, phi: np.ndarray, mask: np.ndarray,
-                            h: float, z: float, scheme: str) -> np.ndarray:
-    """div of the physical advective flux (velocity -z grad phi) on fluid faces.
-
-    Boundary faces carry no advective flux: the potential is Neumann there,
-    so the normal velocity vanishes.
-    """
-    div = np.zeros_like(v)
-    N = v.ndim
-    for d in range(N):
-        lo = [slice(None)] * N
-        hi = [slice(None)] * N
-        lo[d] = slice(0, -1)
-        hi[d] = slice(1, None)
-        lo, hi = tuple(lo), tuple(hi)
-        open_face = mask[lo] & mask[hi]
-        vel = -z * (phi[hi] - phi[lo]) / h
-        if scheme == "upwind":
-            vup = np.where(vel > 0.0, v[lo], v[hi])
-        else:
-            vup = 0.5 * (v[lo] + v[hi])
-        F = np.where(open_face, vel * vup, 0.0)
-        div[lo] += F / h
-        div[hi] -= F / h
-    return div
+    return dom.ops.potential(nplus, nminus, tol)
 
 
 def step_micro_pnp(state: MicroState, dom: MicroDomain, dt: float,
-                   cfg: MicroConfig):
-    """One IMEX step of the microscopic system; returns (state, StepInfo-like dict).
+                   cfg: StepConfig):
+    """One IMEX step of the microscopic system; returns (state, StepInfo as a dict).
 
-    Identical fixed-point structure to the macroscopic stepper: solve the
-    potential from the lagged densities, then implicit diffusion with the
-    lagged upwinded drift, iterate to the fixed point.
+    The same Picard stepper as the macroscopic model, with the physical
+    drift velocity -z grad phi (drift tensor -I) restricted to fluid faces.
+    Boundary faces carry no advective flux: the potential is Neumann there,
+    so the normal velocity vanishes.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    mask = dom.mask
-    solid = ~mask
-    h = dom.h
-    dsolve = dom.diffusion_solver(dt, cfg.bc)
     base = [state.nplus / dt, state.nminus / dt]
     for b in base:
-        b[solid] = 0.0
-    v = [state.nplus, state.nminus]
-    increments: list[float] = []
-    iters = 0
-    for iters in range(1, cfg.picard_cap + 1):
-        phi = solve_micro_poisson(dom, v[0], v[1], tol=cfg.lin_tol)
-        new = []
-        for r, z in enumerate(Z_CHARGES):
-            rhs = base[r] - _micro_drift_divergence(v[r], phi, mask, h, z, cfg.drift)
-            rhs[solid] = 0.0
-            u = dsolve.solve(rhs.ravel()).reshape(mask.shape)
-            new.append(u)
-        inc = max(
-            float(np.sqrt(np.mean((new[r] - v[r]) ** 2))) for r in range(2)
-        )
-        increments.append(inc)
-        v = new
-        if inc <= cfg.picard_tol:
-            break
-    else:
-        raise SolverError(
-            f"micro Picard loop did not contract within {cfg.picard_cap} "
-            f"iterations (last increment {increments[-1]:.3e}); reduce dt"
-        )
-    phi = solve_micro_poisson(dom, v[0], v[1], tol=cfg.lin_tol)
-    min_density = float(min(v[0].min(), v[1].min()))
-    if cfg.drift == "upwind" and min_density < NEGATIVE_DENSITY_TOL:
-        raise SolverError(
-            f"negative density {min_density:.3e} under the upwind scheme"
-        )
+        b[dom.ops.solid] = 0.0
+    v, phi, info = picard_step(dom.ops, [state.nplus, state.nminus], base,
+                               -np.eye(dom.dim), dt, cfg)
     new_state = MicroState(nplus=v[0], nminus=v[1], phi=phi, t=state.t + dt)
-    info = {"picard_iters": iters, "increments": increments, "min_density": min_density}
-    return new_state, info
+    return new_state, dataclasses.asdict(info)
 
 
 def run_micro(dom: MicroDomain, init: MicroState, dt: float, n_steps: int,
-              cfg: MicroConfig):
+              cfg: StepConfig):
     """March the DNS n_steps; returns (final state, diagnostics rows)."""
     vol = 1.0 / dom.mask.size
     state = init

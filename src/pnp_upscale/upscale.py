@@ -176,15 +176,14 @@ def symmetry_defect(t: np.ndarray) -> float:
 
 
 def compute_effective_tensors(cell: UnitCell, params: PermittivityParams,
-                              tol: float = 1e-10, second_order: bool = True,
-                              threads: int = 1):
+                              tol: float = 1e-10, second_order: bool = True):
     """Full cell-problem pipeline: correctors, tensors and certificates.
 
     Returns (EffectiveTensors, CorrectorSet).  The second-order correctors
     need the assembled eps0, so the natural order is xi3 -> eps0 -> zeta3.
     """
     kappa = permittivity_field(cell, params)
-    xi3, res_xi = solve_potential_corrector(cell, kappa, tol=tol, threads=threads)
+    xi3, res_xi = solve_potential_corrector(cell, kappa, tol=tol)
     eps0 = effective_permittivity(cell, kappa, xi3)
     defect = symmetry_defect(eps0)
     if defect > SYMMETRY_RTOL:
@@ -192,7 +191,7 @@ def compute_effective_tensors(cell: UnitCell, params: PermittivityParams,
     lo, hi = check_spectral_bounds(eps0, kappa)
 
     M = electro_convection_tensor(cell, xi3)
-    eta, res_eta = solve_density_corrector_shape(cell, xi3, tol=tol, threads=threads)
+    eta, res_eta = solve_density_corrector_shape(cell, xi3, tol=tol)
     Hhat = diffusion_shape_tensor(cell, eta)
 
     residuals = {}
@@ -202,9 +201,7 @@ def compute_effective_tensors(cell: UnitCell, params: PermittivityParams,
 
     zeta3 = None
     if second_order:
-        zeta3, res_z = solve_second_order_potential_corrector(
-            cell, kappa, xi3, eps0, tol=tol, threads=threads
-        )
+        zeta3, res_z = solve_second_order_potential_corrector(cell, kappa, xi3, eps0, tol=tol)
         for k in range(cell.dim):
             for l in range(cell.dim):
                 residuals[f"zeta3_{k + 1}{l + 1}"] = res_z[k * cell.dim + l]

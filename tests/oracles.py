@@ -106,18 +106,26 @@ def explicit_pnp_1d(M, dt, n_steps, amp=0.5):
     return u1, u2
 
 
-def blockwise_mu_spread(u, u3, z, window):
-    """Direct evaluation of the chemical-potential spread over voxel blocks."""
-    shape = u.shape
-    dev = 0.0
-    starts = [range(0, s, window) for s in shape]
+def local_equilibrium_loop(u1, u2, u3, window):
+    """Block-by-block loop over both species, the reference for the
+    vectorized local-equilibrium check.
+
+    Returns (max chemical-potential spread, number of skipped blocks); a
+    block is skipped when it holds a nonpositive density.
+    """
     import itertools
 
-    for corner in itertools.product(*starts):
-        blk = tuple(slice(c, min(c + window, s)) for c, s in zip(corner, shape))
-        ub = u[blk]
-        if (ub <= 0).any():
-            continue
-        mu = np.log(ub) + z * u3[blk]
-        dev = max(dev, float(mu.max() - mu.min()))
-    return dev
+    shape = u1.shape
+    dev = 0.0
+    skipped = 0
+    ranges = [range(0, s, window) for s in shape]
+    for z, u in ((1.0, u1), (-1.0, u2)):
+        for corner in itertools.product(*ranges):
+            blk = tuple(slice(c, min(c + window, s)) for c, s in zip(corner, shape))
+            ub = u[blk]
+            if (ub <= 0.0).any():
+                skipped += 1
+                continue
+            mu = np.log(ub) + z * u3[blk]
+            dev = max(dev, float(mu.max() - mu.min()))
+    return dev, skipped

@@ -18,13 +18,14 @@ from pnp_upscale.config import RunConfig
 from pnp_upscale.macropnp import (
     MacroConfig,
     MacroState,
+    StepConfig,
     check_local_equilibrium,
     free_energy,
     run_macro,
     solve_macro_poisson,
     step_macro_pnp,
 )
-from pnp_upscale.microdns import MicroConfig, MicroState, assemble_micro_domain, run_micro, step_micro_pnp
+from pnp_upscale.microdns import MicroState, assemble_micro_domain, run_micro, step_micro_pnp
 from pnp_upscale.unitcell import (
     PermittivityParams,
     UnitCell,
@@ -157,7 +158,7 @@ def test_06_equal_density_symmetry_and_decay():
         X, Y = grid2(m)
         mode = np.sin(np.pi * X) * np.sin(np.pi * Y)
         state = MacroState(u1=mode.copy(), u2=mode.copy(), u3=np.zeros_like(mode))
-        cfg = MacroConfig(resolution=m, dt=dt, t_end=10 * dt)
+        cfg = MacroConfig(dt=dt, t_end=10 * dt)
         target = np.exp(-2 * np.pi**2 * dt)
         for _ in range(10):
             prev = state.u1.sum()
@@ -176,7 +177,7 @@ def test_07_picard_fixed_point():
         for dt in (1e-3, 5e-4):
             state = MacroState(u1=1 + 0.5 * np.sin(np.pi * x), u2=np.ones(M),
                                u3=np.zeros(M))
-            cfg = MacroConfig(resolution=M, dt=dt, t_end=10 * dt, picard_tol=1e-10)
+            cfg = MacroConfig(dt=dt, t_end=10 * dt, picard_tol=1e-10)
             worst = 0
             for _ in range(10):
                 state, info = step_macro_pnp(state, classical_tensors(1), cfg)
@@ -195,7 +196,7 @@ def test_08_oracle_equivalence():
         x = (np.arange(M) + 0.5) / M
         init = MacroState(u1=1 + 0.5 * np.sin(np.pi * x), u2=np.ones(M),
                           u3=np.zeros(M))
-        cfg = MacroConfig(resolution=M, dt=dt, t_end=T, drift="central",
+        cfg = MacroConfig(dt=dt, t_end=T, drift="central",
                           picard_tol=1e-11)
         snaps, _ = run_macro(cfg, classical_tensors(1), init)
         final = snaps[-1][1]
@@ -218,8 +219,8 @@ def test_09_micro_macro_trivial_consistency():
         mstate = MacroState(u1=n0.copy(), u2=np.ones_like(n0), u3=np.zeros_like(n0))
         istate = MicroState(nplus=n0.copy(), nminus=np.ones_like(n0),
                             phi=np.zeros_like(n0))
-        mcfg = MacroConfig(resolution=M, dt=1e-3, t_end=0.01)
-        icfg = MicroConfig()
+        mcfg = MacroConfig(dt=1e-3, t_end=0.01)
+        icfg = StepConfig()
         for _ in range(10):
             mstate, _ = step_macro_pnp(mstate, classical_tensors(2), mcfg)
             istate, _ = step_micro_pnp(istate, dom, 1e-3, icfg)
@@ -253,7 +254,7 @@ def test_11_conservation_and_energy():
         x = (np.arange(M) + 0.5) / M
         init = MacroState(u1=1 + 0.5 * np.sin(np.pi * x), u2=np.ones(M),
                           u3=np.zeros(M))
-        cfg = MacroConfig(resolution=M, dt=1e-3, t_end=0.05, bc="noflux", lam2=1.0)
+        cfg = MacroConfig(dt=1e-3, t_end=0.05, bc="noflux", lam2=1.0)
         _, rows = run_macro(cfg, classical_tensors(1), init)
         m1, m2 = init.u1.mean(), init.u2.mean()
         for r in rows:
@@ -270,7 +271,7 @@ def test_11_conservation_and_energy():
         n0 = (1 + 0.3 * np.cos(np.pi * X) * np.cos(np.pi * Y)) * dom.mask
         micro_init = MicroState(nplus=n0.copy(), nminus=1.0 * dom.mask,
                                 phi=np.zeros_like(n0))
-        _, micro_rows = run_micro(dom, micro_init, 1e-3, 20, MicroConfig(bc="noflux"))
+        _, micro_rows = run_micro(dom, micro_init, 1e-3, 20, StepConfig(bc="noflux"))
         for r in micro_rows:
             assert abs(r["mass1"] - n0.mean()) <= 1e-10
             assert abs(r["mass2"] - dom.mask.mean()) <= 1e-10

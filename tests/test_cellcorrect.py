@@ -187,14 +187,6 @@ def test_symmetry_inheritance():
         assert np.abs(xi3[0] - xi3[1].T).max() <= 1e-8 * scale
 
 
-def test_threads_deterministic():
-    cell = build_unit_cell({"kind": "disc", "radius": 0.25, "dim": 2}, 16)
-    kappa = permittivity_field(cell, CONTRAST)
-    a, _ = solve_potential_corrector(cell, kappa, threads=1)
-    b, _ = solve_potential_corrector(cell, kappa, threads=2)
-    assert np.array_equal(a, b)
-
-
 def test_1d_cell():
     m = 32
     cell = build_unit_cell({"kind": "laminate", "fraction": 0.5, "dim": 1}, m)

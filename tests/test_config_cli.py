@@ -41,7 +41,6 @@ def test_minimal_config_defaults(tmp_path):
     path.write_text("# nothing but a comment\n")
     cfg = load_config(path)
     assert cfg.solver_tol == 1e-10
-    assert cfg.solver_cap_factor == 50
     assert cfg.macro_picard_cap == 50
     assert cfg.cell_kind == "full"
     assert cfg.micro_s == (Fraction(1, 2),)
@@ -194,6 +193,18 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert main(["cell", "--config", str(path)]) == 2
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "ConfigError"
+
+
+def test_removed_knobs_rejected(tmp_path, capsys):
+    # solver.cap_factor and --threads had no effect and are gone
+    path = tmp_path / "old.cfg"
+    path.write_text("solver.cap_factor = 50\n")
+    assert main(["cell", "--config", str(path)]) == 2
+    assert "unknown key 'solver.cap_factor'" in json.loads(capsys.readouterr().err)["message"]
+    path.write_text("cell.resolution = 8\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["cell", "--config", str(path), "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_exit_code_solver_failure(tmp_path, capsys):

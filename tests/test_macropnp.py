@@ -1,5 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pnp_upscale.cellcorrect import SolverError
 from pnp_upscale.macropnp import (
@@ -109,7 +113,7 @@ def test_poisson_cross_terms_converge():
 
 def test_zero_state_stays_zero():
     m = 16
-    cfg = MacroConfig(resolution=m, dt=1e-3, t_end=3e-3)
+    cfg = MacroConfig(dt=1e-3, t_end=3e-3)
     state = MacroState.zero((m, m))
     for _ in range(3):
         state, info = step_macro_pnp(state, classical_tensors(2), cfg)
@@ -123,7 +127,7 @@ def test_equal_density_symmetry_and_decay():
     X, Y = grid2(m)
     mode = np.sin(np.pi * X) * np.sin(np.pi * Y)
     state = MacroState(u1=mode.copy(), u2=mode.copy(), u3=np.zeros_like(mode))
-    cfg = MacroConfig(resolution=m, dt=dt, t_end=10 * dt)
+    cfg = MacroConfig(dt=dt, t_end=10 * dt)
     target = np.exp(-2 * np.pi**2 * dt)
     for _ in range(10):
         prev_mass = state.u1.sum()
@@ -139,7 +143,7 @@ def test_oracle_equivalence_1d():
     M, dt, T = 64, 5e-5, 0.05
     x = (np.arange(M) + 0.5) / M
     init = MacroState(u1=1 + 0.5 * np.sin(np.pi * x), u2=np.ones(M), u3=np.zeros(M))
-    cfg = MacroConfig(resolution=M, dt=dt, t_end=T, drift="central", picard_tol=1e-11)
+    cfg = MacroConfig(dt=dt, t_end=T, drift="central", picard_tol=1e-11)
     snaps, _ = run_macro(cfg, classical_tensors(1), init)
     final = snaps[-1][1]
     ref1, ref2 = oracles.explicit_pnp_1d(4 * M, dt / 10, int(round(T / (dt / 10))))
@@ -156,7 +160,7 @@ def test_picard_contraction():
     for dt in (1e-3, 5e-4):
         state = MacroState(u1=1 + 0.5 * np.sin(np.pi * x), u2=np.ones(M),
                            u3=np.zeros(M))
-        cfg = MacroConfig(resolution=M, dt=dt, t_end=10 * dt, picard_tol=1e-10)
+        cfg = MacroConfig(dt=dt, t_end=10 * dt, picard_tol=1e-10)
         worst = 0
         for _ in range(10):
             state, info = step_macro_pnp(state, classical_tensors(1), cfg)
@@ -172,7 +176,7 @@ def test_picard_cap_raises():
     m = 16
     x = (np.arange(m) + 0.5) / m
     state = MacroState(u1=1 + 0.5 * np.sin(np.pi * x), u2=np.ones(m), u3=np.zeros(m))
-    cfg = MacroConfig(resolution=m, dt=50.0, t_end=50.0, picard_cap=3,
+    cfg = MacroConfig(dt=50.0, t_end=50.0, picard_cap=3,
                       picard_tol=1e-14)
     with pytest.raises(SolverError, match="reduce dt"):
         step_macro_pnp(state, classical_tensors(1), cfg)
@@ -182,7 +186,7 @@ def test_positivity_upwind():
     m = 32
     x = (np.arange(m) + 0.5) / m
     state = MacroState(u1=1 + 0.5 * np.sin(np.pi * x), u2=np.ones(m), u3=np.zeros(m))
-    cfg = MacroConfig(resolution=m, dt=1e-3, t_end=0.02, drift="upwind")
+    cfg = MacroConfig(dt=1e-3, t_end=0.02, drift="upwind")
     snaps, _ = run_macro(cfg, classical_tensors(1), state)
     final = snaps[-1][1]
     assert final.u1.min() >= -1e-12 and final.u2.min() >= -1e-12
@@ -190,11 +194,11 @@ def test_positivity_upwind():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        MacroConfig(resolution=8, dt=-1.0, t_end=1.0)
+        MacroConfig(dt=-1.0, t_end=1.0)
     with pytest.raises(ValueError):
-        MacroConfig(resolution=8, dt=1.0, t_end=0.5)
+        MacroConfig(dt=1.0, t_end=0.5)
     with pytest.raises(ValueError):
-        MacroConfig(resolution=8, dt=1e-3, t_end=1e-2, drift="qwerty")
+        MacroConfig(dt=1e-3, t_end=1e-2, drift="qwerty")
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +231,7 @@ def test_free_energy_monotone_noflux():
     M = 64
     x = (np.arange(M) + 0.5) / M
     init = MacroState(u1=1 + 0.5 * np.sin(np.pi * x), u2=np.ones(M), u3=np.zeros(M))
-    cfg = MacroConfig(resolution=M, dt=1e-3, t_end=0.05, bc="noflux", lam2=1.0)
+    cfg = MacroConfig(dt=1e-3, t_end=0.05, bc="noflux", lam2=1.0)
     _, rows = run_macro(cfg, classical_tensors(1), init)
     series = [free_energy(init, 1.0)] + [r.free_energy for r in rows]
     assert max(np.diff(series)) <= 1e-8
@@ -237,7 +241,7 @@ def test_conservation_noflux():
     M = 48
     x = (np.arange(M) + 0.5) / M
     init = MacroState(u1=1 + 0.5 * np.sin(np.pi * x), u2=np.ones(M), u3=np.zeros(M))
-    cfg = MacroConfig(resolution=M, dt=1e-3, t_end=0.02, bc="noflux")
+    cfg = MacroConfig(dt=1e-3, t_end=0.02, bc="noflux")
     _, rows = run_macro(cfg, classical_tensors(1), init)
     m1_0 = init.u1.mean()
     for r in rows:
@@ -265,11 +269,48 @@ def test_local_equilibrium_direct_oracle():
     X, _ = grid2(m)
     u1 = 1.0 + 0.1 * np.sin(np.pi * X)
     state = MacroState(u1=u1, u2=np.ones((m, m)), u3=np.zeros((m, m)))
-    expected = max(
-        oracles.blockwise_mu_spread(u1, state.u3, 1.0, 4),
-        oracles.blockwise_mu_spread(state.u2, state.u3, -1.0, 4),
-    )
+    expected, _ = oracles.local_equilibrium_loop(u1, state.u2, state.u3, 4)
     assert check_local_equilibrium(state, 4) == pytest.approx(expected, abs=1e-15)
+
+
+class _WarningRecords(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+@st.composite
+def loceq_states(draw):
+    dim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(1, 9), min_size=dim, max_size=dim)))
+    density = st.one_of(st.just(0.0), st.just(-0.5), st.floats(1e-3, 10.0))
+    u1 = draw(hnp.arrays(float, shape, elements=density))
+    u2 = draw(hnp.arrays(float, shape, elements=density))
+    u3 = draw(hnp.arrays(float, shape, elements=st.floats(-3.0, 3.0)))
+    return MacroState(u1=u1, u2=u2, u3=u3), draw(st.integers(1, 5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(loceq_states())
+def test_local_equilibrium_matches_loop(case):
+    # any grid (ragged edge blocks included), zero and negative densities
+    state, window = case
+    expected, expected_skipped = oracles.local_equilibrium_loop(
+        state.u1, state.u2, state.u3, window)
+    handler = _WarningRecords()
+    log = logging.getLogger("pnp_upscale.macropnp")
+    log.addHandler(handler)
+    try:
+        with np.errstate(all="raise"):
+            dev = check_local_equilibrium(state, window)
+    finally:
+        log.removeHandler(handler)
+    assert dev == expected
+    skipped = handler.records[0].args[0] if handler.records else 0
+    assert skipped == expected_skipped
 
 
 def test_local_equilibrium_skips_zero_blocks():
@@ -283,7 +324,7 @@ def test_local_equilibrium_skips_zero_blocks():
 
 def test_run_macro_rows_and_snapshots():
     m = 16
-    cfg = MacroConfig(resolution=m, dt=1e-3, t_end=3e-3)
+    cfg = MacroConfig(dt=1e-3, t_end=3e-3)
     snaps, rows = run_macro(cfg, classical_tensors(2), MacroState.zero((m, m)),
                             snapshot_times=(2e-3,))
     assert len(rows) == 3
@@ -300,7 +341,7 @@ def test_mean_zero_potential_along_run():
     M = 32
     x = (np.arange(M) + 0.5) / M
     state = MacroState(u1=1 + 0.5 * np.sin(np.pi * x), u2=np.ones(M), u3=np.zeros(M))
-    cfg = MacroConfig(resolution=M, dt=1e-3, t_end=5e-3)
+    cfg = MacroConfig(dt=1e-3, t_end=5e-3)
     for _ in range(5):
         state, _ = step_macro_pnp(state, classical_tensors(1), cfg)
         assert abs(state.u3.mean()) <= 1e-10 * max(np.abs(state.u3).max(), 1e-300)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from pnp_upscale.cellcorrect import CorrectorSet
-from pnp_upscale.macropnp import MacroConfig, MacroState, step_macro_pnp
+from pnp_upscale.macropnp import MacroConfig, MacroState, StepConfig, step_macro_pnp
 from pnp_upscale.microdns import (
     BudgetError,
-    MicroConfig,
     MicroState,
     assemble_micro_domain,
     compare_fields,
@@ -108,7 +107,7 @@ def test_zero_densities_forever():
     dom = full_domain(8, 4)
     z = np.zeros(dom.mask.shape)
     state = MicroState(nplus=z.copy(), nminus=z.copy(), phi=z.copy())
-    cfg = MicroConfig()
+    cfg = StepConfig()
     for _ in range(3):
         state, _ = step_micro_pnp(state, dom, 1e-3, cfg)
         assert np.all(state.nplus == 0.0) and np.all(state.nminus == 0.0)
@@ -122,7 +121,7 @@ def test_conservation_noflux():
     X, Y = grid2(M)
     n0 = (1 + 0.3 * np.cos(np.pi * X) * np.cos(np.pi * Y)) * dom.mask
     init = MicroState(nplus=n0.copy(), nminus=1.0 * dom.mask, phi=np.zeros_like(n0))
-    _, rows = run_micro(dom, init, 1e-3, 5, MicroConfig(bc="noflux"))
+    _, rows = run_micro(dom, init, 1e-3, 5, StepConfig(bc="noflux"))
     m1 = n0.mean()
     m2 = dom.mask.mean()
     for r in rows:
@@ -138,7 +137,7 @@ def test_densities_stay_zero_on_solid():
     n0 = (1 + 0.4 * np.sin(np.pi * X) * np.sin(np.pi * Y)) * dom.mask
     state = MicroState(nplus=n0, nminus=1.0 * dom.mask, phi=np.zeros_like(n0))
     for _ in range(3):
-        state, _ = step_micro_pnp(state, dom, 1e-3, MicroConfig())
+        state, _ = step_micro_pnp(state, dom, 1e-3, StepConfig())
     solid = ~dom.mask
     assert np.all(state.nplus[solid] == 0.0)
     assert np.all(state.nminus[solid] == 0.0)
@@ -152,7 +151,7 @@ def test_refined_step_oracle():
     M = dom.resolution
     X, Y = grid2(M)
     n0 = (1 + 0.3 * np.cos(np.pi * X) * np.cos(np.pi * Y)) * dom.mask
-    cfg = MicroConfig(bc="noflux")
+    cfg = StepConfig(bc="noflux")
     coarse, _ = run_micro(
         dom, MicroState(nplus=n0.copy(), nminus=1.0 * dom.mask, phi=np.zeros_like(n0)),
         1e-4, 100, cfg,
@@ -175,9 +174,9 @@ def test_constant_coefficient_reduction():
     tensors = EffectiveTensors(dim=2, p=1.0, eps0=np.eye(2), M=np.eye(2),
                                Hhat=np.zeros((2, 2)))
     mstate = MacroState(u1=n0.copy(), u2=np.ones_like(n0), u3=np.zeros_like(n0))
-    mcfg = MacroConfig(resolution=M, dt=1e-3, t_end=0.01)
+    mcfg = MacroConfig(dt=1e-3, t_end=0.01)
     istate = MicroState(nplus=n0.copy(), nminus=np.ones_like(n0), phi=np.zeros_like(n0))
-    icfg = MicroConfig()
+    icfg = StepConfig()
     for _ in range(10):
         mstate, _ = step_macro_pnp(mstate, tensors, mcfg)
         istate, _ = step_micro_pnp(istate, dom, 1e-3, icfg)
