@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pnp_upscale.cellcorrect import (
     solve_density_corrector_shape,
@@ -13,6 +14,11 @@ from pnp_upscale.unitcell import (
 )
 
 CONTRAST = PermittivityParams(lam=1.0, alpha=4.0)
+
+# the same examples on every run (derandomize also disables the example
+# database), and no per-example deadline: solve times vary with machine load
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 def checkerboard_mask(m):

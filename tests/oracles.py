@@ -1,8 +1,9 @@
 """Independent reference computations used to pin expected test values.
 
 Everything here deliberately avoids the package's solver paths: dense
-linear algebra, quadrature-based Poisson solves, explicit time stepping
-and closed-form laminate algebra only.
+linear algebra, quadrature-based Poisson solves, explicit time stepping,
+closed-form laminate algebra, a Jacobi-preconditioned CG with its own
+stencil loop, and a brute-force flood fill only.
 """
 
 import numpy as np
@@ -129,3 +130,84 @@ def local_equilibrium_loop(u1, u2, u3, window):
             mu = np.log(ub) + z * u3[blk]
             dev = max(dev, float(mu.max() - mu.min()))
     return dev, skipped
+
+
+def periodic_fluid_connected(mask):
+    """Brute-force flood fill of the fluid voxels over the six (four in 2D,
+    two in 1D) face neighbours with periodic wraparound."""
+    mask = np.asarray(mask, dtype=bool)
+    fluid = [tuple(int(i) for i in idx) for idx in np.argwhere(mask)]
+    if not fluid:
+        return False
+    seen = {fluid[0]}
+    queue = [fluid[0]]
+    while queue:
+        idx = queue.pop()
+        for d in range(mask.ndim):
+            for step in (-1, 1):
+                nb = list(idx)
+                nb[d] = (nb[d] + step) % mask.shape[d]
+                nb = tuple(nb)
+                if mask[nb] and nb not in seen:
+                    seen.add(nb)
+                    queue.append(nb)
+    return len(seen) == len(fluid)
+
+
+def jacobi_projected_cg(faces, b, h, mask, tol, max_iter):
+    """Reference solver for the singular periodic system: projected CG with
+    the Jacobi (operator-diagonal) preconditioner.
+
+    Drop-in for ``cellcorrect._pcg``: same arguments, returns (solution,
+    relative residual, iterations).  It applies the operator with its own
+    stencil loop and ignores ``max_iter`` in favour of a cap of ten sweeps
+    of the unknowns, so that the slow Jacobi iteration still converges.
+    """
+    shape = b.shape
+
+    def apply(u):
+        out = np.zeros_like(u)
+        for d, kf in enumerate(faces):
+            out += kf * (u - np.roll(u, -1, axis=d))
+            out += np.roll(kf, 1, axis=d) * (u - np.roll(u, 1, axis=d))
+        return out / (h * h)
+
+    diag = sum(kf + np.roll(kf, 1, axis=d) for d, kf in enumerate(faces)) / (h * h)
+    active = np.ones(shape, dtype=bool) if mask is None else mask
+
+    def project(v):
+        v[active] -= v[active].mean()
+        v[~active] = 0.0
+        return v
+
+    def precond(r):
+        return project(np.divide(r, diag, out=np.zeros(shape), where=diag > 0))
+
+    bnorm = float(np.linalg.norm(b))
+    x = np.zeros(shape)
+    if bnorm == 0.0:
+        return x, 0.0, 0
+    r = project(b.copy())
+    z = precond(r)
+    p = z.copy()
+    rz = float((r * z).sum())
+    for it in range(1, 10 * b.size + 1):
+        Ap = apply(p)
+        alpha = rz / float((p * Ap).sum())
+        x = project(x + alpha * p)
+        r -= alpha * Ap
+        if float(np.linalg.norm(r)) <= tol * bnorm:
+            rtrue = project(b - apply(x))
+            res = float(np.linalg.norm(rtrue)) / bnorm
+            if res <= tol:
+                return x, res, it
+            r = rtrue
+            z = precond(r)
+            p = z.copy()
+            rz = float((r * z).sum())
+            continue
+        z = precond(r)
+        rz_new = float((r * z).sum())
+        p = z + rz_new / rz * p
+        rz = rz_new
+    raise RuntimeError("reference Jacobi CG did not converge")

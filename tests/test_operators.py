@@ -83,8 +83,10 @@ print(json.dumps({"code": code, "names": sorted({s[0] for s in tracer.spans}),
 
 
 def test_benchmark_tracer_contract(tmp_path):
-    # perfbench/tracing.py wraps module attributes by name and reads the
-    # Picard count from each step's result; a rename silently drops spans
+    # perfbench/tracing.py wraps module attributes by name, reads the
+    # Picard count from each step's result and parses the corrector solver's
+    # debug record for iteration counts; a rename or a reworded record
+    # silently drops spans or zeroes counters
     config = tmp_path / "run.cfg"
     config.write_text(
         "cell.kind = disc\ncell.dim = 2\ncell.resolution = 8\ncell.radius = 0.25\n"
@@ -106,3 +108,7 @@ def test_benchmark_tracer_contract(tmp_path):
     assert metrics["macropnp.picard_iters"] > 0
     assert metrics["microdns.picard_iters"] > 0
     assert metrics["fv.factor_count"] == 4
+    # xi3 and eta per direction plus the four zeta3 components of a 2D cell
+    assert metrics["cellcorrect.solves"] == 8
+    for family in ("xi3", "eta", "zeta3"):
+        assert metrics[f"cellcorrect.{family}_iters"] > 0
