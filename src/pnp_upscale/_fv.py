@@ -3,16 +3,23 @@
 Cell-centered grids on [0,1]^N with M cells per axis.  Used by the
 macroscopic solver (constant-tensor coefficients) and the microscopic DNS
 (variable scalar coefficient, perforated masks).  All matrices are assembled
-once per operator and factorized with SuperLU; solves are deterministic.
+once per operator.  They are solved either by a SuperLU factorization
+(``PinnedNeumannSolver``, ``FactorizedSolver``) or matrix-free by CG with a
+constant-coefficient box preconditioner diagonalized by DCT-II or DST-II
+(``BoxPCGSolver``); every solve is deterministic.
 """
 
 from __future__ import annotations
+
+import logging
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .cellcorrect import SolverError
+from .cellcorrect import ITER_CAP_FACTOR, SolverError
+
+logger = logging.getLogger(__name__)
 
 
 def _face_index_pairs(shape, axis):
@@ -145,13 +152,131 @@ class PinnedNeumannSolver:
 
 
 class FactorizedSolver:
-    """splu wrapper for the nonsingular implicit-diffusion matrices."""
+    """splu wrapper for the nonsingular implicit-diffusion matrices.
+
+    ``solve`` takes the tolerance of the common solver interface and needs
+    none: the factorization solves to rounding.
+    """
 
     def __init__(self, A: sp.csr_matrix):
         self.lu = spla.splu(A.tocsc())
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
+    def solve(self, b: np.ndarray, tol: float | None = None) -> np.ndarray:
         return self.lu.solve(np.asarray(b, dtype=float).ravel())
+
+
+class BoxPCGSolver:
+    """Matrix-free CG for an operator assembled by this module.
+
+    The preconditioner is the inverse of the constant-coefficient box
+    operator shift I - sum_d scale_d d_dd on the same grid, which the type-2
+    DCT (zero-flux faces) or DST (ghost-cell Dirichlet faces, ``dirichlet``)
+    diagonalizes exactly: mode k has the eigenvalue
+    shift + sum_d scale_d (2 - 2 cos(pi k_d / m)) / h^2, with k_d + 1 in
+    place of k_d for Dirichlet.  On an unmasked grid with a diagonal
+    constant tensor the preconditioner is the inverse and CG stops after one
+    iteration.  Every iteration projects the preconditioned residual:
+    for the singular Neumann system (no shift) the mean is taken out, with a
+    ``mask`` the masked-out cells are zeroed.  Masked-out cells carry
+    identity rows, so their values are set directly from the right-hand side.
+
+    Drop-in for the factorized solvers.  Without a shift, ``solve`` follows
+    ``PinnedNeumannSolver``: it returns (mean-zero x, removed imbalance) and
+    certifies the backward error ||A x - b|| / (||A|| ||x|| + ||b||).  With a
+    shift it follows ``FactorizedSolver``: it returns x and certifies the
+    relative residual.  Breakdown, or ``ITER_CAP_FACTOR * m`` iterations,
+    raises ``SolverError``.
+    """
+
+    def __init__(self, A: sp.csr_matrix, shape, h: float, scale, shift: float = 0.0,
+                 dirichlet: bool = False, mask=None):
+        import scipy.fft  # kept out of the package import
+
+        self.A = A.tocsr()
+        self.shape = tuple(shape)
+        self.singular = shift == 0.0 and not dirichlet
+        self.norm_A = spla.norm(self.A, np.inf) if self.singular else None
+        self.solid = None if mask is None else ~np.asarray(mask, dtype=bool).ravel()
+        self.max_iter = ITER_CAP_FACTOR * self.shape[0]
+        k = [np.arange(m) + int(dirichlet) for m in self.shape]
+        sym = shift + sum(
+            c * (2.0 - 2.0 * np.cos(np.pi * kd / m)) / (h * h)
+            for c, kd, m in zip(scale, np.ix_(*k), self.shape)
+        )
+        self.inv_symbol = np.zeros(self.shape)
+        np.divide(1.0, sym, out=self.inv_symbol, where=sym > 0.0)
+        if dirichlet:
+            self._forward, self._inverse = scipy.fft.dstn, scipy.fft.idstn
+        else:
+            self._forward, self._inverse = scipy.fft.dctn, scipy.fft.idctn
+
+    def _precondition(self, r: np.ndarray) -> np.ndarray:
+        z = self._forward(r.reshape(self.shape), type=2, norm="ortho")
+        z *= self.inv_symbol
+        z = self._inverse(z, type=2, norm="ortho").ravel()
+        # project: the restriction that makes the preconditioner act on the
+        # system's own subspace
+        if self.singular:
+            z -= z.mean()
+        if self.solid is not None:
+            z[self.solid] = 0.0
+        return z
+
+    def solve(self, b: np.ndarray, tol: float):
+        b = np.asarray(b, dtype=float).ravel()
+        if not self.singular:
+            return self._pcg(b, tol)
+        imbalance = float(b.mean())
+        x = self._pcg(b - imbalance, tol)
+        x -= x.mean()
+        return x, imbalance
+
+    def _error(self, r: np.ndarray, x: np.ndarray, bnorm: float) -> float:
+        """The certificate of the iterate x with residual r."""
+        if self.singular:
+            return float(np.linalg.norm(r)) / (self.norm_A * float(np.linalg.norm(x)) + bnorm)
+        return float(np.linalg.norm(r)) / bnorm
+
+    def _pcg(self, b: np.ndarray, tol: float) -> np.ndarray:
+        x = np.zeros_like(b)
+        r = b.copy()
+        if self.solid is not None:
+            x[self.solid] = b[self.solid]
+            r[self.solid] = 0.0
+        if not r.any():
+            return x
+        bnorm = float(np.linalg.norm(b))
+        z = self._precondition(r)
+        p = z.copy()
+        rz = float(r @ z)
+        for it in range(1, self.max_iter + 1):
+            Ap = self.A @ p
+            pAp = float(p @ Ap)
+            if not np.isfinite(pAp) or pAp <= 0.0:
+                raise SolverError("box CG breakdown: operator lost positive definiteness")
+            alpha = rz / pAp
+            x += alpha * p
+            r -= alpha * Ap
+            if self._error(r, x, bnorm) <= tol:
+                r = b - self.A @ x
+                res = self._error(r, x, bnorm)
+                if res <= tol:
+                    logger.debug("box solve: %d iterations, residual %.3e", it, res)
+                    return x
+                # the recurrence drifted from the true residual: restart from it
+                z = self._precondition(r)
+                p = z.copy()
+                rz = float(r @ z)
+                continue
+            z = self._precondition(r)
+            rz_new = float(r @ z)
+            p = z + (rz_new / rz) * p
+            rz = rz_new
+        res = self._error(b - self.A @ x, x, bnorm)
+        raise SolverError(
+            f"box CG reached the iteration cap {self.max_iter} at residual "
+            f"{res:.3e} (tol {tol:.1e})"
+        )
 
 
 def assemble_diffusion_matrix(shape, h, dt, p, bc, mask=None) -> sp.csr_matrix:

@@ -26,6 +26,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from ._fv import (
+    BoxPCGSolver,
     FactorizedSolver,
     PinnedNeumannSolver,
     assemble_diffusion_matrix,
@@ -125,11 +126,15 @@ class GridOperators:
     """Operators of one square box grid on [0,1]^N, kept for a whole run.
 
     The Poisson operator is -div(tensor grad) for a constant symmetric
-    ``tensor`` or -div(coef(x) grad) for a per-cell ``coef``; its source is
-    p (v1 - v2).  The implicit-diffusion matrices (p/dt) I - p Lap are
-    factorized on first use and kept per (dt, bc).  With a fluid ``mask``
-    the densities live on fluid cells only: diffusion and drift use only
-    the faces between two fluid cells.
+    ``tensor`` (the macro grid) or -div(coef(x) grad) for a per-cell
+    ``coef`` (the DNS grid); its source is p (v1 - v2).  The
+    implicit-diffusion operators (p/dt) I - p Lap are kept per (dt, bc).
+    Each solver is built on first use.  DNS grids of dimension <= 2 are
+    factorized with SuperLU, which is faster there once factorized; every
+    other grid uses ``BoxPCGSolver``, whose preconditioner takes the scale
+    diag(tensor) on the macro grid and 1 on the DNS grid.  With a fluid
+    ``mask`` the densities live on fluid cells only: diffusion and drift use
+    only the faces between two fluid cells.
     """
 
     def __init__(self, shape, p: float = 1.0, *, tensor=None, coef=None,
@@ -157,21 +162,32 @@ class GridOperators:
         self.open_faces = None
         if mask is not None:
             self.open_faces = [mask[lo] & mask[hi] for lo, hi in _face_slices(N)]
+        self.direct = tensor is None and N <= 2
         self._diffusion: dict = {}
 
     @cached_property
-    def poisson(self) -> PinnedNeumannSolver:
+    def poisson(self) -> PinnedNeumannSolver | BoxPCGSolver:
         A = assemble_neumann_operator(self.shape, self.h, tensor=self.tensor,
                                       coef=self.coef)
-        return PinnedNeumannSolver(A)
+        if self.direct:
+            return PinnedNeumannSolver(A)
+        scale = np.ones(len(self.shape)) if self.tensor is None else np.diag(self.tensor)
+        return BoxPCGSolver(A, self.shape, self.h, scale)
 
-    def diffusion(self, dt: float, bc: str) -> FactorizedSolver:
+    def diffusion(self, dt: float, bc: str) -> FactorizedSolver | BoxPCGSolver:
         key = (float(dt), bc)
         solver = self._diffusion.get(key)
         if solver is None:
             A = assemble_diffusion_matrix(self.shape, self.h, dt, self.p, bc,
                                           mask=self.mask)
-            solver = self._diffusion[key] = FactorizedSolver(A)
+            if self.direct:
+                solver = FactorizedSolver(A)
+            else:
+                solver = BoxPCGSolver(A, self.shape, self.h,
+                                      np.full(len(self.shape), self.p),
+                                      shift=self.p / dt,
+                                      dirichlet=bc == "dirichlet", mask=self.mask)
+            self._diffusion[key] = solver
         return solver
 
     def potential(self, v1: np.ndarray, v2: np.ndarray, tol: float) -> np.ndarray:
@@ -207,8 +223,8 @@ def solve_macro_poisson(u1: np.ndarray, u2: np.ndarray, eps0: np.ndarray,
 
     Homogeneous Neumann potential; the source is projected to mean zero for
     compatibility (the removed mean charge is logged) and the solution is the
-    mean-zero representative.  Factorizes afresh: steppers hold their own
-    ``GridOperators``.
+    mean-zero representative.  Builds a fresh solver on every call: steppers
+    hold their own ``GridOperators``.
     """
     u1 = np.asarray(u1, dtype=float)
     return GridOperators(u1.shape, p, tensor=eps0).potential(u1, u2, tol)
@@ -290,7 +306,7 @@ def picard_step(ops: GridOperators, v, base, A: np.ndarray, dt: float,
                                               cfg.drift, ops.open_faces)
             if ops.solid is not None:
                 rhs[ops.solid] = 0.0
-            new.append(dsolve.solve(rhs.ravel()).reshape(ops.shape))
+            new.append(dsolve.solve(rhs.ravel(), cfg.lin_tol).reshape(ops.shape))
         inc = max(
             float(np.sqrt(np.mean((new[r] - v[r]) ** 2))) for r in range(2)
         )
@@ -415,8 +431,8 @@ def run_macro(cfg: MacroConfig, tensors: EffectiveTensors, init: MacroState,
     """March from t=0 to t_end, one diagnostics row per accepted step.
 
     Returns (snapshots, rows) where snapshots is a list of (t, MacroState)
-    at the configured times plus the final state.  The grid's operators are
-    assembled and factorized once for the whole run.
+    at the configured times plus the final state.  The grid's operators and
+    solvers are built once for the whole run.
     """
     n_steps = int(round(cfg.t_end / cfg.dt))
     if n_steps < 1:

@@ -41,7 +41,7 @@ class MicroDomain:
 
     ``ops`` holds the grid's operators: the whole-box Poisson operator with
     the high-contrast coefficient, and the diffusion operators on the fluid
-    voxels, each factorized on first use.
+    voxels, each built on first use.
     """
 
     s: float

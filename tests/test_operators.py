@@ -1,5 +1,6 @@
-"""Operator ownership: each run or DNS domain factorizes its operators once,
-and the spans the benchmark tracer records still appear."""
+"""Operator ownership: each run or DNS domain builds its solvers once, each
+grid gets the solver kind of the per-grid rule, and the spans the benchmark
+tracer records still appear."""
 
 import json
 import subprocess
@@ -20,16 +21,22 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
-def factorizations(monkeypatch):
-    """Every PinnedNeumannSolver and FactorizedSolver built during the test."""
+def solvers(monkeypatch):
+    """(class name, unknowns) of every Poisson and diffusion solver built
+    during the test, SuperLU factorizations and box CG solvers alike."""
     made = {"poisson": [], "diffusion": []}
-    for cls, key in ((_fv.PinnedNeumannSolver, "poisson"),
-                     (_fv.FactorizedSolver, "diffusion")):
-        def counting(self, A, _init=cls.__init__, _key=key):
-            made[_key].append(self)
-            _init(self, A)
+
+    def record(cls, kind_of):
+        def counting(self, A, *args, _init=cls.__init__, **kwargs):
+            _init(self, A, *args, **kwargs)
+            made[kind_of(self)].append((cls.__name__, A.shape[0]))
 
         monkeypatch.setattr(cls, "__init__", counting)
+
+    record(_fv.PinnedNeumannSolver, lambda self: "poisson")
+    record(_fv.FactorizedSolver, lambda self: "diffusion")
+    record(_fv.BoxPCGSolver,
+           lambda self: "poisson" if self.singular else "diffusion")
     return made
 
 
@@ -38,7 +45,7 @@ def _tensors(eps0):
                             Hhat=0.1 * np.eye(2))
 
 
-def test_run_macro_factorizes_once(factorizations):
+def test_run_macro_factorizes_once(solvers):
     m = 16
     c = (np.arange(m) + 0.5) / m
     X, _ = np.meshgrid(c, c, indexing="ij")
@@ -47,24 +54,32 @@ def test_run_macro_factorizes_once(factorizations):
     cfg = MacroConfig(dt=1e-3, t_end=5e-3)
     _, rows = run_macro(cfg, _tensors(np.eye(2)), init)
     assert len(rows) == 5 and all(r.picard_iters > 0 for r in rows)
-    assert len(factorizations["poisson"]) == 1
-    assert len(factorizations["diffusion"]) == 1
-    # a second run with another eps0 owns fresh operators, diffusion included
+    # the macro grid is never factorized: one box CG solver per operator
+    assert solvers["poisson"] == [("BoxPCGSolver", m * m)]
+    assert solvers["diffusion"] == [("BoxPCGSolver", m * m)]
+    # a second run with another eps0 owns fresh solvers, diffusion included
     run_macro(cfg, _tensors([[2.0, 0.3], [0.3, 1.0]]), init)
-    assert len(factorizations["poisson"]) == 2
-    assert len(factorizations["diffusion"]) == 2
+    assert solvers["poisson"] == [("BoxPCGSolver", m * m)] * 2
+    assert solvers["diffusion"] == [("BoxPCGSolver", m * m)] * 2
 
 
-def test_validation_factorizes_once_per_grid(factorizations):
-    cfg = RunConfig(
-        cell_kind="laminate", cell_dim=2, cell_resolution=8, cell_fraction=0.5,
-        lam=1.0, alpha=4.0, macro_resolution=16, macro_dt=1e-3, macro_t_end=3e-3,
-        micro_s=(Fraction(1, 2), Fraction(1, 4)),
-    )
-    run_validation(cfg)
-    # the macro grid plus one DNS grid per scale ratio
-    assert len(factorizations["poisson"]) == 3
-    assert len(factorizations["diffusion"]) == 3
+def test_validation_factorizes_once_per_grid(solvers):
+    # SuperLU only on the DNS grids of a 2D run; the box CG everywhere else
+    for dim, dns_solvers in ((2, ("PinnedNeumannSolver", "FactorizedSolver")),
+                             (3, ("BoxPCGSolver", "BoxPCGSolver"))):
+        cfg = RunConfig(
+            cell_kind="laminate", cell_dim=dim, cell_resolution=4,
+            cell_fraction=0.5, lam=1.0, alpha=4.0, macro_resolution=8,
+            macro_dt=1e-3, macro_t_end=2e-3,
+            micro_s=(Fraction(1, 2), Fraction(1, 3)),
+        )
+        solvers["poisson"].clear()
+        solvers["diffusion"].clear()
+        run_validation(cfg)
+        # the macro grid, then one DNS grid per scale ratio
+        for kind, dns in zip(("poisson", "diffusion"), dns_solvers):
+            assert solvers[kind] == [("BoxPCGSolver", 8**dim), (dns, 8**dim),
+                                     (dns, 12**dim)]
 
 
 TRACED_VALIDATE = """
@@ -107,7 +122,8 @@ def test_benchmark_tracer_contract(tmp_path):
     assert metrics["macropnp.steps"] == 2 and metrics["microdns.steps"] == 2
     assert metrics["macropnp.picard_iters"] > 0
     assert metrics["microdns.picard_iters"] > 0
-    assert metrics["fv.factor_count"] == 4
+    # only the 2D DNS grid factorizes; the macro grid uses the box CG
+    assert metrics["fv.factor_count"] == 2
     # xi3 and eta per direction plus the four zeta3 components of a 2D cell
     assert metrics["cellcorrect.solves"] == 8
     for family in ("xi3", "eta", "zeta3"):

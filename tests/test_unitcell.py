@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pnp_upscale.unitcell import (
     GeometryError,
@@ -124,6 +125,23 @@ def test_mask_file_roundtrip(tmp_path):
     assert np.array_equal(loaded, mask)
     rebuilt = build_unit_cell({"kind": "mask", "path": str(path)}, 8)
     assert np.array_equal(rebuilt.fluid_mask, mask)
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 3), st.integers(4, 9), st.floats(0.05, 1.0),
+       st.integers(0, 2**32 - 1))
+def test_mask_file_roundtrip_random(tmp_path_factory, dim, m, fluid, seed):
+    mask = np.random.default_rng(seed).random((m,) * dim) < fluid
+    mask.flat[0] = True  # a cell needs some fluid
+    cell = UnitCell(dim=dim, resolution=m, fluid_mask=mask,
+                    geometry_spec={"kind": "mask"})
+    path = tmp_path_factory.mktemp("mask") / "cell.mask"
+    write_mask_file(path, cell)
+    header_dim, header_m, loaded = read_mask_file(path)
+    assert (header_dim, header_m) == (dim, m)
+    assert loaded.dtype == bool and np.array_equal(loaded, mask)
+    rebuilt = build_unit_cell({"kind": "mask", "path": str(path)}, m)
+    assert rebuilt.dim == dim and np.array_equal(rebuilt.fluid_mask, mask)
 
 
 def test_mask_file_errors(tmp_path):
