@@ -4,9 +4,10 @@ Cell-centered grids on [0,1]^N with M cells per axis.  Used by the
 macroscopic solver (constant-tensor coefficients) and the microscopic DNS
 (variable scalar coefficient, perforated masks).  All matrices are assembled
 once per operator.  They are solved either by a SuperLU factorization
-(``PinnedNeumannSolver``, ``FactorizedSolver``) or matrix-free by CG with a
-constant-coefficient box preconditioner diagonalized by DCT-II or DST-II
-(``BoxPCGSolver``); every solve is deterministic.
+(``PinnedNeumannSolver``, ``FactorizedSolver``) or by ``BoxPCGSolver``, the
+CG of ``cellcorrect.pcg`` with a constant-coefficient box preconditioner
+diagonalized by DCT-II or DST-II.  Every solve is deterministic and
+certifies its result.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .cellcorrect import ITER_CAP_FACTOR, SolverError
+from .cellcorrect import ITER_CAP_FACTOR, SolverError, inverse_symbol, pcg
 
 logger = logging.getLogger(__name__)
 
@@ -154,15 +155,25 @@ class PinnedNeumannSolver:
 class FactorizedSolver:
     """splu wrapper for the nonsingular implicit-diffusion matrices.
 
-    ``solve`` takes the tolerance of the common solver interface and needs
-    none: the factorization solves to rounding.
+    The factorization solves to rounding; ``solve`` certifies it by the
+    relative residual ||A x - b|| / ||b|| <= tol, as ``BoxPCGSolver`` does
+    for the same matrices, and raises ``SolverError`` otherwise.
     """
 
     def __init__(self, A: sp.csr_matrix):
-        self.lu = spla.splu(A.tocsc())
+        self.A = A.tocsr()
+        self.lu = spla.splu(self.A.tocsc())
 
-    def solve(self, b: np.ndarray, tol: float | None = None) -> np.ndarray:
-        return self.lu.solve(np.asarray(b, dtype=float).ravel())
+    def solve(self, b: np.ndarray, tol: float) -> np.ndarray:
+        b = np.asarray(b, dtype=float).ravel()
+        x = self.lu.solve(b)
+        res = float(np.linalg.norm(self.A @ x - b))
+        bnorm = float(np.linalg.norm(b))
+        if res > tol * bnorm:
+            raise SolverError(
+                f"diffusion solve relative residual {res / bnorm:.3e} exceeds tol {tol:.1e}"
+            )
+        return x
 
 
 class BoxPCGSolver:
@@ -171,14 +182,13 @@ class BoxPCGSolver:
     The preconditioner is the inverse of the constant-coefficient box
     operator shift I - sum_d scale_d d_dd on the same grid, which the type-2
     DCT (zero-flux faces) or DST (ghost-cell Dirichlet faces, ``dirichlet``)
-    diagonalizes exactly: mode k has the eigenvalue
-    shift + sum_d scale_d (2 - 2 cos(pi k_d / m)) / h^2, with k_d + 1 in
-    place of k_d for Dirichlet.  On an unmasked grid with a diagonal
-    constant tensor the preconditioner is the inverse and CG stops after one
-    iteration.  Every iteration projects the preconditioned residual:
-    for the singular Neumann system (no shift) the mean is taken out, with a
-    ``mask`` the masked-out cells are zeroed.  Masked-out cells carry
-    identity rows, so their values are set directly from the right-hand side.
+    diagonalizes exactly (``cellcorrect.inverse_symbol``).  On an unmasked
+    grid with a diagonal constant tensor the preconditioner is the inverse
+    and CG stops after one iteration.  The preconditioner projects its
+    output: for the singular Neumann system (no shift) the mean is taken
+    out, with a ``mask`` the masked-out cells are zeroed.  Masked-out cells
+    carry identity rows, so their values are set directly from the
+    right-hand side.  The iteration is ``cellcorrect.pcg``.
 
     Drop-in for the factorized solvers.  Without a shift, ``solve`` follows
     ``PinnedNeumannSolver``: it returns (mean-zero x, removed imbalance) and
@@ -195,16 +205,13 @@ class BoxPCGSolver:
         self.A = A.tocsr()
         self.shape = tuple(shape)
         self.singular = shift == 0.0 and not dirichlet
-        self.norm_A = spla.norm(self.A, np.inf) if self.singular else None
+        # with norm_A = 0 the backward error is the relative residual
+        self.norm_A = spla.norm(self.A, np.inf) if self.singular else 0.0
         self.solid = None if mask is None else ~np.asarray(mask, dtype=bool).ravel()
         self.max_iter = ITER_CAP_FACTOR * self.shape[0]
-        k = [np.arange(m) + int(dirichlet) for m in self.shape]
-        sym = shift + sum(
-            c * (2.0 - 2.0 * np.cos(np.pi * kd / m)) / (h * h)
-            for c, kd, m in zip(scale, np.ix_(*k), self.shape)
-        )
-        self.inv_symbol = np.zeros(self.shape)
-        np.divide(1.0, sym, out=self.inv_symbol, where=sym > 0.0)
+        self.inv_symbol = inverse_symbol(
+            [np.pi * (np.arange(m) + int(dirichlet)) / m for m in self.shape],
+            h, scale, shift)
         if dirichlet:
             self._forward, self._inverse = scipy.fft.dstn, scipy.fft.idstn
         else:
@@ -224,59 +231,26 @@ class BoxPCGSolver:
 
     def solve(self, b: np.ndarray, tol: float):
         b = np.asarray(b, dtype=float).ravel()
-        if not self.singular:
-            return self._pcg(b, tol)
-        imbalance = float(b.mean())
-        x = self._pcg(b - imbalance, tol)
-        x -= x.mean()
-        return x, imbalance
-
-    def _error(self, r: np.ndarray, x: np.ndarray, bnorm: float) -> float:
-        """The certificate of the iterate x with residual r."""
         if self.singular:
-            return float(np.linalg.norm(r)) / (self.norm_A * float(np.linalg.norm(x)) + bnorm)
-        return float(np.linalg.norm(r)) / bnorm
-
-    def _pcg(self, b: np.ndarray, tol: float) -> np.ndarray:
+            imbalance = float(b.mean())
+            b = b - imbalance
         x = np.zeros_like(b)
         r = b.copy()
         if self.solid is not None:
             x[self.solid] = b[self.solid]
             r[self.solid] = 0.0
-        if not r.any():
-            return x
         bnorm = float(np.linalg.norm(b))
-        z = self._precondition(r)
-        p = z.copy()
-        rz = float(r @ z)
-        for it in range(1, self.max_iter + 1):
-            Ap = self.A @ p
-            pAp = float(p @ Ap)
-            if not np.isfinite(pAp) or pAp <= 0.0:
-                raise SolverError("box CG breakdown: operator lost positive definiteness")
-            alpha = rz / pAp
-            x += alpha * p
-            r -= alpha * Ap
-            if self._error(r, x, bnorm) <= tol:
-                r = b - self.A @ x
-                res = self._error(r, x, bnorm)
-                if res <= tol:
-                    logger.debug("box solve: %d iterations, residual %.3e", it, res)
-                    return x
-                # the recurrence drifted from the true residual: restart from it
-                z = self._precondition(r)
-                p = z.copy()
-                rz = float(r @ z)
-                continue
-            z = self._precondition(r)
-            rz_new = float(r @ z)
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-        res = self._error(b - self.A @ x, x, bnorm)
-        raise SolverError(
-            f"box CG reached the iteration cap {self.max_iter} at residual "
-            f"{res:.3e} (tol {tol:.1e})"
-        )
+
+        def certify(r, x):
+            return float(np.linalg.norm(r)) / (self.norm_A * float(np.linalg.norm(x)) + bnorm)
+
+        x, res, it = pcg(lambda v: self.A @ v, self._precondition, certify,
+                         b, x, r, tol, self.max_iter)
+        logger.debug("box solve: %d iterations, residual %.3e", it, res)
+        if not self.singular:
+            return x
+        x -= x.mean()
+        return x, imbalance
 
 
 def assemble_diffusion_matrix(shape, h, dt, p, bc, mask=None) -> sp.csr_matrix:

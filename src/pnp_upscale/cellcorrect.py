@@ -17,10 +17,13 @@ exactly.  The singular systems are solved by CG preconditioned with the
 inverse of the constant-coefficient periodic Laplacian, applied by FFT (the
 Moulinec-Suquet reference medium with CG acceleration), so the iteration
 count depends on the coefficient contrast and not on the resolution.  The
-iterate and the preconditioned residual are projected onto the mean-zero
-subspace every iteration; on the fluid region the projection also zeroes the
-solid part, which restricts the same preconditioner to the fluid.  The
-system is consistent iff the right-hand side sums to zero.
+right-hand side and every preconditioned residual are projected onto the
+mean-zero subspace; on the fluid region the projection also zeroes the solid
+part, which restricts the same preconditioner to the fluid.  The search
+directions stay in the subspace, so the iterate is projected once, at the
+end.  The system is consistent iff the right-hand side sums to zero.  The CG
+loop (``pcg``) and the spectral symbol (``inverse_symbol``) also serve the
+box-grid solver of ``_fv``.
 """
 
 from __future__ import annotations
@@ -126,18 +129,64 @@ def face_gradient(u: np.ndarray, axis: int, h: float) -> np.ndarray:
     return (np.roll(u, -1, axis=axis) - u) / h
 
 
-def _inverse_laplacian_symbol(shape, h: float) -> np.ndarray:
-    """1 / eigenvalue of the constant-coefficient periodic Laplacian.
+def inverse_symbol(angles, h: float, scale, shift: float = 0.0) -> np.ndarray:
+    """1 / eigenvalue of a constant-coefficient shift I - sum_d scale_d d_dd.
 
-    Laid out on the ``rfftn`` half-spectrum; the eigenvalue of mode k is
-    sum_d (2 - 2 cos(2 pi k_d / m)) / h^2.  The mean mode, the nullspace,
-    maps to zero.
+    ``angles`` holds the 1D mode angles of each axis; mode k has the
+    eigenvalue shift + sum_d scale_d (2 - 2 cos(angle_d)) / h^2.  The angles
+    are 2 pi k / m on the ``rfftn`` half-spectrum of a periodic grid, pi k / m
+    for zero-flux faces (DCT-II) and pi (k + 1) / m for ghost-cell Dirichlet
+    faces (DST-II).  A zero eigenvalue, the nullspace, maps to zero.
     """
-    freqs = [np.fft.fftfreq(m) for m in shape[:-1]] + [np.fft.rfftfreq(shape[-1])]
-    sym = sum(2.0 - 2.0 * np.cos(2.0 * np.pi * k) for k in np.ix_(*freqs)) / (h * h)
+    sym = shift + sum(c * (2.0 - 2.0 * np.cos(a)) / (h * h)
+                      for c, a in zip(scale, np.ix_(*angles)))
     inv = np.zeros_like(sym)
     np.divide(1.0, sym, out=inv, where=sym > 0.0)
     return inv
+
+
+def pcg(apply, precondition, certify, b: np.ndarray, x: np.ndarray, r: np.ndarray,
+        tol: float, max_iter: int):
+    """Preconditioned CG from the iterate x with residual r = b - apply(x).
+
+    ``precondition`` must keep z in the subspace the system lives on (the
+    projection is its caller's business), so the search directions stay in
+    it.  ``certify(r, x)`` is the stopping measure; once the recurrence
+    residual passes it, the true residual b - apply(x) must pass too, or CG
+    restarts from the true residual.  Returns (x, certificate, iterations);
+    raises ``SolverError`` on breakdown or after ``max_iter`` iterations.
+    """
+    if not r.any():
+        return x, 0.0, 0
+    z = precondition(r)
+    p = z.copy()
+    rz = float(np.vdot(r, z))
+    for it in range(1, max_iter + 1):
+        Ap = apply(p)
+        pAp = float(np.vdot(p, Ap))
+        if not np.isfinite(pAp) or pAp <= 0.0:
+            raise SolverError("CG breakdown: operator lost positive definiteness")
+        alpha = rz / pAp
+        x += alpha * p
+        r -= alpha * Ap
+        if certify(r, x) <= tol:
+            r = b - apply(x)
+            res = certify(r, x)
+            if res <= tol:
+                return x, res, it
+            # the recurrence drifted from the true residual: restart from it
+            z = precondition(r)
+            p = z.copy()
+            rz = float(np.vdot(r, z))
+            continue
+        z = precondition(r)
+        rz_new = float(np.vdot(r, z))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    res = certify(b - apply(x), x)
+    raise SolverError(
+        f"CG reached the iteration cap {max_iter} at residual {res:.3e} (tol {tol:.1e})"
+    )
 
 
 def _pcg(faces, b: np.ndarray, h: float, mask: np.ndarray | None,
@@ -145,76 +194,36 @@ def _pcg(faces, b: np.ndarray, h: float, mask: np.ndarray | None,
     """Projected preconditioned CG for the singular periodic system.
 
     Returns (solution, relative residual, iterations).  The preconditioner
-    is the inverse periodic Laplacian.  The iterate and the preconditioned
-    residual are re-projected onto the mean-zero subspace each iteration so
-    roundoff cannot excite the constant nullspace; with a mask the projection
-    also zeroes the solid part of the preconditioned residual.
+    is the inverse periodic Laplacian followed by the projection onto the
+    mean-zero subspace, which with a mask also zeroes the solid part.  The
+    right-hand side is projected once and the search directions stay in the
+    subspace, so only the final iterate is projected again.
     """
-    if mask is not None:
-        nact = int(mask.sum())
-        solid = ~mask
+    # a 0/1 weight instead of boolean indexing: two dense passes per call
+    w = np.ones(b.shape) if mask is None else mask.astype(float)
+    nact = float(w.sum())
 
-        def project(v):
-            v[mask] -= v[mask].sum() / nact
-            v[solid] = 0.0
-    else:
-
-        def project(v):
-            v -= v.mean()
+    def project(v):
+        v -= np.vdot(v, w) / nact
+        v *= w
+        return v
 
     axes = tuple(range(b.ndim))
-    inv_symbol = _inverse_laplacian_symbol(b.shape, h)
+    half = b.shape[:-1] + (b.shape[-1] // 2 + 1,)
+    inv_symbol = inverse_symbol(
+        [2.0 * np.pi * np.arange(n) / m for n, m in zip(half, b.shape)], h,
+        np.ones(b.ndim))
 
-    def precond(r):
-        return np.fft.irfftn(np.fft.rfftn(r, axes=axes) * inv_symbol,
-                             s=b.shape, axes=axes)
+    def precondition(r):
+        return project(np.fft.irfftn(np.fft.rfftn(r, axes=axes) * inv_symbol,
+                                     s=b.shape, axes=axes))
 
     bnorm = float(np.linalg.norm(b))
-    x = np.zeros_like(b)
-    if bnorm == 0.0:
-        return x, 0.0, 0
-
-    r = b.copy()
-    project(r)
-    z = precond(r)
-    project(z)
-    p = z.copy()
-    rz = float((r * z).sum())
-    it = 0
-    while it < max_iter:
-        Ap = apply_periodic_operator(p, faces, h)
-        pAp = float((p * Ap).sum())
-        if not np.isfinite(pAp) or pAp <= 0.0:
-            raise SolverError("CG breakdown: operator lost positive definiteness")
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        it += 1
-        project(x)
-        if float(np.linalg.norm(r)) <= tol * bnorm:
-            rtrue = b - apply_periodic_operator(x, faces, h)
-            project(rtrue)
-            res = float(np.linalg.norm(rtrue)) / bnorm
-            if res <= tol:
-                return x, res, it
-            # recurrence drifted from the true residual: restart from it
-            r = rtrue
-            z = precond(r)
-            project(z)
-            p = z.copy()
-            rz = float((r * z).sum())
-            continue
-        z = precond(r)
-        project(z)
-        rz_new = float((r * z).sum())
-        beta = rz_new / rz
-        p = z + beta * p
-        rz = rz_new
-    res = float(np.linalg.norm(b - apply_periodic_operator(x, faces, h))) / bnorm
-    raise SolverError(
-        f"CG reached the iteration cap {max_iter} at relative residual "
-        f"{res:.3e} (tol {tol:.1e})"
-    )
+    bp = project(b.copy())
+    x, res, it = pcg(lambda v: apply_periodic_operator(v, faces, h), precondition,
+                     lambda r, x: float(np.linalg.norm(r)) / bnorm,
+                     bp, np.zeros_like(b), bp.copy(), tol, max_iter)
+    return project(x), res, it
 
 
 def check_mean_zero(u: np.ndarray, mask: np.ndarray | None = None) -> None:

@@ -301,7 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.tensors is not None and args.command != "macro":
+        parser.error(f"--tensors applies to macro only, not to {args.command}")
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     try:
         cfg = load_config(args.config)

@@ -2,14 +2,19 @@
 the 3D DNS size that SuperLU could not reach."""
 
 import logging
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+import pnp_upscale
 from pnp_upscale import _fv
 from pnp_upscale.cellcorrect import SolverError
 from pnp_upscale.macropnp import StepConfig
@@ -63,7 +68,7 @@ def test_constant_coefficient_solves_in_one_iteration(shape, caplog):
         box, lu = diffusion_pair(shape, dt=1e-3, p=0.7, bc=bc)
         x = box.solve(b, 1e-10)
         assert box_iterations(caplog) == [1]
-        assert max_rel(x, lu.solve(b)) < 1e-12
+        assert max_rel(x, lu.solve(b, 1e-10)) < 1e-12
 
 
 @st.composite
@@ -102,7 +107,7 @@ def test_random_masks_match_superlu(mask, alpha, dt, bc, seed):
     assert max_rel(x, ref) <= 1e-6
     # masked diffusion: solid cells carry identity rows
     box, lu = diffusion_pair(shape, dt, 1.0, bc, mask=mask)
-    x, ref = box.solve(b, tol), lu.solve(b)
+    x, ref = box.solve(b, tol), lu.solve(b, tol)
     assert np.array_equal(x[~mask.ravel()], b[~mask.ravel()])
     assert np.linalg.norm(box.A @ x - b) <= tol * np.linalg.norm(b)
     assert max_rel(x, ref) <= 1e-9
@@ -135,6 +140,28 @@ def test_iteration_cap_and_breakdown_raise():
     box.A = -box.A
     with pytest.raises(SolverError, match="breakdown"):
         box.solve(b, 1e-10)
+
+
+def test_factorized_solver_certifies_its_residual():
+    shape = (8, 8)
+    b = np.random.default_rng(1).standard_normal(64)
+    _, lu = diffusion_pair(shape, 1e-3, 1.0, "noflux")
+    x = lu.solve(b, 1e-10)
+    assert np.linalg.norm(lu.A @ x - b) <= 1e-10 * np.linalg.norm(b)
+    # factors of another matrix solve a different system
+    other = _fv.assemble_diffusion_matrix(shape, 1.0 / 8, 1e-2, 1.0, "noflux")
+    lu.lu = spla.splu(other.tocsc())
+    with pytest.raises(SolverError, match="relative residual"):
+        lu.solve(b, 1e-10)
+
+
+def test_package_import_leaves_scipy_fft_out():
+    # scipy.fft loads only when a box solver is built; the CG kernel in
+    # cellcorrect, which every import of the package loads, must not pull it in
+    src = os.path.dirname(os.path.dirname(pnp_upscale.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, pnp_upscale; sys.exit('scipy.fft' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_3d_dns_at_48_cubed_is_feasible(caplog):

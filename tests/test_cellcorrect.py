@@ -12,6 +12,7 @@ from pnp_upscale.cellcorrect import (
     apply_periodic_operator,
     face_gradient,
     harmonic_face_coefficients,
+    pcg,
     solve_density_corrector_shape,
     solve_periodic_elliptic,
     solve_potential_corrector,
@@ -115,6 +116,74 @@ def test_iteration_cap_reports_residual():
         solve_periodic_elliptic(
             PeriodicEllipticProblem(kappa, f), tol=1e-13, max_iter=3
         )
+
+
+# ---------------------------------------------------------------------------
+# the CG kernel shared by the periodic and the box solvers
+
+
+def spd_system(n=12, seed=3):
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n))
+    return G @ G.T + n * np.eye(n), rng.standard_normal(n)
+
+
+def kernel_solve(A, b, max_iter=100, certify=None, tol=1e-12):
+    if certify is None:
+        def certify(r, x):
+            return float(np.linalg.norm(r)) / float(np.linalg.norm(b))
+    x = np.zeros_like(b)
+    return pcg(lambda v: A @ v, lambda r: r.copy(), certify, b, x, b.copy(), tol, max_iter)
+
+
+def test_kernel_matches_dense_solve():
+    A, b = spd_system()
+    x, res, iters = kernel_solve(A, b)
+    assert 1 < iters <= 100 and res <= 1e-12
+    assert rel_l2(x, np.linalg.solve(A, b)) <= 1e-10
+
+
+@pytest.mark.parametrize("sign, max_iter, match", [
+    (-1.0, 100, "breakdown"),
+    (1.0, 1, "iteration cap 1"),
+])
+def test_kernel_failures_raise(sign, max_iter, match):
+    A, b = spd_system()
+    with pytest.raises(SolverError, match=match):
+        kernel_solve(sign * A, b, max_iter=max_iter)
+
+
+def test_kernel_zero_residual_returns_x_unchanged():
+    A, b = spd_system()
+    x0 = np.linalg.solve(A, b)
+    kept = x0.copy()
+    x, res, iters = pcg(lambda v: A @ v, lambda r: r.copy(), None, b, x0,
+                        np.zeros_like(b), 1e-12, 100)
+    assert x is x0 and np.array_equal(x, kept)
+    assert (res, iters) == (0.0, 0)
+
+
+def test_kernel_restarts_from_the_true_residual():
+    A, b = spd_system()
+    bnorm = float(np.linalg.norm(b))
+    calls = []
+
+    def lying_once(r, x):
+        # passes the first recurrence residual falsely; that must not end
+        # the solve: the true residual decides and CG restarts from it
+        calls.append(r)
+        return 0.0 if len(calls) == 1 else float(np.linalg.norm(r)) / bnorm
+
+    x, res, iters = kernel_solve(A, b, certify=lying_once)
+    assert iters > 1 and len(calls) > 2
+    assert np.linalg.norm(b - A @ x) <= 1e-12 * bnorm
+    # a recurrence residual that is not b - A x from the start converges to
+    # the wrong x; the true residual exposes it
+    x0 = np.random.default_rng(4).standard_normal(b.size)
+    x, res, iters = pcg(lambda v: A @ v, lambda r: r.copy(),
+                        lambda r, x: float(np.linalg.norm(r)) / bnorm,
+                        b, x0, b.copy(), 1e-12, 100)
+    assert np.linalg.norm(b - A @ x) <= 1e-12 * bnorm
 
 
 def test_problem_validation():

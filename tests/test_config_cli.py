@@ -207,6 +207,17 @@ def test_removed_knobs_rejected(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["cell", "upscale", "micro", "validate"])
+def test_tensors_flag_only_for_macro(tmp_path, capsys, command):
+    # only macro reads --tensors; elsewhere it would be ignored silently
+    path = tmp_path / "run.cfg"
+    path.write_text("cell.resolution = 8\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path), "--tensors", str(tmp_path / "t.json")])
+    assert exc.value.code == 2
+    assert "--tensors applies to macro only" in capsys.readouterr().err
+
+
 def test_exit_code_solver_failure(tmp_path, capsys):
     # disconnected fluid (quadrant pattern) fails the perforated cell problem
     mask_path = tmp_path / "cells.mask"
