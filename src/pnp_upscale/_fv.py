@@ -3,11 +3,12 @@
 Cell-centered grids on [0,1]^N with M cells per axis.  Used by the
 macroscopic solver (constant-tensor coefficients) and the microscopic DNS
 (variable scalar coefficient, perforated masks).  All matrices are assembled
-once per operator.  They are solved either by a SuperLU factorization
-(``PinnedNeumannSolver``, ``FactorizedSolver``) or by ``BoxPCGSolver``, the
-CG of ``cellcorrect.pcg`` with a constant-coefficient box preconditioner
-diagonalized by DCT-II or DST-II.  Every solve is deterministic and
-certifies its result.
+once per operator.  Every grid solves them with ``BoxPCGSolver``, the CG of
+``cellcorrect.pcg`` with a constant-coefficient box preconditioner
+diagonalized by DCT-II or DST-II, started from a caller's iterate when it
+has one.  Every solve is deterministic and certifies its result.  The
+SuperLU solvers ``PinnedNeumannSolver`` and ``FactorizedSolver`` are test
+oracles only; no grid of the program factorizes.
 """
 
 from __future__ import annotations
@@ -110,7 +111,8 @@ def assemble_neumann_operator(shape, h, tensor=None, coef=None) -> sp.csr_matrix
 
 
 class PinnedNeumannSolver:
-    """Direct solver for the consistent singular Neumann system.
+    """Direct solver for the consistent singular Neumann system: the test
+    oracle for the Poisson path of ``BoxPCGSolver``.
 
     The right-hand side is projected to mean zero (the removed imbalance is
     returned), one degree of freedom is pinned to make the matrix regular,
@@ -153,7 +155,8 @@ class PinnedNeumannSolver:
 
 
 class FactorizedSolver:
-    """splu wrapper for the nonsingular implicit-diffusion matrices.
+    """splu wrapper for the nonsingular implicit-diffusion matrices: the test
+    oracle for the diffusion path of ``BoxPCGSolver``.
 
     The factorization solves to rounding; ``solve`` certifies it by the
     relative residual ||A x - b|| / ||b|| <= tol, as ``BoxPCGSolver`` does
@@ -190,12 +193,15 @@ class BoxPCGSolver:
     carry identity rows, so their values are set directly from the
     right-hand side.  The iteration is ``cellcorrect.pcg``.
 
-    Drop-in for the factorized solvers.  Without a shift, ``solve`` follows
-    ``PinnedNeumannSolver``: it returns (mean-zero x, removed imbalance) and
-    certifies the backward error ||A x - b|| / (||A|| ||x|| + ||b||).  With a
-    shift it follows ``FactorizedSolver``: it returns x and certifies the
-    relative residual.  Breakdown, or ``ITER_CAP_FACTOR * m`` iterations,
-    raises ``SolverError``.
+    Without a shift, ``solve`` follows ``PinnedNeumannSolver``: it returns
+    (mean-zero x, removed imbalance) and certifies the backward error
+    ||A x - b|| / (||A|| ||x|| + ||b||).  With a shift it follows
+    ``FactorizedSolver``: it returns x and certifies the relative residual.
+    An optional start ``x0`` (a nearby solution, such as the previous Picard
+    iterate) is brought into the same subspace first: mean zero for the
+    singular system, masked-out cells set from b; a start that already
+    passes the certificate is returned after 0 iterations.  Breakdown, or
+    ``ITER_CAP_FACTOR * m`` iterations, raises ``SolverError``.
     """
 
     def __init__(self, A: sp.csr_matrix, shape, h: float, scale, shift: float = 0.0,
@@ -229,23 +235,31 @@ class BoxPCGSolver:
             z[self.solid] = 0.0
         return z
 
-    def solve(self, b: np.ndarray, tol: float):
+    def solve(self, b: np.ndarray, tol: float, x0: np.ndarray | None = None):
         b = np.asarray(b, dtype=float).ravel()
         if self.singular:
             imbalance = float(b.mean())
             b = b - imbalance
-        x = np.zeros_like(b)
-        r = b.copy()
+        if x0 is None:
+            x = np.zeros_like(b)
+        else:
+            x = np.array(x0, dtype=float).ravel()
+            if self.singular:
+                x -= x.mean()
         if self.solid is not None:
             x[self.solid] = b[self.solid]
-            r[self.solid] = 0.0
+        # solid rows are identity rows, so r vanishes there exactly
+        r = b - self.A @ x
         bnorm = float(np.linalg.norm(b))
 
         def certify(r, x):
             return float(np.linalg.norm(r)) / (self.norm_A * float(np.linalg.norm(x)) + bnorm)
 
-        x, res, it = pcg(lambda v: self.A @ v, self._precondition, certify,
-                         b, x, r, tol, self.max_iter)
+        # a start that already passes needs no iteration
+        res, it = (certify(r, x) if r.any() else 0.0), 0
+        if res > tol:
+            x, res, it = pcg(lambda v: self.A @ v, self._precondition, certify,
+                             b, x, r, tol, self.max_iter)
         logger.debug("box solve: %d iterations, residual %.3e", it, res)
         if not self.singular:
             return x

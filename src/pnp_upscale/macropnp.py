@@ -27,8 +27,6 @@ from scipy.special import xlogy
 
 from ._fv import (
     BoxPCGSolver,
-    FactorizedSolver,
-    PinnedNeumannSolver,
     assemble_diffusion_matrix,
     assemble_neumann_operator,
     cell_gradients,
@@ -129,10 +127,10 @@ class GridOperators:
     ``tensor`` (the macro grid) or -div(coef(x) grad) for a per-cell
     ``coef`` (the DNS grid); its source is p (v1 - v2).  The
     implicit-diffusion operators (p/dt) I - p Lap are kept per (dt, bc).
-    Each solver is built on first use.  DNS grids of dimension <= 2 are
-    factorized with SuperLU, which is faster there once factorized; every
-    other grid uses ``BoxPCGSolver``, whose preconditioner takes the scale
-    diag(tensor) on the macro grid and 1 on the DNS grid.  With a fluid
+    Each solver is built on first use.  Every grid, 2D or 3D, macro or DNS,
+    solves with ``BoxPCGSolver``, whose preconditioner takes the scale
+    diag(tensor) on the macro grid and 1 on the DNS grid; nothing is
+    factorized, so memory grows linearly with the cell count.  With a fluid
     ``mask`` the densities live on fluid cells only: diffusion and drift use
     only the faces between two fluid cells.
     """
@@ -162,44 +160,40 @@ class GridOperators:
         self.open_faces = None
         if mask is not None:
             self.open_faces = [mask[lo] & mask[hi] for lo, hi in _face_slices(N)]
-        self.direct = tensor is None and N <= 2
         self._diffusion: dict = {}
 
     @cached_property
-    def poisson(self) -> PinnedNeumannSolver | BoxPCGSolver:
+    def poisson(self) -> BoxPCGSolver:
         A = assemble_neumann_operator(self.shape, self.h, tensor=self.tensor,
                                       coef=self.coef)
-        if self.direct:
-            return PinnedNeumannSolver(A)
         scale = np.ones(len(self.shape)) if self.tensor is None else np.diag(self.tensor)
         return BoxPCGSolver(A, self.shape, self.h, scale)
 
-    def diffusion(self, dt: float, bc: str) -> FactorizedSolver | BoxPCGSolver:
+    def diffusion(self, dt: float, bc: str) -> BoxPCGSolver:
         key = (float(dt), bc)
         solver = self._diffusion.get(key)
         if solver is None:
             A = assemble_diffusion_matrix(self.shape, self.h, dt, self.p, bc,
                                           mask=self.mask)
-            if self.direct:
-                solver = FactorizedSolver(A)
-            else:
-                solver = BoxPCGSolver(A, self.shape, self.h,
-                                      np.full(len(self.shape), self.p),
-                                      shift=self.p / dt,
-                                      dirichlet=bc == "dirichlet", mask=self.mask)
+            solver = BoxPCGSolver(A, self.shape, self.h,
+                                  np.full(len(self.shape), self.p),
+                                  shift=self.p / dt,
+                                  dirichlet=bc == "dirichlet", mask=self.mask)
             self._diffusion[key] = solver
         return solver
 
-    def potential(self, v1: np.ndarray, v2: np.ndarray, tol: float) -> np.ndarray:
+    def potential(self, v1: np.ndarray, v2: np.ndarray, tol: float,
+                  x0: np.ndarray | None = None) -> np.ndarray:
         """Mean-zero solution of the Neumann Poisson problem with source p (v1 - v2).
 
         The source is projected to mean zero for compatibility; the removed
-        mean charge is logged.
+        mean charge is logged.  ``x0`` is the CG start, typically the
+        previous Picard iterate's potential.
         """
         q = self.p * (np.asarray(v1, dtype=float) - np.asarray(v2, dtype=float))
         if q.shape != self.shape:
             raise ValueError(f"charge grid {q.shape} does not match the grid {self.shape}")
-        x, imbalance = self.poisson.solve(q.ravel(), tol)
+        x, imbalance = self.poisson.solve(q.ravel(), tol, x0)
         if imbalance != 0.0:
             logger.debug("Poisson: removed mean charge %.3e", imbalance)
         return x.reshape(self.shape)
@@ -292,21 +286,27 @@ def picard_step(ops: GridOperators, v, base, A: np.ndarray, dt: float,
     previous-step terms of the two right-hand sides, ``A`` the drift tensor.
     Each iteration solves the potential from the lagged densities, then the
     implicit diffusion of each species with the lagged drift, until the max
-    L2 increment drops below cfg.picard_tol.  Reaching the cap raises with
-    advice to reduce dt.  Returns ([u1, u2], u3, StepInfo).
+    L2 increment drops below cfg.picard_tol.  Every CG solve after the first
+    potential starts from the previous iterate: the potential from the last
+    u3, species r from the lagged v[r], so solves get cheaper as the loop
+    contracts.  A warm solve stops once its certificate passes, so an
+    increment may understate the true one by up to the solve's certified
+    error.  Reaching the cap raises with advice to reduce dt.  Returns
+    ([u1, u2], u3, StepInfo).
     """
     dsolve = ops.diffusion(dt, cfg.bc)
     increments: list[float] = []
     iters = 0
+    u3 = None
     for iters in range(1, cfg.picard_cap + 1):
-        u3 = ops.potential(v[0], v[1], cfg.lin_tol)
+        u3 = ops.potential(v[0], v[1], cfg.lin_tol, u3)
         new = []
         for r, z in enumerate(Z_CHARGES):
             rhs = base[r] - _drift_divergence(v[r], u3, A, ops.h, z, cfg.bc,
                                               cfg.drift, ops.open_faces)
             if ops.solid is not None:
                 rhs[ops.solid] = 0.0
-            new.append(dsolve.solve(rhs.ravel(), cfg.lin_tol).reshape(ops.shape))
+            new.append(dsolve.solve(rhs.ravel(), cfg.lin_tol, v[r]).reshape(ops.shape))
         inc = max(
             float(np.sqrt(np.mean((new[r] - v[r]) ** 2))) for r in range(2)
         )
@@ -319,7 +319,7 @@ def picard_step(ops: GridOperators, v, base, A: np.ndarray, dt: float,
             f"Picard loop did not contract within {cfg.picard_cap} iterations "
             f"(last increment {increments[-1]:.3e}); reduce dt"
         )
-    u3 = ops.potential(v[0], v[1], cfg.lin_tol)
+    u3 = ops.potential(v[0], v[1], cfg.lin_tol, u3)
     min_density = float(min(v[0].min(), v[1].min()))
     if cfg.drift == "upwind" and min_density < NEGATIVE_DENSITY_TOL:
         raise SolverError(

@@ -1,5 +1,5 @@
-"""BoxPCGSolver: the matrix-free box-grid CG against the SuperLU solvers, and
-the 3D DNS size that SuperLU could not reach."""
+"""BoxPCGSolver: the matrix-free box-grid CG against the SuperLU oracles, its
+warm start, and the 2D and 3D DNS sizes that SuperLU could not reach."""
 
 import logging
 import os
@@ -72,12 +72,14 @@ def test_constant_coefficient_solves_in_one_iteration(shape, caplog):
 
 
 @st.composite
-def random_masks_3d(draw):
-    """3D fluid masks with m <= 8: solid boxes plus sparse solid voxels."""
-    m = draw(st.integers(4, 8))
-    solid = np.zeros((m, m, m), dtype=bool)
+def random_masks(draw):
+    """2D fluid masks with m <= 32 and 3D ones with m <= 8: solid boxes plus
+    sparse solid voxels."""
+    dim = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(4, 32 if dim == 2 else 8))
+    solid = np.zeros((m,) * dim, dtype=bool)
     for _ in range(draw(st.integers(0, 3))):
-        lo = [draw(st.integers(0, m - 1)) for _ in range(3)]
+        lo = [draw(st.integers(0, m - 1)) for _ in range(dim)]
         hi = [draw(st.integers(a + 1, m)) for a in lo]
         solid[tuple(slice(a, b) for a, b in zip(lo, hi))] = True
     noise = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -85,8 +87,8 @@ def random_masks_3d(draw):
     return ~solid
 
 
-@settings(max_examples=40)
-@given(random_masks_3d(), st.floats(0.25, 100.0), st.floats(1e-4, 1e-1),
+@settings(max_examples=60)
+@given(random_masks(), st.floats(0.25, 100.0), st.floats(1e-4, 1e-1),
        st.sampled_from(["dirichlet", "noflux"]), st.integers(0, 2**32 - 1))
 def test_random_masks_match_superlu(mask, alpha, dt, bc, seed):
     shape = mask.shape
@@ -111,6 +113,81 @@ def test_random_masks_match_superlu(mask, alpha, dt, bc, seed):
     assert np.array_equal(x[~mask.ravel()], b[~mask.ravel()])
     assert np.linalg.norm(box.A @ x - b) <= tol * np.linalg.norm(b)
     assert max_rel(x, ref) <= 1e-9
+
+
+def contrast_mask(shape):
+    """A fluid mask with a solid block and scattered solid voxels."""
+    mask = np.ones(shape, dtype=bool)
+    mask[(slice(shape[0] // 4, shape[0] // 2),) * len(shape)] = False
+    mask &= np.random.default_rng(7).random(shape) > 0.1
+    return mask
+
+
+@pytest.mark.parametrize("shape", [(24, 24), (8, 8, 8)])
+def test_warm_start_from_the_solution_takes_no_iteration(shape, caplog):
+    caplog.set_level(logging.DEBUG, logger="pnp_upscale._fv")
+    mask = contrast_mask(shape)
+    b = np.random.default_rng(3).standard_normal(mask.size)
+    poisson, _ = poisson_pair(shape, coef=np.where(mask, 1.0, 40.0))
+    diffusion, _ = diffusion_pair(shape, 1e-3, 1.0, "dirichlet", mask=mask)
+    x, imb = poisson.solve(b, 1e-10)
+    y = diffusion.solve(b, 1e-10)
+    assert min(box_iterations(caplog)) > 0
+    (xw, imbw), yw = poisson.solve(b, 1e-10, x), diffusion.solve(b, 1e-10, y)
+    assert box_iterations(caplog) == [0, 0]
+    assert imbw == imb and max_rel(xw, x) < 1e-14
+    assert np.array_equal(yw, y)
+
+
+@pytest.mark.parametrize("shape", [(24, 24), (8, 8, 8)])
+def test_warm_start_off_the_subspace_returns_the_cold_solution(shape):
+    mask = contrast_mask(shape)
+    solid = ~mask.ravel()
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal(mask.size)
+    tol = 1e-10
+    # a nonzero mean: the singular system only fixes x up to a constant
+    poisson, lu = poisson_pair(shape, coef=np.where(mask, 1.0, 40.0))
+    x, imb = poisson.solve(b, tol)
+    x0 = x + 0.1 * rng.standard_normal(x.size) + 3.0
+    xw, imbw = poisson.solve(b, tol, x0)
+    assert imbw == imb and abs(xw.mean()) <= 1e-12 * np.abs(xw).max()
+    bp = b - imb
+    assert np.linalg.norm(poisson.A @ xw - bp) <= tol * (
+        lu.norm_A * np.linalg.norm(xw) + np.linalg.norm(bp))
+    assert max_rel(xw, x) <= 1e-6
+    # junk on the solid cells: their identity rows pin them to the rhs
+    diffusion, _ = diffusion_pair(shape, 1e-3, 1.0, "noflux", mask=mask)
+    y = diffusion.solve(b, tol)
+    y0 = y + 0.1 * rng.standard_normal(y.size)
+    y0[solid] = 1e3
+    yw = diffusion.solve(b, tol, y0)
+    assert np.array_equal(yw[solid], b[solid])
+    assert np.linalg.norm(diffusion.A @ yw - b) <= tol * np.linalg.norm(b)
+    assert max_rel(yw, y) <= 1e-9
+    # the start is copied, never overwritten
+    assert (y0[solid] == 1e3).all()
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("shape", [(32, 32), (8, 8, 8)])
+def test_warm_start_never_takes_more_iterations(shape, seed, caplog):
+    # the start is the solution of a nearby system, as in a Picard loop
+    caplog.set_level(logging.DEBUG, logger="pnp_upscale._fv")
+    mask = contrast_mask(shape)
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal(mask.size)
+    near = b + 10.0 ** -rng.integers(1, 6) * rng.standard_normal(mask.size)
+    for box in (poisson_pair(shape, coef=np.where(mask, 1.0, 40.0))[0],
+                diffusion_pair(shape, 1e-2, 1.0, "dirichlet", mask=mask)[0]):
+        x0 = box.solve(near, 1e-10)
+        x0 = x0[0] if box.singular else x0
+        box_iterations(caplog)
+        box.solve(b, 1e-10)
+        (cold,) = box_iterations(caplog)
+        box.solve(b, 1e-10, x0)
+        (warm,) = box_iterations(caplog)
+        assert warm <= cold
 
 
 def test_zero_rhs_returns_zeros():
@@ -183,6 +260,29 @@ def test_3d_dns_at_48_cubed_is_feasible(caplog):
     assert rows[0]["picard_iters"] > 1
     # every solve certified itself; the counts stay small
     assert 0 < max(box_iterations(caplog)) <= 40
+    assert np.allclose(rows[0]["mass1"], float(init.nplus.mean()), rtol=1e-9)
+    assert not state.nplus[~dom.mask].any()
+    assert elapsed < 60.0
+
+
+def test_2d_dns_at_512_squared_is_feasible(caplog):
+    # one SuperLU step took 5.2 s and 800 MB peak RSS on this grid
+    caplog.set_level(logging.DEBUG, logger="pnp_upscale._fv")
+    cell = build_unit_cell({"kind": "disc", "radius": 0.25, "dim": 2}, 32)
+    dom = assemble_micro_domain(cell, PermittivityParams(lam=1.0, alpha=4.0),
+                                Fraction(1, 16))
+    assert dom.mask.shape == (512, 512)
+    x = (np.arange(512) + 0.5) / 512
+    bump = 1.0 + 0.3 * np.cos(np.pi * x)[:, None]
+    init = MicroState(nplus=bump * dom.mask, nminus=1.0 * dom.mask,
+                      phi=np.zeros(dom.mask.shape))
+    t0 = time.perf_counter()
+    state, rows = run_micro(dom, init, 1e-3, 1, StepConfig(bc="noflux"))
+    elapsed = time.perf_counter() - t0
+    assert isinstance(dom.ops.poisson, _fv.BoxPCGSolver)
+    assert isinstance(dom.ops.diffusion(1e-3, "noflux"), _fv.BoxPCGSolver)
+    assert rows[0]["picard_iters"] > 1
+    assert 0 < max(box_iterations(caplog)) <= 60
     assert np.allclose(rows[0]["mass1"], float(init.nplus.mean()), rtol=1e-9)
     assert not state.nplus[~dom.mask].any()
     assert elapsed < 60.0

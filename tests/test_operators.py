@@ -1,6 +1,6 @@
-"""Operator ownership: each run or DNS domain builds its solvers once, each
-grid gets the solver kind of the per-grid rule, and the spans the benchmark
-tracer records still appear."""
+"""Operator ownership: each run or DNS domain builds its solvers once, every
+grid gets the box CG, and the spans the benchmark tracer records still
+appear."""
 
 import json
 import subprocess
@@ -23,7 +23,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.fixture()
 def solvers(monkeypatch):
     """(class name, unknowns) of every Poisson and diffusion solver built
-    during the test, SuperLU factorizations and box CG solvers alike."""
+    during the test, SuperLU oracles and box CG solvers alike."""
     made = {"poisson": [], "diffusion": []}
 
     def record(cls, kind_of):
@@ -64,9 +64,8 @@ def test_run_macro_factorizes_once(solvers):
 
 
 def test_validation_factorizes_once_per_grid(solvers):
-    # SuperLU only on the DNS grids of a 2D run; the box CG everywhere else
-    for dim, dns_solvers in ((2, ("PinnedNeumannSolver", "FactorizedSolver")),
-                             (3, ("BoxPCGSolver", "BoxPCGSolver"))):
+    # the box CG on every grid, 2D DNS grids included; nothing factorizes
+    for dim in (2, 3):
         cfg = RunConfig(
             cell_kind="laminate", cell_dim=dim, cell_resolution=4,
             cell_fraction=0.5, lam=1.0, alpha=4.0, macro_resolution=8,
@@ -77,9 +76,8 @@ def test_validation_factorizes_once_per_grid(solvers):
         solvers["diffusion"].clear()
         run_validation(cfg)
         # the macro grid, then one DNS grid per scale ratio
-        for kind, dns in zip(("poisson", "diffusion"), dns_solvers):
-            assert solvers[kind] == [("BoxPCGSolver", 8**dim), (dns, 8**dim),
-                                     (dns, 12**dim)]
+        for kind in ("poisson", "diffusion"):
+            assert solvers[kind] == [("BoxPCGSolver", n**dim) for n in (8, 8, 12)]
 
 
 TRACED_VALIDATE = """
@@ -116,14 +114,15 @@ def test_benchmark_tracer_contract(tmp_path):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["code"] == 0
     names = set(result["names"])
-    for name in ("fv.assemble", "fv.factor", "macropnp.step", "microdns.step"):
+    for name in ("fv.assemble", "macropnp.step", "microdns.step"):
         assert name in names
+    # no grid factorizes: the tracer's SuperLU spans stay empty
+    assert "fv.factor" not in names
     metrics = result["metrics"]
     assert metrics["macropnp.steps"] == 2 and metrics["microdns.steps"] == 2
     assert metrics["macropnp.picard_iters"] > 0
     assert metrics["microdns.picard_iters"] > 0
-    # only the 2D DNS grid factorizes; the macro grid uses the box CG
-    assert metrics["fv.factor_count"] == 2
+    assert metrics["fv.factor_count"] == 0 and metrics["fv.lu_nnz"] == 0
     # xi3 and eta per direction plus the four zeta3 components of a 2D cell
     assert metrics["cellcorrect.solves"] == 8
     for family in ("xi3", "eta", "zeta3"):
