@@ -1,9 +1,17 @@
 """Shared finite-volume plumbing for box domains (no periodic wrap).
 
-Cell-centered grids on [0,1]^N with M cells per axis.  Used by the
-macroscopic solver (constant-tensor coefficients) and the microscopic DNS
-(variable scalar coefficient, perforated masks).  All matrices are assembled
-once per operator.  Every grid solves them with ``BoxPCGSolver``, the CG of
+Cell-centered grids on [0,1]^N with M cells per axis, for the macroscopic
+solver (constant tensors) and the microscopic DNS (variable scalar
+coefficient, perforated masks).  One face layout serves every grid:
+``_face_slices`` gives, per axis, the lo and hi cells of the M-1 interior
+faces, so a box face array is the periodic cell's
+(``cellcorrect.harmonic_face_coefficients``) without its wrap face; the
+drift and the free energy walk the same faces.  Every matrix is
+-div(c grad u) + diag u from ``face_operator``: c is the harmonic mean of
+the permittivity on the DNS grid, eps0[d,d] plus its cross terms on the
+macro grid, and p on open fluid faces (0 on closed ones) for the
+densities, whose diagonal adds p/dt and the Dirichlet ghost-cell penalty.
+Each matrix is assembled once and solved by ``BoxPCGSolver``, the CG of
 ``cellcorrect.pcg`` with a constant-coefficient box preconditioner
 diagonalized by DCT-II or DST-II, started from a caller's iterate when it
 has one.  Every solve is deterministic and certifies its result.  The
@@ -19,37 +27,32 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .cellcorrect import ITER_CAP_FACTOR, SolverError, inverse_symbol, pcg
+from .cellcorrect import (ITER_CAP_FACTOR, SolverError, harmonic_face_coefficients,
+                          inverse_symbol, pcg)
 
 logger = logging.getLogger(__name__)
 
 
-def _face_index_pairs(shape, axis):
-    """Flat indices (lo, hi) of the cells on either side of interior faces."""
-    idx = np.arange(int(np.prod(shape))).reshape(shape)
-    key = [slice(None)] * len(shape)
-    key[axis] = slice(0, -1)
-    lo = idx[tuple(key)].ravel()
-    key[axis] = slice(1, None)
-    hi = idx[tuple(key)].ravel()
-    return lo, hi
+def _along(N: int, d: int, key):
+    """Index tuple applying ``key`` on axis d and taking all of every other axis."""
+    return tuple(key if k == d else slice(None) for k in range(N))
+
+
+def _face_slices(N: int):
+    """(lo, hi) index tuples selecting the two cells of each interior face, per axis."""
+    return [(_along(N, d, slice(0, -1)), _along(N, d, slice(1, None))) for d in range(N)]
 
 
 def _tangential_stencil(shape, axis, h):
     """Per-cell derivative stencil along ``axis``: central inside, one-sided
     at the two boundary layers.  Returns flat (plus, minus, weight) arrays so
     that du[c] = weight[c] * (u[plus[c]] - u[minus[c]])."""
-    coords = np.indices(shape)
-    c = coords[axis]
-    m = shape[axis]
-    cp = np.minimum(c + 1, m - 1)
-    cm = np.maximum(c - 1, 0)
-    weight = 1.0 / ((cp - cm) * h)
-    plus_coords = [coords[d] if d != axis else cp for d in range(len(shape))]
-    minus_coords = [coords[d] if d != axis else cm for d in range(len(shape))]
-    plus = np.ravel_multi_index(plus_coords, shape).ravel()
-    minus = np.ravel_multi_index(minus_coords, shape).ravel()
-    return plus, minus, weight.ravel()
+    idx = np.arange(int(np.prod(shape))).reshape(shape)
+    c = np.arange(shape[axis])
+    cp, cm = np.minimum(c + 1, shape[axis] - 1), np.maximum(c - 1, 0)
+    weight = np.take(1.0 / ((cp - cm) * h), np.indices(shape)[axis])
+    return (np.take(idx, cp, axis=axis).ravel(), np.take(idx, cm, axis=axis).ravel(),
+            weight.ravel())
 
 
 def _significant_offdiag(tensor):
@@ -58,56 +61,73 @@ def _significant_offdiag(tensor):
     return off > 1e-12 * max(np.abs(t).max(), 1e-300)
 
 
+def face_operator(shape, h, faces, diag=0.0, wall=None, tensor=None) -> sp.csr_matrix:
+    """CSR matrix of -div(c grad u) + diag u on a box grid, by face fluxes.
+
+    ``faces[d]`` is the transmissibility c on the interior faces of axis d
+    (a scalar, or an array in the ``_face_slices`` layout); a zero face is
+    closed and stores no entry.  ``diag`` (scalar or per cell) starts the
+    diagonal.  ``wall`` (per cell) is the transmissibility through each
+    boundary face to a zero exterior value, the ghost-cell Dirichlet
+    penalty; without it the boundary faces carry no flux.  The significant
+    off-diagonals of a constant ``tensor`` add to each face flux T[d,d2]
+    times the mean of its two cells' d2-derivatives (central inside,
+    one-sided at the edges).  Per axis the diagonal gains the faces, then
+    the wall.
+    """
+    N = len(shape)
+    idx = np.arange(int(np.prod(shape))).reshape(shape)
+    diag = np.array(np.broadcast_to(diag, shape), dtype=float)
+    # diag.ravel() is a view: the faces below still add to it
+    rows, cols, vals = [idx.ravel()], [idx.ravel()], [diag.ravel()]
+    cross = tensor is not None and _significant_offdiag(tensor)
+    stencils = [_tangential_stencil(shape, d, h) for d in range(N)] if cross else None
+    for d, (lo, hi) in enumerate(_face_slices(N)):
+        t = np.broadcast_to(faces[d], idx[lo].shape) / (h * h)
+        diag[lo] += t
+        diag[hi] += t
+        if wall is not None:
+            for side in (0, -1):
+                cells = _along(N, d, side)
+                diag[cells] += wall[cells] / (h * h)
+        keep = t != 0.0
+        a, b, t = idx[lo][keep], idx[hi][keep], t[keep]
+        rows += [a, b]
+        cols += [b, a]
+        vals += [-t, -t]
+        for d2 in range(N):
+            if not cross or d2 == d or tensor[d, d2] == 0.0:
+                continue
+            plus, minus, w = stencils[d2]
+            # flux q += T[d,d2] * mean of the two cell-centered tangential
+            # derivatives; row a gets -q/h, row b gets +q/h
+            coeff = float(tensor[d, d2]) * 0.5 / h
+            for cells, sign in ((a, -1.0), (b, +1.0)):
+                for ends in (a, b):
+                    rows += [cells, cells]
+                    cols += [plus[ends], minus[ends]]
+                    vals += [sign * coeff * w[ends], -sign * coeff * w[ends]]
+    A = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(idx.size, idx.size),
+    )
+    return A.tocsr()
+
+
 def assemble_neumann_operator(shape, h, tensor=None, coef=None) -> sp.csr_matrix:
     """-div(T grad u) or -div(c(x) grad u) with zero-flux boundary faces.
 
-    Exactly one of ``tensor`` (constant symmetric matrix) or ``coef``
-    (per-cell scalar field, harmonic face averaging) must be given.  The
-    operator is singular with constant nullspace; row and column sums vanish.
+    Exactly one of ``tensor`` (constant symmetric matrix: faces T[d,d] plus
+    its cross terms) or ``coef`` (per-cell scalar field: harmonic face
+    means) must be given.  The operator is singular with constant nullspace;
+    row and column sums vanish.
     """
-    n = int(np.prod(shape))
-    N = len(shape)
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(np.asarray(r).ravel())
-        cols.append(np.asarray(c).ravel())
-        vals.append(np.asarray(v, dtype=float).ravel())
-
-    cross = tensor is not None and _significant_offdiag(tensor)
-    if cross:
-        stencils = [_tangential_stencil(shape, d, h) for d in range(N)]
-
-    for d in range(N):
-        lo, hi = _face_index_pairs(shape, d)
-        if tensor is not None:
-            c_face = np.full(lo.shape, float(tensor[d, d]) / (h * h))
-        else:
-            cf = np.asarray(coef, dtype=float).ravel()
-            a, b = cf[lo], cf[hi]
-            c_face = 2.0 * a * b / (a + b) / (h * h)
-        add(lo, lo, c_face)
-        add(hi, hi, c_face)
-        add(lo, hi, -c_face)
-        add(hi, lo, -c_face)
-        if cross:
-            for d2 in range(N):
-                if d2 == d or tensor[d, d2] == 0.0:
-                    continue
-                plus, minus, w = stencils[d2]
-                # flux q += T[d,d2] * mean of the two cell-centered tangential
-                # derivatives; row lo gets -q/h, row hi gets +q/h
-                coeff = float(tensor[d, d2]) * 0.5 / h
-                for cells, sign in ((lo, -1.0), (hi, +1.0)):
-                    for ends in (lo, hi):
-                        add(cells, plus[ends], sign * coeff * w[ends])
-                        add(cells, minus[ends], -sign * coeff * w[ends])
-
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    return A.tocsr()
+    if tensor is not None:
+        tensor = np.asarray(tensor, dtype=float)
+        return face_operator(shape, h, np.diag(tensor), tensor=tensor)
+    periodic = harmonic_face_coefficients(np.asarray(coef, dtype=float).reshape(shape))
+    faces = [f[lo] for f, (lo, _) in zip(periodic, _face_slices(len(shape)))]
+    return face_operator(shape, h, faces)
 
 
 class PinnedNeumannSolver:
@@ -180,7 +200,7 @@ class FactorizedSolver:
 
 
 class BoxPCGSolver:
-    """Matrix-free CG for an operator assembled by this module.
+    """CG on a CSR operator of ``face_operator``.
 
     The preconditioner is the inverse of the constant-coefficient box
     operator shift I - sum_d scale_d d_dd on the same grid, which the type-2
@@ -270,50 +290,17 @@ class BoxPCGSolver:
 def assemble_diffusion_matrix(shape, h, dt, p, bc, mask=None) -> sp.csr_matrix:
     """(p/dt) I - p Lap  with the requested density boundary condition.
 
-    bc = 'dirichlet' adds the ghost-cell penalty 2p/h^2 per boundary face
-    (homogeneous value); bc = 'noflux' adds nothing.  With a mask, only
-    fluid-fluid faces are assembled and masked-out cells get identity rows,
-    keeping their values pinned at zero.
+    bc = 'dirichlet' adds the ghost-cell penalty 2p/h^2 per boundary face of
+    a fluid cell (homogeneous value); bc = 'noflux' adds nothing.  With a
+    mask, only fluid-fluid faces are open and masked-out cells get identity
+    rows, keeping their values pinned at zero.
     """
     if bc not in ("dirichlet", "noflux"):
         raise ValueError(f"unknown bc {bc!r}")
-    n = int(np.prod(shape))
-    N = len(shape)
-    diag = np.full(n, p / dt)
-    if mask is not None:
-        mflat = np.asarray(mask, dtype=bool).ravel()
-        diag = np.where(mflat, p / dt, 1.0)
-    rows, cols, vals = [], [], []
-    c = p / (h * h)
-    for d in range(N):
-        lo, hi = _face_index_pairs(shape, d)
-        if mask is not None:
-            mflat = np.asarray(mask, dtype=bool).ravel()
-            keep = mflat[lo] & mflat[hi]
-            lo, hi = lo[keep], hi[keep]
-        np.add.at(diag, lo, c)
-        np.add.at(diag, hi, c)
-        rows.extend([lo, hi])
-        cols.extend([hi, lo])
-        vals.extend([np.full(lo.shape, -c), np.full(hi.shape, -c)])
-        if bc == "dirichlet":
-            idx = np.arange(n).reshape(shape)
-            for side in (0, shape[d] - 1):
-                key = [slice(None)] * N
-                key[d] = side
-                cells = idx[tuple(key)].ravel()
-                if mask is not None:
-                    mflat = np.asarray(mask, dtype=bool).ravel()
-                    cells = cells[mflat[cells]]
-                np.add.at(diag, cells, 2.0 * c)
-    rows.append(np.arange(n))
-    cols.append(np.arange(n))
-    vals.append(diag)
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    return A.tocsr()
+    fluid = np.asarray(np.ones(shape) if mask is None else mask, dtype=bool).reshape(shape)
+    faces = [p * (fluid[lo] & fluid[hi]) for lo, hi in _face_slices(len(shape))]
+    wall = 2.0 * p * fluid if bc == "dirichlet" else None
+    return face_operator(shape, h, faces, np.where(fluid, p / dt, 1.0), wall)
 
 
 def cell_gradients(u: np.ndarray, h: float):

@@ -27,6 +27,9 @@ from scipy.special import xlogy
 
 from ._fv import (
     BoxPCGSolver,
+    _along,
+    _face_slices,
+    _significant_offdiag,
     assemble_diffusion_matrix,
     assemble_neumann_operator,
     cell_gradients,
@@ -157,9 +160,8 @@ class GridOperators:
         self.coef = coef
         self.mask = mask
         self.solid = None if mask is None else ~mask
-        self.open_faces = None
-        if mask is not None:
-            self.open_faces = [mask[lo] & mask[hi] for lo, hi in _face_slices(N)]
+        self.open_faces = None if mask is None else [
+            mask[lo] & mask[hi] for lo, hi in _face_slices(N)]
         self._diffusion: dict = {}
 
     @cached_property
@@ -199,18 +201,6 @@ class GridOperators:
         return x.reshape(self.shape)
 
 
-def _face_slices(N: int):
-    """(lo, hi) index tuples selecting the two cells of each interior face, per axis."""
-    out = []
-    for d in range(N):
-        lo = [slice(None)] * N
-        hi = [slice(None)] * N
-        lo[d] = slice(0, -1)
-        hi[d] = slice(1, None)
-        out.append((tuple(lo), tuple(hi)))
-    return out
-
-
 def solve_macro_poisson(u1: np.ndarray, u2: np.ndarray, eps0: np.ndarray,
                         p: float, tol: float = 1e-10) -> np.ndarray:
     """Homogenized Poisson solve: -div(eps0 grad u3) = p (u1 - u2).
@@ -237,9 +227,7 @@ def _drift_divergence(v: np.ndarray, u3: np.ndarray, A: np.ndarray, h: float,
     """
     N = v.ndim
     div = np.zeros_like(v)
-    offdiag = any(
-        A[d, d2] != 0.0 for d in range(N) for d2 in range(N) if d2 != d
-    )
+    offdiag = _significant_offdiag(A)
     grads = cell_gradients(u3, h) if offdiag else None
     for d, (lo, hi) in enumerate(_face_slices(N)):
         vel = z * A[d, d] * (u3[hi] - u3[lo]) / h
@@ -261,9 +249,7 @@ def _drift_divergence(v: np.ndarray, u3: np.ndarray, A: np.ndarray, h: float,
             # normal potential gradient vanishes (Neumann), so only the
             # tangential cross-terms drive flux through the domain boundary
             for side, sign in ((0, -1.0), (v.shape[d] - 1, +1.0)):
-                face = [slice(None)] * N
-                face[d] = side
-                face = tuple(face)
+                face = _along(N, d, side)
                 velb = np.zeros_like(v[face], dtype=float)
                 for d2 in range(N):
                     if d2 == d or A[d, d2] == 0.0:
@@ -345,6 +331,15 @@ def step_macro_pnp(state: MacroState, tensors: EffectiveTensors,
     return MacroState(u1=v[0], u2=v[1], u3=u3, t=state.t + cfg.dt), info
 
 
+def _density_energy(state: MacroState) -> float:
+    """Voxel quadrature of sum_r u_r (log u_r - 1) + (u1 - u2) u3, 0 log 0 = 0."""
+    if (state.u1 < 0).any() or (state.u2 < 0).any():
+        raise ValueError("free energy needs nonnegative densities")
+    ent = xlogy(state.u1, state.u1) - state.u1 + xlogy(state.u2, state.u2) - state.u2
+    inter = (state.u1 - state.u2) * state.u3
+    return float((ent + inter).sum()) * (1.0 / state.u1.size)
+
+
 def free_energy(state: MacroState, lam2: float) -> float:
     """Classical free-energy diagnostic by voxel quadrature.
 
@@ -352,33 +347,20 @@ def free_energy(state: MacroState, lam2: float) -> float:
     with the 0 log 0 = 0 convention.  The gradient term uses face
     differences over interior faces.
     """
-    if (state.u1 < 0).any() or (state.u2 < 0).any():
-        raise ValueError("free energy needs nonnegative densities")
-    vol = 1.0 / state.u1.size
-    ent = xlogy(state.u1, state.u1) - state.u1 + xlogy(state.u2, state.u2) - state.u2
-    inter = (state.u1 - state.u2) * state.u3
-    total = float((ent + inter).sum()) * vol
-    total -= lam2 * _gradient_quadrature(state.u3)
-    return total
+    return _density_energy(state) - lam2 * _gradient_quadrature(state.u3)
 
 
 def free_energy_effective(state: MacroState, eps0: np.ndarray) -> float:
     """Variant with the anisotropic field energy (grad u3).eps0 (grad u3)."""
-    if (state.u1 < 0).any() or (state.u2 < 0).any():
-        raise ValueError("free energy needs nonnegative densities")
     vol = 1.0 / state.u1.size
-    h = 1.0 / state.u1.shape[0]
-    ent = xlogy(state.u1, state.u1) - state.u1 + xlogy(state.u2, state.u2) - state.u2
-    inter = (state.u1 - state.u2) * state.u3
-    total = float((ent + inter).sum()) * vol
-    grads = cell_gradients(state.u3, h)
+    grads = cell_gradients(state.u3, 1.0 / state.u1.shape[0])
     eps0 = np.asarray(eps0, dtype=float)
     quad = sum(
         float((grads[i] * eps0[i, k] * grads[k]).sum()) * vol
         for i in range(state.u3.ndim)
         for k in range(state.u3.ndim)
     )
-    return total - quad
+    return _density_energy(state) - quad
 
 
 def _gradient_quadrature(u3: np.ndarray) -> float:

@@ -3,10 +3,12 @@
 Everything here deliberately avoids the package's solver paths: dense
 linear algebra, quadrature-based Poisson solves, explicit time stepping,
 closed-form laminate algebra, a Jacobi-preconditioned CG with its own
-stencil loop, and a brute-force flood fill only.
+stencil loop, a brute-force flood fill, and the box-grid matrices assembled
+cell pair by cell pair into COO triplets only.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 # --- 1D equal laminate with coefficients 1 and 4 ---------------------------
 #
@@ -52,7 +54,7 @@ def dense_periodic_solve_1d(kappa_line, rhs):
     """Mean-zero solution of -(kappa u')' = rhs on the periodic line.
 
     Dense assembly (harmonic face averages) and a constrained least-squares
-    solve; independent of the package's matrix-free CG.
+    solve; independent of the package's CG solvers.
     """
     kappa_line = np.asarray(kappa_line, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -211,3 +213,144 @@ def jacobi_projected_cg(faces, b, h, mask, tol, max_iter):
         p = z + rz_new / rz * p
         rz = rz_new
     raise RuntimeError("reference Jacobi CG did not converge")
+
+
+# --- box-grid matrices, one COO loop per operator ---------------------------
+#
+# The reference for ``_fv.face_operator``: each assembler walks the cell pairs
+# of every interior face and appends its own triplets, the diffusion one with
+# the ghost-cell penalty added per axis after that axis's faces.
+
+def _face_index_pairs(shape, axis):
+    """Flat indices (lo, hi) of the cells on either side of interior faces."""
+    idx = np.arange(int(np.prod(shape))).reshape(shape)
+    key = [slice(None)] * len(shape)
+    key[axis] = slice(0, -1)
+    lo = idx[tuple(key)].ravel()
+    key[axis] = slice(1, None)
+    hi = idx[tuple(key)].ravel()
+    return lo, hi
+
+
+def _tangential_stencil(shape, axis, h):
+    """Per-cell derivative stencil along ``axis``: central inside, one-sided
+    at the two boundary layers.  Returns flat (plus, minus, weight) arrays so
+    that du[c] = weight[c] * (u[plus[c]] - u[minus[c]])."""
+    coords = np.indices(shape)
+    c = coords[axis]
+    m = shape[axis]
+    cp = np.minimum(c + 1, m - 1)
+    cm = np.maximum(c - 1, 0)
+    weight = 1.0 / ((cp - cm) * h)
+    plus_coords = [coords[d] if d != axis else cp for d in range(len(shape))]
+    minus_coords = [coords[d] if d != axis else cm for d in range(len(shape))]
+    plus = np.ravel_multi_index(plus_coords, shape).ravel()
+    minus = np.ravel_multi_index(minus_coords, shape).ravel()
+    return plus, minus, weight.ravel()
+
+
+def _significant_offdiag(tensor):
+    t = np.asarray(tensor, dtype=float)
+    off = np.abs(t - np.diag(np.diag(t))).max()
+    return off > 1e-12 * max(np.abs(t).max(), 1e-300)
+
+
+def assemble_neumann_operator(shape, h, tensor=None, coef=None) -> sp.csr_matrix:
+    """-div(T grad u) or -div(c(x) grad u) with zero-flux boundary faces.
+
+    Exactly one of ``tensor`` (constant symmetric matrix) or ``coef``
+    (per-cell scalar field, harmonic face averaging) must be given.  The
+    operator is singular with constant nullspace; row and column sums vanish.
+    """
+    n = int(np.prod(shape))
+    N = len(shape)
+    rows, cols, vals = [], [], []
+
+    def add(r, c, v):
+        rows.append(np.asarray(r).ravel())
+        cols.append(np.asarray(c).ravel())
+        vals.append(np.asarray(v, dtype=float).ravel())
+
+    cross = tensor is not None and _significant_offdiag(tensor)
+    if cross:
+        stencils = [_tangential_stencil(shape, d, h) for d in range(N)]
+
+    for d in range(N):
+        lo, hi = _face_index_pairs(shape, d)
+        if tensor is not None:
+            c_face = np.full(lo.shape, float(tensor[d, d]) / (h * h))
+        else:
+            cf = np.asarray(coef, dtype=float).ravel()
+            a, b = cf[lo], cf[hi]
+            c_face = 2.0 * a * b / (a + b) / (h * h)
+        add(lo, lo, c_face)
+        add(hi, hi, c_face)
+        add(lo, hi, -c_face)
+        add(hi, lo, -c_face)
+        if cross:
+            for d2 in range(N):
+                if d2 == d or tensor[d, d2] == 0.0:
+                    continue
+                plus, minus, w = stencils[d2]
+                # flux q += T[d,d2] * mean of the two cell-centered tangential
+                # derivatives; row lo gets -q/h, row hi gets +q/h
+                coeff = float(tensor[d, d2]) * 0.5 / h
+                for cells, sign in ((lo, -1.0), (hi, +1.0)):
+                    for ends in (lo, hi):
+                        add(cells, plus[ends], sign * coeff * w[ends])
+                        add(cells, minus[ends], -sign * coeff * w[ends])
+
+    A = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    )
+    return A.tocsr()
+
+
+def assemble_diffusion_matrix(shape, h, dt, p, bc, mask=None) -> sp.csr_matrix:
+    """(p/dt) I - p Lap  with the requested density boundary condition.
+
+    bc = 'dirichlet' adds the ghost-cell penalty 2p/h^2 per boundary face
+    (homogeneous value); bc = 'noflux' adds nothing.  With a mask, only
+    fluid-fluid faces are assembled and masked-out cells get identity rows,
+    keeping their values pinned at zero.
+    """
+    if bc not in ("dirichlet", "noflux"):
+        raise ValueError(f"unknown bc {bc!r}")
+    n = int(np.prod(shape))
+    N = len(shape)
+    diag = np.full(n, p / dt)
+    if mask is not None:
+        mflat = np.asarray(mask, dtype=bool).ravel()
+        diag = np.where(mflat, p / dt, 1.0)
+    rows, cols, vals = [], [], []
+    c = p / (h * h)
+    for d in range(N):
+        lo, hi = _face_index_pairs(shape, d)
+        if mask is not None:
+            mflat = np.asarray(mask, dtype=bool).ravel()
+            keep = mflat[lo] & mflat[hi]
+            lo, hi = lo[keep], hi[keep]
+        np.add.at(diag, lo, c)
+        np.add.at(diag, hi, c)
+        rows.extend([lo, hi])
+        cols.extend([hi, lo])
+        vals.extend([np.full(lo.shape, -c), np.full(hi.shape, -c)])
+        if bc == "dirichlet":
+            idx = np.arange(n).reshape(shape)
+            for side in (0, shape[d] - 1):
+                key = [slice(None)] * N
+                key[d] = side
+                cells = idx[tuple(key)].ravel()
+                if mask is not None:
+                    mflat = np.asarray(mask, dtype=bool).ravel()
+                    cells = cells[mflat[cells]]
+                np.add.at(diag, cells, 2.0 * c)
+    rows.append(np.arange(n))
+    cols.append(np.arange(n))
+    vals.append(diag)
+    A = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    )
+    return A.tocsr()

@@ -1,5 +1,6 @@
-"""BoxPCGSolver: the matrix-free box-grid CG against the SuperLU oracles, its
-warm start, and the 2D and 3D DNS sizes that SuperLU could not reach."""
+"""BoxPCGSolver: the box-grid CG on the assembled CSR operators against the
+SuperLU oracles, its warm start, and the 2D and 3D DNS sizes that SuperLU
+could not reach."""
 
 import logging
 import os

@@ -211,9 +211,10 @@ def test_constant_coefficient_solves_in_one_iteration(shape):
     assert rel_l2(apply_periodic_operator(u, faces, 1.0 / shape[0]), rhs) <= 1e-12
 
 
-def _disc_solve_iterations(m):
-    """Iteration counts of the first xi3 and eta solves on the r=0.25 disc."""
-    cell = build_unit_cell({"kind": "disc", "radius": 0.25, "dim": 2}, m)
+def _disc_solve_iterations(m, dim=2):
+    """Iteration counts of the first xi3 and eta solves on the r=0.25 disc
+    (the sphere for dim=3)."""
+    cell = build_unit_cell({"kind": "disc", "radius": 0.25, "dim": dim}, m)
     kappa = permittivity_field(cell, CONTRAST)
     faces = harmonic_face_coefficients(kappa)
     rhs = (np.roll(faces[0], 1, axis=0) - faces[0]) / cell.h
@@ -228,11 +229,13 @@ def _disc_solve_iterations(m):
 
 def test_iterations_do_not_grow_with_resolution():
     # the Laplacian preconditioner leaves a count set by the contrast alone;
-    # Jacobi's grows about 8x from m=32 to m=256
-    xi_32, eta_32 = _disc_solve_iterations(32)
-    xi_256, eta_256 = _disc_solve_iterations(256)
-    assert xi_256 <= xi_32 + 10
-    assert eta_256 <= eta_32 + 10
+    # Jacobi's, about 2.5*m, grows 8x from m=32 to m=256 and 2x from m=16 to
+    # m=32
+    for dim, coarse, fine in ((2, 32, 256), (3, 16, 32)):
+        xi_coarse, eta_coarse = _disc_solve_iterations(coarse, dim)
+        xi_fine, eta_fine = _disc_solve_iterations(fine, dim)
+        assert xi_fine <= xi_coarse + 10
+        assert eta_fine <= eta_coarse + 10
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from pnp_upscale import macropnp
 from pnp_upscale.cellcorrect import SolverError
 from pnp_upscale.macropnp import (
     DiagnosticsRow,
@@ -190,6 +191,33 @@ def test_positivity_upwind():
     snaps, _ = run_macro(cfg, classical_tensors(1), state)
     final = snaps[-1][1]
     assert final.u1.min() >= -1e-12 and final.u2.min() >= -1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("bc", ["dirichlet", "noflux"])
+@pytest.mark.parametrize("scheme", ["upwind", "central"])
+def test_drift_ignores_rounding_noise_off_the_diagonal(dim, bc, scheme, monkeypatch):
+    # effective tensors of discs and spheres carry off-diagonals of 1e-18:
+    # the drift treats them as the diagonal tensor they are, as the Poisson
+    # assembly does, and only a real off-diagonal takes the cross-term path
+    calls = []
+    gradients = macropnp.cell_gradients
+    monkeypatch.setattr(macropnp, "cell_gradients",
+                        lambda *a: calls.append(1) or gradients(*a))
+    m = 8
+    rng = np.random.default_rng(dim)
+    v = 1.0 + rng.random((m,) * dim)
+    u3 = rng.standard_normal((m,) * dim)
+    diag = np.diag(rng.uniform(-1.0, 1.0, dim))
+    noisy = diag + 1e-18 * (1.0 - np.eye(dim))
+    h = 1.0 / m
+    ref = macropnp._drift_divergence(v, u3, diag, h, 1.0, bc, scheme)
+    out = macropnp._drift_divergence(v, u3, noisy, h, 1.0, bc, scheme)
+    assert out.tobytes() == ref.tobytes()
+    assert not calls
+    cross = diag + 0.1 * (1.0 - np.eye(dim))
+    out = macropnp._drift_divergence(v, u3, cross, h, 1.0, bc, scheme)
+    assert calls and not np.array_equal(out, ref)
 
 
 def test_config_validation():
