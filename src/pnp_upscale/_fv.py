@@ -11,26 +11,20 @@ drift and the free energy walk the same faces.  Every matrix is
 the permittivity on the DNS grid, eps0[d,d] plus its cross terms on the
 macro grid, and p on open fluid faces (0 on closed ones) for the
 densities, whose diagonal adds p/dt and the Dirichlet ghost-cell penalty.
-Each matrix is assembled once and solved by ``BoxPCGSolver``, the CG of
-``cellcorrect.pcg`` with a constant-coefficient box preconditioner
-diagonalized by DCT-II or DST-II, started from a caller's iterate when it
-has one.  Every solve is deterministic and certifies its result.  The
-SuperLU solvers ``PinnedNeumannSolver`` and ``FactorizedSolver`` are test
-oracles only; no grid of the program factorizes.
+Each matrix is assembled once and solved by ``cellcorrect.SpectralPCG``,
+the solver of the periodic cell problems, with a constant-coefficient box
+preconditioner diagonalized by DCT-II or DST-II.  The SuperLU solvers
+``PinnedNeumannSolver`` and ``FactorizedSolver`` are its test oracles only,
+with the same solve contract; no grid of the program factorizes.
 """
 
 from __future__ import annotations
-
-import logging
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .cellcorrect import (ITER_CAP_FACTOR, SolverError, harmonic_face_coefficients,
-                          inverse_symbol, pcg)
-
-logger = logging.getLogger(__name__)
+from .cellcorrect import SolverError, harmonic_face_coefficients
 
 
 def _along(N: int, d: int, key):
@@ -130,17 +124,23 @@ def assemble_neumann_operator(shape, h, tensor=None, coef=None) -> sp.csr_matrix
     return face_operator(shape, h, faces)
 
 
+def grid_matvec(A: sp.csr_matrix):
+    """u -> A u on grid-shaped arrays: the ``apply`` of ``SpectralPCG``."""
+    return lambda u: (A @ u.ravel()).reshape(u.shape)
+
+
 class PinnedNeumannSolver:
     """Direct solver for the consistent singular Neumann system: the test
-    oracle for the Poisson path of ``BoxPCGSolver``.
+    oracle for the box Poisson solves of ``cellcorrect.SpectralPCG``.
 
-    The right-hand side is projected to mean zero (the removed imbalance is
-    returned), one degree of freedom is pinned to make the matrix regular,
-    and the mean of the solution is subtracted afterwards.  For a compatible
-    right-hand side the pinned solution solves the original singular system
-    exactly; the certificate is the normwise backward error
-    ||A x - b|| / (||A|| ||x|| + ||b||), whose rounding floor does not grow
-    with the h^-2 scale of the operator.
+    ``solve(b, tol)`` keeps that solver's contract and returns (x,
+    certificate, 0), a direct solve counting no iterations.  The right-hand
+    side is projected to mean zero, one degree of freedom is pinned to make
+    the matrix regular, and the mean of the solution is subtracted
+    afterwards.  For a compatible right-hand side the pinned solution solves
+    the original singular system exactly; the certificate is the normwise
+    backward error ||A x - b|| / (||A|| ||x|| + ||b||), whose rounding floor
+    does not grow with the h^-2 scale of the operator.
     """
 
     def __init__(self, A: sp.csr_matrix):
@@ -153,13 +153,12 @@ class PinnedNeumannSolver:
         self.Ap = sp.vstack([e0, self.A[1:]], format="csr")
         self.lu = spla.splu(self.Ap.tocsc())
 
-    def solve(self, b: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    def solve(self, b: np.ndarray, tol: float):
         b = np.asarray(b, dtype=float).ravel()
-        imbalance = float(b.mean())
-        bp = b - imbalance
+        bp = b - b.mean()
         nrm = float(np.linalg.norm(bp))
         if nrm == 0.0:
-            return np.zeros_like(bp), imbalance
+            return np.zeros_like(bp), 0.0, 0
         rhs = bp.copy()
         rhs[0] = 0.0
         x = self.lu.solve(rhs)
@@ -171,23 +170,24 @@ class PinnedNeumannSolver:
             raise SolverError(
                 f"Neumann solve backward error {res:.3e} exceeds tol {tol:.1e}"
             )
-        return x, imbalance
+        return x, res, 0
 
 
 class FactorizedSolver:
     """splu wrapper for the nonsingular implicit-diffusion matrices: the test
-    oracle for the diffusion path of ``BoxPCGSolver``.
+    oracle for the diffusion solves of ``cellcorrect.SpectralPCG``.
 
-    The factorization solves to rounding; ``solve`` certifies it by the
-    relative residual ||A x - b|| / ||b|| <= tol, as ``BoxPCGSolver`` does
-    for the same matrices, and raises ``SolverError`` otherwise.
+    The factorization solves to rounding; ``solve(b, tol)`` certifies it by
+    the relative residual ||A x - b|| / ||b|| <= tol, as ``SpectralPCG``
+    does for the same matrices, raises ``SolverError`` otherwise, and
+    returns (x, relative residual, 0).
     """
 
     def __init__(self, A: sp.csr_matrix):
         self.A = A.tocsr()
         self.lu = spla.splu(self.A.tocsc())
 
-    def solve(self, b: np.ndarray, tol: float) -> np.ndarray:
+    def solve(self, b: np.ndarray, tol: float):
         b = np.asarray(b, dtype=float).ravel()
         x = self.lu.solve(b)
         res = float(np.linalg.norm(self.A @ x - b))
@@ -196,95 +196,7 @@ class FactorizedSolver:
             raise SolverError(
                 f"diffusion solve relative residual {res / bnorm:.3e} exceeds tol {tol:.1e}"
             )
-        return x
-
-
-class BoxPCGSolver:
-    """CG on a CSR operator of ``face_operator``.
-
-    The preconditioner is the inverse of the constant-coefficient box
-    operator shift I - sum_d scale_d d_dd on the same grid, which the type-2
-    DCT (zero-flux faces) or DST (ghost-cell Dirichlet faces, ``dirichlet``)
-    diagonalizes exactly (``cellcorrect.inverse_symbol``).  On an unmasked
-    grid with a diagonal constant tensor the preconditioner is the inverse
-    and CG stops after one iteration.  The preconditioner projects its
-    output: for the singular Neumann system (no shift) the mean is taken
-    out, with a ``mask`` the masked-out cells are zeroed.  Masked-out cells
-    carry identity rows, so their values are set directly from the
-    right-hand side.  The iteration is ``cellcorrect.pcg``.
-
-    Without a shift, ``solve`` follows ``PinnedNeumannSolver``: it returns
-    (mean-zero x, removed imbalance) and certifies the backward error
-    ||A x - b|| / (||A|| ||x|| + ||b||).  With a shift it follows
-    ``FactorizedSolver``: it returns x and certifies the relative residual.
-    An optional start ``x0`` (a nearby solution, such as the previous Picard
-    iterate) is brought into the same subspace first: mean zero for the
-    singular system, masked-out cells set from b; a start that already
-    passes the certificate is returned after 0 iterations.  Breakdown, or
-    ``ITER_CAP_FACTOR * m`` iterations, raises ``SolverError``.
-    """
-
-    def __init__(self, A: sp.csr_matrix, shape, h: float, scale, shift: float = 0.0,
-                 dirichlet: bool = False, mask=None):
-        import scipy.fft  # kept out of the package import
-
-        self.A = A.tocsr()
-        self.shape = tuple(shape)
-        self.singular = shift == 0.0 and not dirichlet
-        # with norm_A = 0 the backward error is the relative residual
-        self.norm_A = spla.norm(self.A, np.inf) if self.singular else 0.0
-        self.solid = None if mask is None else ~np.asarray(mask, dtype=bool).ravel()
-        self.max_iter = ITER_CAP_FACTOR * self.shape[0]
-        self.inv_symbol = inverse_symbol(
-            [np.pi * (np.arange(m) + int(dirichlet)) / m for m in self.shape],
-            h, scale, shift)
-        if dirichlet:
-            self._forward, self._inverse = scipy.fft.dstn, scipy.fft.idstn
-        else:
-            self._forward, self._inverse = scipy.fft.dctn, scipy.fft.idctn
-
-    def _precondition(self, r: np.ndarray) -> np.ndarray:
-        z = self._forward(r.reshape(self.shape), type=2, norm="ortho")
-        z *= self.inv_symbol
-        z = self._inverse(z, type=2, norm="ortho").ravel()
-        # project: the restriction that makes the preconditioner act on the
-        # system's own subspace
-        if self.singular:
-            z -= z.mean()
-        if self.solid is not None:
-            z[self.solid] = 0.0
-        return z
-
-    def solve(self, b: np.ndarray, tol: float, x0: np.ndarray | None = None):
-        b = np.asarray(b, dtype=float).ravel()
-        if self.singular:
-            imbalance = float(b.mean())
-            b = b - imbalance
-        if x0 is None:
-            x = np.zeros_like(b)
-        else:
-            x = np.array(x0, dtype=float).ravel()
-            if self.singular:
-                x -= x.mean()
-        if self.solid is not None:
-            x[self.solid] = b[self.solid]
-        # solid rows are identity rows, so r vanishes there exactly
-        r = b - self.A @ x
-        bnorm = float(np.linalg.norm(b))
-
-        def certify(r, x):
-            return float(np.linalg.norm(r)) / (self.norm_A * float(np.linalg.norm(x)) + bnorm)
-
-        # a start that already passes needs no iteration
-        res, it = (certify(r, x) if r.any() else 0.0), 0
-        if res > tol:
-            x, res, it = pcg(lambda v: self.A @ v, self._precondition, certify,
-                             b, x, r, tol, self.max_iter)
-        logger.debug("box solve: %d iterations, residual %.3e", it, res)
-        if not self.singular:
-            return x
-        x -= x.mean()
-        return x, imbalance
+        return x, res / bnorm if bnorm else 0.0, 0
 
 
 def assemble_diffusion_matrix(shape, h, dt, p, bc, mask=None) -> sp.csr_matrix:

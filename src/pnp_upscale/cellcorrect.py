@@ -13,23 +13,25 @@ normalization that makes the singular operator uniquely solvable:
 
 Discretization is cell-centered finite volumes with harmonic face averaging
 of the coefficient, which reproduces the 1D laminate effective coefficient
-exactly.  The singular systems are solved by CG preconditioned with the
-inverse of the constant-coefficient periodic Laplacian, applied by FFT (the
-Moulinec-Suquet reference medium with CG acceleration), so the iteration
-count depends on the coefficient contrast and not on the resolution.  The
-right-hand side and every preconditioned residual are projected onto the
-mean-zero subspace; on the fluid region the projection also zeroes the solid
-part, which restricts the same preconditioner to the fluid.  The search
-directions stay in the subspace, so the iterate is projected once, at the
-end.  The system is consistent iff the right-hand side sums to zero.  The CG
-loop (``pcg``) and the spectral symbol (``inverse_symbol``) also serve the
-box-grid solver of ``_fv``.
+exactly.  The singular systems are solved by ``SpectralPCG``: CG
+preconditioned with the inverse of the constant-coefficient periodic
+Laplacian, applied by FFT (the Moulinec-Suquet reference medium with CG
+acceleration), so the iteration count depends on the coefficient contrast
+and not on the resolution.  The right-hand side and every preconditioned
+residual are projected onto the mean-zero subspace; on the fluid region the
+projection also zeroes the solid part, which restricts the same
+preconditioner to the fluid.  The search directions stay in the subspace,
+so the iterate is projected once, at the end.  The system is consistent iff
+the right-hand side sums to zero.  The same class, with a DCT or DST in
+place of the FFT, solves every box grid of the macro run and the DNS
+(``macropnp.GridOperators``).
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -189,41 +191,120 @@ def pcg(apply, precondition, certify, b: np.ndarray, x: np.ndarray, r: np.ndarra
     )
 
 
-def _pcg(faces, b: np.ndarray, h: float, mask: np.ndarray | None,
-         tol: float, max_iter: int):
-    """Projected preconditioned CG for the singular periodic system.
+class SpectralPCG:
+    """Projected CG on one grid, preconditioned by the inverse of the
+    constant-coefficient operator shift I - sum_d scale_d d_dd.
 
-    Returns (solution, relative residual, iterations).  The preconditioner
-    is the inverse periodic Laplacian followed by the projection onto the
-    mean-zero subspace, which with a mask also zeroes the solid part.  The
-    right-hand side is projected once and the search directions stay in the
-    subspace, so only the final iterate is projected again.
+    ``apply`` maps a grid-shaped array to the operator applied to it.  The
+    boundary kind ``bc`` picks the transform that diagonalizes the
+    preconditioner (``inverse_symbol``): ``numpy.fft.rfftn`` for
+    ``periodic``, the type-2 DCT for ``noflux`` and the type-2 DST for
+    ``dirichlet`` ghost-cell faces, from scipy.fft, imported only here.
+    Without a shift a periodic or no-flux system is singular.  One
+    projection follows every preconditioner application: the mean over the
+    active cells out when singular, the cells outside ``mask`` zeroed.  A
+    singular system's right-hand side and result are projected as well, and
+    the result passes ``check_mean_zero``.  Masked-out cells take their
+    values from the right-hand side (identity rows on the box; zero after a
+    singular projection).
+
+    ``solve(b, tol, x0)`` returns (x, certificate, iterations), x shaped as
+    b.  It starts from ``x0`` brought into the subspace (zero without one),
+    after 0 iterations if that start passes.  The certificate is
+    ||A x - b|| / (norm_A ||x|| + ||b||) for the projected b: the relative
+    residual, or the backward error when ``norm_A`` is ||A||.  Breakdown, or
+    ``max_iter`` = ``ITER_CAP_FACTOR`` * side iterations of ``pcg``, raises
+    ``SolverError``.
     """
-    # a 0/1 weight instead of boolean indexing: two dense passes per call
-    w = np.ones(b.shape) if mask is None else mask.astype(float)
-    nact = float(w.sum())
 
-    def project(v):
-        v -= np.vdot(v, w) / nact
-        v *= w
+    def __init__(self, apply, shape, h: float, scale, shift: float = 0.0,
+                 bc: str = "noflux", mask=None, norm_A: float = 0.0):
+        if bc not in ("periodic", "noflux", "dirichlet"):
+            raise ValueError(f"unknown bc {bc!r}")
+        self.apply = apply
+        self.shape = tuple(shape)
+        self.bc = bc
+        self.singular = shift == 0.0 and bc != "dirichlet"
+        self.norm_A = norm_A
+        self.max_iter = ITER_CAP_FACTOR * self.shape[0]
+        self.mask = None if mask is None else np.asarray(mask, dtype=bool).reshape(self.shape)
+        if self.mask is not None:
+            # a 0/1 weight instead of boolean indexing: dense passes per iteration
+            self.weight = self.mask.astype(float)
+            self.active = float(self.weight.sum())
+        if bc == "periodic":
+            axes = tuple(range(len(self.shape)))
+            half = self.shape[:-1] + (self.shape[-1] // 2 + 1,)
+            angles = [2.0 * np.pi * np.arange(n) / m for n, m in zip(half, self.shape)]
+            self._forward = partial(np.fft.rfftn, axes=axes)
+            self._inverse = partial(np.fft.irfftn, s=self.shape, axes=axes)
+        else:
+            import scipy.fft  # kept out of the package import
+
+            dirichlet = bc == "dirichlet"
+            angles = [np.pi * (np.arange(m) + int(dirichlet)) / m for m in self.shape]
+            name = "dstn" if dirichlet else "dctn"
+            self._forward = partial(getattr(scipy.fft, name), type=2, norm="ortho")
+            self._inverse = partial(getattr(scipy.fft, "i" + name), type=2, norm="ortho")
+        self.inv_symbol = inverse_symbol(angles, h, scale, shift)
+
+    def _mean(self, v: np.ndarray):
+        return v.mean() if self.mask is None else np.vdot(v, self.weight) / self.active
+
+    def _project(self, v: np.ndarray) -> np.ndarray:
+        if self.singular:
+            v -= self._mean(v)
+        if self.mask is not None:
+            v *= self.weight
         return v
 
-    axes = tuple(range(b.ndim))
-    half = b.shape[:-1] + (b.shape[-1] // 2 + 1,)
-    inv_symbol = inverse_symbol(
-        [2.0 * np.pi * np.arange(n) / m for n, m in zip(half, b.shape)], h,
-        np.ones(b.ndim))
+    def _precondition(self, r: np.ndarray) -> np.ndarray:
+        z = self._forward(r)
+        z *= self.inv_symbol
+        return self._project(self._inverse(z))
 
-    def precondition(r):
-        return project(np.fft.irfftn(np.fft.rfftn(r, axes=axes) * inv_symbol,
-                                     s=b.shape, axes=axes))
+    def solve(self, b: np.ndarray, tol: float, x0: np.ndarray | None = None):
+        shape_b = np.shape(b)
+        b = np.asarray(b, dtype=float).reshape(self.shape)
+        if self.singular:
+            b = self._project(b.copy())
+        bnorm = float(np.linalg.norm(b))
+        if x0 is None or bnorm == 0.0:
+            x = np.zeros(self.shape)
+        else:
+            x = np.array(x0, dtype=float).reshape(self.shape)
+            if self.singular:
+                x -= self._mean(x)
+        if self.mask is not None:
+            np.copyto(x, b, where=~self.mask)
+        r = b - self.apply(x)
 
-    bnorm = float(np.linalg.norm(b))
-    bp = project(b.copy())
-    x, res, it = pcg(lambda v: apply_periodic_operator(v, faces, h), precondition,
-                     lambda r, x: float(np.linalg.norm(r)) / bnorm,
-                     bp, np.zeros_like(b), bp.copy(), tol, max_iter)
-    return project(x), res, it
+        def certify(r, x):
+            res = float(np.linalg.norm(r))
+            if self.norm_A:
+                return res / (self.norm_A * float(np.linalg.norm(x)) + bnorm)
+            return res / bnorm
+
+        res, it = (certify(r, x) if r.any() else 0.0), 0
+        if res > tol:
+            x, res, it = pcg(self.apply, self._precondition, certify, b, x, r, tol,
+                             self.max_iter)
+        if self.singular:
+            check_mean_zero(self._project(x), self.mask)
+        logger.debug("%s elliptic solve: %d iterations, residual %.3e", self.bc, it, res)
+        return x.reshape(shape_b), res, it
+
+
+def _pcg(faces, b: np.ndarray, h: float, mask: np.ndarray | None,
+         tol: float, max_iter: int | None):
+    """The solve behind every corrector, kept as a seam that tests fill
+    with a reference solver: ``SpectralPCG`` on the periodic face operator.
+    Returns (solution, relative residual, iterations)."""
+    solver = SpectralPCG(lambda v: apply_periodic_operator(v, faces, h), b.shape, h,
+                         np.ones(b.ndim), bc="periodic", mask=mask)
+    if max_iter is not None:
+        solver.max_iter = max_iter
+    return solver.solve(b, tol)
 
 
 def check_mean_zero(u: np.ndarray, mask: np.ndarray | None = None) -> None:
@@ -251,9 +332,6 @@ def _solve_periodic(problem: PeriodicEllipticProblem, tol: float,
         raise ValueError("tol must be positive")
     mask = problem.domain_mask
     rhs = problem.rhs
-    m = rhs.shape[0]
-    if max_iter is None:
-        max_iter = ITER_CAP_FACTOR * m
     active_sum = float(rhs[mask].sum()) if mask is not None else float(rhs.sum())
     nrm = float(np.linalg.norm(rhs))
     if abs(active_sum) > COMPAT_RTOL * nrm + 1e-300:
@@ -262,11 +340,13 @@ def _solve_periodic(problem: PeriodicEllipticProblem, tol: float,
             f"exceeds {COMPAT_RTOL:.0e} * ||rhs|| = {COMPAT_RTOL * nrm:.3e}"
         )
     faces = harmonic_face_coefficients(problem.coefficient, mask)
-    h = 1.0 / m
-    u, res, it = _pcg(faces, rhs, h, mask, tol, max_iter)
-    check_mean_zero(u, mask)
-    logger.debug("periodic elliptic solve: %d iterations, residual %.3e", it, res)
-    return u, res, it
+    return _pcg(faces, rhs, 1.0 / rhs.shape[0], mask, tol, max_iter)
+
+
+def _solve_family(problems, tol: float):
+    """Solve periodic problems in turn; returns (stacked fields, residuals)."""
+    results = [_solve_periodic(problem, tol) for problem in problems]
+    return np.stack([r[0] for r in results]), [r[1] for r in results]
 
 
 def solve_potential_corrector(cell: UnitCell, kappa: np.ndarray,
@@ -285,15 +365,8 @@ def solve_potential_corrector(cell: UnitCell, kappa: np.ndarray,
     if (kappa <= 0).any():
         raise ValueError("kappa must be strictly positive")
     faces = harmonic_face_coefficients(kappa)
-    h = cell.h
-
-    results = []
-    for j in range(cell.dim):
-        rhs = (np.roll(faces[j], 1, axis=j) - faces[j]) / h
-        results.append(_solve_periodic(PeriodicEllipticProblem(kappa, rhs), tol))
-    fields = np.stack([r[0] for r in results])
-    residuals = [r[1] for r in results]
-    return fields, residuals
+    rhs = ((np.roll(f, 1, axis=j) - f) / cell.h for j, f in enumerate(faces))
+    return _solve_family((PeriodicEllipticProblem(kappa, f) for f in rhs), tol)
 
 
 def solve_density_corrector_shape(cell: UnitCell, xi3: np.ndarray,
@@ -313,16 +386,9 @@ def solve_density_corrector_shape(cell: UnitCell, xi3: np.ndarray,
     mask = cell.fluid_mask
     ones = np.ones_like(mask, dtype=float)
     faces = harmonic_face_coefficients(ones, mask)
-    h = cell.h
-
-    results = []
-    for j in range(cell.dim):
-        rhs = -apply_periodic_operator(np.asarray(xi3[j], dtype=float), faces, h)
-        problem = PeriodicEllipticProblem(ones, rhs, domain_mask=mask)
-        results.append(_solve_periodic(problem, tol))
-    fields = np.stack([r[0] for r in results])
-    residuals = [r[1] for r in results]
-    return fields, residuals
+    rhs = (-apply_periodic_operator(np.asarray(xi, dtype=float), faces, cell.h)
+           for xi in xi3[:cell.dim])
+    return _solve_family((PeriodicEllipticProblem(ones, f, domain_mask=mask) for f in rhs), tol)
 
 
 #: relative compatibility defect allowed in the second-order right-hand side
@@ -366,7 +432,7 @@ def solve_second_order_potential_corrector(cell: UnitCell, kappa: np.ndarray,
     if eps0.shape != (N, N):
         raise ValueError(f"eps0 must be {N}x{N}")
 
-    results = []
+    problems = []
     for k in range(N):
         for l in range(N):
             rhs = second_order_rhs(cell, kappa, xi3, eps0, k, l)
@@ -380,7 +446,6 @@ def solve_second_order_potential_corrector(cell: UnitCell, kappa: np.ndarray,
                     "correctors"
                 )
             rhs -= rhs.mean()
-            results.append(_solve_periodic(PeriodicEllipticProblem(kappa, rhs), tol))
-    fields = np.stack([r[0] for r in results]).reshape((N, N) + kappa.shape)
-    residuals = [r[1] for r in results]
-    return fields, residuals
+            problems.append(PeriodicEllipticProblem(kappa, rhs))
+    fields, residuals = _solve_family(problems, tol)
+    return fields.reshape((N, N) + kappa.shape), residuals

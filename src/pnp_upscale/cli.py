@@ -139,6 +139,9 @@ def _compute_tensors(cfg: RunConfig):
         second_order=cfg.solver_second_order,
     )
     tensors.provenance["config_sha256"] = cfg.config_hash
+    if cfg.cell_kind == "mask":
+        # the path as written keeps the bytes independent of the run directory
+        tensors.provenance["geometry"] = dict(cell.geometry_spec, path=cfg.cell_mask_path)
     return cell, tensors, correctors
 
 

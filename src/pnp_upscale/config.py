@@ -15,7 +15,7 @@ one shot; unknown and duplicate keys are rejected.  Example:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,7 +36,8 @@ class RunConfig:
     cell_fraction: float | None = None
     cell_axis: int = 0
     cell_radius: float | None = None
-    cell_mask_path: str | None = None
+    cell_mask_path: str | None = None  # as written in the config
+    cell_mask_file: str | None = field(default=None, init=False)  # resolved by load_config
     lam: float = 1.0
     alpha: float = 1.0
     solver_tol: float = 1e-10
@@ -66,7 +67,7 @@ class RunConfig:
         elif self.cell_kind == "disc":
             spec["radius"] = self.cell_radius
         elif self.cell_kind == "mask":
-            spec["path"] = self.cell_mask_path
+            spec["path"] = self.cell_mask_file or self.cell_mask_path
         return spec
 
 
@@ -156,6 +157,15 @@ _SCHEMA = {
     "output.snapshots": ("output_snapshots", _parse_float_list, None),
 }
 
+# key -> (key, value) it takes effect under; set otherwise it would do nothing
+_ONLY_WITH = {
+    "cell.fraction": ("cell.kind", "laminate"),
+    "cell.axis": ("cell.kind", "laminate"),
+    "cell.radius": ("cell.kind", "disc"),
+    "cell.mask_path": ("cell.kind", "mask"),
+    "macro.init_amplitude": ("macro.init", "asymmetric"),
+}
+
 
 def load_config(path) -> RunConfig:
     """Parse and exhaustively validate a configuration file.
@@ -211,6 +221,9 @@ def _cross_validate(cfg: RunConfig, path: Path, seen: dict, errors: list) -> Non
     def where(key):
         return f"line {seen[key]}: " if key in seen else ""
 
+    for key, (owner, value) in _ONLY_WITH.items():
+        if key in seen and getattr(cfg, _SCHEMA[owner][0]) != value:
+            errors.append(f"{where(key)}{key} takes effect only with {owner} = {value}")
     if cfg.cell_kind == "laminate":
         if cfg.cell_fraction is None:
             errors.append("cell.kind=laminate requires cell.fraction")
@@ -236,7 +249,13 @@ def _cross_validate(cfg: RunConfig, path: Path, seen: dict, errors: list) -> Non
                     f"{where('cell.mask_path')}mask file not found: {mask_path}"
                 )
             else:
-                cfg.cell_mask_path = str(mask_path)
+                cfg.cell_mask_file = str(mask_path)
+                with open(mask_path) as fh:
+                    header = fh.readline().split()[:2]
+                if header != [str(cfg.cell_dim), str(cfg.cell_resolution)]:
+                    errors.append(f"{where('cell.mask_path')}mask file header "
+                                  f"{' '.join(header)!r} does not match cell.dim = "
+                                  f"{cfg.cell_dim} and cell.resolution = {cfg.cell_resolution}")
     if cfg.macro_t_end < cfg.macro_dt:
         errors.append(
             f"{where('macro.t_end')}macro.t_end ({cfg.macro_t_end}) must be at "

@@ -23,18 +23,19 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse.linalg as spla
 from scipy.special import xlogy
 
 from ._fv import (
-    BoxPCGSolver,
     _along,
     _face_slices,
     _significant_offdiag,
     assemble_diffusion_matrix,
     assemble_neumann_operator,
     cell_gradients,
+    grid_matvec,
 )
-from .cellcorrect import SolverError
+from .cellcorrect import SolverError, SpectralPCG
 from .upscale import EffectiveTensors
 
 logger = logging.getLogger(__name__)
@@ -131,11 +132,12 @@ class GridOperators:
     ``coef`` (the DNS grid); its source is p (v1 - v2).  The
     implicit-diffusion operators (p/dt) I - p Lap are kept per (dt, bc).
     Each solver is built on first use.  Every grid, 2D or 3D, macro or DNS,
-    solves with ``BoxPCGSolver``, whose preconditioner takes the scale
-    diag(tensor) on the macro grid and 1 on the DNS grid; nothing is
-    factorized, so memory grows linearly with the cell count.  With a fluid
-    ``mask`` the densities live on fluid cells only: diffusion and drift use
-    only the faces between two fluid cells.
+    solves with ``cellcorrect.SpectralPCG``, as the cell problems do; the
+    Poisson preconditioner takes the scale diag(tensor) on the macro grid
+    and 1 on the DNS grid, and its certificate is the backward error with
+    ||A||_inf.  Nothing is factorized, so memory grows linearly with the
+    cell count.  With a fluid ``mask`` the densities live on fluid cells
+    only: diffusion and drift use only the faces between two fluid cells.
     """
 
     def __init__(self, shape, p: float = 1.0, *, tensor=None, coef=None,
@@ -165,22 +167,22 @@ class GridOperators:
         self._diffusion: dict = {}
 
     @cached_property
-    def poisson(self) -> BoxPCGSolver:
+    def poisson(self) -> SpectralPCG:
         A = assemble_neumann_operator(self.shape, self.h, tensor=self.tensor,
                                       coef=self.coef)
         scale = np.ones(len(self.shape)) if self.tensor is None else np.diag(self.tensor)
-        return BoxPCGSolver(A, self.shape, self.h, scale)
+        return SpectralPCG(grid_matvec(A), self.shape, self.h, scale,
+                           norm_A=spla.norm(A, np.inf))
 
-    def diffusion(self, dt: float, bc: str) -> BoxPCGSolver:
+    def diffusion(self, dt: float, bc: str) -> SpectralPCG:
         key = (float(dt), bc)
         solver = self._diffusion.get(key)
         if solver is None:
             A = assemble_diffusion_matrix(self.shape, self.h, dt, self.p, bc,
                                           mask=self.mask)
-            solver = BoxPCGSolver(A, self.shape, self.h,
-                                  np.full(len(self.shape), self.p),
-                                  shift=self.p / dt,
-                                  dirichlet=bc == "dirichlet", mask=self.mask)
+            solver = SpectralPCG(grid_matvec(A), self.shape, self.h,
+                                 np.full(len(self.shape), self.p), shift=self.p / dt,
+                                 bc=bc, mask=self.mask)
             self._diffusion[key] = solver
         return solver
 
@@ -195,10 +197,10 @@ class GridOperators:
         q = self.p * (np.asarray(v1, dtype=float) - np.asarray(v2, dtype=float))
         if q.shape != self.shape:
             raise ValueError(f"charge grid {q.shape} does not match the grid {self.shape}")
-        x, imbalance = self.poisson.solve(q.ravel(), tol, x0)
+        imbalance = float(q.mean())
         if imbalance != 0.0:
             logger.debug("Poisson: removed mean charge %.3e", imbalance)
-        return x.reshape(self.shape)
+        return self.poisson.solve(q, tol, x0)[0]
 
 
 def solve_macro_poisson(u1: np.ndarray, u2: np.ndarray, eps0: np.ndarray,
@@ -292,7 +294,7 @@ def picard_step(ops: GridOperators, v, base, A: np.ndarray, dt: float,
                                               cfg.drift, ops.open_faces)
             if ops.solid is not None:
                 rhs[ops.solid] = 0.0
-            new.append(dsolve.solve(rhs.ravel(), cfg.lin_tol, v[r]).reshape(ops.shape))
+            new.append(dsolve.solve(rhs, cfg.lin_tol, v[r])[0])
         inc = max(
             float(np.sqrt(np.mean((new[r] - v[r]) ** 2))) for r in range(2)
         )

@@ -120,8 +120,6 @@ def step_micro_pnp(state: MicroState, dom: MicroDomain, dt: float,
     if dt <= 0:
         raise ValueError("dt must be positive")
     base = [state.nplus / dt, state.nminus / dt]
-    for b in base:
-        b[dom.ops.solid] = 0.0
     v, phi, info = picard_step(dom.ops, [state.nplus, state.nminus], base,
                                -np.eye(dom.dim), dt, cfg)
     new_state = MicroState(nplus=v[0], nminus=v[1], phi=phi, t=state.t + dt)

@@ -1,10 +1,9 @@
-"""BoxPCGSolver: the box-grid CG on the assembled CSR operators against the
-SuperLU oracles, its warm start, and the 2D and 3D DNS sizes that SuperLU
-could not reach."""
+"""SpectralPCG on the box grids: the assembled CSR operators against the
+SuperLU oracles, its warm start, the 2D and 3D DNS sizes that SuperLU could
+not reach, and the one-iteration solve of a constant coefficient on every
+kind of grid."""
 
-import logging
 import os
-import re
 import subprocess
 import sys
 import time
@@ -17,35 +16,41 @@ from hypothesis import given, settings, strategies as st
 
 import pnp_upscale
 from pnp_upscale import _fv
-from pnp_upscale.cellcorrect import SolverError
-from pnp_upscale.macropnp import StepConfig
+from pnp_upscale.cellcorrect import (PeriodicEllipticProblem, SolverError, SpectralPCG,
+                                     _solve_periodic, apply_periodic_operator,
+                                     harmonic_face_coefficients)
+from pnp_upscale.macropnp import GridOperators, StepConfig
 from pnp_upscale.microdns import MicroState, assemble_micro_domain, run_micro
 from pnp_upscale.unitcell import PermittivityParams, build_unit_cell
 
-RECORD = re.compile(r"box solve: (\d+) iterations, residual (\S+)")
 
+@pytest.fixture()
+def box_iterations(monkeypatch):
+    """Iteration counts returned by the box-grid solves of the test."""
+    counts = []
 
-def box_iterations(caplog):
-    """Iteration counts of the box solves logged since the last clear."""
-    counts = [int(RECORD.fullmatch(r.getMessage()).group(1))
-              for r in caplog.records if r.name == "pnp_upscale._fv"]
-    caplog.clear()
+    def counting(self, *args, _solve=SpectralPCG.solve, **kwargs):
+        result = _solve(self, *args, **kwargs)
+        if self.bc != "periodic":
+            counts.append(result[2])
+        return result
+
+    monkeypatch.setattr(SpectralPCG, "solve", counting)
     return counts
 
 
 def poisson_pair(shape, tensor=None, coef=None):
-    h = 1.0 / shape[0]
-    A = _fv.assemble_neumann_operator(shape, h, tensor=tensor, coef=coef)
-    scale = np.ones(len(shape)) if tensor is None else np.diag(tensor)
-    return _fv.BoxPCGSolver(A, shape, h, scale), _fv.PinnedNeumannSolver(A)
+    """The program's Poisson solver of a box grid, its SuperLU oracle and
+    the matrix."""
+    ops = GridOperators(shape, tensor=tensor, coef=coef)
+    A = _fv.assemble_neumann_operator(shape, ops.h, tensor=tensor, coef=coef)
+    return ops.poisson, _fv.PinnedNeumannSolver(A), A
 
 
 def diffusion_pair(shape, dt, p, bc, mask=None):
-    h = 1.0 / shape[0]
-    A = _fv.assemble_diffusion_matrix(shape, h, dt, p, bc, mask=mask)
-    box = _fv.BoxPCGSolver(A, shape, h, np.full(len(shape), p), shift=p / dt,
-                           dirichlet=bc == "dirichlet", mask=mask)
-    return box, _fv.FactorizedSolver(A)
+    ops = GridOperators(shape, p, mask=mask)
+    A = _fv.assemble_diffusion_matrix(shape, ops.h, dt, p, bc, mask=mask)
+    return ops.diffusion(dt, bc), _fv.FactorizedSolver(A), A
 
 
 def max_rel(a, b):
@@ -53,23 +58,33 @@ def max_rel(a, b):
 
 
 @pytest.mark.parametrize("shape", [(64,), (32, 32), (8, 8, 8)])
-def test_constant_coefficient_solves_in_one_iteration(shape, caplog):
-    # on an unmasked grid the DCT/DST preconditioner is the inverse of the
-    # operator, so one CG step solves it and agrees with the factorization
-    caplog.set_level(logging.DEBUG, logger="pnp_upscale._fv")
+def test_constant_coefficient_solves_in_one_iteration(shape):
+    # on an unmasked grid of every kind the transform preconditioner is the
+    # inverse of a constant-coefficient operator, so one CG step solves it,
+    # whatever the scale of the coefficient
     rng = np.random.default_rng(len(shape))
     b = rng.standard_normal(int(np.prod(shape)))
-    tensor = np.diag([0.5, 2.0, 7.0][: len(shape)])
-    box, lu = poisson_pair(shape, tensor=tensor)
-    (x, imb), (ref, imb_ref) = box.solve(b, 1e-10), lu.solve(b, 1e-10)
-    assert box_iterations(caplog) == [1]
-    assert imb == imb_ref and abs(x.mean()) < 1e-12 * np.abs(x).max()
-    assert max_rel(x, ref) < 1e-12
-    for bc in ("dirichlet", "noflux"):
-        box, lu = diffusion_pair(shape, dt=1e-3, p=0.7, bc=bc)
-        x = box.solve(b, 1e-10)
-        assert box_iterations(caplog) == [1]
-        assert max_rel(x, lu.solve(b, 1e-10)) < 1e-12
+    h = 1.0 / shape[0]
+    for bc in ("periodic", "noflux", "dirichlet"):
+        if bc == "periodic":
+            rhs = (b - b.mean()).reshape(shape)
+            problem = PeriodicEllipticProblem(np.full(shape, 2.5), rhs)
+            u, res, it = _solve_periodic(problem, 1e-12)
+            assert (it, bc) == (1, bc) and res <= 1e-12
+            faces = harmonic_face_coefficients(problem.coefficient)
+            assert np.linalg.norm(apply_periodic_operator(u, faces, h) - rhs) <= (
+                1e-12 * np.linalg.norm(rhs))
+            continue
+        if bc == "noflux":
+            tensor = np.diag([0.5, 2.0, 7.0][: len(shape)])
+            box, lu, _ = poisson_pair(shape, tensor=tensor)
+            (x, _, it), (ref, _, _) = box.solve(b, 1e-10), lu.solve(b, 1e-10)
+            assert it == 1 and abs(x.mean()) < 1e-12 * np.abs(x).max()
+            assert max_rel(x, ref) < 1e-12
+        box, lu, _ = diffusion_pair(shape, dt=1e-3, p=0.7, bc=bc)
+        x, _, it = box.solve(b, 1e-10)
+        assert (it, bc) == (1, bc)
+        assert max_rel(x, lu.solve(b, 1e-10)[0]) < 1e-12
 
 
 @st.composite
@@ -97,22 +112,21 @@ def test_random_masks_match_superlu(mask, alpha, dt, bc, seed):
     b = rng.standard_normal(mask.size)
     tol = 1e-10
     # whole-box Poisson with the high-contrast coefficient of a DNS grid
-    box, lu = poisson_pair(shape, coef=np.where(mask, 1.0, alpha))
-    (x, imb), (ref, imb_ref) = box.solve(b, tol), lu.solve(b, tol)
-    assert imb == imb_ref
-    bp = b - imb
-    backward = np.linalg.norm(box.A @ x - bp) / (
+    box, lu, A = poisson_pair(shape, coef=np.where(mask, 1.0, alpha))
+    (x, cert, _), (ref, _, _) = box.solve(b, tol), lu.solve(b, tol)
+    bp = b - b.mean()
+    backward = np.linalg.norm(A @ x - bp) / (
         lu.norm_A * np.linalg.norm(x) + np.linalg.norm(bp))
-    assert backward <= tol
+    assert backward <= tol and cert <= tol
     assert abs(x.mean()) <= 1e-12 * np.abs(x).max()
     # the backward error bounds the forward error by the condition number,
     # which grows with the contrast
     assert max_rel(x, ref) <= 1e-6
     # masked diffusion: solid cells carry identity rows
-    box, lu = diffusion_pair(shape, dt, 1.0, bc, mask=mask)
-    x, ref = box.solve(b, tol), lu.solve(b, tol)
+    box, lu, A = diffusion_pair(shape, dt, 1.0, bc, mask=mask)
+    (x, cert, _), (ref, _, _) = box.solve(b, tol), lu.solve(b, tol)
     assert np.array_equal(x[~mask.ravel()], b[~mask.ravel()])
-    assert np.linalg.norm(box.A @ x - b) <= tol * np.linalg.norm(b)
+    assert np.linalg.norm(A @ x - b) <= tol * np.linalg.norm(b) and cert <= tol
     assert max_rel(x, ref) <= 1e-9
 
 
@@ -125,18 +139,18 @@ def contrast_mask(shape):
 
 
 @pytest.mark.parametrize("shape", [(24, 24), (8, 8, 8)])
-def test_warm_start_from_the_solution_takes_no_iteration(shape, caplog):
-    caplog.set_level(logging.DEBUG, logger="pnp_upscale._fv")
+def test_warm_start_from_the_solution_takes_no_iteration(shape):
     mask = contrast_mask(shape)
     b = np.random.default_rng(3).standard_normal(mask.size)
-    poisson, _ = poisson_pair(shape, coef=np.where(mask, 1.0, 40.0))
-    diffusion, _ = diffusion_pair(shape, 1e-3, 1.0, "dirichlet", mask=mask)
-    x, imb = poisson.solve(b, 1e-10)
-    y = diffusion.solve(b, 1e-10)
-    assert min(box_iterations(caplog)) > 0
-    (xw, imbw), yw = poisson.solve(b, 1e-10, x), diffusion.solve(b, 1e-10, y)
-    assert box_iterations(caplog) == [0, 0]
-    assert imbw == imb and max_rel(xw, x) < 1e-14
+    poisson, _, _ = poisson_pair(shape, coef=np.where(mask, 1.0, 40.0))
+    diffusion, _, _ = diffusion_pair(shape, 1e-3, 1.0, "dirichlet", mask=mask)
+    x, _, x_iters = poisson.solve(b, 1e-10)
+    y, _, y_iters = diffusion.solve(b, 1e-10)
+    assert min(x_iters, y_iters) > 0
+    (xw, _, xw_iters), (yw, _, yw_iters) = (poisson.solve(b, 1e-10, x),
+                                            diffusion.solve(b, 1e-10, y))
+    assert (xw_iters, yw_iters) == (0, 0)
+    assert max_rel(xw, x) < 1e-14
     assert np.array_equal(yw, y)
 
 
@@ -148,23 +162,23 @@ def test_warm_start_off_the_subspace_returns_the_cold_solution(shape):
     b = rng.standard_normal(mask.size)
     tol = 1e-10
     # a nonzero mean: the singular system only fixes x up to a constant
-    poisson, lu = poisson_pair(shape, coef=np.where(mask, 1.0, 40.0))
-    x, imb = poisson.solve(b, tol)
+    poisson, lu, A = poisson_pair(shape, coef=np.where(mask, 1.0, 40.0))
+    x, _, _ = poisson.solve(b, tol)
     x0 = x + 0.1 * rng.standard_normal(x.size) + 3.0
-    xw, imbw = poisson.solve(b, tol, x0)
-    assert imbw == imb and abs(xw.mean()) <= 1e-12 * np.abs(xw).max()
-    bp = b - imb
-    assert np.linalg.norm(poisson.A @ xw - bp) <= tol * (
+    xw, _, _ = poisson.solve(b, tol, x0)
+    assert abs(xw.mean()) <= 1e-12 * np.abs(xw).max()
+    bp = b - b.mean()
+    assert np.linalg.norm(A @ xw - bp) <= tol * (
         lu.norm_A * np.linalg.norm(xw) + np.linalg.norm(bp))
     assert max_rel(xw, x) <= 1e-6
     # junk on the solid cells: their identity rows pin them to the rhs
-    diffusion, _ = diffusion_pair(shape, 1e-3, 1.0, "noflux", mask=mask)
-    y = diffusion.solve(b, tol)
+    diffusion, _, A = diffusion_pair(shape, 1e-3, 1.0, "noflux", mask=mask)
+    y, _, _ = diffusion.solve(b, tol)
     y0 = y + 0.1 * rng.standard_normal(y.size)
     y0[solid] = 1e3
-    yw = diffusion.solve(b, tol, y0)
+    yw, _, _ = diffusion.solve(b, tol, y0)
     assert np.array_equal(yw[solid], b[solid])
-    assert np.linalg.norm(diffusion.A @ yw - b) <= tol * np.linalg.norm(b)
+    assert np.linalg.norm(A @ yw - b) <= tol * np.linalg.norm(b)
     assert max_rel(yw, y) <= 1e-9
     # the start is copied, never overwritten
     assert (y0[solid] == 1e3).all()
@@ -172,22 +186,17 @@ def test_warm_start_off_the_subspace_returns_the_cold_solution(shape):
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("shape", [(32, 32), (8, 8, 8)])
-def test_warm_start_never_takes_more_iterations(shape, seed, caplog):
+def test_warm_start_never_takes_more_iterations(shape, seed):
     # the start is the solution of a nearby system, as in a Picard loop
-    caplog.set_level(logging.DEBUG, logger="pnp_upscale._fv")
     mask = contrast_mask(shape)
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(mask.size)
     near = b + 10.0 ** -rng.integers(1, 6) * rng.standard_normal(mask.size)
     for box in (poisson_pair(shape, coef=np.where(mask, 1.0, 40.0))[0],
                 diffusion_pair(shape, 1e-2, 1.0, "dirichlet", mask=mask)[0]):
-        x0 = box.solve(near, 1e-10)
-        x0 = x0[0] if box.singular else x0
-        box_iterations(caplog)
-        box.solve(b, 1e-10)
-        (cold,) = box_iterations(caplog)
-        box.solve(b, 1e-10, x0)
-        (warm,) = box_iterations(caplog)
+        x0, _, _ = box.solve(near, 1e-10)
+        cold = box.solve(b, 1e-10)[2]
+        warm = box.solve(b, 1e-10, x0)[2]
         assert warm <= cold
 
 
@@ -195,14 +204,17 @@ def test_zero_rhs_returns_zeros():
     shape = (6, 6, 6)
     mask = np.ones(shape, dtype=bool)
     mask[2:4, 2:4, :] = False
-    box, _ = poisson_pair(shape, coef=np.where(mask, 1.0, 4.0))
-    x, imb = box.solve(np.zeros(mask.size), 1e-10)
-    assert imb == 0.0 and not x.any()
-    # a constant charge is all imbalance
-    x, imb = box.solve(np.full(mask.size, 2.5), 1e-10)
-    assert imb == 2.5 and not x.any()
-    box, _ = diffusion_pair(shape, 1e-3, 1.0, "dirichlet", mask=mask)
-    assert not box.solve(np.zeros(mask.size), 1e-10).any()
+    box, _, _ = poisson_pair(shape, coef=np.where(mask, 1.0, 4.0))
+    # a constant charge projects to zero: the singular system's rhs is all
+    # imbalance; a start does not matter
+    for b in (np.zeros(mask.size), np.full(mask.size, 2.5)):
+        for x0 in (None, np.ones(mask.size)):
+            x, cert, iters = box.solve(b, 1e-10, x0)
+            assert not x.any() and (cert, iters) == (0.0, 0)
+    box, _, _ = diffusion_pair(shape, 1e-3, 1.0, "dirichlet", mask=mask)
+    for x0 in (None, np.ones(mask.size)):
+        x, cert, iters = box.solve(np.zeros(mask.size), 1e-10, x0)
+        assert not x.any() and (cert, iters) == (0.0, 0)
 
 
 def test_iteration_cap_and_breakdown_raise():
@@ -210,12 +222,12 @@ def test_iteration_cap_and_breakdown_raise():
     mask = np.ones(shape, dtype=bool)
     mask[2:6, 2:6, 2:6] = False
     b = np.random.default_rng(0).standard_normal(mask.size)
-    box, _ = poisson_pair(shape, coef=np.where(mask, 1.0, 100.0))
+    box, _, _ = poisson_pair(shape, coef=np.where(mask, 1.0, 100.0))
     box.max_iter = 2
     with pytest.raises(SolverError, match="iteration cap 2"):
         box.solve(b, 1e-10)
-    box, _ = diffusion_pair(shape, 1e-3, 1.0, "noflux")
-    box.A = -box.A
+    box, _, A = diffusion_pair(shape, 1e-3, 1.0, "noflux")
+    box.apply = _fv.grid_matvec(-A)
     with pytest.raises(SolverError, match="breakdown"):
         box.solve(b, 1e-10)
 
@@ -223,9 +235,9 @@ def test_iteration_cap_and_breakdown_raise():
 def test_factorized_solver_certifies_its_residual():
     shape = (8, 8)
     b = np.random.default_rng(1).standard_normal(64)
-    _, lu = diffusion_pair(shape, 1e-3, 1.0, "noflux")
-    x = lu.solve(b, 1e-10)
-    assert np.linalg.norm(lu.A @ x - b) <= 1e-10 * np.linalg.norm(b)
+    _, lu, _ = diffusion_pair(shape, 1e-3, 1.0, "noflux")
+    x, cert, _ = lu.solve(b, 1e-10)
+    assert np.linalg.norm(lu.A @ x - b) <= 1e-10 * np.linalg.norm(b) and cert <= 1e-10
     # factors of another matrix solve a different system
     other = _fv.assemble_diffusion_matrix(shape, 1.0 / 8, 1e-2, 1.0, "noflux")
     lu.lu = spla.splu(other.tocsc())
@@ -242,9 +254,8 @@ def test_package_import_leaves_scipy_fft_out():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-def test_3d_dns_at_48_cubed_is_feasible(caplog):
+def test_3d_dns_at_48_cubed_is_feasible(box_iterations):
     # SuperLU took 138 s and 3.4 GB to factorize this grid's Poisson operator
-    caplog.set_level(logging.DEBUG, logger="pnp_upscale._fv")
     cell = build_unit_cell({"kind": "disc", "radius": 0.25, "dim": 3}, 8)
     dom = assemble_micro_domain(cell, PermittivityParams(lam=1.0, alpha=4.0),
                                 Fraction(1, 6))
@@ -256,19 +267,18 @@ def test_3d_dns_at_48_cubed_is_feasible(caplog):
     t0 = time.perf_counter()
     state, rows = run_micro(dom, init, 1e-3, 1, StepConfig(bc="noflux"))
     elapsed = time.perf_counter() - t0
-    assert isinstance(dom.ops.poisson, _fv.BoxPCGSolver)
-    assert isinstance(dom.ops.diffusion(1e-3, "noflux"), _fv.BoxPCGSolver)
+    assert isinstance(dom.ops.poisson, SpectralPCG)
+    assert isinstance(dom.ops.diffusion(1e-3, "noflux"), SpectralPCG)
     assert rows[0]["picard_iters"] > 1
     # every solve certified itself; the counts stay small
-    assert 0 < max(box_iterations(caplog)) <= 40
+    assert 0 < max(box_iterations) <= 40
     assert np.allclose(rows[0]["mass1"], float(init.nplus.mean()), rtol=1e-9)
     assert not state.nplus[~dom.mask].any()
     assert elapsed < 60.0
 
 
-def test_2d_dns_at_512_squared_is_feasible(caplog):
+def test_2d_dns_at_512_squared_is_feasible(box_iterations):
     # one SuperLU step took 5.2 s and 800 MB peak RSS on this grid
-    caplog.set_level(logging.DEBUG, logger="pnp_upscale._fv")
     cell = build_unit_cell({"kind": "disc", "radius": 0.25, "dim": 2}, 32)
     dom = assemble_micro_domain(cell, PermittivityParams(lam=1.0, alpha=4.0),
                                 Fraction(1, 16))
@@ -280,10 +290,10 @@ def test_2d_dns_at_512_squared_is_feasible(caplog):
     t0 = time.perf_counter()
     state, rows = run_micro(dom, init, 1e-3, 1, StepConfig(bc="noflux"))
     elapsed = time.perf_counter() - t0
-    assert isinstance(dom.ops.poisson, _fv.BoxPCGSolver)
-    assert isinstance(dom.ops.diffusion(1e-3, "noflux"), _fv.BoxPCGSolver)
+    assert isinstance(dom.ops.poisson, SpectralPCG)
+    assert isinstance(dom.ops.diffusion(1e-3, "noflux"), SpectralPCG)
     assert rows[0]["picard_iters"] > 1
-    assert 0 < max(box_iterations(caplog)) <= 60
+    assert 0 < max(box_iterations) <= 60
     assert np.allclose(rows[0]["mass1"], float(init.nplus.mean()), rtol=1e-9)
     assert not state.nplus[~dom.mask].any()
     assert elapsed < 60.0

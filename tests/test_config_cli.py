@@ -100,6 +100,50 @@ def test_conditional_requirements(tmp_path):
         load_config(path)
 
 
+def block_mask_text(m=8):
+    """Mask file of a 2D cell with a centered solid block, fluid connected."""
+    solid = lambda i, j: m // 4 <= i < m // 2 and m // 4 <= j < m // 2  # noqa: E731
+    values = ["0" if solid(i, j) else "1" for i in range(m) for j in range(m)]
+    return "\n".join([f"2 {m}"] + values) + "\n"
+
+
+DISC = "cell.kind = disc\ncell.radius = 0.25\n"
+
+
+@pytest.mark.parametrize("key, value, base", [
+    pytest.param("cell.fraction", "0.5", DISC, id="fraction"),
+    pytest.param("cell.axis", "1", DISC, id="axis"),
+    pytest.param("cell.radius", "0.25", "cell.kind = laminate\ncell.fraction = 0.5\n",
+                 id="radius"),
+    pytest.param("cell.mask_path", "cell.mask", DISC, id="mask_path"),
+    pytest.param("macro.init_amplitude", "0.3", "macro.init = uniform\n",
+                 id="init_amplitude"),
+])
+def test_key_without_effect_rejected(tmp_path, capsys, key, value, base):
+    # each key takes effect under one kind only; elsewhere it would be
+    # ignored silently
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{base}cell.resolution = 8\n{key} = {value}\n")
+    lineno = base.count("\n") + 2
+    assert main(["upscale", "--config", str(path), "--out", str(tmp_path / "t.json")]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert f"line {lineno}: {key} takes effect only with" in record["message"]
+
+
+@pytest.mark.parametrize("dim, resolution", [(3, 8), (2, 16)], ids=["dim", "resolution"])
+def test_mask_header_must_match_config(tmp_path, capsys, dim, resolution):
+    # the 2D 8^2 mask cannot make a cell of another dimension or resolution
+    (tmp_path / "cell.mask").write_text(block_mask_text(8))
+    path = tmp_path / "run.cfg"
+    path.write_text(f"cell.kind = mask\ncell.mask_path = cell.mask\ncell.dim = {dim}\n"
+                    f"cell.resolution = {resolution}\n")
+    assert main(["upscale", "--config", str(path), "--out", str(tmp_path / "t.json")]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert "line 2: mask file header '2 8' does not match" in record["message"]
+
+
 def test_timing_and_geometry_ok(tmp_path, base_config):
     cfg = load_config(base_config)
     assert cfg.geometry_spec() == {"kind": "full", "dim": 2}
@@ -185,6 +229,20 @@ def test_determinism_byte_identical(tmp_path, base_config):
     assert main(["cell", "--config", str(base_config), "--out", str(out2)]) == 0
     for child in sorted(out1.iterdir()):
         assert (out2 / child.name).read_bytes() == child.read_bytes()
+    # a mask cell copied into two directories whose paths differ in length
+    outs = []
+    for name in ("d1", "dir_with_a_longer_name"):
+        run = tmp_path / name
+        run.mkdir()
+        (run / "cell.mask").write_text(block_mask_text(8))
+        (run / "run.cfg").write_text(
+            "cell.kind = mask\ncell.mask_path = cell.mask\ncell.resolution = 8\n")
+        outs.append(run / "out")
+        assert main(["cell", "--config", str(run / "run.cfg"), "--out", str(outs[-1])]) == 0
+    tensors = json.loads((outs[0] / "tensors.json").read_text())
+    assert tensors["provenance"]["geometry"]["path"] == "cell.mask"
+    for child in sorted(outs[0].iterdir()):
+        assert (outs[1] / child.name).read_bytes() == child.read_bytes()
 
 
 def test_exit_code_config_error(tmp_path, capsys):

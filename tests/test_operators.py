@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from pnp_upscale import _fv
+from pnp_upscale.cellcorrect import SpectralPCG
 from pnp_upscale.cli import run_validation
 from pnp_upscale.config import RunConfig
 from pnp_upscale.macropnp import MacroConfig, MacroState, run_macro
@@ -23,20 +24,24 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.fixture()
 def solvers(monkeypatch):
     """(class name, unknowns) of every Poisson and diffusion solver built
-    during the test, SuperLU oracles and box CG solvers alike."""
+    during the test, SuperLU oracles and box-grid CG solvers alike."""
     made = {"poisson": [], "diffusion": []}
 
     def record(cls, kind_of):
-        def counting(self, A, *args, _init=cls.__init__, **kwargs):
-            _init(self, A, *args, **kwargs)
-            made[kind_of(self)].append((cls.__name__, A.shape[0]))
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            kind = kind_of(self)
+            if kind is not None:
+                unknowns = self.A.shape[0] if hasattr(self, "A") else int(np.prod(self.shape))
+                made[kind].append((cls.__name__, unknowns))
 
         monkeypatch.setattr(cls, "__init__", counting)
 
     record(_fv.PinnedNeumannSolver, lambda self: "poisson")
     record(_fv.FactorizedSolver, lambda self: "diffusion")
-    record(_fv.BoxPCGSolver,
-           lambda self: "poisson" if self.singular else "diffusion")
+    # the periodic cell solves are not box-grid operators
+    record(SpectralPCG, lambda self: None if self.bc == "periodic" else
+           "poisson" if self.singular else "diffusion")
     return made
 
 
@@ -55,12 +60,12 @@ def test_run_macro_factorizes_once(solvers):
     _, rows = run_macro(cfg, _tensors(np.eye(2)), init)
     assert len(rows) == 5 and all(r.picard_iters > 0 for r in rows)
     # the macro grid is never factorized: one box CG solver per operator
-    assert solvers["poisson"] == [("BoxPCGSolver", m * m)]
-    assert solvers["diffusion"] == [("BoxPCGSolver", m * m)]
+    assert solvers["poisson"] == [("SpectralPCG", m * m)]
+    assert solvers["diffusion"] == [("SpectralPCG", m * m)]
     # a second run with another eps0 owns fresh solvers, diffusion included
     run_macro(cfg, _tensors([[2.0, 0.3], [0.3, 1.0]]), init)
-    assert solvers["poisson"] == [("BoxPCGSolver", m * m)] * 2
-    assert solvers["diffusion"] == [("BoxPCGSolver", m * m)] * 2
+    assert solvers["poisson"] == [("SpectralPCG", m * m)] * 2
+    assert solvers["diffusion"] == [("SpectralPCG", m * m)] * 2
 
 
 def test_validation_factorizes_once_per_grid(solvers):
@@ -77,7 +82,7 @@ def test_validation_factorizes_once_per_grid(solvers):
         run_validation(cfg)
         # the macro grid, then one DNS grid per scale ratio
         for kind in ("poisson", "diffusion"):
-            assert solvers[kind] == [("BoxPCGSolver", n**dim) for n in (8, 8, 12)]
+            assert solvers[kind] == [("SpectralPCG", n**dim) for n in (8, 8, 12)]
 
 
 TRACED_VALIDATE = """
