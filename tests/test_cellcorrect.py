@@ -198,6 +198,19 @@ def test_problem_validation():
         PeriodicEllipticProblem(np.ones((m, m)), bad)
 
 
+@pytest.mark.parametrize("shape", [(32,), (16, 16), (8, 8, 8)])
+def test_constant_coefficient_solves_in_one_iteration(shape):
+    # the preconditioner inverts the constant-coefficient operator exactly,
+    # so one CG step solves it, whatever the scale of the coefficient
+    rhs = np.random.default_rng(5).normal(size=shape)
+    rhs -= rhs.mean()
+    problem = PeriodicEllipticProblem(np.full(shape, 2.5), rhs)
+    u, res, iters = _solve_periodic(problem, 1e-12)
+    assert iters == 1 and res <= 1e-12
+    faces = harmonic_face_coefficients(problem.coefficient)
+    assert rel_l2(apply_periodic_operator(u, faces, 1.0 / shape[0]), rhs) <= 1e-12
+
+
 def _disc_solve_iterations(m, dim=2):
     """Iteration counts of the first xi3 and eta solves on the r=0.25 disc
     (the sphere for dim=3)."""
