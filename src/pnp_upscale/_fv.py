@@ -166,7 +166,7 @@ class PinnedNeumannSolver:
         x -= x.mean()
         res = float(np.linalg.norm(self.A @ x - bp))
         res /= self.norm_A * float(np.linalg.norm(x)) + nrm
-        if res > tol:
+        if not res <= tol:  # NaN fails too
             raise SolverError(
                 f"Neumann solve backward error {res:.3e} exceeds tol {tol:.1e}"
             )
@@ -192,7 +192,7 @@ class FactorizedSolver:
         x = self.lu.solve(b)
         res = float(np.linalg.norm(self.A @ x - b))
         bnorm = float(np.linalg.norm(b))
-        if res > tol * bnorm:
+        if not res <= tol * bnorm:
             raise SolverError(
                 f"diffusion solve relative residual {res / bnorm:.3e} exceeds tol {tol:.1e}"
             )

@@ -214,7 +214,7 @@ class SpectralPCG:
     ||A x - b|| / (norm_A ||x|| + ||b||) for the projected b: the relative
     residual, or the backward error when ``norm_A`` is ||A||.  Breakdown, or
     ``max_iter`` = ``ITER_CAP_FACTOR`` * side iterations of ``pcg``, raises
-    ``SolverError``.
+    ``SolverError``, and so does a non-finite right-hand side or start.
     """
 
     def __init__(self, apply, shape, h: float, scale, shift: float = 0.0,
@@ -266,6 +266,9 @@ class SpectralPCG:
     def solve(self, b: np.ndarray, tol: float, x0: np.ndarray | None = None):
         shape_b = np.shape(b)
         b = np.asarray(b, dtype=float).reshape(self.shape)
+        for name, v in (("right-hand side", b), ("start", x0)):
+            if v is not None and not np.isfinite(v).all():
+                raise SolverError(f"{self.bc} elliptic solve: non-finite {name}")
         if self.singular:
             b = self._project(b.copy())
         bnorm = float(np.linalg.norm(b))
@@ -286,7 +289,7 @@ class SpectralPCG:
             return res / bnorm
 
         res, it = (certify(r, x) if r.any() else 0.0), 0
-        if res > tol:
+        if not res <= tol:  # a NaN certificate must not pass
             x, res, it = pcg(self.apply, self._precondition, certify, b, x, r, tol,
                              self.max_iter)
         if self.singular:

@@ -1,17 +1,22 @@
 """Command-line pipeline: cell -> upscale -> macro -> micro -> validate.
 
-All artifacts are written atomically and carry the config hash, either in
-the tensors document itself or in a sibling ``provenance.json``.  Solvers are
-deterministic, so a rerun with an unchanged configuration reproduces every
-output byte for byte.
+One path per stage: ``_compute_tensors``, ``_macro_run`` and ``_dns_runs``.
+``validate`` runs the macro run of ``macro`` (without snapshots) and, for
+each scale ratio, the DNS of ``micro``.  Every CSV goes through
+``_write_csv`` and every grid dump through ``_write_fields``; all artifacts
+are written atomically and carry the config hash, in the tensors document
+or in a sibling ``provenance.json``.  Solvers are deterministic, so a rerun
+of an unchanged configuration reproduces every output byte for byte.
 
-Exit codes: 0 success, 2 configuration error, 3 solver or geometry failure,
-4 validation error above the configured threshold.
+Exit codes: 0 success, 2 configuration error or unusable ``--tensors``
+file, 3 solver or geometry failure, 4 validation error above the configured
+threshold.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -32,20 +37,18 @@ from .microdns import (
     interpolate_to_fine,
     reconstruct_two_scale,
     run_micro,
-    solve_micro_poisson,
 )
 from .unitcell import GeometryError, PermittivityParams, build_unit_cell
 from .upscale import EffectiveTensors, compute_effective_tensors
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VALIDATION = 4
 
-DIAG_HEADER = "t,mass1,mass2,charge,free_energy,picard_iters,loceq_dev"
-VALIDATE_HEADER = "s,err_phi_L2,err_n1_L2,err_n2_L2,err_phi_recon_L2"
+DIAG_HEADER = ("t", "mass1", "mass2", "charge", "free_energy", "picard_iters", "loceq_dev")
+MICRO_HEADER = ("t", "mass1", "mass2", "charge", "picard_iters")
+VALIDATE_HEADER = ("s", "err_phi_L2", "err_n1_L2", "err_n2_L2", "err_phi_recon_L2")
 
 
 class ValidationError(RuntimeError):
@@ -87,23 +90,6 @@ def _macro_config(cfg: RunConfig) -> MacroConfig:
     )
 
 
-def _macro_initial_state(cfg: RunConfig) -> MacroState:
-    u1, u2 = initial_density_fields(
-        cfg.macro_init, cfg.macro_init_amplitude, cfg.cell_dim, cfg.macro_resolution
-    )
-    return MacroState(u1=u1, u2=u2, u3=np.zeros_like(u1), t=0.0)
-
-
-def _micro_initial_state(cfg: RunConfig, dom) -> MicroState:
-    u1, u2 = initial_density_fields(
-        cfg.macro_init, cfg.macro_init_amplitude, cfg.cell_dim, dom.resolution
-    )
-    nplus = u1 * dom.mask
-    nminus = u2 * dom.mask
-    phi = solve_micro_poisson(dom, nplus, nminus, tol=cfg.solver_tol)
-    return MicroState(nplus=nplus, nminus=nminus, phi=phi, t=0.0)
-
-
 def _provenance(cfg: RunConfig, command: str, extra: dict | None = None) -> str:
     record = {
         "command": command,
@@ -115,22 +101,21 @@ def _provenance(cfg: RunConfig, command: str, extra: dict | None = None) -> str:
     return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
-def _write_diagnostics_csv(path, rows) -> None:
-    lines = [DIAG_HEADER]
-    for r in rows:
-        lines.append(
-            "%.17g,%.17g,%.17g,%.17g,%.17g,%d,%.17g"
-            % (r.t, r.mass1, r.mass2, r.charge, r.free_energy, r.picard_iters, r.loceq_dev)
-        )
+def _write_csv(path, header, rows) -> None:
+    """A header line, then one line per row mapping, every value as %.17g."""
+    lines = [",".join(header)]
+    lines.extend(",".join("%.17g" % row[key] for key in header) for row in rows)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _build_cell(cfg: RunConfig):
-    return build_unit_cell(cfg.geometry_spec(), cfg.cell_resolution)
+def _write_fields(directory: Path, fields: dict) -> None:
+    """One grid dump ``<name>.dat`` per entry of {name: array}."""
+    for name, values in fields.items():
+        atomic_write_text(directory / f"{name}.dat", format_field(name, values))
 
 
 def _compute_tensors(cfg: RunConfig):
-    cell = _build_cell(cfg)
+    cell = build_unit_cell(cfg.geometry_spec(), cfg.cell_resolution)
     params = PermittivityParams(lam=cfg.lam, alpha=cfg.alpha)
     tensors, correctors = compute_effective_tensors(
         cell,
@@ -145,20 +130,41 @@ def _compute_tensors(cfg: RunConfig):
     return cell, tensors, correctors
 
 
+def _macro_run(cfg: RunConfig, tensors: EffectiveTensors, snapshot_times=()):
+    """The upscaled run from the configured initial data: (snapshots, rows)."""
+    u1, u2 = initial_density_fields(
+        cfg.macro_init, cfg.macro_init_amplitude, cfg.cell_dim, cfg.macro_resolution
+    )
+    init = MacroState(u1=u1, u2=u2, u3=np.zeros_like(u1), t=0.0)
+    return run_macro(_macro_config(cfg), tensors, init, snapshot_times=snapshot_times)
+
+
+def _dns_runs(cfg: RunConfig, cell):
+    """Yield (s, domain, final state, diagnostics rows) of the DNS at each
+    micro.s.  It starts from phi = 0: each step solves its potential afresh."""
+    params = PermittivityParams(lam=cfg.lam, alpha=cfg.alpha)
+    mcfg = _macro_config(cfg)
+    n_steps = int(round(cfg.macro_t_end / cfg.macro_dt))
+    for frac in cfg.micro_s:
+        dom = assemble_micro_domain(cell, params, frac, max_cells=cfg.micro_budget)
+        u1, u2 = initial_density_fields(
+            cfg.macro_init, cfg.macro_init_amplitude, cfg.cell_dim, dom.resolution
+        )
+        init = MicroState(nplus=u1 * dom.mask, nminus=u2 * dom.mask,
+                          phi=np.zeros(dom.mask.shape), t=0.0)
+        state, rows = run_micro(dom, init, cfg.macro_dt, n_steps, mcfg)
+        yield frac, dom, state, rows
+
+
 def cmd_cell(cfg: RunConfig, out: Path) -> int:
     cell, tensors, correctors = _compute_tensors(cfg)
-    for j in range(cell.dim):
-        name = f"xi3_{j + 1}"
-        atomic_write_text(out / f"{name}.dat", format_field(name, correctors.xi3[j]))
-        name = f"eta_{j + 1}"
-        atomic_write_text(out / f"{name}.dat", format_field(name, correctors.eta[j]))
+    dims = range(cell.dim)
+    fields = {f"xi3_{j + 1}": correctors.xi3[j] for j in dims}
+    fields.update({f"eta_{j + 1}": correctors.eta[j] for j in dims})
     if correctors.zeta3 is not None:
-        for k in range(cell.dim):
-            for l in range(cell.dim):
-                name = f"zeta3_{k + 1}{l + 1}"
-                atomic_write_text(
-                    out / f"{name}.dat", format_field(name, correctors.zeta3[k, l])
-                )
+        fields.update({f"zeta3_{k + 1}{l + 1}": correctors.zeta3[k, l]
+                       for k in dims for l in dims})
+    _write_fields(out, fields)
     atomic_write_text(out / "tensors.json", tensors.to_json())
     atomic_write_text(out / "provenance.json", _provenance(cfg, "cell"))
     return EXIT_OK
@@ -166,33 +172,26 @@ def cmd_cell(cfg: RunConfig, out: Path) -> int:
 
 def cmd_upscale(cfg: RunConfig, out: Path) -> int:
     _cell, tensors, _correctors = _compute_tensors(cfg)
-    if out.suffix == ".json":
-        atomic_write_text(out, tensors.to_json())
-    else:
-        atomic_write_text(out / "tensors.json", tensors.to_json())
+    atomic_write_text(out if out.suffix == ".json" else out / "tensors.json", tensors.to_json())
     return EXIT_OK
 
 
-def _load_or_compute_tensors(cfg: RunConfig, tensors_path):
-    if tensors_path:
-        text = Path(tensors_path).read_text()
-        return EffectiveTensors.from_json(text)
-    _cell, tensors, _correctors = _compute_tensors(cfg)
-    return tensors
-
-
 def cmd_macro(cfg: RunConfig, out: Path, tensors_path) -> int:
-    tensors = _load_or_compute_tensors(cfg, tensors_path)
-    mcfg = _macro_config(cfg)
-    init = _macro_initial_state(cfg)
-    snapshots, rows = run_macro(mcfg, tensors, init, snapshot_times=cfg.output_snapshots)
-    _write_diagnostics_csv(out / "diagnostics.csv", rows)
-    snap_times = {}
-    for k, (t, state) in enumerate(snapshots):
-        for var, values in (("u1", state.u1), ("u2", state.u2), ("u3", state.u3)):
-            name = f"{var}_{k:03d}"
-            atomic_write_text(out / f"{name}.dat", format_field(name, values))
-        snap_times[f"{k:03d}"] = t
+    if tensors_path:
+        try:
+            tensors = EffectiveTensors.from_json(Path(tensors_path).read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigError([f"tensors file {tensors_path}: {exc}"]) from exc
+        if tensors.dim != cfg.cell_dim:
+            raise ConfigError([f"tensors file {tensors_path}: {tensors.dim}D tensors, "
+                               f"cell.dim = {cfg.cell_dim}"])
+    else:
+        tensors = _compute_tensors(cfg)[1]
+    snapshots, rows = _macro_run(cfg, tensors, cfg.output_snapshots)
+    _write_csv(out / "diagnostics.csv", DIAG_HEADER, map(dataclasses.asdict, rows))
+    _write_fields(out, {f"{var}_{k:03d}": getattr(state, var)
+                        for k, (_t, state) in enumerate(snapshots) for var in ("u1", "u2", "u3")})
+    snap_times = {f"{k:03d}": t for k, (t, _state) in enumerate(snapshots)}
     atomic_write_text(
         out / "provenance.json", _provenance(cfg, "macro", {"snapshots": snap_times})
     )
@@ -200,28 +199,12 @@ def cmd_macro(cfg: RunConfig, out: Path, tensors_path) -> int:
 
 
 def cmd_micro(cfg: RunConfig, out: Path) -> int:
-    cell = _build_cell(cfg)
-    params = PermittivityParams(lam=cfg.lam, alpha=cfg.alpha)
-    mcfg = _macro_config(cfg)
-    n_steps = int(round(cfg.macro_t_end / cfg.macro_dt))
-    for frac in cfg.micro_s:
-        dom = assemble_micro_domain(cell, params, frac, max_cells=cfg.micro_budget)
-        init = _micro_initial_state(cfg, dom)
-        state, rows = run_micro(dom, init, cfg.macro_dt, n_steps, mcfg)
+    cell = build_unit_cell(cfg.geometry_spec(), cfg.cell_resolution)
+    for frac, dom, state, rows in _dns_runs(cfg, cell):
         subdir = out / f"s_{frac.denominator}"
-        for var, values in (
-            ("nplus", state.nplus),
-            ("nminus", state.nminus),
-            ("phi", state.phi),
-        ):
-            atomic_write_text(subdir / f"{var}.dat", format_field(var, values))
-        lines = ["t,mass1,mass2,charge,picard_iters"]
-        for r in rows:
-            lines.append(
-                "%.17g,%.17g,%.17g,%.17g,%d"
-                % (r["t"], r["mass1"], r["mass2"], r["charge"], r["picard_iters"])
-            )
-        atomic_write_text(subdir / "diagnostics.csv", "\n".join(lines) + "\n")
+        _write_fields(subdir, {"nplus": state.nplus, "nminus": state.nminus, "phi": state.phi})
+        _write_csv(subdir / "diagnostics.csv", MICRO_HEADER, rows)
+        del dom  # the next, finer DNS runs without this grid's operators
     atomic_write_text(out / "provenance.json", _provenance(cfg, "micro"))
     return EXIT_OK
 
@@ -234,51 +217,34 @@ def run_validation(cfg: RunConfig):
     reconstruction, plus density reconstruction errors on the fluid region.
     """
     cell, tensors, correctors = _compute_tensors(cfg)
-    mcfg = _macro_config(cfg)
-    init = _macro_initial_state(cfg)
-    snapshots, _rows = run_macro(mcfg, tensors, init)
+    snapshots, _rows = _macro_run(cfg, tensors)
     macro_final = snapshots[-1][1]
-
-    params = PermittivityParams(lam=cfg.lam, alpha=cfg.alpha)
-    n_steps = int(round(cfg.macro_t_end / cfg.macro_dt))
     results = []
-    for frac in cfg.micro_s:
-        dom = assemble_micro_domain(cell, params, frac, max_cells=cfg.micro_budget)
-        dns_init = _micro_initial_state(cfg, dom)
-        dns, _ = run_micro(dom, dns_init, cfg.macro_dt, n_steps, mcfg)
-        recon = reconstruct_two_scale(macro_final, correctors, tensors, dom)
+    for frac, dom, dns, _rows in _dns_runs(cfg, cell):
+        recon = reconstruct_two_scale(macro_final, correctors, dom)
         macro_phi = interpolate_to_fine(macro_final.u3, dom.mask.shape)
         macro_phi = macro_phi - macro_phi.mean()
-        err_phi = compare_fields(macro_phi, dns.phi).l2_rel
-        err_recon = compare_fields(recon.phi, dns.phi).l2_rel
-        err_n1 = compare_fields(recon.nplus, dns.nplus, mask=dom.mask).l2_rel
-        err_n2 = compare_fields(recon.nminus, dns.nminus, mask=dom.mask).l2_rel
         results.append(
             {
                 "s": float(frac),
-                "err_phi_L2": err_phi,
-                "err_n1_L2": err_n1,
-                "err_n2_L2": err_n2,
-                "err_phi_recon_L2": err_recon,
+                "err_phi_L2": compare_fields(macro_phi, dns.phi).l2_rel,
+                "err_n1_L2": compare_fields(recon.nplus, dns.nplus, mask=dom.mask).l2_rel,
+                "err_n2_L2": compare_fields(recon.nminus, dns.nminus, mask=dom.mask).l2_rel,
+                "err_phi_recon_L2": compare_fields(recon.phi, dns.phi).l2_rel,
             }
         )
+        del dom, dns, recon, macro_phi  # the next, finer DNS runs without them
     return results
 
 
 def cmd_validate(cfg: RunConfig, out: Path) -> int:
     results = run_validation(cfg)
-    lines = [VALIDATE_HEADER]
-    for r in results:
-        lines.append(
-            "%.17g,%.17g,%.17g,%.17g,%.17g"
-            % (r["s"], r["err_phi_L2"], r["err_n1_L2"], r["err_n2_L2"], r["err_phi_recon_L2"])
-        )
     if out.suffix == ".csv":
-        atomic_write_text(out, "\n".join(lines) + "\n")
-        atomic_write_text(out.with_suffix(".provenance.json"), _provenance(cfg, "validate"))
+        report, provenance = out, out.with_suffix(".provenance.json")
     else:
-        atomic_write_text(out / "report.csv", "\n".join(lines) + "\n")
-        atomic_write_text(out / "provenance.json", _provenance(cfg, "validate"))
+        report, provenance = out / "report.csv", out / "provenance.json"
+    _write_csv(report, VALIDATE_HEADER, results)
+    atomic_write_text(provenance, _provenance(cfg, "validate"))
     if cfg.micro_fail_threshold is not None:
         worst = max(r["err_phi_recon_L2"] for r in results)
         if worst > cfg.micro_fail_threshold:
@@ -311,11 +277,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        _emit_error(exc)
-        return EXIT_CONFIG
-    out = Path(args.out) if args.out else Path(cfg.output_dir)
-    try:
+        out = Path(args.out) if args.out else Path(cfg.output_dir)
         if args.command == "cell":
             return cmd_cell(cfg, out)
         if args.command == "upscale":
@@ -325,6 +287,9 @@ def main(argv=None) -> int:
         if args.command == "micro":
             return cmd_micro(cfg, out)
         return cmd_validate(cfg, out)
+    except ConfigError as exc:  # a ValueError, so caught before the solver errors
+        _emit_error(exc)
+        return EXIT_CONFIG
     except ValidationError as exc:
         _emit_error(exc)
         return EXIT_VALIDATION

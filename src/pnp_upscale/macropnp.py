@@ -279,10 +279,10 @@ def picard_step(ops: GridOperators, v, base, A: np.ndarray, dt: float,
     u3, species r from the lagged v[r], so solves get cheaper as the loop
     contracts.  A warm solve stops once its certificate passes, so an
     increment may understate the true one by up to the solve's certified
-    error.  Reaching the cap raises with advice to reduce dt.  Returns
-    ([u1, u2], u3, StepInfo).
+    error.  The grid's solvers are built on first use, the Poisson solver
+    first: its assembly needs the most scratch memory.  Reaching the cap
+    raises with advice to reduce dt.  Returns ([u1, u2], u3, StepInfo).
     """
-    dsolve = ops.diffusion(dt, cfg.bc)
     increments: list[float] = []
     iters = 0
     u3 = None
@@ -294,7 +294,7 @@ def picard_step(ops: GridOperators, v, base, A: np.ndarray, dt: float,
                                               cfg.drift, ops.open_faces)
             if ops.solid is not None:
                 rhs[ops.solid] = 0.0
-            new.append(dsolve.solve(rhs, cfg.lin_tol, v[r])[0])
+            new.append(ops.diffusion(dt, cfg.bc).solve(rhs, cfg.lin_tol, v[r])[0])
         inc = max(
             float(np.sqrt(np.mean((new[r] - v[r]) ** 2))) for r in range(2)
         )

@@ -28,7 +28,6 @@ from ._fv import assemble_diffusion_matrix, assemble_neumann_operator  # noqa: F
 from .cellcorrect import CorrectorSet
 from .macropnp import GridOperators, MacroState, StepConfig, Z_CHARGES, picard_step
 from .unitcell import PermittivityParams, UnitCell
-from .upscale import EffectiveTensors
 
 logger = logging.getLogger(__name__)
 
@@ -164,7 +163,7 @@ def interpolate_to_fine(field_c: np.ndarray, fine_shape) -> np.ndarray:
 
 
 def reconstruct_two_scale(macro: MacroState, correctors: CorrectorSet,
-                          tensors: EffectiveTensors, dom: MicroDomain) -> MicroState:
+                          dom: MicroDomain) -> MicroState:
     """Fine-grid fields from the macro solution and the cell correctors.
 
     phi  = u3 - s sum_k xi_k(x/s) d_k u3 + s^2 sum_kl zeta_kl(x/s) d^2_kl u3

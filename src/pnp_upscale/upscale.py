@@ -24,6 +24,7 @@ from .cellcorrect import (
     solve_potential_corrector,
     solve_second_order_potential_corrector,
 )
+from .config import ConfigError
 from .unitcell import PermittivityParams, UnitCell, permittivity_field, porosity
 
 logger = logging.getLogger(__name__)
@@ -65,15 +66,30 @@ class EffectiveTensors:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "EffectiveTensors":
-        eps0 = np.asarray(data["eps0"], dtype=float)
-        return cls(
-            dim=eps0.shape[0],
-            p=float(data["p"]),
-            eps0=eps0,
-            M=np.asarray(data["M"], dtype=float),
-            Hhat=np.asarray(data["Hhat"], dtype=float),
-            provenance=dict(data.get("provenance", {})),
-        )
+        """Raises ConfigError unless every key is present, 0 < p <= 1 and
+        eps0, M and Hhat are finite and share one square shape."""
+        if not isinstance(data, dict):
+            raise ConfigError(["not a JSON object"])
+        missing = [key for key in ("p", "eps0", "M", "Hhat") if key not in data]
+        if missing:
+            raise ConfigError([f"missing key {key!r}" for key in missing])
+        try:
+            p = float(data["p"])
+            eps0, M, Hhat = (np.asarray(data[key], dtype=float) for key in ("eps0", "M", "Hhat"))
+            provenance = dict(data.get("provenance", {}))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError([f"malformed entry: {exc}"]) from exc
+        errors = [] if 0.0 < p <= 1.0 else [f"porosity p = {p} is outside (0, 1]"]
+        if eps0.ndim != 2 or eps0.shape[0] != eps0.shape[1]:
+            errors.append(f"eps0 has shape {eps0.shape}, not a square matrix")
+        for name, value in (("eps0", eps0), ("M", M), ("Hhat", Hhat)):
+            if value.shape != eps0.shape:
+                errors.append(f"{name} has shape {value.shape}, eps0 {eps0.shape}")
+            elif not np.isfinite(value).all():
+                errors.append(f"{name} has non-finite entries")
+        if errors:
+            raise ConfigError(errors)
+        return cls(dim=eps0.shape[0], p=p, eps0=eps0, M=M, Hhat=Hhat, provenance=provenance)
 
     @classmethod
     def from_json(cls, text: str) -> "EffectiveTensors":

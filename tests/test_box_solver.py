@@ -16,7 +16,12 @@ from hypothesis import given, settings, strategies as st
 
 import pnp_upscale
 from pnp_upscale import _fv
-from pnp_upscale.cellcorrect import SolverError, SpectralPCG
+from pnp_upscale.cellcorrect import (
+    SolverError,
+    SpectralPCG,
+    apply_periodic_operator,
+    harmonic_face_coefficients,
+)
 from pnp_upscale.macropnp import GridOperators, StepConfig
 from pnp_upscale.microdns import MicroState, assemble_micro_domain, run_micro
 from pnp_upscale.unitcell import PermittivityParams, build_unit_cell
@@ -217,6 +222,45 @@ def test_iteration_cap_and_breakdown_raise():
     box.apply = _fv.grid_matvec(-A)
     with pytest.raises(SolverError, match="breakdown"):
         box.solve(b, 1e-10)
+
+
+def non_finite_solvers():
+    """One solver per boundary kind on an 8^2 grid, and the two oracles."""
+    shape = (8, 8)
+    ops = GridOperators(shape, tensor=np.eye(2))
+    faces = harmonic_face_coefficients(np.ones(shape))
+    periodic = SpectralPCG(lambda v: apply_periodic_operator(v, faces, ops.h), shape,
+                           ops.h, np.ones(2), bc="periodic")
+    _, pinned, _ = poisson_pair(shape, tensor=np.eye(2))
+    _, factorized, _ = diffusion_pair(shape, 1e-3, 1.0, "dirichlet")
+    return {"periodic": periodic, "noflux": ops.poisson,
+            "dirichlet": ops.diffusion(1e-3, "dirichlet"),
+            "pinned": pinned, "factorized": factorized}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["cold rhs", "warm rhs", "start"])
+@pytest.mark.parametrize("system", ["periodic", "noflux", "dirichlet"])
+def test_non_finite_input_raises(system, where, bad):
+    # a NaN certificate compares false with the tolerance: the solve must
+    # not pass it, or return its start (or zeros) after 0 iterations
+    rng = np.random.default_rng(2)
+    b = rng.standard_normal((8, 8))
+    x0 = None if where == "cold rhs" else rng.standard_normal((8, 8))
+    (x0 if where == "start" else b)[3, 5] = bad
+    name = "start" if where == "start" else "right-hand side"
+    with pytest.raises(SolverError, match=f"non-finite {name}"):
+        non_finite_solvers()[system].solve(b, 1e-10, x0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("oracle", ["pinned", "factorized"])
+def test_oracles_reject_non_finite_residual(oracle, bad):
+    b = np.random.default_rng(3).standard_normal(64)
+    b[11] = bad
+    with pytest.raises(SolverError):
+        non_finite_solvers()[oracle].solve(b, 1e-10)
 
 
 def test_factorized_solver_certifies_its_residual():

@@ -1,6 +1,8 @@
+import csv
 import json
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from pnp_upscale.cli import main, initial_density_fields
 from pnp_upscale.config import ConfigError, load_config
 from pnp_upscale.fieldio import read_field, write_field
+from pnp_upscale.macropnp import GridOperators
 
 
 BASE_CFG = """\
@@ -274,6 +277,69 @@ def test_tensors_flag_only_for_macro(tmp_path, capsys, command):
         main([command, "--config", str(path), "--tensors", str(tmp_path / "t.json")])
     assert exc.value.code == 2
     assert "--tensors applies to macro only" in capsys.readouterr().err
+
+
+TENSORS = {"p": 0.8, "eps0": [[1.0, 0.0], [0.0, 1.0]], "M": [[0.5, 0.0], [0.0, 0.5]],
+           "Hhat": [[0.1, 0.0], [0.0, 0.1]]}
+EYE3 = np.eye(3).tolist()
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param(None, "No such file", id="missing-file"),
+    pytest.param("{not json", "Expecting property name", id="not-json"),
+    pytest.param(json.dumps([1, 2]), "not a JSON object", id="not-an-object"),
+    pytest.param(json.dumps({k: v for k, v in TENSORS.items() if k != "eps0"}),
+                 "missing key 'eps0'", id="no-eps0"),
+    pytest.param(json.dumps(dict(TENSORS, eps0="abc")), "malformed entry", id="non-numeric"),
+    pytest.param(json.dumps(dict(TENSORS, provenance=5)), "malformed entry", id="provenance"),
+    pytest.param(json.dumps(dict(TENSORS, eps0=EYE3, M=EYE3, Hhat=EYE3)),
+                 "3D tensors, cell.dim = 2", id="3x3-eps0"),
+    pytest.param(json.dumps(dict(TENSORS, eps0=[1.0, 2.0])), "not a square matrix",
+                 id="eps0-vector"),
+    pytest.param(json.dumps(dict(TENSORS, M=EYE3)), "M has shape (3, 3), eps0 (2, 2)",
+                 id="3x3-M"),
+    pytest.param(json.dumps(dict(TENSORS, p=7)), "p = 7.0 is outside (0, 1]", id="p-7"),
+    pytest.param(json.dumps(dict(TENSORS, p=float("nan"))), "p = nan is outside (0, 1]",
+                 id="p-nan"),
+    pytest.param(json.dumps(dict(TENSORS, Hhat=[[float("inf"), 0.0], [0.0, 0.1]])),
+                 "Hhat has non-finite entries", id="inf-Hhat"),
+])
+def test_unusable_tensors_file(tmp_path, base_config, capsys, text, message):
+    tensors = tmp_path / "tensors.json"
+    if text is not None:
+        tensors.write_text(text)
+    args = ["macro", "--config", str(base_config), "--out", str(tmp_path / "out")]
+    assert main(args + ["--tensors", str(tensors)]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert f"tensors file {tensors}: " in record["message"] and message in record["message"]
+    # the same file with the usable tensors runs
+    tensors.write_text(json.dumps(TENSORS))
+    assert main(args + ["--tensors", str(tensors)]) == 0
+
+
+def test_micro_makes_no_wasted_potential_solve(tmp_path, monkeypatch):
+    # each DNS step solves its potential once per Picard iteration plus
+    # once for the accepted densities; nothing else solves one
+    solves = Counter()
+    potential = GridOperators.potential
+
+    def counting(self, *args, **kwargs):
+        solves[self.shape[0]] += 1
+        return potential(self, *args, **kwargs)
+
+    monkeypatch.setattr(GridOperators, "potential", counting)
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "cell.kind = disc\ncell.dim = 2\ncell.resolution = 8\ncell.radius = 0.25\n"
+        "physics.alpha = 4.0\nmacro.dt = 1e-3\nmacro.t_end = 3e-3\nmicro.s = 1/2 1/4\n"
+    )
+    assert main(["micro", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    expected = Counter()
+    for tiles in (2, 4):
+        with open(tmp_path / "out" / f"s_{tiles}" / "diagnostics.csv") as f:
+            expected[8 * tiles] = sum(int(row["picard_iters"]) + 1 for row in csv.DictReader(f))
+    assert solves == expected
 
 
 def test_exit_code_solver_failure(tmp_path, capsys):

@@ -204,9 +204,7 @@ def test_reconstruction_zero_correctors_is_interpolation():
     Mx = 16
     X, Y = grid2(Mx)
     macro = MacroState(u1=1 + 0.2 * X, u2=1 - 0.1 * Y, u3=np.sin(np.pi * X))
-    tensors = EffectiveTensors(dim=2, p=1.0, eps0=np.eye(2), M=np.eye(2),
-                               Hhat=np.zeros((2, 2)))
-    recon = reconstruct_two_scale(macro, _zero_correctors(m), tensors, dom)
+    recon = reconstruct_two_scale(macro, _zero_correctors(m), dom)
     phi_interp = interpolate_to_fine(macro.u3, dom.mask.shape)
     assert np.allclose(recon.phi, phi_interp - phi_interp.mean(), atol=1e-14)
     assert np.allclose(recon.nplus, interpolate_to_fine(macro.u1, dom.mask.shape), atol=1e-14)
@@ -225,9 +223,7 @@ def test_reconstruction_constant_macro_potential():
     )
     macro = MacroState(u1=np.full((Mx, Mx), 2.0), u2=np.ones((Mx, Mx)),
                        u3=np.full((Mx, Mx), 3.0))
-    tensors = EffectiveTensors(dim=2, p=1.0, eps0=np.eye(2), M=np.eye(2),
-                               Hhat=np.zeros((2, 2)))
-    recon = reconstruct_two_scale(macro, correctors, tensors, dom)
+    recon = reconstruct_two_scale(macro, correctors, dom)
     # constant macro potential: every corrector term carries a zero gradient
     assert np.abs(recon.phi).max() < 1e-13
     assert np.allclose(recon.nplus[dom.mask], 2.0)
@@ -243,10 +239,8 @@ def test_reconstruction_missing_zeta_warns(caplog):
                        u3=np.zeros((16, 16)))
     correctors = CorrectorSet(xi3=np.zeros((2, m, m)), eta=np.zeros((2, m, m)),
                               zeta3=None)
-    tensors = EffectiveTensors(dim=2, p=1.0, eps0=np.eye(2), M=np.eye(2),
-                               Hhat=np.zeros((2, 2)))
     with caplog.at_level(logging.WARNING):
-        reconstruct_two_scale(macro, correctors, tensors, dom)
+        reconstruct_two_scale(macro, correctors, dom)
     assert any("second-order" in rec.message for rec in caplog.records)
 
 
