@@ -36,7 +36,7 @@ from ._fv import (
     grid_matvec,
 )
 from .cellcorrect import SolverError, SpectralPCG
-from .upscale import EffectiveTensors
+from .upscale import EffectiveTensors, eps0_defect
 
 logger = logging.getLogger(__name__)
 
@@ -150,12 +150,9 @@ class GridOperators:
             tensor = np.asarray(tensor, dtype=float)
             if tensor.shape != (N, N):
                 raise ValueError(f"eps0 must be {N}x{N} for a {N}D grid")
-            asym = np.abs(tensor - tensor.T).max()
-            if asym > 1e-8 * max(np.abs(tensor).max(), 1e-300):
-                raise ValueError("eps0 is not symmetric")
-            eigs = np.linalg.eigvalsh(0.5 * (tensor + tensor.T))
-            if eigs.min() <= 0.0:
-                raise ValueError(f"eps0 is not positive definite (eigenvalues {eigs})")
+            defect = eps0_defect(tensor)
+            if defect:
+                raise ValueError(defect)
         self.h = 1.0 / self.shape[0]
         self.p = p
         self.tensor = tensor
@@ -216,10 +213,46 @@ def solve_macro_poisson(u1: np.ndarray, u2: np.ndarray, eps0: np.ndarray,
     return GridOperators(u1.shape, p, tensor=eps0).potential(u1, u2, tol)
 
 
-def _drift_divergence(v: np.ndarray, u3: np.ndarray, A: np.ndarray, h: float,
-                      z: float, bc: str, scheme: str,
+def _face_velocities(u3: np.ndarray, A: np.ndarray, h: float, bc: str):
+    """Face velocities (A grad u3).n of a z = +1 species; species r moves
+    with z_r times them.  Computed once per Picard iteration.
+
+    Returns (faces, walls): per axis the velocity on the interior faces,
+    and, for Dirichlet densities with a real off-diagonal in ``A``, per axis
+    the cross velocities on the low and high domain boundary (else None).
+    The normal potential gradient vanishes on the boundary (Neumann), so
+    only the tangential cross terms drive flux through it.
+    """
+    N = u3.ndim
+    offdiag = _significant_offdiag(A)
+    grads = cell_gradients(u3, h) if offdiag else None
+    cross = [[d2 for d2 in range(N) if d2 != d and A[d, d2] != 0.0] for d in range(N)]
+    faces = []
+    for d, (lo, hi) in enumerate(_face_slices(N)):
+        vel = A[d, d] * (u3[hi] - u3[lo]) / h
+        if offdiag:
+            for d2 in cross[d]:
+                vel = vel + A[d, d2] * 0.5 * (grads[d2][lo] + grads[d2][hi])
+        faces.append(vel)
+    if bc != "dirichlet" or not offdiag:
+        return faces, None
+    walls = []
+    for d in range(N):
+        pair = []
+        for side in (0, u3.shape[d] - 1):
+            face = _along(N, d, side)
+            velb = np.zeros_like(u3[face], dtype=float)
+            for d2 in cross[d]:
+                velb = velb + A[d, d2] * grads[d2][face]
+            pair.append(velb)
+        walls.append(pair)
+    return faces, walls
+
+
+def _drift_divergence(v: np.ndarray, velocities, z: float, h: float, scheme: str,
                       open_faces=None) -> np.ndarray:
-    """div of the advective flux z * v * (A grad u3), face-based.
+    """div of the advective flux z * v * (A grad u3), face-based, from the
+    ``_face_velocities`` of u3.
 
     Upwinding follows the sign of the face velocity z * (A grad u3).n; the
     central option averages the two cell densities.  Dirichlet boundaries see
@@ -227,17 +260,11 @@ def _drift_divergence(v: np.ndarray, u3: np.ndarray, A: np.ndarray, h: float,
     With ``open_faces`` (per-axis boolean face masks) the flux through closed
     faces is zero.
     """
+    faces, walls = velocities
     N = v.ndim
     div = np.zeros_like(v)
-    offdiag = _significant_offdiag(A)
-    grads = cell_gradients(u3, h) if offdiag else None
     for d, (lo, hi) in enumerate(_face_slices(N)):
-        vel = z * A[d, d] * (u3[hi] - u3[lo]) / h
-        if offdiag:
-            for d2 in range(N):
-                if d2 == d or A[d, d2] == 0.0:
-                    continue
-                vel = vel + z * A[d, d2] * 0.5 * (grads[d2][lo] + grads[d2][hi])
+        vel = z * faces[d]
         if scheme == "upwind":
             vup = np.where(vel > 0.0, v[lo], v[hi])
         else:
@@ -247,54 +274,68 @@ def _drift_divergence(v: np.ndarray, u3: np.ndarray, A: np.ndarray, h: float,
             F = np.where(open_faces[d], F, 0.0)
         div[lo] += F / h
         div[hi] -= F / h
-        if bc == "dirichlet" and offdiag:
-            # normal potential gradient vanishes (Neumann), so only the
-            # tangential cross-terms drive flux through the domain boundary
-            for side, sign in ((0, -1.0), (v.shape[d] - 1, +1.0)):
-                face = _along(N, d, side)
-                velb = np.zeros_like(v[face], dtype=float)
-                for d2 in range(N):
-                    if d2 == d or A[d, d2] == 0.0:
-                        continue
-                    velb = velb + z * A[d, d2] * grads[d2][face]
-                outflow = velb * sign > 0.0  # leaving the domain
-                if scheme == "upwind":
-                    F_b = np.where(outflow, velb * v[face], 0.0)
-                else:
-                    F_b = velb * 0.5 * v[face]
-                div[face] += sign * F_b / h
+        if walls is None:
+            continue
+        for side, sign, velb in zip((0, v.shape[d] - 1), (-1.0, +1.0), walls[d]):
+            face = _along(N, d, side)
+            velb = z * velb
+            outflow = velb * sign > 0.0  # leaving the domain
+            if scheme == "upwind":
+                F_b = np.where(outflow, velb * v[face], 0.0)
+            else:
+                F_b = velb * 0.5 * v[face]
+            div[face] += sign * F_b / h
     return div
 
 
-def picard_step(ops: GridOperators, v, base, A: np.ndarray, dt: float,
+def linear_predictor(v, u3, v_prev, u3_prev):
+    """Start of the next Picard loop from the last two accepted steps: the
+    linear extrapolation ([max(2 v - v_prev, 0) per species], 2 u3 - u3_prev).
+
+    The clip keeps the lagged densities of the first Picard iteration
+    nonnegative for the upwind drift.  Each u3 must be the potential of its
+    step's densities, so that the extrapolated potential is, by linearity,
+    close to that of the extrapolated densities."""
+    return ([np.maximum(2.0 * a - b, 0.0) for a, b in zip(v, v_prev)],
+            2.0 * u3 - u3_prev)
+
+
+def picard_step(ops: GridOperators, v, u3, base, A: np.ndarray, dt: float,
                 cfg: StepConfig):
     """Fixed-point loop of one implicit step on the grid of ``ops``.
 
-    ``v`` holds the two densities at the start of the step, ``base`` the
-    previous-step terms of the two right-hand sides, ``A`` the drift tensor.
-    Each iteration solves the potential from the lagged densities, then the
-    implicit diffusion of each species with the lagged drift, until the max
-    L2 increment drops below cfg.picard_tol.  Every CG solve after the first
-    potential starts from the previous iterate: the potential from the last
-    u3, species r from the lagged v[r], so solves get cheaper as the loop
+    ``v`` and ``u3`` are the start: the first lagged densities and the CG
+    start of the first potential.  The steppers pass the step's initial
+    state, or a predictor extrapolated from the last two accepted states;
+    the loop converges to the same fixed point either way.
+    ``base`` holds the previous-step terms of the two right-hand sides, ``A``
+    the drift tensor.  Each iteration solves the potential from the lagged
+    densities, computes the face velocities of that potential once, then
+    solves the implicit diffusion of each species with the lagged drift,
+    until the max L2 increment drops below cfg.picard_tol.  Every CG solve
+    starts from the previous iterate: the potential from the last u3,
+    species r from the lagged v[r], so solves get cheaper as the loop
     contracts.  A warm solve stops once its certificate passes, so an
     increment may understate the true one by up to the solve's certified
     error.  The grid's solvers are built on first use, the Poisson solver
     first: its assembly needs the most scratch memory.  Reaching the cap
-    raises with advice to reduce dt.  Returns ([u1, u2], u3, StepInfo).
+    raises with advice to reduce dt.  Returns ([u1, u2], u3, StepInfo),
+    where u3 is the potential of the returned densities.
     """
     increments: list[float] = []
     iters = 0
-    u3 = None
     for iters in range(1, cfg.picard_cap + 1):
         u3 = ops.potential(v[0], v[1], cfg.lin_tol, u3)
-        new = []
-        for r, z in enumerate(Z_CHARGES):
-            rhs = base[r] - _drift_divergence(v[r], u3, A, ops.h, z, cfg.bc,
-                                              cfg.drift, ops.open_faces)
-            if ops.solid is not None:
-                rhs[ops.solid] = 0.0
-            new.append(ops.diffusion(dt, cfg.bc).solve(rhs, cfg.lin_tol, v[r])[0])
+        velocities = _face_velocities(u3, A, ops.h, cfg.bc)
+        rhs = [base[r] - _drift_divergence(v[r], velocities, z, ops.h, cfg.drift,
+                                           ops.open_faces)
+               for r, z in enumerate(Z_CHARGES)]
+        del velocities  # one array per axis, not kept through the solves
+        if ops.solid is not None:
+            for b in rhs:
+                b[ops.solid] = 0.0
+        new = [ops.diffusion(dt, cfg.bc).solve(b, cfg.lin_tol, w)[0] for b, w in zip(rhs, v)]
+        del rhs
         inc = max(
             float(np.sqrt(np.mean((new[r] - v[r]) ** 2))) for r in range(2)
         )
@@ -318,18 +359,23 @@ def picard_step(ops: GridOperators, v, base, A: np.ndarray, dt: float,
 
 
 def step_macro_pnp(state: MacroState, tensors: EffectiveTensors,
-                   cfg: MacroConfig, ops: GridOperators | None = None):
+                   cfg: MacroConfig, ops: GridOperators | None = None,
+                   start=None):
     """One accepted time step; returns (new_state, StepInfo).
 
     ``ops`` are the grid's operators, ``GridOperators(shape, tensors.p,
-    tensor=tensors.eps0)``; without them the step builds its own.
+    tensor=tensors.eps0)``; without them the step builds its own.  ``start``
+    is the ([u1, u2], u3) start of the Picard loop, as ``linear_predictor``
+    makes it; without it the loop starts from ``state``, its first potential
+    from ``state.u3``.
     """
     if ops is None:
         ops = GridOperators(state.u1.shape, tensors.p, tensor=tensors.eps0)
     p = tensors.p
     A_drift = np.asarray(tensors.Hhat, dtype=float) - np.asarray(tensors.M, dtype=float)
     base = [p / cfg.dt * state.u1, p / cfg.dt * state.u2]
-    v, u3, info = picard_step(ops, [state.u1, state.u2], base, A_drift, cfg.dt, cfg)
+    v, u3 = start if start is not None else ([state.u1, state.u2], state.u3)
+    v, u3, info = picard_step(ops, v, u3, base, A_drift, cfg.dt, cfg)
     return MacroState(u1=v[0], u2=v[1], u3=u3, t=state.t + cfg.dt), info
 
 
@@ -416,7 +462,11 @@ def run_macro(cfg: MacroConfig, tensors: EffectiveTensors, init: MacroState,
 
     Returns (snapshots, rows) where snapshots is a list of (t, MacroState)
     at the configured times plus the final state.  The grid's operators and
-    solvers are built once for the whole run.
+    solvers are built once for the whole run.  The first step starts from
+    ``init`` (its first potential from ``init.u3``), the second from the
+    first accepted state, whose potential is that of its densities; every
+    later step starts from the linear predictor of the last two accepted
+    states.
     """
     n_steps = int(round(cfg.t_end / cfg.dt))
     if n_steps < 1:
@@ -427,8 +477,13 @@ def run_macro(cfg: MacroConfig, tensors: EffectiveTensors, init: MacroState,
     rows: list[DiagnosticsRow] = []
     snapshots: list[tuple[float, MacroState]] = []
     pending = sorted(snapshot_times)
-    for _ in range(n_steps):
-        state, info = step_macro_pnp(state, tensors, cfg, ops=ops)
+    start = None
+    for k in range(n_steps):
+        new, info = step_macro_pnp(state, tensors, cfg, ops=ops, start=start)
+        # init.u3 need not be the potential of init's densities: no predictor from it
+        start = linear_predictor([new.u1, new.u2], new.u3,
+                                 [state.u1, state.u2], state.u3) if k else None
+        state = new
         rows.append(
             DiagnosticsRow(
                 t=state.t,

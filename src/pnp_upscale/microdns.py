@@ -26,7 +26,8 @@ from scipy.ndimage import map_coordinates
 # attributes of this module because perfbench/tracing.py wraps them here.
 from ._fv import assemble_diffusion_matrix, assemble_neumann_operator  # noqa: F401
 from .cellcorrect import CorrectorSet
-from .macropnp import GridOperators, MacroState, StepConfig, Z_CHARGES, picard_step
+from .macropnp import (GridOperators, MacroState, StepConfig, Z_CHARGES,
+                       linear_predictor, picard_step)
 from .unitcell import PermittivityParams, UnitCell
 
 logger = logging.getLogger(__name__)
@@ -108,31 +109,45 @@ def solve_micro_poisson(dom: MicroDomain, nplus: np.ndarray, nminus: np.ndarray,
 
 
 def step_micro_pnp(state: MicroState, dom: MicroDomain, dt: float,
-                   cfg: StepConfig):
+                   cfg: StepConfig, start=None):
     """One IMEX step of the microscopic system; returns (state, StepInfo as a dict).
 
     The same Picard stepper as the macroscopic model, with the physical
     drift velocity -z grad phi (drift tensor -I) restricted to fluid faces.
     Boundary faces carry no advective flux: the potential is Neumann there,
-    so the normal velocity vanishes.
+    so the normal velocity vanishes.  ``start`` is the ([nplus, nminus], phi)
+    start of the Picard loop, as ``macropnp.linear_predictor`` makes it;
+    without it the loop starts from ``state``, its first potential from
+    ``state.phi``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     base = [state.nplus / dt, state.nminus / dt]
-    v, phi, info = picard_step(dom.ops, [state.nplus, state.nminus], base,
-                               -np.eye(dom.dim), dt, cfg)
+    v, phi = start if start is not None else ([state.nplus, state.nminus], state.phi)
+    v, phi, info = picard_step(dom.ops, v, phi, base, -np.eye(dom.dim), dt, cfg)
     new_state = MicroState(nplus=v[0], nminus=v[1], phi=phi, t=state.t + dt)
     return new_state, dataclasses.asdict(info)
 
 
 def run_micro(dom: MicroDomain, init: MicroState, dt: float, n_steps: int,
               cfg: StepConfig):
-    """March the DNS n_steps; returns (final state, diagnostics rows)."""
+    """March the DNS n_steps; returns (final state, diagnostics rows).
+
+    Steps start as in ``macropnp.run_macro``: the first from ``init``, the
+    second from the first accepted state, every later one from the linear
+    predictor of the last two accepted states.  Only the predictor outlives
+    the older state, so a step keeps one extra set of fields alive.
+    """
     vol = 1.0 / dom.mask.size
     state = init
+    start = None
     rows = []
-    for _ in range(n_steps):
-        state, info = step_micro_pnp(state, dom, dt, cfg)
+    for k in range(n_steps):
+        new, info = step_micro_pnp(state, dom, dt, cfg, start=start)
+        # init.phi need not be the potential of init's densities: no predictor from it
+        start = linear_predictor([new.nplus, new.nminus], new.phi,
+                                 [state.nplus, state.nminus], state.phi) if k else None
+        state = new
         rows.append(
             {
                 "t": state.t,

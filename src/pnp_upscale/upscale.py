@@ -34,6 +34,18 @@ SYMMETRY_RTOL = 1e-8
 BOUNDS_SLACK = 1e-6
 
 
+def eps0_defect(eps0: np.ndarray) -> str | None:
+    """Why a finite square eps0 cannot make a Poisson operator, or None: an
+    asymmetry above 1e-8 of its largest entry, or an eigenvalue <= 0."""
+    asym = np.abs(eps0 - eps0.T).max()
+    if asym > 1e-8 * max(np.abs(eps0).max(), 1e-300):
+        return "eps0 is not symmetric"
+    eigs = np.linalg.eigvalsh(0.5 * (eps0 + eps0.T))
+    if eigs.min() <= 0.0:
+        return f"eps0 is not positive definite (eigenvalues {eigs})"
+    return None
+
+
 @dataclass(eq=False)
 class EffectiveTensors:
     """Upscaled material data for the macroscopic model.
@@ -66,8 +78,9 @@ class EffectiveTensors:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "EffectiveTensors":
-        """Raises ConfigError unless every key is present, 0 < p <= 1 and
-        eps0, M and Hhat are finite and share one square shape."""
+        """Raises ConfigError unless every key is present, 0 < p <= 1,
+        eps0, M and Hhat are finite and share one square shape, and eps0 is
+        symmetric positive definite (``eps0_defect``)."""
         if not isinstance(data, dict):
             raise ConfigError(["not a JSON object"])
         missing = [key for key in ("p", "eps0", "M", "Hhat") if key not in data]
@@ -89,6 +102,9 @@ class EffectiveTensors:
                 errors.append(f"{name} has non-finite entries")
         if errors:
             raise ConfigError(errors)
+        defect = eps0_defect(eps0)
+        if defect:
+            raise ConfigError([defect])
         return cls(dim=eps0.shape[0], p=p, eps0=eps0, M=M, Hhat=Hhat, provenance=provenance)
 
     @classmethod

@@ -354,3 +354,58 @@ def assemble_diffusion_matrix(shape, h, dt, p, bc, mask=None) -> sp.csr_matrix:
         shape=(n, n),
     )
     return A.tocsr()
+
+
+# --- drift divergence, one species at a time --------------------------------
+
+
+def drift_divergence(v, u3, A, h, z, bc, scheme, open_faces=None):
+    """div of the advective flux z * v * (A grad u3), each face velocity
+    computed for this species alone, as the stepper did before it shared one
+    set of face velocities between the two species.
+
+    Upwinding follows the sign of z * (A grad u3).n; central averages the two
+    cell densities.  Dirichlet boundaries see exterior density zero and only
+    the tangential cross terms push flux through them; no-flux zeroes every
+    boundary flux.  Closed faces (``open_faces`` False) carry no flux.
+    """
+    N = v.ndim
+
+    def along(d, key):
+        return tuple(key if k == d else slice(None) for k in range(N))
+
+    div = np.zeros_like(v)
+    offdiag = _significant_offdiag(A)
+    grads = [np.gradient(u3, h, axis=d, edge_order=1) for d in range(N)] if offdiag else None
+    for d in range(N):
+        lo, hi = along(d, slice(0, -1)), along(d, slice(1, None))
+        vel = z * A[d, d] * (u3[hi] - u3[lo]) / h
+        if offdiag:
+            for d2 in range(N):
+                if d2 == d or A[d, d2] == 0.0:
+                    continue
+                vel = vel + z * A[d, d2] * 0.5 * (grads[d2][lo] + grads[d2][hi])
+        if scheme == "upwind":
+            vup = np.where(vel > 0.0, v[lo], v[hi])
+        else:
+            vup = 0.5 * (v[lo] + v[hi])
+        F = vel * vup
+        if open_faces is not None:
+            F = np.where(open_faces[d], F, 0.0)
+        div[lo] += F / h
+        div[hi] -= F / h
+        if bc == "dirichlet" and offdiag:
+            for side, sign in ((0, -1.0), (v.shape[d] - 1, +1.0)):
+                face = along(d, side)
+                velb = np.zeros_like(v[face], dtype=float)
+                for d2 in range(N):
+                    if d2 == d or A[d, d2] == 0.0:
+                        continue
+                    velb = velb + z * A[d, d2] * grads[d2][face]
+                outflow = velb * sign > 0.0
+                if scheme == "upwind":
+                    F_b = np.where(outflow, velb * v[face], 0.0)
+                else:
+                    F_b = velb * 0.5 * v[face]
+                div[face] += sign * F_b / h
+    return div

@@ -303,6 +303,10 @@ EYE3 = np.eye(3).tolist()
                  id="p-nan"),
     pytest.param(json.dumps(dict(TENSORS, Hhat=[[float("inf"), 0.0], [0.0, 0.1]])),
                  "Hhat has non-finite entries", id="inf-Hhat"),
+    pytest.param(json.dumps(dict(TENSORS, eps0=[[1.0, 0.5], [0.0, 1.0]])),
+                 "eps0 is not symmetric", id="asymmetric-eps0"),
+    pytest.param(json.dumps(dict(TENSORS, eps0=[[1.0, 0.0], [0.0, -1.0]])),
+                 "eps0 is not positive definite", id="indefinite-eps0"),
 ])
 def test_unusable_tensors_file(tmp_path, base_config, capsys, text, message):
     tensors = tmp_path / "tensors.json"

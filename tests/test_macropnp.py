@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pnp_upscale import macropnp
+from pnp_upscale._fv import _face_slices
 from pnp_upscale.cellcorrect import SolverError
 from pnp_upscale.macropnp import (
     DiagnosticsRow,
@@ -211,13 +212,52 @@ def test_drift_ignores_rounding_noise_off_the_diagonal(dim, bc, scheme, monkeypa
     diag = np.diag(rng.uniform(-1.0, 1.0, dim))
     noisy = diag + 1e-18 * (1.0 - np.eye(dim))
     h = 1.0 / m
-    ref = macropnp._drift_divergence(v, u3, diag, h, 1.0, bc, scheme)
-    out = macropnp._drift_divergence(v, u3, noisy, h, 1.0, bc, scheme)
+
+    def drift(A):
+        return macropnp._drift_divergence(v, macropnp._face_velocities(u3, A, h, bc),
+                                          1.0, h, scheme)
+
+    ref = drift(diag)
+    out = drift(noisy)
     assert out.tobytes() == ref.tobytes()
     assert not calls
     cross = diag + 0.1 * (1.0 - np.eye(dim))
-    out = macropnp._drift_divergence(v, u3, cross, h, 1.0, bc, scheme)
+    out = drift(cross)
     assert calls and not np.array_equal(out, ref)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("bc", ["dirichlet", "noflux"])
+@pytest.mark.parametrize("scheme", ["upwind", "central"])
+@pytest.mark.parametrize("tensor", ["diagonal", "full"])
+@pytest.mark.parametrize("masked", [False, True], ids=["box", "open-faces"])
+def test_shared_face_velocities_match_the_per_species_drift(dim, bc, scheme, tensor,
+                                                            masked):
+    # one set of face velocities per Picard iteration serves both species:
+    # z = -1 sees their exact negation, so the drift is bitwise the one
+    # computed species by species
+    m = 6
+    rng = np.random.default_rng([dim, masked])
+    u3 = rng.standard_normal((m,) * dim)
+    A = np.diag(rng.uniform(-1.0, 1.0, dim))
+    if tensor == "full":
+        A = A + rng.uniform(-0.5, 0.5, (dim, dim))
+    open_faces = None
+    if masked:
+        mask = rng.random((m,) * dim) > 0.3
+        open_faces = [mask[lo] & mask[hi] for lo, hi in _face_slices(dim)]
+    h = 1.0 / m
+    calls = []
+    gradients = macropnp.cell_gradients
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(macropnp, "cell_gradients", lambda *a: calls.append(1) or gradients(*a))
+        velocities = macropnp._face_velocities(u3, A, h, bc)
+    assert len(calls) == (tensor == "full")
+    for z in (1.0, -1.0):
+        v = 1.0 + rng.random((m,) * dim)
+        out = macropnp._drift_divergence(v, velocities, z, h, scheme, open_faces)
+        ref = oracles.drift_divergence(v, u3, A, h, z, bc, scheme, open_faces)
+        assert out.tobytes() == ref.tobytes()
 
 
 def test_config_validation():
