@@ -13,7 +13,8 @@ macro grid, and p on open fluid faces (0 on closed ones) for the
 densities, whose diagonal adds p/dt and the Dirichlet ghost-cell penalty.
 Each matrix is assembled once and solved by ``cellcorrect.SpectralPCG``,
 the solver of the periodic cell problems, with a constant-coefficient box
-preconditioner diagonalized by DCT-II or DST-II.  The SuperLU solvers
+preconditioner diagonalized by DCT-II or DST-II, in float32 on the DNS
+grids and float64 on the macro grid.  The SuperLU solvers
 ``PinnedNeumannSolver`` and ``FactorizedSolver`` are its test oracles only,
 with the same solve contract; no grid of the program factorizes.
 """

@@ -24,7 +24,11 @@ preconditioner to the fluid.  The search directions stay in the subspace,
 so the iterate is projected once, at the end.  The system is consistent iff
 the right-hand side sums to zero.  The same class, with a DCT or DST in
 place of the FFT, solves every box grid of the macro run and the DNS
-(``macropnp.GridOperators``).
+(``macropnp.GridOperators``).  The cell problems keep the preconditioner in
+float64, since their outputs are the stored tensors; only the DNS grids
+apply it in float32, which the flexible CG kernel ``pcg`` tolerates.  Every
+solve stops at a certificate, and raises ``SolverError`` when it stagnates
+(``STALL_WINDOW``) or reaches its iteration cap.
 """
 
 from __future__ import annotations
@@ -48,9 +52,12 @@ COMPAT_RTOL = 1e-10
 DEFAULT_TOL = 1e-10
 ITER_CAP_FACTOR = 50  # iteration cap = factor * resolution
 
+#: CG stops as stagnated once its certificate has not halved in this many iterations
+STALL_WINDOW = 100
+
 
 class SolverError(RuntimeError):
-    """Linear solve failed: incompatible system or iteration cap reached."""
+    """Linear solve failed: incompatible system, stagnation or iteration cap."""
 
 
 @dataclass(eq=False)
@@ -149,20 +156,29 @@ def inverse_symbol(angles, h: float, scale, shift: float = 0.0) -> np.ndarray:
 
 def pcg(apply, precondition, certify, b: np.ndarray, x: np.ndarray, r: np.ndarray,
         tol: float, max_iter: int):
-    """Preconditioned CG from the iterate x with residual r = b - apply(x).
+    """Flexible preconditioned CG from the iterate x with residual r = b - apply(x).
 
     ``precondition`` must keep z in the subspace the system lives on (the
     projection is its caller's business), so the search directions stay in
-    it.  ``certify(r, x)`` is the stopping measure; once the recurrence
-    residual passes it, the true residual b - apply(x) must pass too, or CG
-    restarts from the true residual.  Returns (x, certificate, iterations);
-    raises ``SolverError`` on breakdown or after ``max_iter`` iterations.
+    it.  It may be inexact, such as a transform in single precision: beta
+    is the Polak-Ribiere z+ . (r+ - r) / (z . r), which keeps CG convergent
+    under a slightly non-symmetric or varying preconditioner (Golub & Ye,
+    SIAM J. Sci. Comput. 21 (1999) 1305; Notay, ibid. 22 (2000) 1444) and
+    equals the z+ . r+ / (z . r) of plain PCG in exact arithmetic.  It is
+    computed as -alpha z+ . Ap, since r+ - r = -alpha Ap: one dot product
+    more per iteration and no stored residual.  ``certify(r, x)`` is the
+    stopping measure; once the recurrence residual passes it, the true
+    residual b - apply(x) must pass too, or CG restarts from the true
+    residual.  Returns (x, certificate, iterations); raises ``SolverError``
+    on breakdown, when the certificate has not halved in ``STALL_WINDOW``
+    iterations, or after ``max_iter`` iterations.
     """
     if not r.any():
         return x, 0.0, 0
     z = precondition(r)
     p = z.copy()
     rz = float(np.vdot(r, z))
+    mark, mark_it = np.inf, 0  # the last certificate that halved its predecessor
     for it in range(1, max_iter + 1):
         Ap = apply(p)
         pAp = float(np.vdot(p, Ap))
@@ -171,19 +187,25 @@ def pcg(apply, precondition, certify, b: np.ndarray, x: np.ndarray, r: np.ndarra
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        if certify(r, x) <= tol:
+        res = certify(r, x)
+        restart = res <= tol
+        if restart:
             r = b - apply(x)
             res = certify(r, x)
             if res <= tol:
                 return x, res, it
             # the recurrence drifted from the true residual: restart from it
-            z = precondition(r)
-            p = z.copy()
-            rz = float(np.vdot(r, z))
-            continue
+        if res <= 0.5 * mark:
+            mark, mark_it = res, it
+        elif it - mark_it >= STALL_WINDOW:
+            raise SolverError(
+                f"CG stagnated: certificate {mark:.3e} not halved in {STALL_WINDOW} "
+                f"iterations (tol {tol:.1e})"
+            )
         z = precondition(r)
         rz_new = float(np.vdot(r, z))
-        p = z + (rz_new / rz) * p
+        beta = 0.0 if restart else -alpha * float(np.vdot(z, Ap)) / rz
+        p = z + beta * p
         rz = rz_new
     res = certify(b - apply(x), x)
     raise SolverError(
@@ -200,7 +222,13 @@ class SpectralPCG:
     preconditioner (``inverse_symbol``): ``numpy.fft.rfftn`` for
     ``periodic``, the type-2 DCT for ``noflux`` and the type-2 DST for
     ``dirichlet`` ghost-cell faces, from scipy.fft, imported only here.
-    Without a shift a periodic or no-flux system is singular.  One
+    With ``single`` the transforms and the symbol run in float32, which
+    halves the cost of a 256^2 DST pair; the residual is cast down before
+    them and the result back up after, and everything else (the projection,
+    the iterate, the matvec, the certificate, the restart and
+    ``check_mean_zero``) stays float64, so only the convergence rate of the
+    flexible ``pcg`` feels the rounding, not the result.  Without a shift a
+    periodic or no-flux system is singular.  One
     projection follows every preconditioner application: the mean over the
     active cells out when singular, the cells outside ``mask`` zeroed.  A
     singular system's right-hand side and result are projected as well, and
@@ -218,7 +246,8 @@ class SpectralPCG:
     """
 
     def __init__(self, apply, shape, h: float, scale, shift: float = 0.0,
-                 bc: str = "noflux", mask=None, norm_A: float = 0.0):
+                 bc: str = "noflux", mask=None, norm_A: float = 0.0,
+                 single: bool = False):
         if bc not in ("periodic", "noflux", "dirichlet"):
             raise ValueError(f"unknown bc {bc!r}")
         self.apply = apply
@@ -246,7 +275,8 @@ class SpectralPCG:
             name = "dstn" if dirichlet else "dctn"
             self._forward = partial(getattr(scipy.fft, name), type=2, norm="ortho")
             self._inverse = partial(getattr(scipy.fft, "i" + name), type=2, norm="ortho")
-        self.inv_symbol = inverse_symbol(angles, h, scale, shift)
+        self.inv_symbol = inverse_symbol(angles, h, scale, shift).astype(
+            np.float32 if single else float, copy=False)
 
     def _mean(self, v: np.ndarray):
         return v.mean() if self.mask is None else np.vdot(v, self.weight) / self.active
@@ -259,9 +289,9 @@ class SpectralPCG:
         return v
 
     def _precondition(self, r: np.ndarray) -> np.ndarray:
-        z = self._forward(r)
+        z = self._forward(r.astype(self.inv_symbol.dtype, copy=False))
         z *= self.inv_symbol
-        return self._project(self._inverse(z))
+        return self._project(self._inverse(z).astype(float, copy=False))
 
     def solve(self, b: np.ndarray, tol: float, x0: np.ndarray | None = None):
         shape_b = np.shape(b)

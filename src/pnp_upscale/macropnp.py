@@ -135,9 +135,14 @@ class GridOperators:
     solves with ``cellcorrect.SpectralPCG``, as the cell problems do; the
     Poisson preconditioner takes the scale diag(tensor) on the macro grid
     and 1 on the DNS grid, and its certificate is the backward error with
-    ||A||_inf.  Nothing is factorized, so memory grows linearly with the
-    cell count.  With a fluid ``mask`` the densities live on fluid cells
-    only: diffusion and drift use only the faces between two fluid cells.
+    ||A||_inf.  The per-cell operators of the DNS grid, the Poisson with
+    ``coef`` and the diffusion with ``mask``, apply their preconditioner in
+    float32, which halves the transform cost; the macro grid keeps float64,
+    whose transform inverts its constant-coefficient operators exactly, so
+    they solve in one iteration.  Nothing is factorized, so memory grows
+    linearly with the cell count.  With a fluid ``mask`` the densities live
+    on fluid cells only: diffusion and drift use only the faces between two
+    fluid cells.
     """
 
     def __init__(self, shape, p: float = 1.0, *, tensor=None, coef=None,
@@ -169,7 +174,7 @@ class GridOperators:
                                       coef=self.coef)
         scale = np.ones(len(self.shape)) if self.tensor is None else np.diag(self.tensor)
         return SpectralPCG(grid_matvec(A), self.shape, self.h, scale,
-                           norm_A=spla.norm(A, np.inf))
+                           norm_A=spla.norm(A, np.inf), single=self.coef is not None)
 
     def diffusion(self, dt: float, bc: str) -> SpectralPCG:
         key = (float(dt), bc)
@@ -179,7 +184,7 @@ class GridOperators:
                                           mask=self.mask)
             solver = SpectralPCG(grid_matvec(A), self.shape, self.h,
                                  np.full(len(self.shape), self.p), shift=self.p / dt,
-                                 bc=bc, mask=self.mask)
+                                 bc=bc, mask=self.mask, single=self.mask is not None)
             self._diffusion[key] = solver
         return solver
 

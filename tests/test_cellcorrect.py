@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from pnp_upscale import cellcorrect
 from pnp_upscale.cellcorrect import (
+    STALL_WINDOW,
     PeriodicEllipticProblem,
     SolverError,
     _solve_periodic,
@@ -128,12 +129,12 @@ def spd_system(n=12, seed=3):
     return G @ G.T + n * np.eye(n), rng.standard_normal(n)
 
 
-def kernel_solve(A, b, max_iter=100, certify=None, tol=1e-12):
+def kernel_solve(A, b, max_iter=100, certify=None, tol=1e-12, precondition=np.copy):
     if certify is None:
         def certify(r, x):
             return float(np.linalg.norm(r)) / float(np.linalg.norm(b))
     x = np.zeros_like(b)
-    return pcg(lambda v: A @ v, lambda r: r.copy(), certify, b, x, b.copy(), tol, max_iter)
+    return pcg(lambda v: A @ v, precondition, certify, b, x, b.copy(), tol, max_iter)
 
 
 def test_kernel_matches_dense_solve():
@@ -184,6 +185,42 @@ def test_kernel_restarts_from_the_true_residual():
                         lambda r, x: float(np.linalg.norm(r)) / bnorm,
                         b, x0, b.copy(), 1e-12, 100)
     assert np.linalg.norm(b - A @ x) <= 1e-12 * bnorm
+
+
+@pytest.mark.parametrize("rel, extra", [(1e-6, 2), (1e-3, 10)])
+def test_kernel_certifies_with_a_non_symmetric_preconditioner(rel, extra):
+    # a fixed SPD approximate inverse plus a non-symmetric perturbation of
+    # relative size rel: the flexible beta still certifies at 1e-10, where
+    # the plain z+ . r+ / (z . r) never converges at rel = 1e-3
+    n = 200
+    rng = np.random.default_rng(2)
+    G = rng.standard_normal((n, n))
+    A = G @ G.T / n + 1e-2 * np.eye(n)
+    lam, Q = np.linalg.eigh(A)
+    P = (Q / (lam * (1.0 + 4.0 * rng.random(n)))) @ Q.T
+    E = rng.standard_normal((n, n))
+    E *= rel * np.linalg.norm(P, 2) / np.linalg.norm(E, 2)
+    b = rng.standard_normal(n)
+    _, _, exact = kernel_solve(A, b, tol=1e-10, precondition=lambda r: P @ r)
+    x, res, iters = kernel_solve(A, b, tol=1e-10, precondition=lambda r: (P + E) @ r)
+    assert res <= 1e-10 and np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
+    assert iters <= exact + extra
+
+
+def test_kernel_stops_when_the_certificate_stagnates():
+    # a preconditioner blind to the residual: the certificate never halves,
+    # and CG stops a window after its first iteration, long before the cap
+    A, b = spd_system(n=400)
+    rng = np.random.default_rng(5)
+    calls = []
+
+    def blind(r):
+        calls.append(r)
+        return rng.standard_normal(r.size)
+
+    with pytest.raises(SolverError, match="stagnated"):
+        kernel_solve(A, b, max_iter=50 * STALL_WINDOW, precondition=blind)
+    assert STALL_WINDOW <= len(calls) <= STALL_WINDOW + 3
 
 
 def test_problem_validation():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pnp_upscale import _fv
 from pnp_upscale.cellcorrect import SolverError, solve_potential_corrector
 from pnp_upscale.unitcell import (
     build_unit_cell,
@@ -177,6 +178,18 @@ def test_compute_effective_tensors_pipeline():
     # structural identity of this model: the concentration-proportional
     # transport tensor differs from the mobility tensor by the porosity
     assert np.allclose(tensors.Hhat, tensors.M - tensors.p * np.eye(2), atol=5e-3)
+
+
+@pytest.mark.parametrize("dim, m", [(2, 32), (3, 8)])
+def test_symmetric_inclusion_tensors_stay_diagonal(dim, m):
+    # the macro grid assembles cross terms for off-diagonals above 1e-12 of
+    # the tensor; the float64 cell solves leave about 1e-17 here, while
+    # float32-preconditioned ones left 1.2e-12 (eps0) and 1.2e-11 (Hhat) on
+    # the sphere and made the 3D macro grid assemble cross terms
+    cell = build_unit_cell({"kind": "disc", "radius": 0.25, "dim": dim}, m)
+    tensors, _ = compute_effective_tensors(cell, CONTRAST, second_order=False)
+    for name in ("eps0", "Hhat", "M"):
+        assert not _fv._significant_offdiag(getattr(tensors, name)), name
 
 
 def test_tensors_json_roundtrip():
