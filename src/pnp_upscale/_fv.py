@@ -17,15 +17,21 @@ preconditioner diagonalized by DCT-II or DST-II, in float32 on the DNS
 grids and float64 on the macro grid.  The SuperLU solvers
 ``PinnedNeumannSolver`` and ``FactorizedSolver`` are its test oracles only,
 with the same solve contract; no grid of the program factorizes.
+scipy.sparse loads inside ``face_operator`` and the oracles, so importing
+this module, and the package, needs numpy only; scipy comes in when the
+first box matrix is built.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .cellcorrect import SolverError, harmonic_face_coefficients
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 def _along(N: int, d: int, key):
@@ -38,11 +44,22 @@ def _face_slices(N: int):
     return [(_along(N, d, slice(0, -1)), _along(N, d, slice(1, None))) for d in range(N)]
 
 
+def _index_dtype(n: int):
+    """Flat cell index type of an n-cell grid: int32, which scipy's sparse
+    matrices store anyway, up to 2**31 cells, and int64 beyond."""
+    return np.int32 if n < 2**31 else np.int64
+
+
+def _cell_indices(shape) -> np.ndarray:
+    n = int(np.prod(shape))
+    return np.arange(n, dtype=_index_dtype(n)).reshape(shape)
+
+
 def _tangential_stencil(shape, axis, h):
     """Per-cell derivative stencil along ``axis``: central inside, one-sided
     at the two boundary layers.  Returns flat (plus, minus, weight) arrays so
     that du[c] = weight[c] * (u[plus[c]] - u[minus[c]])."""
-    idx = np.arange(int(np.prod(shape))).reshape(shape)
+    idx = _cell_indices(shape)
     c = np.arange(shape[axis])
     cp, cm = np.minimum(c + 1, shape[axis] - 1), np.maximum(c - 1, 0)
     weight = np.take(1.0 / ((cp - cm) * h), np.indices(shape)[axis])
@@ -68,10 +85,13 @@ def face_operator(shape, h, faces, diag=0.0, wall=None, tensor=None) -> sp.csr_m
     off-diagonals of a constant ``tensor`` add to each face flux T[d,d2]
     times the mean of its two cells' d2-derivatives (central inside,
     one-sided at the edges).  Per axis the diagonal gains the faces, then
-    the wall.
+    the wall.  The cell indices are int32 below 2**31 cells, so scipy need
+    not convert them.
     """
+    import scipy.sparse as sp
+
     N = len(shape)
-    idx = np.arange(int(np.prod(shape))).reshape(shape)
+    idx = _cell_indices(shape)
     diag = np.array(np.broadcast_to(diag, shape), dtype=float)
     # diag.ravel() is a view: the faces below still add to it
     rows, cols, vals = [idx.ravel()], [idx.ravel()], [diag.ravel()]
@@ -145,6 +165,9 @@ class PinnedNeumannSolver:
     """
 
     def __init__(self, A: sp.csr_matrix):
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
         self.A = A.tocsr()
         self.norm_A = spla.norm(self.A, np.inf)
         # row 0 becomes e_0; the other rows keep every stored entry, explicit
@@ -185,6 +208,8 @@ class FactorizedSolver:
     """
 
     def __init__(self, A: sp.csr_matrix):
+        import scipy.sparse.linalg as spla
+
         self.A = A.tocsr()
         self.lu = spla.splu(self.A.tocsc())
 

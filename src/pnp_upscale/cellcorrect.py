@@ -123,14 +123,27 @@ def harmonic_face_coefficients(coef: np.ndarray, mask: np.ndarray | None = None)
     return faces
 
 
+def periodic_operator(faces, h: float):
+    """u -> -div(c grad u) with the face transmissibilities from above.
+
+    Each axis' faces rolled onto the cells behind them are computed here,
+    once, and not on every application."""
+    back = [np.roll(kf, 1, axis=d) for d, kf in enumerate(faces)]
+
+    def apply(u: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(u)
+        for d, (kf, kb) in enumerate(zip(faces, back)):
+            out += kf * (u - np.roll(u, -1, axis=d))
+            out += kb * (u - np.roll(u, 1, axis=d))
+        out /= h * h
+        return out
+
+    return apply
+
+
 def apply_periodic_operator(u: np.ndarray, faces, h: float) -> np.ndarray:
     """-div(c grad u) with the face transmissibilities from above."""
-    out = np.zeros_like(u)
-    for d, kf in enumerate(faces):
-        out += kf * (u - np.roll(u, -1, axis=d))
-        out += np.roll(kf, 1, axis=d) * (u - np.roll(u, 1, axis=d))
-    out /= h * h
-    return out
+    return periodic_operator(faces, h)(u)
 
 
 def face_gradient(u: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -333,7 +346,7 @@ def _pcg(faces, b: np.ndarray, h: float, mask: np.ndarray | None,
     """The solve behind every corrector, kept as a seam that tests fill
     with a reference solver: ``SpectralPCG`` on the periodic face operator.
     Returns (solution, relative residual, iterations)."""
-    solver = SpectralPCG(lambda v: apply_periodic_operator(v, faces, h), b.shape, h,
+    solver = SpectralPCG(periodic_operator(faces, h), b.shape, h,
                          np.ones(b.ndim), bc="periodic", mask=mask)
     if max_iter is not None:
         solver.max_iter = max_iter

@@ -34,9 +34,8 @@ def format_field(name: str, values: np.ndarray) -> str:
     m = values.shape[0]
     if values.shape != (m,) * values.ndim:
         raise ValueError(f"field grids must be square, got {values.shape}")
-    lines = [f"field {name} {values.ndim} {m}"]
-    lines.extend("%.17g" % v for v in values.ravel())
-    return "\n".join(lines) + "\n"
+    header = f"field {name} {values.ndim} {m}\n"
+    return header + ("%.17g\n" * values.size) % tuple(values.ravel().tolist())
 
 
 def write_field(path, name: str, values: np.ndarray) -> None:

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse.linalg as spla
-from scipy.special import xlogy
 
 from ._fv import (
     _along,
@@ -174,7 +172,7 @@ class GridOperators:
                                       coef=self.coef)
         scale = np.ones(len(self.shape)) if self.tensor is None else np.diag(self.tensor)
         return SpectralPCG(grid_matvec(A), self.shape, self.h, scale,
-                           norm_A=spla.norm(A, np.inf), single=self.coef is not None)
+                           norm_A=abs(A).sum(axis=1).max(), single=self.coef is not None)
 
     def diffusion(self, dt: float, bc: str) -> SpectralPCG:
         key = (float(dt), bc)
@@ -384,11 +382,16 @@ def step_macro_pnp(state: MacroState, tensors: EffectiveTensors,
     return MacroState(u1=v[0], u2=v[1], u3=u3, t=state.t + cfg.dt), info
 
 
+def _xlogx(u: np.ndarray) -> np.ndarray:
+    """u log u with 0 log 0 = 0, for nonnegative u."""
+    return np.where(u > 0, u * np.log(np.where(u > 0, u, 1.0)), 0.0)
+
+
 def _density_energy(state: MacroState) -> float:
     """Voxel quadrature of sum_r u_r (log u_r - 1) + (u1 - u2) u3, 0 log 0 = 0."""
     if (state.u1 < 0).any() or (state.u2 < 0).any():
         raise ValueError("free energy needs nonnegative densities")
-    ent = xlogy(state.u1, state.u1) - state.u1 + xlogy(state.u2, state.u2) - state.u2
+    ent = _xlogx(state.u1) - state.u1 + _xlogx(state.u2) - state.u2
     inter = (state.u1 - state.u2) * state.u3
     return float((ent + inter).sum()) * (1.0 / state.u1.size)
 

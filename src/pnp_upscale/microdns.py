@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 # The DNS assembles through macropnp.GridOperators; these names stay
 # attributes of this module because perfbench/tracing.py wraps them here.
@@ -165,16 +164,22 @@ def run_micro(dom: MicroDomain, init: MicroState, dt: float, n_steps: int,
 
 
 def interpolate_to_fine(field_c: np.ndarray, fine_shape) -> np.ndarray:
-    """Bilinear/trilinear interpolation from macro cell centers to fine centers."""
-    coarse_shape = field_c.shape
-    axes = []
-    for M, Mf in zip(coarse_shape, fine_shape):
-        hf = 1.0 / Mf
-        hc = 1.0 / M
-        x = (np.arange(Mf) + 0.5) * hf
-        axes.append(x / hc - 0.5)
-    coords = np.meshgrid(*axes, indexing="ij")
-    return map_coordinates(field_c, np.stack(coords), order=1, mode="nearest")
+    """Bilinear/trilinear interpolation from macro cell centers to fine centers.
+
+    Separable: per axis, the fine center's coordinate in coarse cell units is
+    clamped to the coarse centers (the edge value holds beyond them), and one
+    pair of ``take`` along that axis blends its two neighbours.  This is
+    ``scipy.ndimage.map_coordinates`` with ``order=1, mode="nearest"`` up to
+    rounding.
+    """
+    out = np.asarray(field_c, dtype=float)
+    for axis, (M, Mf) in enumerate(zip(out.shape, fine_shape)):
+        x = np.clip((np.arange(Mf) + 0.5) * (1.0 / Mf) / (1.0 / M) - 0.5, 0.0, M - 1)
+        lo = np.minimum(x.astype(np.intp), max(M - 2, 0))
+        hi = np.minimum(lo + 1, M - 1)
+        w = (x - lo).reshape((-1,) + (1,) * (out.ndim - axis - 1))
+        out = (1.0 - w) * np.take(out, lo, axis=axis) + w * np.take(out, hi, axis=axis)
+    return out
 
 
 def reconstruct_two_scale(macro: MacroState, correctors: CorrectorSet,

@@ -4,11 +4,15 @@ Everything here deliberately avoids the package's solver paths: dense
 linear algebra, quadrature-based Poisson solves, explicit time stepping,
 closed-form laminate algebra, a Jacobi-preconditioned CG with its own
 stencil loop, a brute-force flood fill, and the box-grid matrices assembled
-cell pair by cell pair into COO triplets only.
+cell pair by cell pair into COO triplets only.  The scipy routines and the
+per-value formatting that the package replaced with numpy code stay here
+as references for it.
 """
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.ndimage import map_coordinates
+from scipy.special import xlogy
 
 # --- 1D equal laminate with coefficients 1 and 4 ---------------------------
 #
@@ -154,6 +158,41 @@ def periodic_fluid_connected(mask):
                     seen.add(nb)
                     queue.append(nb)
     return len(seen) == len(fluid)
+
+
+def map_coordinates_interpolation(field_c, fine_shape):
+    """Linear interpolation from macro cell centers to fine centers by
+    ``scipy.ndimage.map_coordinates`` (order 1, edge values held)."""
+    axes = []
+    for M, Mf in zip(field_c.shape, fine_shape):
+        x = (np.arange(Mf) + 0.5) * (1.0 / Mf)
+        axes.append(x / (1.0 / M) - 0.5)
+    coords = np.meshgrid(*axes, indexing="ij")
+    return map_coordinates(field_c, np.stack(coords), order=1, mode="nearest")
+
+
+def xlogx(u):
+    """u log u with 0 log 0 = 0, by ``scipy.special.xlogy``."""
+    return xlogy(u, u)
+
+
+def format_field_per_value(name, values):
+    """A field dump formatted one numpy scalar at a time."""
+    values = np.asarray(values, dtype=float)
+    lines = [f"field {name} {values.ndim} {values.shape[0]}"]
+    lines.extend("%.17g" % v for v in values.ravel())
+    return "\n".join(lines) + "\n"
+
+
+def apply_periodic_operator_rolled(u, faces, h):
+    """-div(c grad u) on the periodic grid, rolling every face array on
+    every application."""
+    out = np.zeros_like(u)
+    for d, kf in enumerate(faces):
+        out += kf * (u - np.roll(u, -1, axis=d))
+        out += np.roll(kf, 1, axis=d) * (u - np.roll(u, 1, axis=d))
+    out /= h * h
+    return out
 
 
 def jacobi_projected_cg(faces, b, h, mask, tol, max_iter):

@@ -344,13 +344,35 @@ def test_factorized_solver_certifies_its_residual():
         lu.solve(b, 1e-10)
 
 
-def test_package_import_leaves_scipy_fft_out():
-    # scipy.fft loads only when a box solver is built; the CG kernel in
-    # cellcorrect, which every import of the package loads, must not pull it in
+PACKAGE_SETUP = """\
+import sys
+import pnp_upscale
+from pathlib import Path
+pnp_upscale.load_config(sys.argv[1])
+for spec in ({"kind": "disc", "radius": 0.25, "dim": 2},
+             {"kind": "laminate", "fraction": 0.5, "dim": 3},
+             {"kind": "mask", "mask": [[1, 1, 0, 1]] * 4}):
+    assert pnp_upscale.build_unit_cell(spec, 4).fluid_connected
+pnp_upscale.EffectiveTensors.from_json(Path(sys.argv[2]).read_text())
+sys.exit(sorted(m for m in sys.modules if m.startswith("scipy")) or 0)
+"""
+
+
+def test_package_import_leaves_scipy_fft_out(tmp_path):
+    # no scipy module loads before a box solver is built: not on importing
+    # the package, reading a config, building and checking a cell, nor on
+    # reading a tensors file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("cell.kind = disc\ncell.radius = 0.25\n")
+    tensors = tmp_path / "tensors.json"
+    cell = build_unit_cell({"kind": "disc", "radius": 0.25, "dim": 2}, 8)
+    effective, _ = compute_effective_tensors(cell, PermittivityParams(1.0, 4.0))
+    tensors.write_text(effective.to_json())
     src = os.path.dirname(os.path.dirname(pnp_upscale.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, pnp_upscale; sys.exit('scipy.fft' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    proc = subprocess.run([sys.executable, "-c", PACKAGE_SETUP, str(cfg), str(tensors)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_3d_dns_at_48_cubed_is_feasible(box_iterations):

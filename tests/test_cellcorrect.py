@@ -14,6 +14,7 @@ from pnp_upscale.cellcorrect import (
     face_gradient,
     harmonic_face_coefficients,
     pcg,
+    periodic_operator,
     solve_density_corrector_shape,
     solve_periodic_elliptic,
     solve_potential_corrector,
@@ -83,6 +84,22 @@ def test_manufactured_discrete_operator():
     rhs = apply_periodic_operator(ustar, faces, 1.0 / m)
     u = solve_periodic_elliptic(PeriodicEllipticProblem(kappa, rhs), tol=1e-12)
     assert rel_l2(u, ustar) < 1e-10
+
+
+@settings(max_examples=50)
+@given(st.integers(1, 3), st.integers(1, 9), st.data())
+def test_periodic_operator_is_bitwise_the_rolled_stencil(dim, m, data):
+    # the rolled faces kept from one application to the next change no bit
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = (m,) * dim
+    mask = rng.random(shape) < 0.7
+    faces = harmonic_face_coefficients(np.where(mask, 1.0, 4.0), mask)
+    apply = periodic_operator(faces, 1.0 / m)
+    for _ in range(3):
+        u = rng.standard_normal(shape)
+        ref = oracles.apply_periodic_operator_rolled(u, faces, 1.0 / m)
+        assert apply(u).tobytes() == ref.tobytes()
+        assert apply_periodic_operator(u, faces, 1.0 / m).tobytes() == ref.tobytes()
 
 
 def test_manufactured_convergence_order():

@@ -1,17 +1,23 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import pnp_upscale
 from pnp_upscale.cli import main, initial_density_fields
 from pnp_upscale.config import ConfigError, load_config
-from pnp_upscale.fieldio import read_field, write_field
+from pnp_upscale.fieldio import format_field, read_field, write_field
 from pnp_upscale.macropnp import GridOperators
+
+import oracles
 
 
 BASE_CFG = """\
@@ -168,6 +174,21 @@ def test_field_roundtrip(tmp_path):
     assert np.array_equal(loaded, values)
     header = path.read_text().splitlines()[0]
     assert header == "field xi3_1 2 9"
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, np.inf, -np.inf,
+               np.nan, 1.0 / 3.0, -1e300]
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 3), st.integers(1, 6), st.data())
+def test_field_bytes_match_per_value_formatting(dim, m, data):
+    # signed zeros, subnormals, infinities and NaN print as before
+    values = data.draw(st.lists(st.one_of(st.sampled_from(EDGE_VALUES), st.floats()),
+                                min_size=m**dim, max_size=m**dim))
+    field = np.array(values, dtype=float).reshape((m,) * dim)
+    assert (format_field("f", field).encode()
+            == oracles.format_field_per_value("f", field).encode())
 
 
 def test_initial_presets():
@@ -384,3 +405,52 @@ def test_console_script_installed(tmp_path, base_config):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "tensors.json").exists()
+
+
+DISC_CFG = """\
+cell.kind = disc
+cell.dim = 2
+cell.resolution = 16
+cell.radius = 0.25
+physics.lambda = 1.0
+physics.alpha = 4.0
+macro.resolution = 16
+macro.dt = 1e-3
+macro.t_end = 2e-3
+"""
+
+#: runs ``cell`` and ``upscale`` with every scipy import refused, as on a
+#: numpy-only install, then ``macro`` with scipy back
+NUMPY_ONLY_RUN = """\
+import importlib.abc, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name.startswith("scipy"):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+blocker = NoScipy()
+sys.meta_path.insert(0, blocker)
+from pnp_upscale.cli import main
+cfg, out = sys.argv[1], sys.argv[2]
+assert main(["cell", "--config", cfg, "--out", out + "/cell"]) == 0
+assert main(["upscale", "--config", cfg, "--out", out + "/tensors.json"]) == 0
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded, loaded
+sys.meta_path.remove(blocker)
+assert main(["macro", "--config", cfg, "--out", out + "/macro"]) == 0
+assert "scipy.sparse" in sys.modules and "scipy.fft" in sys.modules
+"""
+
+
+def test_cell_and_upscale_run_without_scipy(tmp_path):
+    cfg = tmp_path / "disc.cfg"
+    cfg.write_text(DISC_CFG)
+    src = str(Path(pnp_upscale.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY_RUN, str(cfg), str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "cell" / "tensors.json").read_text() == (
+        tmp_path / "tensors.json").read_text()
+    assert (tmp_path / "macro" / "diagnostics.csv").exists()

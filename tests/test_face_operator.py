@@ -3,6 +3,7 @@ assemblers kept in ``oracles``: the same matrices, bit for bit, on random
 grids, masks, contrasts, time steps and tensors."""
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
@@ -77,3 +78,29 @@ def test_face_operator_matches_the_coo_assemblers(grid, alpha, dt, p, bc, data):
         assert_close_per_entry(A, B, CROSS_RTOL)
     else:
         assert_bitwise(A, B)
+
+
+@settings(max_examples=40)
+@given(grids(), st.floats(0.01, 100.0), st.data())
+def test_int32_cell_indices_build_the_int64_matrices(grid, alpha, data):
+    # scipy stores int32 indices either way: the narrower build changes no bit
+    shape, mask = grid
+    h = 1.0 / shape[0]
+    coef = np.where(mask, 1.0, alpha)
+    T = data.draw(spd_tensors(len(shape)))
+    builds = [lambda: _fv.assemble_neumann_operator(shape, h, coef=coef),
+              lambda: _fv.assemble_neumann_operator(shape, h, tensor=T),
+              lambda: _fv.assemble_diffusion_matrix(shape, h, 1e-3, 0.5, "dirichlet",
+                                                    mask=mask)]
+    narrow = [build() for build in builds]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_fv, "_index_dtype", lambda n: np.int64)
+        wide = [build() for build in builds]
+    for A, B in zip(narrow, wide):
+        assert A.indices.dtype == np.int32
+        assert_bitwise(A, B)
+
+
+def test_index_type_widens_at_two_to_the_31_cells():
+    assert _fv._index_dtype(2**31 - 1) is np.int32
+    assert _fv._index_dtype(2**31) is np.int64

@@ -285,6 +285,26 @@ def test_free_energy_values():
         free_energy(MacroState(u1=-ones, u2=ones, u3=np.zeros((m, m))), 1.0)
 
 
+@settings(max_examples=100)
+@given(st.integers(1, 3), st.integers(2, 9), st.floats(0.0, 0.9), st.data())
+def test_free_energy_matches_xlogy(dim, m, zeros, data):
+    # 0 log 0 = 0 on exact zeros; elsewhere u log u as scipy computes it
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = (m,) * dim
+    u1, u2 = (np.where(rng.random(shape) < zeros, 0.0, 2.0 * rng.random(shape))
+              for _ in range(2))
+    state = MacroState(u1=u1, u2=u2, u3=rng.standard_normal(shape))
+    for u in (u1, u2):
+        got, ref = macropnp._xlogx(u), oracles.xlogx(u)
+        assert np.all(got[u == 0.0] == 0.0)
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+    got = free_energy(state, 0.5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(macropnp, "_xlogx", oracles.xlogx)
+        ref = free_energy(state, 0.5)
+    assert abs(got - ref) <= 1e-15 * abs(ref)
+
+
 def test_free_energy_effective_matches_for_zero_potential():
     m = 8
     rng = np.random.default_rng(1)

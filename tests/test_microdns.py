@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pnp_upscale.cellcorrect import CorrectorSet
 from pnp_upscale.macropnp import MacroConfig, MacroState, StepConfig, step_macro_pnp
@@ -19,6 +20,7 @@ from pnp_upscale.microdns import (
 from pnp_upscale.unitcell import PermittivityParams, build_unit_cell, porosity
 from pnp_upscale.upscale import EffectiveTensors
 
+import oracles
 from conftest import CONTRAST, rel_l2
 
 
@@ -195,6 +197,20 @@ def _zero_correctors(m, dim=2):
         eta=np.zeros((dim,) + (m,) * dim),
         zeta3=np.zeros((dim, dim) + (m,) * dim),
     )
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 3), st.data())
+def test_interpolation_matches_map_coordinates(dim, data):
+    # coarse grids from one cell up, fine grids at any ratio, integer or not
+    coarse = tuple(data.draw(st.integers(1, 9)) for _ in range(dim))
+    fine = tuple(data.draw(st.integers(1, 21)) for _ in range(dim))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    field_c = rng.standard_normal(coarse) * 10.0 ** data.draw(st.floats(-6, 6))
+    got = interpolate_to_fine(field_c, fine)
+    ref = oracles.map_coordinates_interpolation(field_c, fine)
+    assert got.shape == ref.shape == fine
+    assert np.abs(got - ref).max() <= 4e-15 * np.abs(field_c).max()
 
 
 def test_reconstruction_zero_correctors_is_interpolation():

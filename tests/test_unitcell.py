@@ -11,8 +11,10 @@ from pnp_upscale.unitcell import (
     porosity,
     read_mask_file,
     write_mask_file,
+    _connected_periodic,
 )
 
+import oracles
 from conftest import checkerboard_cell
 
 
@@ -183,3 +185,53 @@ def test_mask_immutable():
     cell = build_unit_cell({"kind": "full", "dim": 2}, 8)
     with pytest.raises(ValueError):
         cell.fluid_mask[0, 0] = False
+
+
+@st.composite
+def periodic_masks(draw):
+    """1D-3D masks: random, empty, full, or a random mask rolled across the
+    wrap, so that its pieces may join only through the periodic faces."""
+    dim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(1, (12, 7, 5)[dim - 1])) for _ in range(dim))
+    kind = draw(st.sampled_from(["random", "empty", "full", "wrapped"]))
+    if kind in ("empty", "full"):
+        return np.full(shape, kind == "full")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random(shape) < draw(st.floats(0.2, 0.9))
+    if kind == "wrapped":
+        axis = draw(st.integers(0, dim - 1))
+        mask = np.roll(mask, shape[axis] // 2, axis=axis)
+    return mask
+
+
+@settings(max_examples=300)
+@given(periodic_masks())
+def test_connectivity_matches_the_flood_fill(mask):
+    assert _connected_periodic(mask) == oracles.periodic_fluid_connected(mask)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_connectivity_through_the_wrap_only(dim):
+    # two slabs at the low and high end of axis 0, joined only by the wrap
+    m = 6
+    mask = np.zeros((m,) * dim, bool)
+    mask[0] = mask[-1] = True
+    assert _connected_periodic(mask) and oracles.periodic_fluid_connected(mask)
+    mask[-1] = False
+    mask[-2] = True
+    assert not _connected_periodic(mask)
+    assert not oracles.periodic_fluid_connected(mask)
+    assert not _connected_periodic(np.zeros((m,) * dim, bool))
+    assert _connected_periodic(np.ones((m,) * dim, bool))
+
+
+def test_connectivity_of_a_long_winding_path():
+    # one fluid path of about m^2/2 voxels that winds back and forth
+    m = 128
+    mask = np.zeros((m, m), bool)
+    mask[1::2, 1:-1] = True
+    for i in range(2, m - 1, 2):
+        mask[i, -2 if i % 4 == 2 else 1] = True
+    assert _connected_periodic(mask)
+    mask[m // 2 + 1, m // 2] = False
+    assert not _connected_periodic(mask)
