@@ -19,7 +19,8 @@ grids and float64 on the macro grid.  The SuperLU solvers
 with the same solve contract; no grid of the program factorizes.
 scipy.sparse loads inside ``face_operator`` and the oracles, so importing
 this module, and the package, needs numpy only; scipy comes in when the
-first box matrix is built.
+first box matrix is built, and its absence is a ``SolverError``
+(``cellcorrect.import_scipy``).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cellcorrect import SolverError, harmonic_face_coefficients
+from .cellcorrect import SolverError, harmonic_face_coefficients, import_scipy
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -88,8 +89,7 @@ def face_operator(shape, h, faces, diag=0.0, wall=None, tensor=None) -> sp.csr_m
     the wall.  The cell indices are int32 below 2**31 cells, so scipy need
     not convert them.
     """
-    import scipy.sparse as sp
-
+    sp = import_scipy("scipy.sparse")
     N = len(shape)
     idx = _cell_indices(shape)
     diag = np.array(np.broadcast_to(diag, shape), dtype=float)

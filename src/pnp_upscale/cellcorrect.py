@@ -7,7 +7,9 @@ normalization that makes the singular operator uniquely solvable:
   * potential correctors, one per coordinate direction, driven by the
     permittivity contrast: div(kappa (grad xi - e_j)) = 0 on the whole cell;
   * density-corrector shapes eta^j on the fluid region, with natural no-flux
-    conditions on the solid interface, driven by -grad xi;
+    conditions on the solid interface, driven by -grad xi.  Their discrete
+    solution is -(xi_j - <xi_j>_fluid) on the fluid, taken in closed form
+    and certified by its residual (``solve_density_corrector_shape``);
   * second-order potential correctors zeta^{kl}, whose right-hand side mixes
     the first-order correctors with the effective permittivity.
 
@@ -18,21 +20,23 @@ preconditioned with the inverse of the constant-coefficient periodic
 Laplacian, applied by FFT (the Moulinec-Suquet reference medium with CG
 acceleration), so the iteration count depends on the coefficient contrast
 and not on the resolution.  The right-hand side and every preconditioned
-residual are projected onto the mean-zero subspace; on the fluid region the
-projection also zeroes the solid part, which restricts the same
-preconditioner to the fluid.  The search directions stay in the subspace,
-so the iterate is projected once, at the end.  The system is consistent iff
-the right-hand side sums to zero.  The same class, with a DCT or DST in
-place of the FFT, solves every box grid of the macro run and the DNS
-(``macropnp.GridOperators``).  The cell problems keep the preconditioner in
-float64, since their outputs are the stored tensors; only the DNS grids
-apply it in float32, which the flexible CG kernel ``pcg`` tolerates.  Every
-solve stops at a certificate, and raises ``SolverError`` when it stagnates
-(``STALL_WINDOW``) or reaches its iteration cap.
+residual are projected onto the mean-zero subspace; on a masked problem
+(``PeriodicEllipticProblem.domain_mask``) the projection also zeroes the
+masked-out part, which restricts the same preconditioner to the fluid.
+The search directions stay in the subspace, so the iterate is projected
+once, at the end.  The system is consistent iff the right-hand side sums
+to zero.  The same class, with a DCT or DST in place of the FFT, solves
+every box grid of the macro run and the DNS (``macropnp.GridOperators``).
+The cell problems keep the preconditioner in float64, since their outputs
+are the stored tensors; only the DNS grids apply it in float32, which the
+flexible CG kernel ``pcg`` tolerates.  Every solve stops at a certificate,
+and raises ``SolverError`` when it stagnates (``STALL_WINDOW``) or reaches
+its iteration cap.
 """
 
 from __future__ import annotations
 
+import importlib
 import logging
 from dataclasses import dataclass, field
 from functools import partial
@@ -57,7 +61,19 @@ STALL_WINDOW = 100
 
 
 class SolverError(RuntimeError):
-    """Linear solve failed: incompatible system, stagnation or iteration cap."""
+    """Linear solve failed: incompatible system, stagnation, iteration cap
+    or certificate, or no scipy for a box-grid solver."""
+
+
+def import_scipy(name: str):
+    """The scipy module ``name``, imported when a box-grid solver first needs
+    it; ``SolverError`` when scipy is not installed."""
+    try:
+        return importlib.import_module(name)
+    except ImportError as exc:
+        raise SolverError(
+            f"the box-grid solvers need {name}, but scipy cannot be imported: {exc}"
+        ) from exc
 
 
 @dataclass(eq=False)
@@ -93,7 +109,8 @@ class CorrectorSet:
     xi3:   (dim, m, ...)      potential correctors on the whole cell
     eta:   (dim, m, ...)      density-corrector shapes, zero-stored on solid
     zeta3: (dim, dim, m, ...) second-order potential correctors, optional
-    residuals: final relative linear-solver residual per field
+    residuals: final relative residual per field, of the CG solve or, for
+               eta, of the closed form
     """
 
     xi3: np.ndarray
@@ -281,13 +298,12 @@ class SpectralPCG:
             self._forward = partial(np.fft.rfftn, axes=axes)
             self._inverse = partial(np.fft.irfftn, s=self.shape, axes=axes)
         else:
-            import scipy.fft  # kept out of the package import
-
+            fft = import_scipy("scipy.fft")  # kept out of the package import
             dirichlet = bc == "dirichlet"
             angles = [np.pi * (np.arange(m) + int(dirichlet)) / m for m in self.shape]
             name = "dstn" if dirichlet else "dctn"
-            self._forward = partial(getattr(scipy.fft, name), type=2, norm="ortho")
-            self._inverse = partial(getattr(scipy.fft, "i" + name), type=2, norm="ortho")
+            self._forward = partial(getattr(fft, name), type=2, norm="ortho")
+            self._inverse = partial(getattr(fft, "i" + name), type=2, norm="ortho")
         self.inv_symbol = inverse_symbol(angles, h, scale, shift).astype(
             np.float32 if single else float, copy=False)
 
@@ -341,18 +357,6 @@ class SpectralPCG:
         return x.reshape(shape_b), res, it
 
 
-def _pcg(faces, b: np.ndarray, h: float, mask: np.ndarray | None,
-         tol: float, max_iter: int | None):
-    """The solve behind every corrector, kept as a seam that tests fill
-    with a reference solver: ``SpectralPCG`` on the periodic face operator.
-    Returns (solution, relative residual, iterations)."""
-    solver = SpectralPCG(periodic_operator(faces, h), b.shape, h,
-                         np.ones(b.ndim), bc="periodic", mask=mask)
-    if max_iter is not None:
-        solver.max_iter = max_iter
-    return solver.solve(b, tol)
-
-
 def check_mean_zero(u: np.ndarray, mask: np.ndarray | None = None) -> None:
     scale = float(np.abs(u).max())
     if scale == 0.0:
@@ -385,8 +389,13 @@ def _solve_periodic(problem: PeriodicEllipticProblem, tol: float,
             f"singular system incompatible: |sum(rhs)| = {abs(active_sum):.3e} "
             f"exceeds {COMPAT_RTOL:.0e} * ||rhs|| = {COMPAT_RTOL * nrm:.3e}"
         )
+    h = 1.0 / rhs.shape[0]
     faces = harmonic_face_coefficients(problem.coefficient, mask)
-    return _pcg(faces, rhs, 1.0 / rhs.shape[0], mask, tol, max_iter)
+    solver = SpectralPCG(periodic_operator(faces, h), rhs.shape, h, np.ones(rhs.ndim),
+                         bc="periodic", mask=mask)
+    if max_iter is not None:
+        solver.max_iter = max_iter
+    return solver.solve(rhs, tol)
 
 
 def _solve_family(problems, tol: float):
@@ -420,21 +429,48 @@ def solve_density_corrector_shape(cell: UnitCell, xi3: np.ndarray,
     """Geometry factor of the density correctors, on the fluid region.
 
     eta^j solves (grad eta, grad phi)_{Y^s} = -(grad xi_j, grad phi)_{Y^s}
-    with no-flux on the solid interface.  The full density corrector for a
+    with no-flux on the solid interface; discretely L_f eta = -L_f xi_j,
+    where L_f is the periodic operator with the faces touching the solid
+    closed.  L_f reads fluid values only, so L_f (eta + xi_j) = 0 on the
+    fluid, whose only solutions on a periodically connected fluid are the
+    constants.  The mean-zero solution is therefore
+    eta^j = -(xi_j - <xi_j>_fluid) on the fluid and 0 on the solid, taken
+    in closed form with no linear solve.  Its certificate is the relative
+    residual ||L_f eta - rhs|| / ||rhs|| of the discrete problem, one
+    operator application per direction.  The full density corrector for a
     species with charge z and local density u is recovered as z * u * eta^j;
     only the geometry factor is stored.
+
+    Returns (fields, residuals) with fields of shape (dim, m, ...).  Raises
+    ``GeometryError`` on a disconnected fluid, ``SolverError`` when a
+    certificate exceeds ``tol``.
     """
     if not cell.fluid_connected:
         raise GeometryError(
             "fluid region is disconnected under periodic wraparound; "
             "the perforated cell problem decouples"
         )
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     mask = cell.fluid_mask
-    ones = np.ones_like(mask, dtype=float)
-    faces = harmonic_face_coefficients(ones, mask)
-    rhs = (-apply_periodic_operator(np.asarray(xi, dtype=float), faces, cell.h)
-           for xi in xi3[:cell.dim])
-    return _solve_family((PeriodicEllipticProblem(ones, f, domain_mask=mask) for f in rhs), tol)
+    apply = periodic_operator(harmonic_face_coefficients(np.ones(mask.shape), mask), cell.h)
+    fields, residuals = [], []
+    for xi in xi3[:cell.dim]:
+        xi = np.asarray(xi, dtype=float)
+        rhs = -apply(xi)
+        eta = np.zeros(mask.shape)
+        res = 0.0
+        if rhs.any():
+            eta[mask] = xi[mask].mean() - xi[mask]
+            res = float(np.linalg.norm(apply(eta) - rhs)) / float(np.linalg.norm(rhs))
+        if not res <= tol:  # a NaN certificate must not pass
+            raise SolverError(
+                f"density corrector residual {res:.3e} exceeds tol {tol:.1e}"
+            )
+        check_mean_zero(eta, mask)
+        fields.append(eta)
+        residuals.append(res)
+    return np.stack(fields), residuals
 
 
 #: relative compatibility defect allowed in the second-order right-hand side

@@ -199,10 +199,12 @@ def jacobi_projected_cg(faces, b, h, mask, tol, max_iter):
     """Reference solver for the singular periodic system: projected CG with
     the Jacobi (operator-diagonal) preconditioner.
 
-    Drop-in for ``cellcorrect._pcg``: same arguments, returns (solution,
-    relative residual, iterations).  It applies the operator with its own
-    stencil loop and ignores ``max_iter`` in favour of a cap of ten sweeps
-    of the unknowns, so that the slow Jacobi iteration still converges.
+    Takes the face transmissibilities of ``harmonic_face_coefficients``, the
+    right-hand side, the spacing, the active mask (None for the whole cell)
+    and the tolerance; returns (solution, relative residual, iterations).
+    It applies the operator with its own stencil loop and ignores
+    ``max_iter`` in favour of a cap of ten sweeps of the unknowns, so that
+    the slow Jacobi iteration still converges.
     """
     shape = b.shape
 

@@ -1,10 +1,7 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pnp_upscale import cellcorrect
 from pnp_upscale.cellcorrect import (
     STALL_WINDOW,
     PeriodicEllipticProblem,
@@ -15,6 +12,7 @@ from pnp_upscale.cellcorrect import (
     harmonic_face_coefficients,
     pcg,
     periodic_operator,
+    second_order_rhs,
     solve_density_corrector_shape,
     solve_periodic_elliptic,
     solve_potential_corrector,
@@ -30,7 +28,9 @@ from pnp_upscale.unitcell import (
 from pnp_upscale.upscale import (
     check_spectral_bounds,
     compute_effective_tensors,
+    diffusion_shape_tensor,
     effective_permittivity,
+    electro_convection_tensor,
     symmetry_defect,
 )
 
@@ -296,8 +296,8 @@ def test_iterations_do_not_grow_with_resolution():
 # random masks against the Jacobi reference solver
 
 #: largest |difference| / (max|reference| * tol) allowed against the Jacobi
-#: solver; 276 random masks with alpha up to 100 peaked at 165 for the
-#: fields and 9 for the tensors
+#: solver; 300 random masks with alpha up to 100 peaked at 44 for the fields
+#: and 1.7 for eps0 and M (an earlier 276 peaked at 165 and 9)
 FIELD_TOL_FACTOR = 2000.0
 TENSOR_TOL_FACTOR = 200.0
 
@@ -318,13 +318,43 @@ def random_masks(draw):
     return ~solid
 
 
+def jacobi_correctors(cell, kappa, tol):
+    """(xi3, eta, zeta3, eps0) with each family's discrete problem solved by
+    the Jacobi reference CG: xi3 on the whole cell, eta on the masked fluid
+    problem driven by the reference xi3, zeta3 by the reference eps0."""
+    h, mask = cell.h, cell.fluid_mask
+
+    def solve(faces, rhs, mask=None):
+        return oracles.jacobi_projected_cg(faces, rhs, h, mask, tol, None)[0]
+
+    faces = harmonic_face_coefficients(kappa)
+    xi3 = np.stack([solve(faces, (np.roll(f, 1, axis=j) - f) / h)
+                    for j, f in enumerate(faces)])
+    fluid = harmonic_face_coefficients(np.ones(mask.shape), mask)
+    eta = np.stack([solve(fluid, -oracles.apply_periodic_operator_rolled(xi, fluid, h), mask)
+                    for xi in xi3])
+    eps0 = effective_permittivity(cell, kappa, xi3)
+    zeta3 = []
+    for k in range(cell.dim):
+        for l in range(cell.dim):
+            rhs = second_order_rhs(cell, kappa, xi3, eps0, k, l)
+            zeta3.append(solve(faces, rhs - rhs.mean()))
+    zeta3 = np.stack(zeta3).reshape((cell.dim,) * 2 + kappa.shape)
+    return xi3, eta, zeta3, eps0
+
+
+def mask_cell(mask):
+    dim = mask.ndim
+    return UnitCell(dim=dim, resolution=mask.shape[0], fluid_mask=mask,
+                    geometry_spec={"kind": "mask", "dim": dim})
+
+
 @settings(max_examples=30)
 @given(random_masks(), st.floats(0.25, 100.0))
 def test_random_masks_match_jacobi_reference(mask, alpha):
     assume(mask.any())
     dim = mask.ndim
-    cell = UnitCell(dim=dim, resolution=mask.shape[0], fluid_mask=mask,
-                    geometry_spec={"kind": "mask", "dim": dim})
+    cell = mask_cell(mask)
     connected = oracles.periodic_fluid_connected(mask)
     assert cell.fluid_connected == connected
     if not connected:
@@ -335,21 +365,51 @@ def test_random_masks_match_jacobi_reference(mask, alpha):
     tol = 1e-10
     params = PermittivityParams(lam=1.0, alpha=alpha)
     tensors, correctors = compute_effective_tensors(cell, params, tol=tol)
-    with mock.patch.object(cellcorrect, "_pcg", oracles.jacobi_projected_cg):
-        ref_tensors, ref_correctors = compute_effective_tensors(cell, params, tol=tol)
+    kappa = permittivity_field(cell, params)
+    xi3, eta, zeta3, eps0 = jacobi_correctors(cell, kappa, tol)
+    ref_correctors = {"xi3": xi3, "eta": eta, "zeta3": zeta3}
+    ref_tensors = {"eps0": eps0, "M": electro_convection_tensor(cell, xi3),
+                   "Hhat": diffusion_shape_tensor(cell, eta)}
 
-    for name in ("xi3", "eta", "zeta3"):
-        got, ref = getattr(correctors, name), getattr(ref_correctors, name)
+    for name, ref in ref_correctors.items():
+        got = getattr(correctors, name)
         bound = FIELD_TOL_FACTOR * tol * float(np.abs(ref).max())
         assert np.abs(got - ref).max() <= bound, name
-    for name in ("eps0", "M", "Hhat"):
-        got, ref = getattr(tensors, name), getattr(ref_tensors, name)
+    for name, ref in ref_tensors.items():
+        got = getattr(tensors, name)
         bound = TENSOR_TOL_FACTOR * tol * float(np.abs(ref).max())
         assert np.abs(got - ref).max() <= bound, name
 
-    eps0 = tensors.eps0
-    assert symmetry_defect(eps0) <= 1e-8
-    check_spectral_bounds(eps0, permittivity_field(cell, params))
+    assert symmetry_defect(tensors.eps0) <= 1e-8
+    check_spectral_bounds(tensors.eps0, kappa)
+
+
+@settings(max_examples=30)
+@given(random_masks(), st.floats(0.25, 100.0))
+def test_closed_form_eta_matches_the_masked_cg_solve(mask, alpha):
+    # eta = -(xi - <xi>_fluid) on the fluid solves the masked problem
+    # L_f eta = -L_f xi: the CG solve of it at 1e-12 lands on the same field
+    assume(mask.any())
+    dim = mask.ndim
+    cell = mask_cell(mask)
+    if not cell.fluid_connected:
+        with pytest.raises(GeometryError, match="disconnected"):
+            solve_density_corrector_shape(cell, np.zeros((dim,) + mask.shape))
+    assume(cell.fluid_connected)
+
+    tol = 1e-12
+    kappa = permittivity_field(cell, PermittivityParams(lam=1.0, alpha=alpha))
+    xi3, _ = solve_potential_corrector(cell, kappa, tol=tol)
+    eta, res = solve_density_corrector_shape(cell, xi3, tol=tol)
+    assert max(res) <= tol
+    ones = np.ones(mask.shape)
+    faces = harmonic_face_coefficients(ones, mask)
+    for xi, got in zip(xi3, eta):
+        rhs = -apply_periodic_operator(xi, faces, cell.h)
+        ref = solve_periodic_elliptic(
+            PeriodicEllipticProblem(ones, rhs, domain_mask=mask), tol=tol)
+        assert np.abs(got - ref).max() <= 1e-8 * float(np.abs(got).max())
+        assert np.all(got[~mask] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +528,14 @@ def test_eta_zero_on_solid_and_mean_zero():
         scale = max(np.abs(eta[k]).max(), 1e-300)
         assert abs(eta[k][cell.fluid_mask].mean()) <= 1e-10 * scale
     assert max(res) <= 1e-10
+
+
+def test_eta_certificate_above_tol_raises():
+    # the closed form's residual is at rounding level, above a tol of 1e-20
+    cell = build_unit_cell({"kind": "disc", "radius": 0.3, "dim": 2}, 16)
+    xi3, _ = solve_potential_corrector(cell, permittivity_field(cell, CONTRAST))
+    with pytest.raises(SolverError, match="density corrector residual"):
+        solve_density_corrector_shape(cell, xi3, tol=1e-20)
 
 
 def test_density_corrector_linearity():

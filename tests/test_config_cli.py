@@ -419,9 +419,8 @@ macro.dt = 1e-3
 macro.t_end = 2e-3
 """
 
-#: runs ``cell`` and ``upscale`` with every scipy import refused, as on a
-#: numpy-only install, then ``macro`` with scipy back
-NUMPY_ONLY_RUN = """\
+#: refuses every scipy import, as on a numpy-only install
+BLOCK_SCIPY = """\
 import importlib.abc, sys
 
 class NoScipy(importlib.abc.MetaPathFinder):
@@ -433,6 +432,10 @@ blocker = NoScipy()
 sys.meta_path.insert(0, blocker)
 from pnp_upscale.cli import main
 cfg, out = sys.argv[1], sys.argv[2]
+"""
+
+#: runs ``cell`` and ``upscale`` without scipy, then ``macro`` with scipy back
+NUMPY_ONLY_RUN = BLOCK_SCIPY + """\
 assert main(["cell", "--config", cfg, "--out", out + "/cell"]) == 0
 assert main(["upscale", "--config", cfg, "--out", out + "/tensors.json"]) == 0
 loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
@@ -443,14 +446,35 @@ assert "scipy.sparse" in sys.modules and "scipy.fft" in sys.modules
 """
 
 
-def test_cell_and_upscale_run_without_scipy(tmp_path):
+#: ``upscale`` without scipy, then ``macro`` on its tensors, whose exit code it returns
+MACRO_WITHOUT_SCIPY = BLOCK_SCIPY + """\
+assert main(["upscale", "--config", cfg, "--out", out + "/tensors.json"]) == 0
+sys.exit(main(["macro", "--config", cfg, "--tensors", out + "/tensors.json",
+               "--out", out + "/macro"]))
+"""
+
+
+def run_without_scipy(script, tmp_path):
     cfg = tmp_path / "disc.cfg"
     cfg.write_text(DISC_CFG)
     src = str(Path(pnp_upscale.__file__).parents[1])
-    proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY_RUN, str(cfg), str(tmp_path)],
+    return subprocess.run([sys.executable, "-c", script, str(cfg), str(tmp_path)],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                           text=True)
+
+
+def test_cell_and_upscale_run_without_scipy(tmp_path):
+    proc = run_without_scipy(NUMPY_ONLY_RUN, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "cell" / "tensors.json").read_text() == (
         tmp_path / "tensors.json").read_text()
     assert (tmp_path / "macro" / "diagnostics.csv").exists()
+
+
+def test_macro_without_scipy_is_a_solver_error(tmp_path):
+    # the first box-grid solver needs scipy: a typed error and exit 3, not a
+    # ModuleNotFoundError traceback
+    proc = run_without_scipy(MACRO_WITHOUT_SCIPY, tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert "scipy" in proc.stderr and "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"] == "SolverError"
