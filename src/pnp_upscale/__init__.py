@@ -41,7 +41,6 @@ from .macropnp import (
     free_energy,
     free_energy_effective,
     run_macro,
-    solve_macro_poisson,
     step_macro_pnp,
 )
 from .microdns import (
@@ -52,7 +51,6 @@ from .microdns import (
     compare_fields,
     reconstruct_two_scale,
     run_micro,
-    solve_micro_poisson,
     step_micro_pnp,
 )
 from .config import ConfigError, RunConfig, load_config
@@ -89,7 +87,6 @@ __all__ = [
     "free_energy",
     "free_energy_effective",
     "run_macro",
-    "solve_macro_poisson",
     "step_macro_pnp",
     "FieldErrors",
     "MicroDomain",
@@ -98,7 +95,6 @@ __all__ = [
     "compare_fields",
     "reconstruct_two_scale",
     "run_micro",
-    "solve_micro_poisson",
     "step_micro_pnp",
     "ConfigError",
     "RunConfig",

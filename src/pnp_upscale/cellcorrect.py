@@ -266,11 +266,15 @@ class SpectralPCG:
     values from the right-hand side (identity rows on the box; zero after a
     singular projection).
 
-    ``solve(b, tol, x0)`` returns (x, certificate, iterations), x shaped as
-    b.  It starts from ``x0`` brought into the subspace (zero without one),
-    after 0 iterations if that start passes.  The certificate is
-    ||A x - b|| / (norm_A ||x|| + ||b||) for the projected b: the relative
-    residual, or the backward error when ``norm_A`` is ||A||.  Breakdown, or
+    ``solve(b, tol, x0, reduction)`` returns (x, certificate, iterations),
+    x shaped as b.  It starts from ``x0`` brought into the subspace (zero
+    without one).  The certificate is ||A x - b|| / (norm_A ||x|| + ||b||)
+    for the projected b: the relative residual, or the backward error when
+    ``norm_A`` is ||A||.  The solve stops once the certificate is at most
+    max(tol, reduction * the start's certificate), after 0 iterations if
+    the start passes; with ``reduction`` in (0, 1), the inexact solves of an
+    outer loop, a start that fails ``tol`` always takes an iteration.
+    ``reduction`` = 0 is the plain stop at ``tol``.  Breakdown, or
     ``max_iter`` = ``ITER_CAP_FACTOR`` * side iterations of ``pcg``, raises
     ``SolverError``, and so does a non-finite right-hand side or start.
     """
@@ -322,7 +326,10 @@ class SpectralPCG:
         z *= self.inv_symbol
         return self._project(self._inverse(z).astype(float, copy=False))
 
-    def solve(self, b: np.ndarray, tol: float, x0: np.ndarray | None = None):
+    def solve(self, b: np.ndarray, tol: float, x0: np.ndarray | None = None,
+              reduction: float = 0.0):
+        if not 0.0 <= reduction < 1.0:
+            raise ValueError(f"reduction must lie in [0, 1), got {reduction}")
         shape_b = np.shape(b)
         b = np.asarray(b, dtype=float).reshape(self.shape)
         for name, v in (("right-hand side", b), ("start", x0)):
@@ -348,6 +355,7 @@ class SpectralPCG:
             return res / bnorm
 
         res, it = (certify(r, x) if r.any() else 0.0), 0
+        tol = max(tol, reduction * res)
         if not res <= tol:  # a NaN certificate must not pass
             x, res, it = pcg(self.apply, self._precondition, certify, b, x, r, tol,
                              self.max_iter)

@@ -101,12 +101,6 @@ def assemble_micro_domain(cell: UnitCell, params: PermittivityParams, s,
     return MicroDomain(s=float(frac), tiles=tiles, cell=cell, mask=mask, eps=eps)
 
 
-def solve_micro_poisson(dom: MicroDomain, nplus: np.ndarray, nminus: np.ndarray,
-                        tol: float = 1e-10) -> np.ndarray:
-    """-div(eps(x/s) grad phi) = nplus - nminus, homogeneous Neumann, mean zero."""
-    return dom.ops.potential(nplus, nminus, tol)
-
-
 def step_micro_pnp(state: MicroState, dom: MicroDomain, dt: float,
                    cfg: StepConfig, start=None):
     """One IMEX step of the microscopic system; returns (state, StepInfo as a dict).

@@ -15,7 +15,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 import pnp_upscale
-from pnp_upscale import _fv
+from pnp_upscale import _fv, cellcorrect
 from pnp_upscale.cellcorrect import (
     SolverError,
     SpectralPCG,
@@ -261,6 +261,121 @@ def test_warm_start_never_takes_more_iterations(shape, seed):
         assert warm <= cold
 
 
+def reduction_systems(shape):
+    """One solver of each certificate and preconditioner kind, by name: the
+    periodic cell (float64 FFT), the macro Poisson (backward error, cross
+    terms) and Dirichlet diffusion, and the DNS Poisson and masked no-flux
+    diffusion (float32 DCT)."""
+    mask = contrast_mask(shape)
+    N = len(shape)
+    h = 1.0 / shape[0]
+    faces = harmonic_face_coefficients(np.where(mask, 1.0, 40.0))
+    tensor = np.eye(N) + 0.3 * (np.ones((N, N)) - np.eye(N))
+    macro = GridOperators(shape, 0.7, tensor=tensor)
+    dns = GridOperators(shape, coef=np.where(mask, 1.0, 40.0), mask=mask)
+    return {"periodic": SpectralPCG(lambda v: apply_periodic_operator(v, faces, h), shape,
+                                    h, np.ones(N), bc="periodic"),
+            "macro poisson": macro.poisson,
+            "macro diffusion": macro.diffusion(1e-2, "dirichlet"),
+            "dns poisson": dns.poisson,
+            "dns diffusion": dns.diffusion(1e-2, "noflux")}
+
+
+REDUCTION_SYSTEMS = reduction_systems((16, 16))
+
+
+@pytest.fixture()
+def pcg_calls(monkeypatch):
+    """(tolerance, start certificate) of every call of the CG kernel."""
+    calls = []
+
+    def recording(apply, precondition, certify, b, x, r, tol, max_iter,
+                  _pcg=cellcorrect.pcg):
+        calls.append((tol, certify(r, x)))
+        return _pcg(apply, precondition, certify, b, x, r, tol, max_iter)
+
+    monkeypatch.setattr(cellcorrect, "pcg", recording)
+    return calls
+
+
+def solve_results_equal(a, b):
+    return np.array_equal(a[0], b[0]) and a[1:] == b[1:]
+
+
+@pytest.mark.parametrize("shape", [(24, 24), (8, 8, 8)])
+def test_zero_reduction_is_the_plain_solve(shape, pcg_calls):
+    # reduction = 0 hands the kernel the caller's tol, as before reduction
+    # existed, so the solve is bitwise the plain one; so is any reduction
+    # that the start's certificate times it leaves below tol
+    rng = np.random.default_rng(11)
+    tol = 1e-10
+    for name, box in reduction_systems(shape).items():
+        b = rng.standard_normal(shape)
+        for x0 in (None, rng.standard_normal(shape)):
+            pcg_calls.clear()
+            plain = box.solve(b, tol, x0)
+            assert [t for t, _ in pcg_calls] == [tol], name
+            start = pcg_calls[0][1]
+            for reduction in (0.0, 0.5 * tol / start):
+                assert solve_results_equal(box.solve(b, tol, x0, reduction), plain), name
+            assert [t for t, _ in pcg_calls] == [tol] * 3
+
+
+@pytest.mark.parametrize("reduction", [0.5, 1e-3, 1e-7])
+@pytest.mark.parametrize("shape", [(24, 24), (8, 8, 8)])
+def test_solve_stops_at_the_reduced_certificate(shape, reduction, pcg_calls):
+    rng = np.random.default_rng(13)
+    tol = 1e-10
+    for name, box in reduction_systems(shape).items():
+        b = rng.standard_normal(shape)
+        x0 = box.solve(b, tol)[0] + 1e-3 * rng.standard_normal(shape)
+        pcg_calls.clear()
+        x, cert, iters = box.solve(b, tol, x0, reduction)
+        (target, start), = pcg_calls
+        assert target == max(tol, reduction * start), name
+        assert iters >= 1 and cert <= target, name
+        # it stops at the first iterate that passes: one fewer is the cap
+        box.max_iter, cap = iters - 1, box.max_iter
+        try:
+            with pytest.raises(SolverError, match="iteration cap"):
+                box.solve(b, tol, x0, reduction)
+        finally:
+            box.max_iter = cap
+    # the same stop from the assembled matrix, on the nonsingular Dirichlet grid
+    box, _, A = diffusion_pair(shape, 1e-2, 0.7, "dirichlet")
+    b = rng.standard_normal(A.shape[0])
+    x0 = box.solve(b, tol)[0] + 1e-3 * rng.standard_normal(A.shape[0])
+    x, cert, _ = box.solve(b, tol, x0, reduction)
+    start = np.linalg.norm(A @ x0 - b) / np.linalg.norm(b)
+    assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= max(tol, reduction * start)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(["periodic", "macro poisson", "macro diffusion", "dns poisson",
+                        "dns diffusion"]),
+       st.floats(0.0, 1.0, exclude_max=True), st.integers(-13, 1),
+       st.integers(0, 2**32 - 1))
+def test_a_start_that_fails_tol_takes_an_iteration(name, reduction, offset, seed):
+    # whatever the reduction, a start whose certificate is above tol makes
+    # progress, and a start below it returns as it is
+    box = REDUCTION_SYSTEMS[name]
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal(box.shape)
+    x0 = box.solve(b, 1e-12)[0] + 10.0 ** offset * rng.standard_normal(box.shape)
+    start = box.solve(b, np.inf, x0)[1]  # every start passes tol = inf
+    x, cert, iters = box.solve(b, 1e-10, x0, reduction)
+    if start > 1e-10:
+        assert iters >= 1 and cert <= max(1e-10, reduction * start) < start
+    else:
+        assert (iters, cert) == (0, start)
+
+
+@pytest.mark.parametrize("reduction", [-0.1, 1.0, np.nan])
+def test_reduction_outside_the_unit_interval_is_rejected(reduction):
+    with pytest.raises(ValueError, match="reduction"):
+        REDUCTION_SYSTEMS["macro diffusion"].solve(np.ones((16, 16)), 1e-10, None, reduction)
+
+
 def test_zero_rhs_returns_zeros():
     shape = (6, 6, 6)
     mask = np.ones(shape, dtype=bool)
@@ -320,6 +435,18 @@ def test_non_finite_input_raises(system, where, bad):
     name = "start" if where == "start" else "right-hand side"
     with pytest.raises(SolverError, match=f"non-finite {name}"):
         non_finite_solvers()[system].solve(b, 1e-10, x0)
+
+
+@pytest.mark.parametrize("where", ["cold rhs", "warm rhs", "start"])
+@pytest.mark.parametrize("system", ["periodic", "noflux", "dirichlet"])
+def test_non_finite_input_raises_under_a_reduction(system, where):
+    rng = np.random.default_rng(4)
+    b = rng.standard_normal((8, 8))
+    x0 = None if where == "cold rhs" else rng.standard_normal((8, 8))
+    (x0 if where == "start" else b)[2, 6] = np.nan
+    name = "start" if where == "start" else "right-hand side"
+    with pytest.raises(SolverError, match=f"non-finite {name}"):
+        non_finite_solvers()[system].solve(b, 1e-10, x0, 1e-3)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
