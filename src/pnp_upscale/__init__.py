@@ -3,100 +3,86 @@
 Pipeline: voxelized periodic reference cell -> corrector cell problems ->
 effective tensors -> upscaled macroscopic PNP solver, validated against
 direct numerical simulation of the oscillating-coefficient system.
+
+The namespace is lazy (PEP 562, Scientific Python SPEC 1): importing the
+package loads no submodule, and each name in ``__all__`` imports its
+submodule on first access, so reading a config and building a cell never
+compile the solvers.
 """
 
-from .unitcell import (
-    GeometryError,
-    PermittivityParams,
-    UnitCell,
-    build_unit_cell,
-    permittivity_field,
-    porosity,
-)
-from .cellcorrect import (
-    CorrectorSet,
-    PeriodicEllipticProblem,
-    SolverError,
-    solve_density_corrector_shape,
-    solve_periodic_elliptic,
-    solve_potential_corrector,
-    solve_second_order_potential_corrector,
-)
-from .upscale import (
-    EffectiveTensors,
-    MaterialTensorReport,
-    compute_effective_tensors,
-    diffusion_shape_tensor,
-    effective_permittivity,
-    electro_convection_tensor,
-    material_tensor_report,
-    permittivity_bounds,
-)
-from .macropnp import (
-    DiagnosticsRow,
-    MacroConfig,
-    MacroState,
-    StepConfig,
-    check_local_equilibrium,
-    free_energy,
-    free_energy_effective,
-    run_macro,
-    step_macro_pnp,
-)
-from .microdns import (
-    FieldErrors,
-    MicroDomain,
-    MicroState,
-    assemble_micro_domain,
-    compare_fields,
-    reconstruct_two_scale,
-    run_micro,
-    step_micro_pnp,
-)
-from .config import ConfigError, RunConfig, load_config
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GeometryError",
-    "PermittivityParams",
-    "UnitCell",
-    "build_unit_cell",
-    "permittivity_field",
-    "porosity",
-    "CorrectorSet",
-    "PeriodicEllipticProblem",
-    "SolverError",
-    "solve_density_corrector_shape",
-    "solve_periodic_elliptic",
-    "solve_potential_corrector",
-    "solve_second_order_potential_corrector",
-    "EffectiveTensors",
-    "MaterialTensorReport",
-    "compute_effective_tensors",
-    "diffusion_shape_tensor",
-    "effective_permittivity",
-    "electro_convection_tensor",
-    "material_tensor_report",
-    "permittivity_bounds",
-    "DiagnosticsRow",
-    "MacroConfig",
-    "MacroState",
-    "StepConfig",
-    "check_local_equilibrium",
-    "free_energy",
-    "free_energy_effective",
-    "run_macro",
-    "step_macro_pnp",
-    "FieldErrors",
-    "MicroDomain",
-    "MicroState",
-    "assemble_micro_domain",
-    "compare_fields",
-    "reconstruct_two_scale",
-    "run_micro",
-    "step_micro_pnp",
-    "ConfigError",
-    "RunConfig",
-    "load_config",
-]
+_SUBMODULE_NAMES = {
+    "unitcell": (
+        "GeometryError",
+        "PermittivityParams",
+        "UnitCell",
+        "build_unit_cell",
+        "permittivity_field",
+        "porosity",
+    ),
+    "cellcorrect": (
+        "CorrectorSet",
+        "PeriodicEllipticProblem",
+        "SolverError",
+        "solve_density_corrector_shape",
+        "solve_periodic_elliptic",
+        "solve_potential_corrector",
+        "solve_second_order_potential_corrector",
+    ),
+    "upscale": (
+        "EffectiveTensors",
+        "MaterialTensorReport",
+        "compute_effective_tensors",
+        "diffusion_shape_tensor",
+        "effective_permittivity",
+        "electro_convection_tensor",
+        "material_tensor_report",
+        "permittivity_bounds",
+    ),
+    "macropnp": (
+        "DiagnosticsRow",
+        "MacroConfig",
+        "MacroState",
+        "StepConfig",
+        "check_local_equilibrium",
+        "free_energy",
+        "free_energy_effective",
+        "run_macro",
+        "step_macro_pnp",
+    ),
+    "microdns": (
+        "FieldErrors",
+        "MicroDomain",
+        "MicroState",
+        "assemble_micro_domain",
+        "compare_fields",
+        "reconstruct_two_scale",
+        "run_micro",
+        "step_micro_pnp",
+    ),
+    "config": ("ConfigError", "RunConfig", "load_config"),
+}
+
+#: exported name -> the submodule that defines it
+_SUBMODULE = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
+
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    """Import the submodule of an exported name on first access and bind the
+    name here.  Other names raise ``AttributeError``, after which ``from
+    pnp_upscale import macropnp`` falls back to importing the submodule."""
+    module = _SUBMODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -150,8 +150,9 @@ def _dns_runs(cfg: RunConfig, cell):
         u1, u2 = initial_density_fields(
             cfg.macro_init, cfg.macro_init_amplitude, cfg.cell_dim, dom.resolution
         )
-        init = MicroState(nplus=u1 * dom.mask, nminus=u2 * dom.mask,
-                          phi=np.zeros(dom.mask.shape), t=0.0)
+        u1 *= dom.mask  # in place: no unmasked copies live through the run
+        u2 *= dom.mask
+        init = MicroState(nplus=u1, nminus=u2, phi=np.zeros(dom.mask.shape), t=0.0)
         state, rows = run_micro(dom, init, cfg.macro_dt, n_steps, mcfg)
         yield frac, dom, state, rows
 

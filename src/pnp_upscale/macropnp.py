@@ -221,78 +221,62 @@ class GridOperators:
         return self.poisson.solve(q, tol, x0, reduction)
 
 
-def _face_velocities(u3: np.ndarray, A: np.ndarray, h: float, bc: str):
-    """Face velocities (A grad u3).n of a z = +1 species; species r moves
-    with z_r times them.  Computed once per Picard iteration.
+def _drift_divergences(v, u3: np.ndarray, A: np.ndarray, h: float, bc: str,
+                       scheme: str, open_faces=None) -> list:
+    """[div of z_r * v_r * (A grad u3) for r = 1, 2], the advective flux of
+    both species, face-based, in one pass over the faces.
 
-    Returns (faces, walls): per axis the velocity on the interior faces,
-    and, for Dirichlet densities with a real off-diagonal in ``A``, per axis
-    the cross velocities on the low and high domain boundary (else None).
-    The normal potential gradient vanishes on the boundary (Neumann), so
-    only the tangential cross terms drive flux through it.
+    Per axis the face velocity (A grad u3).n is computed once and zeroed on
+    the closed faces (``open_faces``, per-axis boolean face masks) once.
+    Upwinding follows the sign of z_r times it: species 1 takes its upstream
+    cell where it is positive, species 2 where it is negative; the central
+    option averages the two cell densities.  Species 2's flux is species
+    1's form divided by -h, exact since z = -1.  Dirichlet boundaries see
+    exterior density zero; the normal potential gradient vanishes on the
+    boundary (Neumann), so only the tangential cross terms of a real
+    off-diagonal in ``A`` drive flux through it.  The no-flux variant zeroes
+    all boundary fluxes.
     """
     N = u3.ndim
     offdiag = _significant_offdiag(A)
     grads = cell_gradients(u3, h) if offdiag else None
-    cross = [[d2 for d2 in range(N) if d2 != d and A[d, d2] != 0.0] for d in range(N)]
-    faces = []
+    div = [np.zeros_like(w) for w in v]
     for d, (lo, hi) in enumerate(_face_slices(N)):
-        vel = A[d, d] * (u3[hi] - u3[lo]) / h
-        if offdiag:
-            for d2 in cross[d]:
-                vel = vel + A[d, d2] * 0.5 * (grads[d2][lo] + grads[d2][hi])
-        faces.append(vel)
-    if bc != "dirichlet" or not offdiag:
-        return faces, None
-    walls = []
-    for d in range(N):
-        pair = []
-        for side in (0, u3.shape[d] - 1):
+        cross = [d2 for d2 in range(N) if d2 != d and A[d, d2] != 0.0] if offdiag else []
+        vel = u3[hi] - u3[lo]
+        vel *= A[d, d]
+        vel /= h
+        for d2 in cross:
+            vel += A[d, d2] * 0.5 * (grads[d2][lo] + grads[d2][hi])
+        if open_faces is not None:
+            vel *= open_faces[d]
+        if scheme == "upwind":
+            # a face with vel = 0 carries no flux whichever cell is upstream
+            positive = vel > 0.0
+        for w, out, z in zip(v, div, Z_CHARGES):
+            if scheme == "upwind":
+                F = np.where(positive, *((w[lo], w[hi]) if z > 0 else (w[hi], w[lo])))
+            else:
+                F = w[lo] + w[hi]
+                F *= 0.5
+            F *= vel
+            F /= z * h
+            out[lo] += F
+            out[hi] -= F
+        if bc != "dirichlet" or not offdiag:
+            continue
+        for side, sign in ((0, -1.0), (u3.shape[d] - 1, +1.0)):
             face = _along(N, d, side)
             velb = np.zeros_like(u3[face], dtype=float)
-            for d2 in cross[d]:
+            for d2 in cross:
                 velb = velb + A[d, d2] * grads[d2][face]
-            pair.append(velb)
-        walls.append(pair)
-    return faces, walls
-
-
-def _drift_divergence(v: np.ndarray, velocities, z: float, h: float, scheme: str,
-                      open_faces=None) -> np.ndarray:
-    """div of the advective flux z * v * (A grad u3), face-based, from the
-    ``_face_velocities`` of u3.
-
-    Upwinding follows the sign of the face velocity z * (A grad u3).n; the
-    central option averages the two cell densities.  Dirichlet boundaries see
-    exterior density zero, the no-flux variant zeroes all boundary fluxes.
-    With ``open_faces`` (per-axis boolean face masks) the flux through closed
-    faces is zero.
-    """
-    faces, walls = velocities
-    N = v.ndim
-    div = np.zeros_like(v)
-    for d, (lo, hi) in enumerate(_face_slices(N)):
-        vel = z * faces[d]
-        if scheme == "upwind":
-            vup = np.where(vel > 0.0, v[lo], v[hi])
-        else:
-            vup = 0.5 * (v[lo] + v[hi])
-        F = vel * vup
-        if open_faces is not None:
-            F = np.where(open_faces[d], F, 0.0)
-        div[lo] += F / h
-        div[hi] -= F / h
-        if walls is None:
-            continue
-        for side, sign, velb in zip((0, v.shape[d] - 1), (-1.0, +1.0), walls[d]):
-            face = _along(N, d, side)
-            velb = z * velb
-            outflow = velb * sign > 0.0  # leaving the domain
-            if scheme == "upwind":
-                F_b = np.where(outflow, velb * v[face], 0.0)
-            else:
-                F_b = velb * 0.5 * v[face]
-            div[face] += sign * F_b / h
+            for w, out, z in zip(v, div, Z_CHARGES):
+                if scheme == "upwind":
+                    outflow = z * velb * sign > 0.0  # leaving the domain
+                    F_b = np.where(outflow, velb * w[face], 0.0)
+                else:
+                    F_b = velb * 0.5 * w[face]
+                out[face] += sign * F_b / (z * h)
     return div
 
 
@@ -318,8 +302,8 @@ def picard_step(ops: GridOperators, v, u3, base, A: np.ndarray, dt: float,
     the loop converges to the same fixed point either way.
     ``base`` holds the previous-step terms of the two right-hand sides, ``A``
     the drift tensor.  Each iteration solves the potential from the lagged
-    densities, computes the face velocities of that potential once, then
-    solves the implicit diffusion of each species with the lagged drift.
+    densities, computes both species' drift from it in one pass over the
+    faces, then solves the implicit diffusion of each species with it.
     Every CG solve starts from the previous iterate: the potential from the
     last u3, species r from the lagged v[r], so solves get cheaper as the
     loop contracts.
@@ -348,11 +332,9 @@ def picard_step(ops: GridOperators, v, u3, base, A: np.ndarray, dt: float,
         forced = iters <= FORCED_ITERATIONS and iters < cfg.picard_cap
         reduction = FORCING if forced else 0.0
         u3, cert, it = ops.potential(v[0], v[1], cfg.lin_tol, u3, reduction)
-        velocities = _face_velocities(u3, A, ops.h, cfg.bc)
-        rhs = [base[r] - _drift_divergence(v[r], velocities, z, ops.h, cfg.drift,
-                                           ops.open_faces)
-               for r, z in enumerate(Z_CHARGES)]
-        del velocities  # one array per axis, not kept through the solves
+        rhs = _drift_divergences(v, u3, A, ops.h, cfg.bc, cfg.drift, ops.open_faces)
+        for prev, drift in zip(base, rhs):
+            np.subtract(prev, drift, out=drift)
         if ops.solid is not None:
             for b in rhs:
                 b[ops.solid] = 0.0

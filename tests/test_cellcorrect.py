@@ -235,9 +235,12 @@ def test_kernel_stops_when_the_certificate_stagnates():
         calls.append(r)
         return rng.standard_normal(r.size)
 
-    with pytest.raises(SolverError, match="stagnated"):
+    with pytest.raises(SolverError, match="stagnated") as err:
         kernel_solve(A, b, max_iter=50 * STALL_WINDOW, precondition=blind)
     assert STALL_WINDOW <= len(calls) <= STALL_WINDOW + 3
+    # the message names the tolerance and the key that sets it
+    assert "tolerance 1.0e-12 is likely below the accuracy" in str(err.value)
+    assert "raise solver.tol" in str(err.value)
 
 
 def test_problem_validation():
