@@ -230,8 +230,8 @@ def pcg(apply, precondition, certify, b: np.ndarray, x: np.ndarray, r: np.ndarra
         elif it - mark_it >= STALL_WINDOW:
             raise SolverError(
                 f"CG stagnated: certificate {mark:.3e} not halved in {STALL_WINDOW} "
-                f"iterations; the tolerance {tol:.1e} is likely below the accuracy "
-                f"this grid can certify, so raise solver.tol"
+                f"iterations; the tolerance {tol:.1e} may be below what this grid "
+                f"can certify"
             )
         z = precondition(r)
         rz_new = float(np.vdot(r, z))

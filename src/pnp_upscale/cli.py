@@ -294,13 +294,17 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         _emit_error(exc)
         return EXIT_VALIDATION
-    except (SolverError, GeometryError, BudgetError, ValueError) as exc:
+    except SolverError as exc:
+        # a stall usually means the configured tolerance is out of reach
+        _emit_error(exc, "; raise solver.tol" if "stagnated" in str(exc) else "")
+        return EXIT_SOLVER
+    except (GeometryError, BudgetError, ValueError) as exc:
         _emit_error(exc)
         return EXIT_SOLVER
 
 
-def _emit_error(exc: Exception) -> None:
-    record = {"error": type(exc).__name__, "message": str(exc)}
+def _emit_error(exc: Exception, hint: str = "") -> None:
+    record = {"error": type(exc).__name__, "message": str(exc) + hint}
     print(json.dumps(record), file=sys.stderr)
 
 

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pnp_upscale
+from pnp_upscale import cli
+from pnp_upscale.cellcorrect import SolverError
 from pnp_upscale.cli import main, initial_density_fields
 from pnp_upscale.config import ConfigError, load_config
 from pnp_upscale.fieldio import format_field, read_field, write_field
@@ -383,6 +385,23 @@ def test_exit_code_solver_failure(tmp_path, capsys):
     assert main(["cell", "--config", str(cfg), "--out", str(tmp_path / 'x')]) == 3
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "GeometryError"
+
+
+@pytest.mark.parametrize("message, hinted", [
+    ("CG stagnated: certificate 1.1e-13 not halved in 100 iterations", True),
+    ("CG breakdown: operator lost positive definiteness", False),
+])
+def test_stalled_solve_advises_raising_the_tolerance(base_config, capsys, monkeypatch,
+                                                     message, hinted):
+    # the kernel names the tolerance it was given; only the CLI knows the key
+    def fail(*args):
+        raise SolverError(message)
+
+    monkeypatch.setattr(cli, "cmd_cell", fail)
+    assert main(["cell", "--config", str(base_config)]) == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "SolverError" and record["message"].startswith(message)
+    assert record["message"].endswith("; raise solver.tol") == hinted
 
 
 def test_exit_code_validation_threshold(tmp_path, capsys):
