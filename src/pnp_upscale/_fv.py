@@ -11,6 +11,10 @@ drift and the free energy walk the same faces.  Every matrix is
 the permittivity on the DNS grid, eps0[d,d] plus its cross terms on the
 macro grid, and p on open fluid faces (0 on closed ones) for the
 densities, whose diagonal adds p/dt and the Dirichlet ghost-cell penalty.
+``face_operator`` writes the entries into one dense table, a row per
+stencil offset and a column per cell, and gathers its nonzeros cell by cell
+straight into the CSR arrays: no triplet lists, no COO conversion, and a
+build peak under twice the matrix for the Poisson operators.
 Each matrix is assembled once and solved by ``cellcorrect.SpectralPCG``,
 the solver of the periodic cell problems, with a constant-coefficient box
 preconditioner diagonalized by DCT-II or DST-II, in float32 on the DNS
@@ -25,6 +29,7 @@ first box matrix is built, and its absence is a ``SolverError``
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -51,21 +56,13 @@ def _index_dtype(n: int):
     return np.int32 if n < 2**31 else np.int64
 
 
-def _cell_indices(shape) -> np.ndarray:
-    n = int(np.prod(shape))
-    return np.arange(n, dtype=_index_dtype(n)).reshape(shape)
-
-
-def _tangential_stencil(shape, axis, h):
-    """Per-cell derivative stencil along ``axis``: central inside, one-sided
-    at the two boundary layers.  Returns flat (plus, minus, weight) arrays so
-    that du[c] = weight[c] * (u[plus[c]] - u[minus[c]])."""
-    idx = _cell_indices(shape)
+def _tangential_weights(shape, axis, h):
+    """Weights w of the cell-centered derivative along ``axis``, shaped to
+    broadcast along it: du = w (u[+1] - u[-1]) inside, one-sided with the
+    cell itself at the two boundary layers."""
     c = np.arange(shape[axis])
     cp, cm = np.minimum(c + 1, shape[axis] - 1), np.maximum(c - 1, 0)
-    weight = np.take(1.0 / ((cp - cm) * h), np.indices(shape)[axis])
-    return (np.take(idx, cp, axis=axis).ravel(), np.take(idx, cm, axis=axis).ravel(),
-            weight.ravel())
+    return (1.0 / ((cp - cm) * h)).reshape([-1 if k == axis else 1 for k in range(len(shape))])
 
 
 def _significant_offdiag(tensor):
@@ -74,59 +71,104 @@ def _significant_offdiag(tensor):
     return off > 1e-12 * max(np.abs(t).max(), 1e-300)
 
 
+def _shift(e: tuple, d: int, k: int) -> tuple:
+    """Stencil offset e moved by k cells along axis d."""
+    return e[:d] + (e[d] + k,) + e[d + 1:]
+
+
+def _add_derivative(rows, cells, end, d2, v):
+    """Add v times the d2-derivative stencil of the neighbour at offset
+    ``end`` to the entries of ``cells``: +v for its next cell along d2, -v
+    for its previous one, or for itself where that cell would leave the grid."""
+    N = len(end)
+    for step, inner, edge in ((1, slice(0, -1), slice(-1, None)),
+                              (-1, slice(1, None), slice(0, 1))):
+        for part, e in ((inner, _shift(end, d2, step)), (edge, end)):
+            sel = _along(N, d2, part)
+            target = rows[e][cells][sel]
+            target += step * v[sel]
+
+
+def _stencil_table(shape, h, faces, diag, wall, tensor, offsets) -> np.ndarray:
+    """The entries of ``face_operator``: row k holds, per cell, its entry for
+    the neighbour at stencil offset ``offsets[k]``."""
+    N = len(shape)
+    table = np.zeros((len(offsets), int(np.prod(shape))))
+    rows = {e: row.reshape(shape) for e, row in zip(offsets, table)}
+    zero = (0,) * N
+    D = rows[zero]
+    D[...] = diag
+    for d, (lo, hi) in enumerate(_face_slices(N)):
+        # -t, the lo cell's entry for its hi neighbour and the hi cell's for its lo one
+        up = rows[_shift(zero, d, 1)][lo]
+        np.divide(faces[d], -(h * h), out=up)
+        rows[_shift(zero, d, -1)][hi] = up
+        D[lo] -= up
+        D[hi] -= up
+        if wall is not None:
+            for side in (0, -1):
+                cells = _along(N, d, side)
+                D[cells] += wall[cells] / (h * h)
+    if tensor is None:
+        return table
+    for d, (lo, hi) in enumerate(_face_slices(N)):
+        is_open = np.asarray(faces[d]) != 0.0
+        for d2 in range(N):
+            if d2 == d or tensor[d, d2] == 0.0:
+                continue
+            # flux q = T[d,d2] * the mean of the d2-derivatives of the face's
+            # lo cell a and hi cell b; row a gets -q/h, row b +q/h
+            v = float(tensor[d, d2]) * 0.5 / h * _tangential_weights(shape, d2, h) * is_open
+            for cells, row, value in ((lo, zero, -v), (hi, _shift(zero, d, -1), v)):
+                for end in (row, _shift(row, d, 1)):  # the derivative at a, then at b
+                    _add_derivative(rows, cells, end, d2, value)
+    return table
+
+
 def face_operator(shape, h, faces, diag=0.0, wall=None, tensor=None) -> sp.csr_matrix:
     """CSR matrix of -div(c grad u) + diag u on a box grid, by face fluxes.
 
     ``faces[d]`` is the transmissibility c on the interior faces of axis d
     (a scalar, or an array in the ``_face_slices`` layout); a zero face is
-    closed and stores no entry.  ``diag`` (scalar or per cell) starts the
-    diagonal.  ``wall`` (per cell) is the transmissibility through each
-    boundary face to a zero exterior value, the ghost-cell Dirichlet
-    penalty; without it the boundary faces carry no flux.  The significant
-    off-diagonals of a constant ``tensor`` add to each face flux T[d,d2]
-    times the mean of its two cells' d2-derivatives (central inside,
-    one-sided at the edges).  Per axis the diagonal gains the faces, then
-    the wall.  The cell indices are int32 below 2**31 cells, so scipy need
-    not convert them.
+    closed.  Only nonzero entries are stored.  ``diag`` (scalar or per
+    cell) starts the diagonal.  ``wall`` (per cell) is the transmissibility
+    through each boundary face to a zero exterior value, the ghost-cell
+    Dirichlet penalty; without it the boundary faces carry no flux.  The
+    significant off-diagonals of a constant ``tensor`` add to each open
+    face's flux T[d,d2] times the mean of its two cells' d2-derivatives
+    (central inside, one-sided at the edges).  Per axis the diagonal gains
+    the faces, then the wall; the cross terms come after all axes.
+
+    The entries go into one dense table with a row per stencil offset e
+    (in {-1,0,1}^N, at most one nonzero component, two with cross terms)
+    and a column per cell.  The offsets are in lexicographic order, which
+    is the order of the neighbours' flat cell indices, so gathering the
+    table's nonzeros cell by cell gives the CSR arrays directly: sorted and
+    without duplicates.  The build peaks at 1.4-1.7 times the result, 2.6
+    for a masked diffusion matrix, whose closed faces the table still
+    holds.  The indices are int32 below 2**31 cells, so scipy need not
+    convert them.
     """
     sp = import_scipy("scipy.sparse")
-    N = len(shape)
-    idx = _cell_indices(shape)
-    diag = np.array(np.broadcast_to(diag, shape), dtype=float)
-    # diag.ravel() is a view: the faces below still add to it
-    rows, cols, vals = [idx.ravel()], [idx.ravel()], [diag.ravel()]
+    shape = tuple(shape)
+    N, n = len(shape), int(np.prod(shape))
     cross = tensor is not None and _significant_offdiag(tensor)
-    stencils = [_tangential_stencil(shape, d, h) for d in range(N)] if cross else None
-    for d, (lo, hi) in enumerate(_face_slices(N)):
-        t = np.broadcast_to(faces[d], idx[lo].shape) / (h * h)
-        diag[lo] += t
-        diag[hi] += t
-        if wall is not None:
-            for side in (0, -1):
-                cells = _along(N, d, side)
-                diag[cells] += wall[cells] / (h * h)
-        keep = t != 0.0
-        a, b, t = idx[lo][keep], idx[hi][keep], t[keep]
-        rows += [a, b]
-        cols += [b, a]
-        vals += [-t, -t]
-        for d2 in range(N):
-            if not cross or d2 == d or tensor[d, d2] == 0.0:
-                continue
-            plus, minus, w = stencils[d2]
-            # flux q += T[d,d2] * mean of the two cell-centered tangential
-            # derivatives; row a gets -q/h, row b gets +q/h
-            coeff = float(tensor[d, d2]) * 0.5 / h
-            for cells, sign in ((a, -1.0), (b, +1.0)):
-                for ends in (a, b):
-                    rows += [cells, cells]
-                    cols += [plus[ends], minus[ends]]
-                    vals += [sign * coeff * w[ends], -sign * coeff * w[ends]]
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(idx.size, idx.size),
-    )
-    return A.tocsr()
+    offsets = [e for e in itertools.product((-1, 0, 1), repeat=N)
+               if np.count_nonzero(e) <= (2 if cross else 1)]
+    table = _stencil_table(shape, h, faces, diag, wall, tensor if cross else None, offsets)
+    keep = table.T != 0.0  # (cell, offset): its row-major order is the CSR order
+    data = table.T[keep]
+    del table  # before the index arrays are built, which keeps the peak low
+    counts = np.count_nonzero(keep, axis=1)
+    itype = _index_dtype(n)
+    indptr = np.zeros(n + 1, dtype=itype)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.repeat(np.arange(n, dtype=itype), counts)
+    del counts
+    strides = [int(np.prod(shape[d + 1:])) for d in range(N)]
+    flat = np.array([np.dot(e, strides) for e in offsets], dtype=itype)
+    indices += np.broadcast_to(flat, keep.shape)[keep]
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def assemble_neumann_operator(shape, h, tensor=None, coef=None) -> sp.csr_matrix:

@@ -200,19 +200,35 @@ def pcg(apply, precondition, certify, b: np.ndarray, x: np.ndarray, r: np.ndarra
     stopping measure; once the recurrence residual passes it, the true
     residual b - apply(x) must pass too, or CG restarts from the true
     residual.  Returns (x, certificate, iterations); raises ``SolverError``
-    on breakdown, when the certificate has not halved in ``STALL_WINDOW``
-    iterations, or after ``max_iter`` iterations.
+    on breakdown (p.Ap not positive, or not finite once values overflow;
+    z.r not positive, or not finite, while the certificate is above tol),
+    when the certificate has not halved in ``STALL_WINDOW`` iterations, or
+    after ``max_iter`` iterations.
     """
     if not r.any():
         return x, 0.0, 0
+
+    def positive_rz(z):
+        # z.r > 0 for r != 0 under a positive definite preconditioner; it
+        # is lost when r, or z, falls below what the floats resolve
+        rz = float(np.vdot(r, z))
+        if not 0.0 < rz < np.inf:
+            raise SolverError(
+                f"CG breakdown: z.r = {rz:.3e} before the certificate reached the "
+                f"tolerance {tol:.1e}, which may be below what this grid can certify"
+            )
+        return rz
+
     z = precondition(r)
     p = z.copy()
-    rz = float(np.vdot(r, z))
+    rz = positive_rz(z)
     mark, mark_it = np.inf, 0  # the last certificate that halved its predecessor
     for it in range(1, max_iter + 1):
         Ap = apply(p)
         pAp = float(np.vdot(p, Ap))
-        if not np.isfinite(pAp) or pAp <= 0.0:
+        if not np.isfinite(pAp):
+            raise SolverError(f"CG breakdown: p.Ap = {pAp} is not finite; the values overflowed")
+        if pAp <= 0.0:
             raise SolverError("CG breakdown: operator lost positive definiteness")
         alpha = rz / pAp
         x += alpha * p
@@ -234,7 +250,7 @@ def pcg(apply, precondition, certify, b: np.ndarray, x: np.ndarray, r: np.ndarra
                 f"can certify"
             )
         z = precondition(r)
-        rz_new = float(np.vdot(r, z))
+        rz_new = positive_rz(z)
         beta = 0.0 if restart else -alpha * float(np.vdot(z, Ap)) / rz
         p = z + beta * p
         rz = rz_new

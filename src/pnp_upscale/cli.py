@@ -295,8 +295,10 @@ def main(argv=None) -> int:
         _emit_error(exc)
         return EXIT_VALIDATION
     except SolverError as exc:
-        # a stall usually means the configured tolerance is out of reach
-        _emit_error(exc, "; raise solver.tol" if "stagnated" in str(exc) else "")
+        # a stall, or a residual lost below rounding, usually means the
+        # configured tolerance is out of reach
+        reach = "stagnated" in str(exc) or "can certify" in str(exc)
+        _emit_error(exc, "; raise solver.tol" if reach else "")
         return EXIT_SOLVER
     except (GeometryError, BudgetError, ValueError) as exc:
         _emit_error(exc)

@@ -319,8 +319,10 @@ def picard_step(ops: GridOperators, v, u3, base, A: np.ndarray, dt: float,
     ``lin_tol``; the iteration at ``cfg.picard_cap`` is never forced.  A
     warm solve stops once its certificate passes, so an increment may still
     understate the true one by up to the solve's certified error.  The
-    grid's solvers are built on first use, the Poisson solver first: its
-    assembly needs the most scratch memory.  Each iteration logs one debug
+    grid's solvers are built on first use, the Poisson solver first, as
+    each iteration solves the potential first; its assembly, whose peak is
+    the largest of the grid's matrices, then runs before any diffusion
+    matrix is held.  Each iteration logs one debug
     record.  Reaching the cap raises with advice to reduce dt.  Returns
     ([u1, u2], u3, StepInfo), where u3 is the potential of the returned
     densities.

@@ -171,6 +171,29 @@ def test_kernel_failures_raise(sign, max_iter, match):
         kernel_solve(sign * A, b, max_iter=max_iter)
 
 
+def vanishing_below(floor, b):
+    """Identity preconditioner that returns zero once ||r|| < floor ||b||,
+    as a float32 transform does for a residual below its range."""
+    def precondition(r):
+        small = np.linalg.norm(r) < floor * np.linalg.norm(b)
+        return np.zeros_like(r) if small else r.copy()
+    return precondition
+
+
+@pytest.mark.parametrize("scale, preconditioner, match", [
+    (1.0, lambda b: np.negative,
+     r"breakdown: z\.r = -.* tolerance 1\.0e-12, which may be below"),
+    (1.0, lambda b: vanishing_below(1e-6, b),
+     r"breakdown: z\.r = 0\.000e\+00 .* tolerance 1\.0e-12, which may be below"),
+    (np.inf, lambda b: np.copy,
+     r"breakdown: p\.Ap = (inf|nan) is not finite; the values overflowed"),
+], ids=["indefinite-preconditioner", "vanishing-preconditioner", "overflow"])
+def test_kernel_breakdowns_name_their_cause(scale, preconditioner, match):
+    A, b = spd_system()
+    with np.errstate(all="ignore"), pytest.raises(SolverError, match=match):
+        kernel_solve(scale * A, b, precondition=preconditioner(b))
+
+
 def test_kernel_zero_residual_returns_x_unchanged():
     A, b = spd_system()
     x0 = np.linalg.solve(A, b)
@@ -232,8 +255,10 @@ def test_kernel_stops_when_the_certificate_stagnates():
     calls = []
 
     def blind(r):
+        # a random direction, turned to keep z.r > 0, which pcg requires
         calls.append(r)
-        return rng.standard_normal(r.size)
+        z = rng.standard_normal(r.size)
+        return z if np.vdot(z, r) > 0 else -z
 
     with pytest.raises(SolverError, match="stagnated") as err:
         kernel_solve(A, b, max_iter=50 * STALL_WINDOW, precondition=blind)

@@ -404,6 +404,25 @@ def test_stalled_solve_advises_raising_the_tolerance(base_config, capsys, monkey
     assert record["message"].endswith("; raise solver.tol") == hinted
 
 
+@pytest.mark.parametrize("tol", ["1e-18", "1e-20", "1e-22"])
+def test_tolerance_below_rounding_is_a_typed_solver_error(tmp_path, capsys, tol):
+    # the DNS residual falls below what float32 preconditioning resolves
+    # before the certificate reaches tol; CG must stop with a SolverError,
+    # not divide by a vanished z.r
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "cell.kind = disc\ncell.dim = 2\ncell.resolution = 8\ncell.radius = 0.25\n"
+        f"macro.dt = 1e-3\nmacro.t_end = 2e-3\nmicro.s = 1/2\nsolver.tol = {tol}\n"
+    )
+    assert main(["micro", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "SolverError"
+    assert f"tolerance {float(tol):.1e}" in record["message"]
+
+
 def test_exit_code_validation_threshold(tmp_path, capsys):
     cfg = tmp_path / "strict.cfg"
     cfg.write_text(BASE_CFG + "micro.fail_threshold = 1e-12\n")

@@ -1,6 +1,9 @@
 """The one face-flux builder of the box grids against the per-operator COO
 assemblers kept in ``oracles``: the same matrices, bit for bit, on random
-grids, masks, contrasts, time steps and tensors."""
+grids, masks, contrasts, time steps and tensors; and the memory it takes to
+build them."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,3 +107,43 @@ def test_int32_cell_indices_build_the_int64_matrices(grid, alpha, data):
 def test_index_type_widens_at_two_to_the_31_cells():
     assert _fv._index_dtype(2**31 - 1) is np.int32
     assert _fv._index_dtype(2**31) is np.int64
+
+
+#: largest tracemalloc peak inside an ``assemble_*`` call, in multiples of
+#: the bytes of the CSR matrix it returns; measured 1.66 / 1.70 (64^2 / 16^3),
+#: 1.41 / 1.48 and 2.58 / 2.70, against 3.6, 8.9 / 11.1 and 3.9 of a COO
+#: triplet build
+BUILD_PEAK_BOUNDS = {"coefficient Poisson": 2.0, "cross-term Poisson": 2.0,
+                     "masked Dirichlet diffusion": 3.25}
+
+
+def assert_canonical(A):
+    """Sorted column indices and no duplicates in every row."""
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    assert np.all(np.diff(rows * A.shape[1] + A.indices.astype(np.int64)) > 0)
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (16, 16, 16)])
+def test_assembly_peak_is_a_small_multiple_of_the_matrix(shape):
+    rng = np.random.default_rng(7)
+    h = 1.0 / shape[0]
+    mask = rng.random(shape) >= 0.3
+    coef = np.where(mask, 1.0, 4.0)
+    G = rng.standard_normal((len(shape), len(shape)))
+    T = G @ G.T + 0.1 * np.eye(len(shape))
+    builds = {
+        "coefficient Poisson": lambda: _fv.assemble_neumann_operator(shape, h, coef=coef),
+        "cross-term Poisson": lambda: _fv.assemble_neumann_operator(shape, h, tensor=T),
+        "masked Dirichlet diffusion": lambda: _fv.assemble_diffusion_matrix(
+            shape, h, 1e-3, 0.5, "dirichlet", mask=mask),
+    }
+    for name, build in builds.items():
+        tracemalloc.start()
+        try:
+            A = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ratio = peak / (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+        assert ratio <= BUILD_PEAK_BOUNDS[name], (name, ratio)
+        assert_canonical(A)
