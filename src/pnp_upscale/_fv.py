@@ -12,19 +12,19 @@ the permittivity on the DNS grid, eps0[d,d] plus its cross terms on the
 macro grid, and p on open fluid faces (0 on closed ones) for the
 densities, whose diagonal adds p/dt and the Dirichlet ghost-cell penalty.
 ``face_operator`` writes the entries into one dense table, a row per
-stencil offset and a column per cell, and gathers its nonzeros cell by cell
-straight into the CSR arrays: no triplet lists, no COO conversion, and a
-build peak under twice the matrix for the Poisson operators.
+stencil offset and a column per cell, and rolls each row by its flat offset
+into the diagonal (DIA) storage of the matrix: one representation, built
+in place, whose products sum each row in the column order of CSR.
 Each matrix is assembled once and solved by ``cellcorrect.SpectralPCG``,
 the solver of the periodic cell problems, with a constant-coefficient box
 preconditioner diagonalized by DCT-II or DST-II, in float32 on the DNS
 grids and float64 on the macro grid.  The SuperLU solvers
 ``PinnedNeumannSolver`` and ``FactorizedSolver`` are its test oracles only,
 with the same solve contract; no grid of the program factorizes.
-scipy.sparse loads inside ``face_operator`` and the oracles, so importing
-this module, and the package, needs numpy only; scipy comes in when the
-first box matrix is built, and its absence is a ``SolverError``
-(``cellcorrect.import_scipy``).
+The oracles factorize a CSR copy of the DIA matrix.  scipy.sparse loads
+inside ``face_operator`` and the oracles, so importing this module, and the
+package, needs numpy only; scipy comes in when the first box matrix is
+built, and its absence is a ``SolverError`` (``cellcorrect.import_scipy``).
 """
 
 from __future__ import annotations
@@ -48,12 +48,6 @@ def _along(N: int, d: int, key):
 def _face_slices(N: int):
     """(lo, hi) index tuples selecting the two cells of each interior face, per axis."""
     return [(_along(N, d, slice(0, -1)), _along(N, d, slice(1, None))) for d in range(N)]
-
-
-def _index_dtype(n: int):
-    """Flat cell index type of an n-cell grid: int32, which scipy's sparse
-    matrices store anyway, up to 2**31 cells, and int64 beyond."""
-    return np.int32 if n < 2**31 else np.int64
 
 
 def _tangential_weights(shape, axis, h):
@@ -125,29 +119,30 @@ def _stencil_table(shape, h, faces, diag, wall, tensor, offsets) -> np.ndarray:
     return table
 
 
-def face_operator(shape, h, faces, diag=0.0, wall=None, tensor=None) -> sp.csr_matrix:
-    """CSR matrix of -div(c grad u) + diag u on a box grid, by face fluxes.
+def face_operator(shape, h, faces, diag=0.0, wall=None, tensor=None) -> sp.dia_matrix:
+    """DIA matrix of -div(c grad u) + diag u on a box grid, by face fluxes.
 
     ``faces[d]`` is the transmissibility c on the interior faces of axis d
     (a scalar, or an array in the ``_face_slices`` layout); a zero face is
-    closed.  Only nonzero entries are stored.  ``diag`` (scalar or per
-    cell) starts the diagonal.  ``wall`` (per cell) is the transmissibility
-    through each boundary face to a zero exterior value, the ghost-cell
-    Dirichlet penalty; without it the boundary faces carry no flux.  The
-    significant off-diagonals of a constant ``tensor`` add to each open
-    face's flux T[d,d2] times the mean of its two cells' d2-derivatives
-    (central inside, one-sided at the edges).  Per axis the diagonal gains
-    the faces, then the wall; the cross terms come after all axes.
+    closed.  ``diag`` (scalar or per cell) starts the diagonal.  ``wall``
+    (per cell) is the transmissibility through each boundary face to a zero
+    exterior value, the ghost-cell Dirichlet penalty; without it the
+    boundary faces carry no flux.  The significant off-diagonals of a
+    constant ``tensor`` add to each open face's flux T[d,d2] times the mean
+    of its two cells' d2-derivatives (central inside, one-sided at the
+    edges).  Per axis the diagonal gains the faces, then the wall; the cross
+    terms come after all axes.
 
     The entries go into one dense table with a row per stencil offset e
     (in {-1,0,1}^N, at most one nonzero component, two with cross terms)
-    and a column per cell.  The offsets are in lexicographic order, which
-    is the order of the neighbours' flat cell indices, so gathering the
-    table's nonzeros cell by cell gives the CSR arrays directly: sorted and
-    without duplicates.  The build peaks at 1.4-1.7 times the result, 2.6
-    for a masked diffusion matrix, whose closed faces the table still
-    holds.  The indices are int32 below 2**31 cells, so scipy need not
-    convert them.
+    and a column per cell.  Rolling row e by its flat offset k moves cell
+    i's entry for cell i + k to column i + k: the table becomes the storage
+    of ``scipy.sparse.dia_matrix``.  The roll wraps only the zeros of
+    neighbours outside the grid.  The flat offsets increase, so a product
+    sums each row in column order, as CSR does.  A side of 2 after the
+    first axis can fold two cross-term offsets onto one flat offset or swap
+    their order; such rows are summed per flat offset and sorted, exactly,
+    as a cell has at most one in-grid neighbour per flat offset.
     """
     sp = import_scipy("scipy.sparse")
     shape = tuple(shape)
@@ -156,22 +151,19 @@ def face_operator(shape, h, faces, diag=0.0, wall=None, tensor=None) -> sp.csr_m
     offsets = [e for e in itertools.product((-1, 0, 1), repeat=N)
                if np.count_nonzero(e) <= (2 if cross else 1)]
     table = _stencil_table(shape, h, faces, diag, wall, tensor if cross else None, offsets)
-    keep = table.T != 0.0  # (cell, offset): its row-major order is the CSR order
-    data = table.T[keep]
-    del table  # before the index arrays are built, which keeps the peak low
-    counts = np.count_nonzero(keep, axis=1)
-    itype = _index_dtype(n)
-    indptr = np.zeros(n + 1, dtype=itype)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.repeat(np.arange(n, dtype=itype), counts)
-    del counts
     strides = [int(np.prod(shape[d + 1:])) for d in range(N)]
-    flat = np.array([np.dot(e, strides) for e in offsets], dtype=itype)
-    indices += np.broadcast_to(flat, keep.shape)[keep]
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    flat = np.array([np.dot(e, strides) for e in offsets])
+    for row, k in zip(table, flat):
+        row[:] = np.roll(row, k)
+    if np.any(np.diff(flat) <= 0):  # folded or out of order: a side of 2
+        flat, fold = np.unique(flat, return_inverse=True)
+        folded = np.zeros((len(flat), n))
+        np.add.at(folded, fold, table)
+        table = folded
+    return sp.dia_matrix((table, flat), shape=(n, n))
 
 
-def assemble_neumann_operator(shape, h, tensor=None, coef=None) -> sp.csr_matrix:
+def assemble_neumann_operator(shape, h, tensor=None, coef=None) -> sp.dia_matrix:
     """-div(T grad u) or -div(c(x) grad u) with zero-flux boundary faces.
 
     Exactly one of ``tensor`` (constant symmetric matrix: faces T[d,d] plus
@@ -187,7 +179,7 @@ def assemble_neumann_operator(shape, h, tensor=None, coef=None) -> sp.csr_matrix
     return face_operator(shape, h, faces)
 
 
-def grid_matvec(A: sp.csr_matrix):
+def grid_matvec(A: sp.dia_matrix):
     """u -> A u on grid-shaped arrays: the ``apply`` of ``SpectralPCG``."""
     return lambda u: (A @ u.ravel()).reshape(u.shape)
 
@@ -206,14 +198,13 @@ class PinnedNeumannSolver:
     does not grow with the h^-2 scale of the operator.
     """
 
-    def __init__(self, A: sp.csr_matrix):
+    def __init__(self, A: sp.dia_matrix):
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
         self.A = A.tocsr()
         self.norm_A = spla.norm(self.A, np.inf)
-        # row 0 becomes e_0; the other rows keep every stored entry, explicit
-        # zeros included (eliminate_zeros would drop those too)
+        # row 0 becomes e_0; the other rows keep every stored entry
         n = self.A.shape[0]
         e0 = sp.csr_matrix(([1.0], ([0], [0])), shape=(1, n))
         self.Ap = sp.vstack([e0, self.A[1:]], format="csr")
@@ -249,7 +240,7 @@ class FactorizedSolver:
     returns (x, relative residual, 0).
     """
 
-    def __init__(self, A: sp.csr_matrix):
+    def __init__(self, A: sp.dia_matrix):
         import scipy.sparse.linalg as spla
 
         self.A = A.tocsr()
@@ -267,7 +258,7 @@ class FactorizedSolver:
         return x, res / bnorm if bnorm else 0.0, 0
 
 
-def assemble_diffusion_matrix(shape, h, dt, p, bc, mask=None) -> sp.csr_matrix:
+def assemble_diffusion_matrix(shape, h, dt, p, bc, mask=None) -> sp.dia_matrix:
     """(p/dt) I - p Lap  with the requested density boundary condition.
 
     bc = 'dirichlet' adds the ghost-cell penalty 2p/h^2 per boundary face of

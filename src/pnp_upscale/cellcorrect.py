@@ -158,11 +158,6 @@ def periodic_operator(faces, h: float):
     return apply
 
 
-def apply_periodic_operator(u: np.ndarray, faces, h: float) -> np.ndarray:
-    """-div(c grad u) with the face transmissibilities from above."""
-    return periodic_operator(faces, h)(u)
-
-
 def face_gradient(u: np.ndarray, axis: int, h: float) -> np.ndarray:
     """(u[idx + e_axis] - u[idx]) / h on the periodic face grid."""
     return (np.roll(u, -1, axis=axis) - u) / h

@@ -8,9 +8,10 @@ are written atomically and carry the config hash, in the tensors document
 or in a sibling ``provenance.json``.  Solvers are deterministic, so a rerun
 of an unchanged configuration reproduces every output byte for byte.
 
-Exit codes: 0 success, 2 configuration error or unusable ``--tensors``
-file, 3 solver or geometry failure, 4 validation error above the configured
-threshold.
+Exit codes: 0 success, 2 configuration error, unusable ``--tensors`` file
+or output path, 3 solver or geometry failure, 4 validation error above the
+configured threshold.  Each command makes its output directory, or the
+parent of the file that ``upscale`` and ``validate`` may write, first.
 """
 
 from __future__ import annotations
@@ -158,6 +159,7 @@ def _dns_runs(cfg: RunConfig, cell):
 
 
 def cmd_cell(cfg: RunConfig, out: Path) -> int:
+    out.mkdir(parents=True, exist_ok=True)
     cell, tensors, correctors = _compute_tensors(cfg)
     dims = range(cell.dim)
     fields = {f"xi3_{j + 1}": correctors.xi3[j] for j in dims}
@@ -172,12 +174,15 @@ def cmd_cell(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_upscale(cfg: RunConfig, out: Path) -> int:
+    target = out if out.suffix == ".json" else out / "tensors.json"
+    target.parent.mkdir(parents=True, exist_ok=True)
     _cell, tensors, _correctors = _compute_tensors(cfg)
-    atomic_write_text(out if out.suffix == ".json" else out / "tensors.json", tensors.to_json())
+    atomic_write_text(target, tensors.to_json())
     return EXIT_OK
 
 
 def cmd_macro(cfg: RunConfig, out: Path, tensors_path) -> int:
+    out.mkdir(parents=True, exist_ok=True)
     if tensors_path:
         try:
             tensors = EffectiveTensors.from_json(Path(tensors_path).read_text())
@@ -200,6 +205,7 @@ def cmd_macro(cfg: RunConfig, out: Path, tensors_path) -> int:
 
 
 def cmd_micro(cfg: RunConfig, out: Path) -> int:
+    out.mkdir(parents=True, exist_ok=True)
     cell = build_unit_cell(cfg.geometry_spec(), cfg.cell_resolution)
     for frac, dom, state, rows in _dns_runs(cfg, cell):
         subdir = out / f"s_{frac.denominator}"
@@ -239,11 +245,12 @@ def run_validation(cfg: RunConfig):
 
 
 def cmd_validate(cfg: RunConfig, out: Path) -> int:
-    results = run_validation(cfg)
     if out.suffix == ".csv":
         report, provenance = out, out.with_suffix(".provenance.json")
     else:
         report, provenance = out / "report.csv", out / "provenance.json"
+    report.parent.mkdir(parents=True, exist_ok=True)
+    results = run_validation(cfg)
     _write_csv(report, VALIDATE_HEADER, results)
     atomic_write_text(provenance, _provenance(cfg, "validate"))
     if cfg.micro_fail_threshold is not None:
@@ -288,7 +295,7 @@ def main(argv=None) -> int:
         if args.command == "micro":
             return cmd_micro(cfg, out)
         return cmd_validate(cfg, out)
-    except ConfigError as exc:  # a ValueError, so caught before the solver errors
+    except (ConfigError, OSError) as exc:  # ConfigError first: it is a ValueError
         _emit_error(exc)
         return EXIT_CONFIG
     except ValidationError as exc:

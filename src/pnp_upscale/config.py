@@ -256,11 +256,18 @@ def _cross_validate(cfg: RunConfig, path: Path, seen: dict, errors: list) -> Non
                     errors.append(f"{where('cell.mask_path')}mask file header "
                                   f"{' '.join(header)!r} does not match cell.dim = "
                                   f"{cfg.cell_dim} and cell.resolution = {cfg.cell_resolution}")
-    if cfg.macro_t_end < cfg.macro_dt:
-        errors.append(
-            f"{where('macro.t_end')}macro.t_end ({cfg.macro_t_end}) must be at "
-            f"least macro.dt ({cfg.macro_dt})"
-        )
+    dt, t_end, at = cfg.macro_dt, cfg.macro_t_end, where("macro.t_end")
+    steps = t_end / dt
+    if steps < 1:
+        errors.append(f"{at}macro.t_end ({t_end}) must be at least macro.dt ({dt})")
+    elif abs(steps - round(steps)) > 1e-9 * steps:
+        errors.append(f"{at}macro.t_end ({t_end}) must be a whole number of macro.dt ({dt}) steps")
+    lo, hi = 0.5 * dt, t_end + 0.5 * dt
+    for t in cfg.output_snapshots:
+        if not lo <= t <= hi:
+            errors.append(f"{where('output.snapshots')}output.snapshots time {t} lies outside "
+                          f"[macro.dt/2, macro.t_end + macro.dt/2] = [{lo}, {hi}], where the run "
+                          "snaps a time to its nearest step")
     if not -1.0 < cfg.macro_init_amplitude < 1.0:
         errors.append(
             f"{where('macro.init_amplitude')}macro.init_amplitude must sit in "

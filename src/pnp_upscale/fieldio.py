@@ -38,10 +38,6 @@ def format_field(name: str, values: np.ndarray) -> str:
     return header + ("%.17g\n" * values.size) % tuple(values.ravel().tolist())
 
 
-def write_field(path, name: str, values: np.ndarray) -> None:
-    atomic_write_text(path, format_field(name, values))
-
-
 def read_field(path) -> tuple[str, np.ndarray]:
     tokens = Path(path).read_text().split()
     if len(tokens) < 4 or tokens[0] != "field":

@@ -112,8 +112,7 @@ class EffectiveTensors:
         return cls.from_json_dict(json.loads(text))
 
 
-def effective_permittivity(cell: UnitCell, kappa: np.ndarray, xi3: np.ndarray,
-                           consistency_rtol: float = FLUX_ENERGY_RTOL) -> np.ndarray:
+def effective_permittivity(cell: UnitCell, kappa: np.ndarray, xi3: np.ndarray) -> np.ndarray:
     """Effective permittivity from the potential correctors (flux form).
 
     eps0[i,k] averages kappa * (delta_ik - d_i xi_k) over the faces normal to
@@ -141,10 +140,10 @@ def effective_permittivity(cell: UnitCell, kappa: np.ndarray, xi3: np.ndarray,
             )
     scale = max(float(np.abs(flux).max()), 1e-300)
     defect = float(np.abs(flux - energy).max()) / scale
-    if defect > consistency_rtol:
+    if defect > FLUX_ENERGY_RTOL:
         raise SolverError(
             f"flux-form vs energy-form disagreement {defect:.3e} exceeds "
-            f"{consistency_rtol:.0e}: inconsistent discretization"
+            f"{FLUX_ENERGY_RTOL:.0e}: inconsistent discretization"
         )
     logger.debug("eps0 flux/energy agreement: %.3e", defect)
     return flux
@@ -188,13 +187,12 @@ def permittivity_bounds(kappa: np.ndarray) -> tuple[float, float]:
     return float(1.0 / np.mean(1.0 / kappa)), float(np.mean(kappa))
 
 
-def check_spectral_bounds(eps0: np.ndarray, kappa: np.ndarray,
-                          slack: float = BOUNDS_SLACK) -> tuple[float, float]:
+def check_spectral_bounds(eps0: np.ndarray, kappa: np.ndarray) -> tuple[float, float]:
     """Assert the eigenvalues of eps0 sit inside the Reuss/Voigt interval."""
     harm, arith = permittivity_bounds(kappa)
     sym = 0.5 * (eps0 + eps0.T)
     eigs = np.linalg.eigvalsh(sym)
-    tol = slack * arith
+    tol = BOUNDS_SLACK * arith
     if eigs.min() < harm - tol or eigs.max() > arith + tol:
         raise SolverError(
             f"eps0 eigenvalues {eigs} violate the bounds [{harm:.6g}, {arith:.6g}]"

@@ -124,7 +124,7 @@ def test_04_tensor_structure():
             kappa = permittivity_field(cell, params)
             xi3, _ = solve_potential_corrector(cell, kappa, tol=1e-10)
             # raises if the flux and energy quadratures disagree beyond 1e-8
-            eps0 = effective_permittivity(cell, kappa, xi3, consistency_rtol=1e-8)
+            eps0 = effective_permittivity(cell, kappa, xi3)
             harm, arith = permittivity_bounds(kappa)
             eigs = np.linalg.eigvalsh(0.5 * (eps0 + eps0.T))
             slack = 1e-6 * arith

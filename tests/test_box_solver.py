@@ -1,4 +1,4 @@
-"""SpectralPCG on the box grids: the assembled CSR operators against the
+"""SpectralPCG on the box grids: the assembled DIA operators against the
 SuperLU oracles, its warm start, the 2D and 3D DNS sizes that SuperLU could
 not reach, and the one-iteration solve of a constant coefficient on every
 kind of grid."""
@@ -19,8 +19,8 @@ from pnp_upscale import _fv, cellcorrect
 from pnp_upscale.cellcorrect import (
     SolverError,
     SpectralPCG,
-    apply_periodic_operator,
     harmonic_face_coefficients,
+    periodic_operator,
 )
 from pnp_upscale.macropnp import GridOperators, StepConfig
 from pnp_upscale.microdns import MicroState, assemble_micro_domain, run_micro
@@ -273,7 +273,7 @@ def reduction_systems(shape):
     tensor = np.eye(N) + 0.3 * (np.ones((N, N)) - np.eye(N))
     macro = GridOperators(shape, 0.7, tensor=tensor)
     dns = GridOperators(shape, coef=np.where(mask, 1.0, 40.0), mask=mask)
-    return {"periodic": SpectralPCG(lambda v: apply_periodic_operator(v, faces, h), shape,
+    return {"periodic": SpectralPCG(periodic_operator(faces, h), shape,
                                     h, np.ones(N), bc="periodic"),
             "macro poisson": macro.poisson,
             "macro diffusion": macro.diffusion(1e-2, "dirichlet"),
@@ -413,7 +413,7 @@ def non_finite_solvers():
     shape = (8, 8)
     ops = GridOperators(shape, tensor=np.eye(2))
     faces = harmonic_face_coefficients(np.ones(shape))
-    periodic = SpectralPCG(lambda v: apply_periodic_operator(v, faces, ops.h), shape,
+    periodic = SpectralPCG(periodic_operator(faces, ops.h), shape,
                            ops.h, np.ones(2), bc="periodic")
     _, pinned, _ = poisson_pair(shape, tensor=np.eye(2))
     _, factorized, _ = diffusion_pair(shape, 1e-3, 1.0, "dirichlet")

@@ -16,7 +16,7 @@ from pnp_upscale import cli
 from pnp_upscale.cellcorrect import SolverError
 from pnp_upscale.cli import main, initial_density_fields
 from pnp_upscale.config import ConfigError, load_config
-from pnp_upscale.fieldio import format_field, read_field, write_field
+from pnp_upscale.fieldio import atomic_write_text, format_field, read_field
 from pnp_upscale.macropnp import GridOperators
 
 import oracles
@@ -111,6 +111,43 @@ def test_conditional_requirements(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("dt, t_end", [(1e-3, 0.05), (1e-3, 0.003), (1e-3, 3e-3), (0.1, 0.3)])
+def test_whole_step_end_times_accepted(tmp_path, dt, t_end):
+    path = tmp_path / "t.cfg"
+    path.write_text(f"macro.dt = {dt}\nmacro.t_end = {t_end}\n")
+    cfg = load_config(path)
+    assert (cfg.macro_dt, cfg.macro_t_end) == (dt, t_end)
+
+
+def test_end_time_between_steps_rejected(tmp_path, capsys):
+    # the run makes round(t_end / dt) steps: 2.5e-3 would stop at t = 2e-3
+    path = tmp_path / "t.cfg"
+    path.write_text("macro.dt = 1e-3\nmacro.t_end = 2.5e-3\n")
+    assert main(["upscale", "--config", str(path), "--out", str(tmp_path / "t.json")]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith("line 2: macro.t_end")
+    assert "whole number of macro.dt" in record["message"]
+
+
+@pytest.mark.parametrize("snapshots, bad", [
+    ("0.0005 0.003 0.0035", None),  # the window's ends snap to steps 1 and 3
+    ("0.004", "0.004"),  # beyond the last step: it was dropped
+    ("0.001 0.0004", "0.0004"),  # nearer t = 0, which is no step
+])
+def test_snapshot_times_must_snap_to_a_step(tmp_path, snapshots, bad):
+    path = tmp_path / "s.cfg"
+    path.write_text(f"macro.dt = 1e-3\nmacro.t_end = 3e-3\noutput.snapshots = {snapshots}\n")
+    if bad is None:
+        assert len(load_config(path).output_snapshots) == len(snapshots.split())
+        return
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.errors == [
+        f"line 3: output.snapshots time {bad} lies outside [macro.dt/2, macro.t_end + "
+        "macro.dt/2] = [0.0005, 0.0035], where the run snaps a time to its nearest step"]
+
+
 def block_mask_text(m=8):
     """Mask file of a 2D cell with a centered solid block, fluid connected."""
     solid = lambda i, j: m // 4 <= i < m // 2 and m // 4 <= j < m // 2  # noqa: E731
@@ -170,7 +207,7 @@ def test_field_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     values = rng.normal(size=(2, 9, 9))[0]
     path = tmp_path / "f.dat"
-    write_field(path, "xi3_1", values)
+    atomic_write_text(path, format_field("xi3_1", values))
     name, loaded = read_field(path)
     assert name == "xi3_1"
     assert np.array_equal(loaded, values)
@@ -277,6 +314,27 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert main(["cell", "--config", str(path)]) == 2
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("command, target", [
+    ("cell", "sub"), ("upscale", "sub/tensors.json"), ("upscale", "sub"),
+    ("macro", "sub"), ("micro", "sub"), ("validate", "sub/report.csv"), ("validate", "sub"),
+])
+def test_unwritable_out_fails_before_any_solve(tmp_path, base_config, capsys, monkeypatch,
+                                               command, target):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the run started before its output path was made")
+
+    monkeypatch.setattr(cli, "build_unit_cell", no_solve)
+    assert main([command, "--config", str(base_config), "--out", str(blocker / target)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "NotADirectoryError"
+    assert main(["cell", "--config", str(base_config), "--out", str(blocker)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "FileExistsError"
 
 
 def test_removed_knobs_rejected(tmp_path, capsys):
@@ -398,7 +456,7 @@ def test_stalled_solve_advises_raising_the_tolerance(base_config, capsys, monkey
         raise SolverError(message)
 
     monkeypatch.setattr(cli, "cmd_cell", fail)
-    assert main(["cell", "--config", str(base_config)]) == 3
+    assert main(["cell", "--config", str(base_config), "--out", str(base_config.parent)]) == 3
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "SolverError" and record["message"].startswith(message)
     assert record["message"].endswith("; raise solver.tol") == hinted

@@ -151,7 +151,7 @@ def test_voigt_reuss_random_fields():
         kappa = np.exp(rng.normal(size=(m, m)))
         xi3, _ = solve_potential_corrector(cell, kappa, tol=1e-10)
         eps0 = effective_permittivity(cell, kappa, xi3)
-        check_spectral_bounds(eps0, kappa, slack=1e-6)
+        check_spectral_bounds(eps0, kappa)
         harm, arith = permittivity_bounds(kappa)
         eigs = np.linalg.eigvalsh(0.5 * (eps0 + eps0.T))
         assert eigs.min() >= harm - 1e-6 * arith
