@@ -144,14 +144,25 @@ def periodic_operator(faces, h: float):
     """u -> -div(c grad u) with the face transmissibilities from above.
 
     Each axis' faces rolled onto the cells behind them are computed here,
-    once, and not on every application."""
+    once, and not on every application.  An application forms each
+    difference u - u[idx + e_d] and u - u[idx - e_d] from two slice pairs in
+    one reused buffer, without rolling u."""
     back = [np.roll(kf, 1, axis=d) for d, kf in enumerate(faces)]
+    # per axis: all cells but the last, all but the first, the first, the last
+    cuts = [tuple((slice(None),) * d + (s,) for s in
+                  (slice(0, -1), slice(1, None), slice(0, 1), slice(-1, None)))
+             for d in range(len(faces))]
 
     def apply(u: np.ndarray) -> np.ndarray:
         out = np.zeros_like(u)
-        for d, (kf, kb) in enumerate(zip(faces, back)):
-            out += kf * (u - np.roll(u, -1, axis=d))
-            out += kb * (u - np.roll(u, 1, axis=d))
+        diff = np.empty_like(u)
+        for kf, kb, (head, tail, first, last) in zip(faces, back, cuts):
+            np.subtract(u[head], u[tail], out=diff[head])
+            np.subtract(u[last], u[first], out=diff[last])
+            out += np.multiply(kf, diff, out=diff)
+            np.subtract(u[tail], u[head], out=diff[tail])
+            np.subtract(u[first], u[last], out=diff[first])
+            out += np.multiply(kb, diff, out=diff)
         out /= h * h
         return out
 

@@ -50,6 +50,9 @@ NEGATIVE_DENSITY_TOL = -1e-12
 #: at FORCING times its start's certificate (or at lin_tol, if looser)
 FORCING = 1e-3
 FORCED_ITERATIONS = 2
+#: a Picard loop whose increment has grown in this many iterations in a row,
+#: or is not finite, is taken to diverge
+DIVERGENCE_RUN = 3
 
 
 @dataclass(eq=False)
@@ -323,13 +326,16 @@ def picard_step(ops: GridOperators, v, u3, base, A: np.ndarray, dt: float,
     each iteration solves the potential first; its assembly, whose peak is
     the largest of the grid's matrices, then runs before any diffusion
     matrix is held.  Each iteration logs one debug
-    record.  Reaching the cap raises with advice to reduce dt.  Returns
+    record.  Reaching the cap raises with advice to reduce dt, and so does a
+    loop that diverges: an increment that is not finite, or that has grown
+    in ``DIVERGENCE_RUN`` iterations in a row, raises at once and does not
+    wait for the values to overflow.  Returns
     ([u1, u2], u3, StepInfo), where u3 is the potential of the returned
     densities.
     """
     increments: list[float] = []
     cg_iters: list[tuple] = []
-    iters = 0
+    iters = growing = 0
     for iters in range(1, cfg.picard_cap + 1):
         forced = iters <= FORCED_ITERATIONS and iters < cfg.picard_cap
         reduction = FORCING if forced else 0.0
@@ -344,13 +350,19 @@ def picard_step(ops: GridOperators, v, u3, base, A: np.ndarray, dt: float,
         solved = [diffusion.solve(b, cfg.lin_tol, w, reduction) for b, w in zip(rhs, v)]
         del rhs
         new = [x for x, _, _ in solved]
-        inc = max(
-            float(np.sqrt(np.mean((new[r] - v[r]) ** 2))) for r in range(2)
-        )
+        # np.max, unlike max, keeps a NaN of either species
+        inc = float(np.max([np.sqrt(np.mean((new[r] - v[r]) ** 2)) for r in range(2)]))
+        growing = growing + 1 if increments and inc > increments[-1] else 0
         increments.append(inc)
         cg_iters.append((it,) + tuple(n for _, _, n in solved))
         logger.debug("Picard iteration %d: increment %.3e, forced %s, CG iterations %s",
                      iters, inc, forced, cg_iters[-1])
+        if not np.isfinite(inc) or growing >= DIVERGENCE_RUN:
+            shown = ", ".join(f"{x:.3e}" for x in increments[-DIVERGENCE_RUN - 1:])
+            raise SolverError(
+                f"Picard loop diverged: increments {shown} at iteration {iters}; "
+                "reduce dt"
+            )
         v = new
         if inc <= cfg.picard_tol and max(cert, *(c for _, c, _ in solved)) <= cfg.lin_tol:
             break

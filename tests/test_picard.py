@@ -4,6 +4,7 @@ accepts an iterate only from an iteration whose three solves certified
 ``lin_tol``.  Its result is that of the loop that solves every system to
 ``lin_tol``, within ``picard_tol`` in the increment's norm."""
 
+import json
 import logging
 from contextlib import contextmanager
 from fractions import Fraction
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pnp_upscale import macropnp
+from pnp_upscale import cli, macropnp, microdns
 from pnp_upscale.cellcorrect import SolverError, SpectralPCG
 from pnp_upscale.macropnp import GridOperators, StepConfig, picard_step
 from pnp_upscale.microdns import MicroState, assemble_micro_domain, step_micro_pnp
@@ -199,3 +200,113 @@ def test_dns_step_reports_its_counts():
         _, info = step_micro_pnp(state, dom, 1e-3, StepConfig())
     assert len(info["cg_iters"]) == info["picard_iters"] == len(info["increments"]) >= 3
     assert [it for counts in info["cg_iters"] for it in counts] == [it for _, _, it in calls[:-1]]
+
+
+# ---------------------------------------------------------------------------
+# thin Debye layers: ROADMAP item 8's table (16^2 disc cell, alpha 4, 32^2
+# macro grid, s = 1/2, asymmetric data of amplitude 0.5, noflux and upwind,
+# 3 steps)
+
+
+def debye_config(tmp_path, lam, dt):
+    config = tmp_path / "debye.cfg"
+    config.write_text(
+        "cell.kind = disc\ncell.dim = 2\ncell.resolution = 16\ncell.radius = 0.25\n"
+        f"physics.lambda = {lam}\nphysics.alpha = 4.0\n"
+        f"macro.resolution = 32\nmacro.dt = {dt}\nmacro.t_end = {3 * dt!r}\n"
+        "macro.bc = noflux\nmacro.drift = upwind\n"
+        "macro.init = asymmetric\nmacro.init_amplitude = 0.5\nmicro.s = 1/2\n"
+        f"output.snapshots = {3 * dt!r}\n"
+    )
+    return config
+
+
+def run_debye_cell(tmp_path, monkeypatch, command, lam, dt):
+    """Exit code and the Picard count of every step of one table cell."""
+    config = debye_config(tmp_path, lam, dt)
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+    if command == "macro":
+        tensors = tmp_path / "tensors.json"
+        assert cli.main(["upscale", "--config", str(config), "--out", str(tensors)]) == 0
+        argv += ["--tensors", str(tensors)]
+    counts = []
+    module = macropnp if command == "macro" else microdns
+    step = module.picard_step
+
+    def counting(*args):
+        v, u3, info = step(*args)
+        counts.append(info.picard_iters)
+        return v, u3, info
+
+    monkeypatch.setattr(module, "picard_step", counting)
+    return cli.main(argv), counts
+
+
+# per lambda and command: {dt: Picard count of each step} where the loop
+# converges, "cap" where it reaches picard_cap, "diverges" where it used to
+# run until the values overflowed and CG broke down
+DEBYE_TABLE = {
+    (0.1, "macro"): {1e-2: "cap", 3e-3: [17, 16, 15], 1e-3: [9, 9, 8], 3e-4: [6, 6, 5],
+                     1e-4: [5, 5, 4], 3e-5: [4, 4, 3]},
+    (0.1, "micro"): {1e-2: "cap", 3e-3: [19, 19, 17], 1e-3: [9, 10, 9], 3e-4: [7, 7, 6],
+                     1e-4: [6, 6, 5], 3e-5: [5, 4, 4]},
+    (0.03, "macro"): {1e-2: "diverges", 3e-3: "diverges", 1e-3: "diverges",
+                      3e-4: [21, 20, 19], 1e-4: [10, 10, 9], 3e-5: [6, 6, 5]},
+    (0.03, "micro"): {1e-2: "diverges", 3e-3: "diverges", 1e-3: "diverges",
+                      3e-4: [42, 42, 37], 1e-4: [12, 12, 11], 3e-5: [9, 8, 7]},
+    (0.01, "macro"): {**dict.fromkeys([1e-2, 3e-3, 1e-3, 3e-4, 1e-4], "diverges"),
+                      3e-5: [19, 19, 17]},
+    (0.01, "micro"): {**dict.fromkeys([1e-2, 3e-3, 1e-3, 3e-4, 1e-4], "diverges"),
+                      3e-5: "cap"},
+}
+
+
+def debye_cells(kind):
+    return [(command, lam, dt, result) for (lam, command), row in DEBYE_TABLE.items()
+            for dt, result in row.items() if (result if isinstance(result, str) else "")
+            == kind]
+
+
+@pytest.mark.parametrize("command, lam, dt, _", debye_cells("diverges"))
+def test_diverging_loop_names_its_cause(tmp_path, monkeypatch, capsys, command, lam, dt, _):
+    # at lambda 0.03, dt 1e-3 the macro increments grow 0.109, 0.134, 0.173,
+    # 0.219: the loop stops there, and not once values overflow into a CG
+    # breakdown that advised raising solver.tol
+    code, _ = run_debye_cell(tmp_path, monkeypatch, command, lam, dt)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "SolverError"
+    assert record["message"].startswith("Picard loop diverged: increments ")
+    assert record["message"].endswith("; reduce dt")
+
+
+@pytest.mark.parametrize("command, lam, dt, counts", debye_cells(""))
+def test_converging_loops_keep_their_counts(tmp_path, monkeypatch, command, lam, dt, counts):
+    assert run_debye_cell(tmp_path, monkeypatch, command, lam, dt) == (0, counts)
+
+
+@pytest.mark.parametrize("command, lam, dt, _", debye_cells("cap"))
+def test_loops_at_the_cap_still_say_so(tmp_path, monkeypatch, capsys, command, lam, dt, _):
+    assert run_debye_cell(tmp_path, monkeypatch, command, lam, dt) == (3, [])
+    record = json.loads(capsys.readouterr().err)
+    assert record["message"].startswith("Picard loop did not contract within 50 iterations")
+
+
+def test_a_non_finite_increment_stops_the_loop_at_once(monkeypatch):
+    # the second species' first diffusion solve returns NaN: the loop stops
+    # in that iteration, whichever species carries the NaN
+    solve = SpectralPCG.solve
+    calls = []
+
+    def poisoned(self, b, tol, x0=None, reduction=0.0):
+        x, cert, it = solve(self, b, tol, x0, reduction)
+        calls.append(it)
+        return (np.full_like(x, np.nan) if len(calls) == 3 else x), cert, it
+
+    monkeypatch.setattr(SpectralPCG, "solve", poisoned)
+    with pytest.raises(SolverError, match=r"^Picard loop diverged: increments nan at "
+                                          r"iteration 1; reduce dt$"):
+        picard_step(*macro_problem(2, True, 1e-3), StepConfig())
