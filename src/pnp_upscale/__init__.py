@@ -25,21 +25,18 @@ _SUBMODULE_NAMES = {
     ),
     "cellcorrect": (
         "CorrectorSet",
-        "PeriodicEllipticProblem",
         "SolverError",
         "solve_density_corrector_shape",
-        "solve_periodic_elliptic",
+        "solve_periodic",
         "solve_potential_corrector",
         "solve_second_order_potential_corrector",
     ),
     "upscale": (
         "EffectiveTensors",
-        "MaterialTensorReport",
         "compute_effective_tensors",
         "diffusion_shape_tensor",
         "effective_permittivity",
         "electro_convection_tensor",
-        "material_tensor_report",
         "permittivity_bounds",
     ),
     "macropnp": (

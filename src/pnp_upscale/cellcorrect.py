@@ -19,9 +19,12 @@ exactly.  The singular systems are solved by ``SpectralPCG``: CG
 preconditioned with the inverse of the constant-coefficient periodic
 Laplacian, applied by FFT (the Moulinec-Suquet reference medium with CG
 acceleration), so the iteration count depends on the coefficient contrast
-and not on the resolution.  The right-hand side and every preconditioned
+and not on the resolution.  Each family of problems on one coefficient is
+one ``solve_periodic`` call, which builds the harmonic faces, the periodic
+operator and its solver once and solves every right-hand side of the
+family with them.  The right-hand side and every preconditioned
 residual are projected onto the mean-zero subspace; on a masked problem
-(``PeriodicEllipticProblem.domain_mask``) the projection also zeroes the
+(``solve_periodic(..., domain_mask=...)``) the projection also zeroes the
 masked-out part, which restricts the same preconditioner to the fluid.
 The search directions stay in the subspace, so the iterate is projected
 once, at the end.  The system is consistent iff the right-hand side sums
@@ -74,32 +77,6 @@ def import_scipy(name: str):
         raise SolverError(
             f"the box-grid solvers need {name}, but scipy cannot be imported: {exc}"
         ) from exc
-
-
-@dataclass(eq=False)
-class PeriodicEllipticProblem:
-    """-div(coefficient grad u) = rhs on the periodic cell.
-
-    ``domain_mask`` restricts the problem to the fluid region; faces adjacent
-    to masked-out voxels carry zero flux (natural interface condition).
-    """
-
-    coefficient: np.ndarray
-    rhs: np.ndarray
-    domain_mask: np.ndarray | None = None
-
-    def __post_init__(self):
-        coef = np.asarray(self.coefficient, dtype=float)
-        rhs = np.asarray(self.rhs, dtype=float)
-        if coef.shape != rhs.shape:
-            raise ValueError(f"coefficient {coef.shape} vs rhs {rhs.shape} shape mismatch")
-        if not np.isfinite(rhs).all():
-            raise ValueError("rhs contains non-finite values")
-        active = self.domain_mask if self.domain_mask is not None else slice(None)
-        if not np.isfinite(coef[active]).all() or (coef[active] <= 0).any():
-            raise ValueError("coefficient must be strictly positive on the active region")
-        self.coefficient = coef
-        self.rhs = rhs
 
 
 @dataclass(eq=False)
@@ -206,8 +183,8 @@ def pcg(apply, precondition, certify, b: np.ndarray, x: np.ndarray, r: np.ndarra
     stopping measure; once the recurrence residual passes it, the true
     residual b - apply(x) must pass too, or CG restarts from the true
     residual.  Returns (x, certificate, iterations); raises ``SolverError``
-    on breakdown (p.Ap not positive, or not finite once values overflow;
-    z.r not positive, or not finite, while the certificate is above tol),
+    on breakdown (p.Ap or z.r not finite once values overflow; p.Ap not
+    positive; z.r not positive while the certificate is above tol),
     when the certificate has not halved in ``STALL_WINDOW`` iterations, or
     after ``max_iter`` iterations.
     """
@@ -218,7 +195,9 @@ def pcg(apply, precondition, certify, b: np.ndarray, x: np.ndarray, r: np.ndarra
         # z.r > 0 for r != 0 under a positive definite preconditioner; it
         # is lost when r, or z, falls below what the floats resolve
         rz = float(np.vdot(r, z))
-        if not 0.0 < rz < np.inf:
+        if not np.isfinite(rz):
+            raise SolverError(f"CG breakdown: z.r = {rz} is not finite; the values overflowed")
+        if rz <= 0.0:
             raise SolverError(
                 f"CG breakdown: z.r = {rz:.3e} before the certificate reached the "
                 f"tolerance {tol:.1e}, which may be below what this grid can certify"
@@ -401,38 +380,50 @@ def check_mean_zero(u: np.ndarray, mask: np.ndarray | None = None) -> None:
 # solvers
 
 
-def solve_periodic_elliptic(problem: PeriodicEllipticProblem, tol: float = DEFAULT_TOL,
-                            max_iter: int | None = None) -> np.ndarray:
-    u, _res, _it = _solve_periodic(problem, tol, max_iter)
-    return u
+def solve_periodic(coefficient: np.ndarray, rhs, tol: float,
+                   domain_mask: np.ndarray | None = None):
+    """-div(coefficient grad u) = f on the periodic cell, for each f in ``rhs``.
 
+    ``rhs`` is a family of right-hand sides shaped as the coefficient (a
+    stacked array or any iterable of them).  The harmonic faces, the
+    periodic operator and its ``SpectralPCG`` are built once and solve
+    every member in turn.  ``domain_mask`` restricts the problem to the
+    fluid region; faces adjacent to masked-out voxels carry zero flux
+    (natural interface condition).  Each member must match the coefficient's
+    shape, be finite and sum to zero over the active region (``COMPAT_RTOL``).
 
-def _solve_periodic(problem: PeriodicEllipticProblem, tol: float,
-                    max_iter: int | None = None):
+    Returns (fields, residuals, iterations): the stacked mean-zero fields and
+    the certificate and CG iteration count of each solve.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    mask = problem.domain_mask
-    rhs = problem.rhs
-    active_sum = float(rhs[mask].sum()) if mask is not None else float(rhs.sum())
-    nrm = float(np.linalg.norm(rhs))
-    if abs(active_sum) > COMPAT_RTOL * nrm + 1e-300:
-        raise SolverError(
-            f"singular system incompatible: |sum(rhs)| = {abs(active_sum):.3e} "
-            f"exceeds {COMPAT_RTOL:.0e} * ||rhs|| = {COMPAT_RTOL * nrm:.3e}"
-        )
-    h = 1.0 / rhs.shape[0]
-    faces = harmonic_face_coefficients(problem.coefficient, mask)
-    solver = SpectralPCG(periodic_operator(faces, h), rhs.shape, h, np.ones(rhs.ndim),
-                         bc="periodic", mask=mask)
-    if max_iter is not None:
-        solver.max_iter = max_iter
-    return solver.solve(rhs, tol)
-
-
-def _solve_family(problems, tol: float):
-    """Solve periodic problems in turn; returns (stacked fields, residuals)."""
-    results = [_solve_periodic(problem, tol) for problem in problems]
-    return np.stack([r[0] for r in results]), [r[1] for r in results]
+    coef = np.asarray(coefficient, dtype=float)
+    active = domain_mask if domain_mask is not None else slice(None)
+    if not np.isfinite(coef[active]).all() or (coef[active] <= 0).any():
+        raise ValueError("coefficient must be strictly positive on the active region")
+    h = 1.0 / coef.shape[0]
+    faces = harmonic_face_coefficients(coef, domain_mask)
+    solver = SpectralPCG(periodic_operator(faces, h), coef.shape, h, np.ones(coef.ndim),
+                         bc="periodic", mask=domain_mask)
+    fields, residuals, iterations = [], [], []
+    for f in rhs:
+        f = np.asarray(f, dtype=float)
+        if coef.shape != f.shape:
+            raise ValueError(f"coefficient {coef.shape} vs rhs {f.shape} shape mismatch")
+        if not np.isfinite(f).all():
+            raise ValueError("rhs contains non-finite values")
+        active_sum = float(f[active].sum())
+        nrm = float(np.linalg.norm(f))
+        if abs(active_sum) > COMPAT_RTOL * nrm + 1e-300:
+            raise SolverError(
+                f"singular system incompatible: |sum(rhs)| = {abs(active_sum):.3e} "
+                f"exceeds {COMPAT_RTOL:.0e} * ||rhs|| = {COMPAT_RTOL * nrm:.3e}"
+            )
+        u, res, it = solver.solve(f, tol)
+        fields.append(u)
+        residuals.append(res)
+        iterations.append(it)
+    return np.stack(fields), residuals, iterations
 
 
 def solve_potential_corrector(cell: UnitCell, kappa: np.ndarray,
@@ -452,7 +443,7 @@ def solve_potential_corrector(cell: UnitCell, kappa: np.ndarray,
         raise ValueError("kappa must be strictly positive")
     faces = harmonic_face_coefficients(kappa)
     rhs = ((np.roll(f, 1, axis=j) - f) / cell.h for j, f in enumerate(faces))
-    return _solve_family((PeriodicEllipticProblem(kappa, f) for f in rhs), tol)
+    return solve_periodic(kappa, rhs, tol)[:2]
 
 
 def solve_density_corrector_shape(cell: UnitCell, xi3: np.ndarray,
@@ -508,7 +499,7 @@ def solve_density_corrector_shape(cell: UnitCell, xi3: np.ndarray,
 SECOND_ORDER_COMPAT_RTOL = 1e-8
 
 
-def second_order_rhs(cell: UnitCell, kappa: np.ndarray, xi3: np.ndarray,
+def second_order_rhs(cell: UnitCell, faces_k: np.ndarray, xi3: np.ndarray,
                      eps0: np.ndarray, k: int, l: int) -> np.ndarray:
     """Right-hand side density for the (k,l) second-order potential corrector.
 
@@ -516,10 +507,11 @@ def second_order_rhs(cell: UnitCell, kappa: np.ndarray, xi3: np.ndarray,
     the face-averaged kappa*xi_l in direction k; and the cell average of the
     k-direction face flux of the corrected coordinate y_l - xi_l.  The last
     term integrates to exactly the flux-form eps0[k,l], so the total sums to
-    zero whenever eps0 was assembled from the same correctors.
+    zero whenever eps0 was assembled from the same correctors.  ``faces_k``
+    holds kappa's harmonic faces normal to axis k,
+    ``harmonic_face_coefficients(kappa)[k]``.
     """
     h = cell.h
-    faces_k = harmonic_face_coefficients(kappa)[k]
     # face value of kappa*xi_l: harmonic kappa times the centered xi average,
     # which stays consistent across coefficient jumps
     mu = faces_k * 0.5 * (xi3[l] + np.roll(xi3[l], -1, axis=k))
@@ -545,10 +537,11 @@ def solve_second_order_potential_corrector(cell: UnitCell, kappa: np.ndarray,
     if eps0.shape != (N, N):
         raise ValueError(f"eps0 must be {N}x{N}")
 
-    problems = []
+    faces = harmonic_face_coefficients(kappa)
+    family = []
     for k in range(N):
         for l in range(N):
-            rhs = second_order_rhs(cell, kappa, xi3, eps0, k, l)
+            rhs = second_order_rhs(cell, faces[k], xi3, eps0, k, l)
             # the volume mean of the rhs measures how much the supplied
             # eps0[k,l] deviates from the flux form implied by the correctors
             defect = abs(float(rhs.mean())) / max(float(np.abs(eps0).max()), 1e-300)
@@ -559,6 +552,6 @@ def solve_second_order_potential_corrector(cell: UnitCell, kappa: np.ndarray,
                     "correctors"
                 )
             rhs -= rhs.mean()
-            problems.append(PeriodicEllipticProblem(kappa, rhs))
-    fields, residuals = _solve_family(problems, tol)
+            family.append(rhs)
+    fields, residuals, _ = solve_periodic(kappa, family, tol)
     return fields.reshape((N, N) + kappa.shape), residuals

@@ -329,25 +329,38 @@ def picard_step(ops: GridOperators, v, u3, base, A: np.ndarray, dt: float,
     record.  Reaching the cap raises with advice to reduce dt, and so does a
     loop that diverges: an increment that is not finite, or that has grown
     in ``DIVERGENCE_RUN`` iterations in a row, raises at once and does not
-    wait for the values to overflow.  Returns
+    wait for the values to overflow.  A solve that fails right after a grown
+    increment, as one does once the values overflow, raises the same
+    divergence error, chained to the solver's.  Returns
     ([u1, u2], u3, StepInfo), where u3 is the potential of the returned
     densities.
     """
     increments: list[float] = []
     cg_iters: list[tuple] = []
     iters = growing = 0
+
+    def diverged():
+        shown = ", ".join(f"{x:.3e}" for x in increments[-DIVERGENCE_RUN - 1:])
+        return SolverError(f"Picard loop diverged: increments {shown} at iteration {iters}; "
+                           "reduce dt")
+
     for iters in range(1, cfg.picard_cap + 1):
         forced = iters <= FORCED_ITERATIONS and iters < cfg.picard_cap
         reduction = FORCING if forced else 0.0
-        u3, cert, it = ops.potential(v[0], v[1], cfg.lin_tol, u3, reduction)
-        rhs = _drift_divergences(v, u3, A, ops.h, cfg.bc, cfg.drift, ops.open_faces)
-        for prev, drift in zip(base, rhs):
-            np.subtract(prev, drift, out=drift)
-        if ops.solid is not None:
-            for b in rhs:
-                b[ops.solid] = 0.0
-        diffusion = ops.diffusion(dt, cfg.bc)
-        solved = [diffusion.solve(b, cfg.lin_tol, w, reduction) for b, w in zip(rhs, v)]
+        try:
+            u3, cert, it = ops.potential(v[0], v[1], cfg.lin_tol, u3, reduction)
+            rhs = _drift_divergences(v, u3, A, ops.h, cfg.bc, cfg.drift, ops.open_faces)
+            for prev, drift in zip(base, rhs):
+                np.subtract(prev, drift, out=drift)
+            if ops.solid is not None:
+                for b in rhs:
+                    b[ops.solid] = 0.0
+            diffusion = ops.diffusion(dt, cfg.bc)
+            solved = [diffusion.solve(b, cfg.lin_tol, w, reduction) for b, w in zip(rhs, v)]
+        except SolverError as exc:
+            if growing:  # the values grew into the failure: name the loop
+                raise diverged() from exc
+            raise
         del rhs
         new = [x for x, _, _ in solved]
         # np.max, unlike max, keeps a NaN of either species
@@ -358,11 +371,7 @@ def picard_step(ops: GridOperators, v, u3, base, A: np.ndarray, dt: float,
         logger.debug("Picard iteration %d: increment %.3e, forced %s, CG iterations %s",
                      iters, inc, forced, cg_iters[-1])
         if not np.isfinite(inc) or growing >= DIVERGENCE_RUN:
-            shown = ", ".join(f"{x:.3e}" for x in increments[-DIVERGENCE_RUN - 1:])
-            raise SolverError(
-                f"Picard loop diverged: increments {shown} at iteration {iters}; "
-                "reduce dt"
-            )
+            raise diverged()
         v = new
         if inc <= cfg.picard_tol and max(cert, *(c for _, c, _ in solved)) <= cfg.lin_tol:
             break

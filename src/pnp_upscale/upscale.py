@@ -254,49 +254,3 @@ def compute_effective_tensors(cell: UnitCell, params: PermittivityParams,
     )
     return tensors, correctors
 
-
-@dataclass(eq=False)
-class MaterialTensorReport:
-    """Block structure of the upscaled material tensor at a sampled state.
-
-    The density rows carry p on the diagonal and the drift coupling blocks
-    -D_r + z_r u_r M in the potential column, with D_r = z_r u_r Hhat; the
-    potential row carries eps0.  Inputs are stored bit-exactly.
-    """
-
-    p: float
-    u1: float
-    u2: float
-    eps0: np.ndarray
-    M: np.ndarray
-    Hhat: np.ndarray
-    blocks: dict = field(default_factory=dict)
-    diagnostics: dict = field(default_factory=dict)
-
-
-def material_tensor_report(tensors: EffectiveTensors, u1: float, u2: float) -> MaterialTensorReport:
-    N = tensors.dim
-    eye = np.eye(N)
-    M = np.asarray(tensors.M, dtype=float)
-    Hhat = np.asarray(tensors.Hhat, dtype=float)
-    eps0 = np.asarray(tensors.eps0, dtype=float)
-    # z1 = +1, z2 = -1; D_r = z_r u_r Hhat
-    drift1 = -u1 * Hhat + u1 * M
-    drift2 = u2 * Hhat - u2 * M
-    blocks = {
-        "density_1": tensors.p * eye,
-        "density_2": tensors.p * eye,
-        "drift_1": drift1,
-        "drift_2": drift2,
-        "potential": eps0.copy(),
-    }
-    diagnostics = {
-        "eps0_eigenvalues": np.linalg.eigvalsh(0.5 * (eps0 + eps0.T)).tolist(),
-        "eps0_symmetry_defect": symmetry_defect(eps0),
-        "hhat_asymmetry": float(np.abs(Hhat - Hhat.T).max()),
-    }
-    return MaterialTensorReport(
-        p=tensors.p, u1=u1, u2=u2,
-        eps0=eps0.copy(), M=M.copy(), Hhat=Hhat.copy(),
-        blocks=blocks, diagnostics=diagnostics,
-    )

@@ -1,19 +1,21 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from pnp_upscale import upscale
 from pnp_upscale.cellcorrect import (
     STALL_WINDOW,
-    PeriodicEllipticProblem,
     SolverError,
-    _solve_periodic,
+    SpectralPCG,
     face_gradient,
     harmonic_face_coefficients,
     pcg,
     periodic_operator,
     second_order_rhs,
     solve_density_corrector_shape,
-    solve_periodic_elliptic,
+    solve_periodic,
     solve_potential_corrector,
     solve_second_order_potential_corrector,
 )
@@ -56,11 +58,18 @@ def laminate_cell(m, axis=0):
 # periodic elliptic core
 
 
+def solve_one(coefficient, rhs, tol=1e-10, domain_mask=None):
+    """One right-hand side through ``solve_periodic``: (field, residual,
+    iterations)."""
+    fields, residuals, iterations = solve_periodic(coefficient, [rhs], tol, domain_mask)
+    return fields[0], residuals[0], iterations[0]
+
+
 def test_fourier_eigenfunction():
     m = 64
     Y1, _ = grid2(m)
     f = np.sin(2 * np.pi * Y1)
-    u = solve_periodic_elliptic(PeriodicEllipticProblem(np.ones((m, m)), f))
+    u = solve_one(np.ones((m, m)), f)[0]
     exact = np.sin(2 * np.pi * Y1) / (4 * np.pi**2)
     # eigenvalue mismatch of the 3-point stencil is (2 pi h)^2 / 12 relative
     assert np.abs(u - exact).max() / np.abs(exact).max() < 2e-3
@@ -68,7 +77,7 @@ def test_fourier_eigenfunction():
 
 def test_zero_rhs():
     m = 16
-    u = solve_periodic_elliptic(PeriodicEllipticProblem(np.ones((m, m)), np.zeros((m, m))))
+    u = solve_one(np.ones((m, m)), np.zeros((m, m)))[0]
     assert np.all(u == 0.0)
 
 
@@ -81,7 +90,7 @@ def test_manufactured_discrete_operator():
     kappa = 2.0 + np.sin(2 * np.pi * Y1)
     faces = harmonic_face_coefficients(kappa)
     rhs = periodic_operator(faces, 1.0 / m)(ustar)
-    u = solve_periodic_elliptic(PeriodicEllipticProblem(kappa, rhs), tol=1e-12)
+    u = solve_one(kappa, rhs, tol=1e-12)[0]
     assert rel_l2(u, ustar) < 1e-10
 
 
@@ -111,7 +120,7 @@ def test_manufactured_convergence_order():
             8 * np.pi**2 * kappa * ustar
             - 4 * np.pi**2 * np.cos(2 * np.pi * Y1) ** 2 * np.cos(2 * np.pi * Y2)
         )
-        u = solve_periodic_elliptic(PeriodicEllipticProblem(kappa, f), tol=1e-11)
+        u = solve_one(kappa, f, tol=1e-11)[0]
         errs.append(np.sqrt(np.mean((u - (ustar - ustar.mean())) ** 2)))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 1.9
@@ -120,7 +129,7 @@ def test_manufactured_convergence_order():
 def test_incompatible_rhs():
     m = 8
     with pytest.raises(SolverError, match="singular system incompatible"):
-        solve_periodic_elliptic(PeriodicEllipticProblem(np.ones((m, m)), np.ones((m, m))))
+        solve_one(np.ones((m, m)), np.ones((m, m)))
 
 
 def test_iteration_cap_reports_residual():
@@ -128,10 +137,12 @@ def test_iteration_cap_reports_residual():
     Y1, Y2 = grid2(m)
     f = np.sin(2 * np.pi * Y1) + 0.3 * np.sin(4 * np.pi * Y2)
     kappa = 2.0 + np.sin(2 * np.pi * Y1) * np.cos(2 * np.pi * Y2)
+    h = 1.0 / m
+    solver = SpectralPCG(periodic_operator(harmonic_face_coefficients(kappa), h), (m, m), h,
+                         np.ones(2), bc="periodic")
+    solver.max_iter = 3
     with pytest.raises(SolverError, match="iteration cap"):
-        solve_periodic_elliptic(
-            PeriodicEllipticProblem(kappa, f), tol=1e-13, max_iter=3
-        )
+        solver.solve(f, 1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +196,10 @@ def vanishing_below(floor, b):
      r"breakdown: z\.r = 0\.000e\+00 .* tolerance 1\.0e-12, which may be below"),
     (np.inf, lambda b: np.copy,
      r"breakdown: p\.Ap = (inf|nan) is not finite; the values overflowed"),
-], ids=["indefinite-preconditioner", "vanishing-preconditioner", "overflow"])
+    (1.0, lambda b: lambda r: r * np.inf,
+     r"breakdown: z\.r = (inf|nan) is not finite; the values overflowed"),
+], ids=["indefinite-preconditioner", "vanishing-preconditioner", "overflow",
+        "preconditioner-overflow"])
 def test_kernel_breakdowns_name_their_cause(scale, preconditioner, match):
     A, b = spd_system()
     with np.errstate(all="ignore"), pytest.raises(SolverError, match=match):
@@ -268,13 +282,16 @@ def test_kernel_stops_when_the_certificate_stagnates():
 def test_problem_validation():
     m = 8
     with pytest.raises(ValueError, match="positive"):
-        PeriodicEllipticProblem(np.zeros((m, m)), np.zeros((m, m)))
+        solve_one(np.zeros((m, m)), np.zeros((m, m)))
     with pytest.raises(ValueError, match="shape"):
-        PeriodicEllipticProblem(np.ones((m, m)), np.zeros((m, m + 1)))
+        solve_one(np.ones((m, m)), np.zeros((m, m + 1)))
     bad = np.zeros((m, m))
     bad[0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        PeriodicEllipticProblem(np.ones((m, m)), bad)
+        solve_one(np.ones((m, m)), bad)
+    # every member of a family is checked, not only the first
+    with pytest.raises(ValueError, match="finite"):
+        solve_periodic(np.ones((m, m)), [np.zeros((m, m)), bad], 1e-10)
 
 
 @pytest.mark.parametrize("shape", [(32,), (16, 16), (8, 8, 8)])
@@ -283,10 +300,10 @@ def test_constant_coefficient_solves_in_one_iteration(shape):
     # so one CG step solves it, whatever the scale of the coefficient
     rhs = np.random.default_rng(5).normal(size=shape)
     rhs -= rhs.mean()
-    problem = PeriodicEllipticProblem(np.full(shape, 2.5), rhs)
-    u, res, iters = _solve_periodic(problem, 1e-12)
+    coefficient = np.full(shape, 2.5)
+    u, res, iters = solve_one(coefficient, rhs, 1e-12)
     assert iters == 1 and res <= 1e-12
-    faces = harmonic_face_coefficients(problem.coefficient)
+    faces = harmonic_face_coefficients(coefficient)
     assert rel_l2(periodic_operator(faces, 1.0 / shape[0])(u), rhs) <= 1e-12
 
 
@@ -297,12 +314,11 @@ def _disc_solve_iterations(m, dim=2):
     kappa = permittivity_field(cell, CONTRAST)
     faces = harmonic_face_coefficients(kappa)
     rhs = (np.roll(faces[0], 1, axis=0) - faces[0]) / cell.h
-    xi, _, xi_iters = _solve_periodic(PeriodicEllipticProblem(kappa, rhs), 1e-10)
+    xi, _, xi_iters = solve_one(kappa, rhs, 1e-10)
     ones = np.ones_like(kappa)
     fluid_faces = harmonic_face_coefficients(ones, cell.fluid_mask)
     rhs = -periodic_operator(fluid_faces, cell.h)(xi)
-    problem = PeriodicEllipticProblem(ones, rhs, domain_mask=cell.fluid_mask)
-    _, _, eta_iters = _solve_periodic(problem, 1e-10)
+    _, _, eta_iters = solve_one(ones, rhs, 1e-10, cell.fluid_mask)
     return xi_iters, eta_iters
 
 
@@ -315,6 +331,62 @@ def test_iterations_do_not_grow_with_resolution():
         xi_fine, eta_fine = _disc_solve_iterations(fine, dim)
         assert xi_fine <= xi_coarse + 10
         assert eta_fine <= eta_coarse + 10
+
+
+@pytest.mark.parametrize("dim, m", [(2, 32), (3, 8)])
+def test_a_family_solves_as_each_member_alone(dim, m):
+    # one solver for the whole family keeps no state from one solve to the
+    # next: each field, residual and count is that of its own solve, bit for
+    # bit, on the whole cell and on the masked fluid problem
+    cell = build_unit_cell({"kind": "disc", "radius": 0.25, "dim": dim}, m)
+    kappa = permittivity_field(cell, CONTRAST)
+    faces = harmonic_face_coefficients(kappa)
+    rhs = np.stack([(np.roll(f, 1, axis=j) - f) / cell.h for j, f in enumerate(faces)])
+    xi3, res, iters = solve_periodic(kappa, rhs, 1e-10)
+    ones = np.ones_like(kappa)
+    apply = periodic_operator(harmonic_face_coefficients(ones, cell.fluid_mask), cell.h)
+    masked = [-apply(xi) for xi in xi3]
+    eta, eta_res, eta_iters = solve_periodic(ones, masked, 1e-10, cell.fluid_mask)
+    for family, coefficient, mask in ((zip(rhs, xi3, res, iters), kappa, None),
+                                      (zip(masked, eta, eta_res, eta_iters), ones,
+                                       cell.fluid_mask)):
+        for f, u, r, n in family:
+            alone = solve_one(coefficient, f, 1e-10, mask)
+            assert alone[0].tobytes() == u.tobytes()
+            assert alone[1:] == (r, n) and n > 0
+
+
+@pytest.mark.parametrize("dim, m", [(2, 16), (3, 8)])
+def test_one_periodic_solver_per_corrector_family(monkeypatch, caplog, dim, m):
+    # xi3 and zeta3 each build one periodic SpectralPCG for all of their
+    # dim and dim^2 solves; eta, taken in closed form, builds none
+    phase, builds = [None], []
+    init = SpectralPCG.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append((phase[-1], kwargs.get("bc")))
+        init(self, *args, **kwargs)
+
+    def in_phase(name, fn):
+        def wrapped(*args, **kwargs):
+            phase.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                phase.pop()
+        return wrapped
+
+    monkeypatch.setattr(SpectralPCG, "__init__", counting)
+    for name, attr in (("xi3", "solve_potential_corrector"),
+                       ("eta", "solve_density_corrector_shape"),
+                       ("zeta3", "solve_second_order_potential_corrector")):
+        monkeypatch.setattr(upscale, attr, in_phase(name, getattr(upscale, attr)))
+    cell = build_unit_cell({"kind": "disc", "radius": 0.25, "dim": dim}, m)
+    with caplog.at_level(logging.DEBUG, logger="pnp_upscale.cellcorrect"):
+        compute_effective_tensors(cell, CONTRAST)
+    assert builds == [("xi3", "periodic"), ("zeta3", "periodic")]
+    solves = [r for r in caplog.records if r.getMessage().startswith("periodic elliptic solve")]
+    assert len(solves) == dim + dim * dim
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +434,7 @@ def jacobi_correctors(cell, kappa, tol):
     zeta3 = []
     for k in range(cell.dim):
         for l in range(cell.dim):
-            rhs = second_order_rhs(cell, kappa, xi3, eps0, k, l)
+            rhs = second_order_rhs(cell, faces[k], xi3, eps0, k, l)
             zeta3.append(solve(faces, rhs - rhs.mean()))
     zeta3 = np.stack(zeta3).reshape((cell.dim,) * 2 + kappa.shape)
     return xi3, eta, zeta3, eps0
@@ -428,11 +500,9 @@ def test_closed_form_eta_matches_the_masked_cg_solve(mask, alpha):
     eta, res = solve_density_corrector_shape(cell, xi3, tol=tol)
     assert max(res) <= tol
     ones = np.ones(mask.shape)
-    faces = harmonic_face_coefficients(ones, mask)
-    for xi, got in zip(xi3, eta):
-        rhs = -periodic_operator(faces, cell.h)(xi)
-        ref = solve_periodic_elliptic(
-            PeriodicEllipticProblem(ones, rhs, domain_mask=mask), tol=tol)
+    apply = periodic_operator(harmonic_face_coefficients(ones, mask), cell.h)
+    refs, _, _ = solve_periodic(ones, [-apply(xi) for xi in xi3], tol, domain_mask=mask)
+    for got, ref in zip(eta, refs):
         assert np.abs(got - ref).max() <= 1e-8 * float(np.abs(got).max())
         assert np.all(got[~mask] == 0.0)
 
@@ -574,9 +644,7 @@ def test_density_corrector_linearity():
     ones = np.ones_like(kappa)
     faces = harmonic_face_coefficients(ones, cell.fluid_mask)
     rhs = -zc * periodic_operator(faces, cell.h)(xi3[0])
-    direct = solve_periodic_elliptic(
-        PeriodicEllipticProblem(ones, rhs, domain_mask=cell.fluid_mask), tol=1e-12
-    )
+    direct = solve_one(ones, rhs, 1e-12, cell.fluid_mask)[0]
     assert np.abs(direct - zc * eta[0]).max() <= 1e-12 * max(np.abs(eta).max(), 1e-300)
 
 

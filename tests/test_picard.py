@@ -258,6 +258,11 @@ DEBYE_TABLE = {
                       3e-5: [19, 19, 17]},
     (0.01, "micro"): {**dict.fromkeys([1e-2, 3e-3, 1e-3, 3e-4, 1e-4], "diverges"),
                       3e-5: "cap"},
+    # the increments grow about 10^6-fold per iteration (12, 1.1e6, 1.4e15 at
+    # lambda 0.001) and the values overflow inside a CG solve of iteration 4,
+    # before a third growing increment
+    (0.001, "micro"): {1e-2: "diverges"},
+    (1e-4, "micro"): {1e-2: "diverges", 1e-3: "diverges"},
 }
 
 
@@ -312,3 +317,31 @@ def test_a_non_finite_increment_stops_the_loop_at_once(monkeypatch):
     with pytest.raises(SolverError, match=r"^Picard loop diverged: increments nan at "
                                           r"iteration 1; reduce dt$"):
         picard_step(*macro_problem(2, True, 1e-3), StepConfig())
+
+
+@pytest.mark.parametrize("fail_at, grown", [(7, True), (4, False)])
+def test_a_solve_failing_after_a_grown_increment_is_divergence(monkeypatch, fail_at, grown):
+    # iteration 2's densities are scaled up, so its increment grows over
+    # iteration 1's; a solve failing after that is the loop's divergence,
+    # chained to the solver's error, while one failing before it (iteration
+    # 2's potential, call 4) keeps the solver's own message
+    solve = SpectralPCG.solve
+    calls = []
+    overflow = SolverError("CG breakdown: p.Ap = inf is not finite; the values overflowed")
+
+    def growing(self, b, tol, x0=None, reduction=0.0):
+        calls.append(None)
+        if len(calls) == fail_at:
+            raise overflow
+        x, cert, it = solve(self, b, tol, x0, reduction)
+        return (1e3 * x if len(calls) in (5, 6) else x), cert, it
+
+    monkeypatch.setattr(SpectralPCG, "solve", growing)
+    with pytest.raises(SolverError) as err:
+        picard_step(*macro_problem(2, True, 1e-3), StepConfig())
+    if grown:
+        assert str(err.value).startswith("Picard loop diverged: increments ")
+        assert str(err.value).endswith(" at iteration 3; reduce dt")
+        assert err.value.__cause__ is overflow
+    else:
+        assert err.value is overflow

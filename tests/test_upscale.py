@@ -16,7 +16,6 @@ from pnp_upscale.upscale import (
     diffusion_shape_tensor,
     effective_permittivity,
     electro_convection_tensor,
-    material_tensor_report,
     permittivity_bounds,
     check_spectral_bounds,
 )
@@ -204,42 +203,3 @@ def test_tensors_json_roundtrip():
     assert np.array_equal(loaded.M, tensors.M)
     assert np.array_equal(loaded.Hhat, tensors.Hhat)
 
-
-# ---------------------------------------------------------------------------
-# material tensor report
-
-
-def _tensors(dim, p, eps0, M, Hhat):
-    return EffectiveTensors(dim=dim, p=p, eps0=np.asarray(eps0, float),
-                            M=np.asarray(M, float), Hhat=np.asarray(Hhat, float))
-
-
-def test_report_classical_point():
-    t = _tensors(2, 1.0, 0.01 * np.eye(2), np.eye(2), np.zeros((2, 2)))
-    rep = material_tensor_report(t, u1=1.0, u2=1.0)
-    assert np.array_equal(rep.blocks["density_1"], np.eye(2))
-    assert np.array_equal(rep.blocks["density_2"], np.eye(2))
-    assert np.allclose(rep.blocks["drift_1"], np.eye(2))
-    assert np.allclose(rep.blocks["drift_2"], -np.eye(2))
-    assert np.array_equal(rep.blocks["potential"], 0.01 * np.eye(2))
-
-
-def test_report_zero_state():
-    t = _tensors(2, 0.5, np.eye(2), 0.5 * np.eye(2), 0.1 * np.eye(2))
-    rep = material_tensor_report(t, u1=0.0, u2=0.0)
-    assert np.all(rep.blocks["drift_1"] == 0.0)
-    assert np.all(rep.blocks["drift_2"] == 0.0)
-
-
-def test_report_bit_exact_recompute():
-    M = np.array([[0.7625, 0.0], [0.0, 0.5]])
-    H = np.array([[0.2625, 0.0], [0.0, 0.0]])
-    t = _tensors(2, 0.5, np.diag([1.6, 2.5]), M, H)
-    u1, u2 = 2.0, 1.0
-    rep = material_tensor_report(t, u1=u1, u2=u2)
-    assert np.array_equal(rep.blocks["drift_1"], -u1 * H + u1 * M)
-    assert np.array_equal(rep.blocks["drift_2"], u2 * H - u2 * M)
-    assert np.array_equal(rep.eps0, t.eps0)
-    assert np.array_equal(rep.M, t.M)
-    assert np.array_equal(rep.Hhat, t.Hhat)
-    assert (rep.p, rep.u1, rep.u2) == (0.5, 2.0, 1.0)
