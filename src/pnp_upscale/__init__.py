@@ -53,7 +53,6 @@ _SUBMODULE_NAMES = {
     "microdns": (
         "FieldErrors",
         "MicroDomain",
-        "MicroState",
         "assemble_micro_domain",
         "compare_fields",
         "reconstruct_two_scale",

@@ -324,7 +324,11 @@ class SpectralPCG:
         return v
 
     def _precondition(self, r: np.ndarray) -> np.ndarray:
-        z = self._forward(r.astype(self.inv_symbol.dtype, copy=False))
+        # a residual past the float32 range casts to inf without a warning:
+        # pcg reports the overflow through its non-finite z.r check
+        with np.errstate(over="ignore"):
+            r = r.astype(self.inv_symbol.dtype, copy=False)
+        z = self._forward(r)
         z *= self.inv_symbol
         return self._project(self._inverse(z).astype(float, copy=False))
 

@@ -32,7 +32,6 @@ from .fieldio import atomic_write_text, format_field
 from .macropnp import MacroConfig, MacroState, run_macro
 from .microdns import (
     BudgetError,
-    MicroState,
     assemble_micro_domain,
     compare_fields,
     interpolate_to_fine,
@@ -142,10 +141,10 @@ def _macro_run(cfg: RunConfig, tensors: EffectiveTensors, snapshot_times=()):
 
 def _dns_runs(cfg: RunConfig, cell):
     """Yield (s, domain, final state, diagnostics rows) of the DNS at each
-    micro.s.  It starts from phi = 0: each step solves its potential afresh."""
+    micro.s, run with the macro run's dt and t_end.  It starts from phi = 0:
+    the first step solves its potential afresh."""
     params = PermittivityParams(lam=cfg.lam, alpha=cfg.alpha)
     mcfg = _macro_config(cfg)
-    n_steps = int(round(cfg.macro_t_end / cfg.macro_dt))
     for frac in cfg.micro_s:
         dom = assemble_micro_domain(cell, params, frac, max_cells=cfg.micro_budget)
         u1, u2 = initial_density_fields(
@@ -153,8 +152,8 @@ def _dns_runs(cfg: RunConfig, cell):
         )
         u1 *= dom.mask  # in place: no unmasked copies live through the run
         u2 *= dom.mask
-        init = MicroState(nplus=u1, nminus=u2, phi=np.zeros(dom.mask.shape), t=0.0)
-        state, rows = run_micro(dom, init, cfg.macro_dt, n_steps, mcfg)
+        init = MacroState(u1=u1, u2=u2, u3=np.zeros(dom.mask.shape), t=0.0)
+        state, rows = run_micro(dom, init, mcfg)
         yield frac, dom, state, rows
 
 
@@ -209,7 +208,7 @@ def cmd_micro(cfg: RunConfig, out: Path) -> int:
     cell = build_unit_cell(cfg.geometry_spec(), cfg.cell_resolution)
     for frac, dom, state, rows in _dns_runs(cfg, cell):
         subdir = out / f"s_{frac.denominator}"
-        _write_fields(subdir, {"nplus": state.nplus, "nminus": state.nminus, "phi": state.phi})
+        _write_fields(subdir, {"nplus": state.u1, "nminus": state.u2, "phi": state.u3})
         _write_csv(subdir / "diagnostics.csv", MICRO_HEADER, rows)
         del dom  # the next, finer DNS runs without this grid's operators
     atomic_write_text(out / "provenance.json", _provenance(cfg, "micro"))
@@ -234,10 +233,10 @@ def run_validation(cfg: RunConfig):
         results.append(
             {
                 "s": float(frac),
-                "err_phi_L2": compare_fields(macro_phi, dns.phi).l2_rel,
-                "err_n1_L2": compare_fields(recon.nplus, dns.nplus, mask=dom.mask).l2_rel,
-                "err_n2_L2": compare_fields(recon.nminus, dns.nminus, mask=dom.mask).l2_rel,
-                "err_phi_recon_L2": compare_fields(recon.phi, dns.phi).l2_rel,
+                "err_phi_L2": compare_fields(macro_phi, dns.u3).l2_rel,
+                "err_n1_L2": compare_fields(recon.u1, dns.u1, mask=dom.mask).l2_rel,
+                "err_n2_L2": compare_fields(recon.u2, dns.u2, mask=dom.mask).l2_rel,
+                "err_phi_recon_L2": compare_fields(recon.u3, dns.u3).l2_rel,
             }
         )
         del dom, dns, recon, macro_phi  # the next, finer DNS runs without them

@@ -16,8 +16,11 @@ The first two iterations of each loop solve their linear systems
 inexactly, to a relative reduction (``FORCING``); an iterate is accepted only
 from an iteration solved to the full tolerance.
 
-``GridOperators`` and ``picard_step`` also drive the DNS in microdns: the
-same scheme on the perforated fine grid, with drift tensor -I.
+``GridOperators``, ``picard_step`` and ``march`` also drive the DNS in
+microdns: the same scheme on the perforated fine grid, with drift tensor -I.
+Both runs hold their fields in ``MacroState`` and take dt and t_end from
+``MacroConfig``; ``march`` is their time loop and sets where each step's
+Picard loop starts.
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ DIVERGENCE_RUN = 3
 
 @dataclass(eq=False)
 class MacroState:
-    """Macroscopic fields on the homogenized domain at time t."""
+    """Fields of one box grid at time t: u1 = n+, u2 = n- and the potential
+    u3 = phi, of the homogenized domain (macro) or of the fine grid (DNS)."""
 
     u1: np.ndarray
     u2: np.ndarray
@@ -72,7 +76,7 @@ class MacroState:
             raise ValueError("u1, u2, u3 must share one grid")
         for f in (self.u1, self.u2, self.u3):
             if not np.isfinite(f).all():
-                raise ValueError("macro state contains non-finite values")
+                raise ValueError("state contains non-finite values")
 
     @classmethod
     def zero(cls, shape) -> "MacroState":
@@ -110,6 +114,11 @@ class MacroConfig(StepConfig):
         if self.t_end < self.dt:
             raise ValueError("t_end must be at least one step")
         super().__post_init__()
+
+    @property
+    def n_steps(self) -> int:
+        """Steps of a run from t=0 to t_end."""
+        return int(round(self.t_end / self.dt))
 
 
 @dataclass
@@ -293,6 +302,38 @@ def linear_predictor(v, u3, v_prev, u3_prev):
     close to that of the extrapolated densities."""
     return ([np.maximum(2.0 * a - b, 0.0) for a, b in zip(v, v_prev)],
             2.0 * u3 - u3_prev)
+
+
+def march(step, init: MacroState, n_steps: int):
+    """Yield the (state, info) of each of ``n_steps`` accepted steps from ``init``.
+
+    ``step(state, start)`` makes one step from ``state`` whose Picard loop
+    starts at ``start``.  The first step starts from ``init`` (its first
+    potential from ``init.u3``), the second from the first accepted state,
+    whose potential is that of its densities; every later step starts from
+    the linear predictor of the last two accepted states.  Only the
+    predictor outlives the older state, so a step keeps one extra set of
+    fields alive.
+    """
+    state, start = init, None
+    for k in range(n_steps):
+        new, info = step(state, start)
+        # init.u3 need not be the potential of init's densities: no predictor from it
+        start = linear_predictor([new.u1, new.u2], new.u3,
+                                 [state.u1, state.u2], state.u3) if k else None
+        state = new
+        yield state, info
+
+
+def balance_columns(state: MacroState) -> dict:
+    """The t, mass1, mass2 and charge columns of a run's diagnostics row."""
+    vol = 1.0 / state.u1.size
+    return {
+        "t": state.t,
+        "mass1": float(state.u1.sum()) * vol,
+        "mass2": float(state.u2.sum()) * vol,
+        "charge": float((state.u1 - state.u2).sum()) * vol,
+    }
 
 
 def picard_step(ops: GridOperators, v, u3, base, A: np.ndarray, dt: float,
@@ -499,34 +540,19 @@ def run_macro(cfg: MacroConfig, tensors: EffectiveTensors, init: MacroState,
 
     Returns (snapshots, rows) where snapshots is a list of (t, MacroState)
     at the configured times plus the final state.  The grid's operators and
-    solvers are built once for the whole run.  The first step starts from
-    ``init`` (its first potential from ``init.u3``), the second from the
-    first accepted state, whose potential is that of its densities; every
-    later step starts from the linear predictor of the last two accepted
-    states.
+    solvers are built once for the whole run; ``march`` starts the steps.
     """
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    if n_steps < 1:
-        raise ValueError("t_end shorter than one step")
     ops = GridOperators(init.u1.shape, tensors.p, tensor=tensors.eps0)
-    vol = 1.0 / init.u1.size
     state = init
     rows: list[DiagnosticsRow] = []
     snapshots: list[tuple[float, MacroState]] = []
     pending = sorted(snapshot_times)
-    start = None
-    for k in range(n_steps):
-        new, info = step_macro_pnp(state, tensors, cfg, ops=ops, start=start)
-        # init.u3 need not be the potential of init's densities: no predictor from it
-        start = linear_predictor([new.u1, new.u2], new.u3,
-                                 [state.u1, state.u2], state.u3) if k else None
-        state = new
+    steps = march(lambda s, start: step_macro_pnp(s, tensors, cfg, ops=ops, start=start),
+                  init, cfg.n_steps)
+    for state, info in steps:
         rows.append(
             DiagnosticsRow(
-                t=state.t,
-                mass1=float(state.u1.sum()) * vol,
-                mass2=float(state.u2.sum()) * vol,
-                charge=float((state.u1 - state.u2).sum()) * vol,
+                **balance_columns(state),
                 free_energy=free_energy(state, cfg.lam2),
                 picard_iters=info.picard_iters,
                 loceq_dev=check_local_equilibrium(state, cfg.loceq_window),

@@ -5,7 +5,10 @@ fine voxel grid lines up exactly with the cell voxel grid and the composite
 mask equals the periodic tiling bit for bit.  The potential is solved on the
 whole box with the high-contrast coefficient (interface continuity holds
 weakly through the conservative discretization); the densities live on the
-fluid voxels with no-flux on the solid interface.
+fluid voxels with no-flux on the solid interface.  The DNS marches as the
+macro run does, through ``macropnp.march`` with the dt and t_end of a
+``MacroConfig``, and holds its fields in ``MacroState``: u1 = n+, u2 = n-
+and u3 = phi.
 
 Also here: two-scale reconstruction of fine fields from a macroscopic state
 plus the cell correctors, and the field comparison report used by the
@@ -25,8 +28,8 @@ import numpy as np
 # attributes of this module because perfbench/tracing.py wraps them here.
 from ._fv import assemble_diffusion_matrix, assemble_neumann_operator  # noqa: F401
 from .cellcorrect import CorrectorSet
-from .macropnp import (GridOperators, MacroState, StepConfig, Z_CHARGES,
-                       linear_predictor, picard_step)
+from .macropnp import (GridOperators, MacroConfig, MacroState, Z_CHARGES,
+                       balance_columns, march, picard_step)
 from .unitcell import PermittivityParams, UnitCell
 
 logger = logging.getLogger(__name__)
@@ -62,23 +65,6 @@ class MicroDomain:
         return self.mask.shape[0]
 
 
-@dataclass(eq=False)
-class MicroState:
-    """Fine-grid fields: densities on fluid voxels (zero on solid), mean-zero potential."""
-
-    nplus: np.ndarray
-    nminus: np.ndarray
-    phi: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        self.nplus = np.asarray(self.nplus, dtype=float)
-        self.nminus = np.asarray(self.nminus, dtype=float)
-        self.phi = np.asarray(self.phi, dtype=float)
-        if not (self.nplus.shape == self.nminus.shape == self.phi.shape):
-            raise ValueError("micro fields must share one grid")
-
-
 class BudgetError(MemoryError):
     """Requested fine grid exceeds the configured budget."""
 
@@ -101,55 +87,33 @@ def assemble_micro_domain(cell: UnitCell, params: PermittivityParams, s,
     return MicroDomain(s=float(frac), tiles=tiles, cell=cell, mask=mask, eps=eps)
 
 
-def step_micro_pnp(state: MicroState, dom: MicroDomain, dt: float,
-                   cfg: StepConfig, start=None):
-    """One IMEX step of the microscopic system; returns (state, StepInfo as a dict).
+def step_micro_pnp(state: MacroState, dom: MicroDomain, cfg: MacroConfig, start=None):
+    """One IMEX step of cfg.dt of the microscopic system; returns (state,
+    StepInfo as a dict).
 
     The same Picard stepper as the macroscopic model, with the physical
     drift velocity -z grad phi (drift tensor -I) restricted to fluid faces.
     Boundary faces carry no advective flux: the potential is Neumann there,
-    so the normal velocity vanishes.  ``start`` is the ([nplus, nminus], phi)
+    so the normal velocity vanishes.  ``start`` is the ([n+, n-], phi)
     start of the Picard loop, as ``macropnp.linear_predictor`` makes it;
     without it the loop starts from ``state``, its first potential from
-    ``state.phi``.
+    ``state.u3``.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    base = [state.nplus / dt, state.nminus / dt]
-    v, phi = start if start is not None else ([state.nplus, state.nminus], state.phi)
+    dt = cfg.dt
+    base = [state.u1 / dt, state.u2 / dt]
+    v, phi = start if start is not None else ([state.u1, state.u2], state.u3)
     v, phi, info = picard_step(dom.ops, v, phi, base, -np.eye(dom.dim), dt, cfg)
-    new_state = MicroState(nplus=v[0], nminus=v[1], phi=phi, t=state.t + dt)
-    return new_state, dataclasses.asdict(info)
+    return MacroState(u1=v[0], u2=v[1], u3=phi, t=state.t + dt), dataclasses.asdict(info)
 
 
-def run_micro(dom: MicroDomain, init: MicroState, dt: float, n_steps: int,
-              cfg: StepConfig):
-    """March the DNS n_steps; returns (final state, diagnostics rows).
-
-    Steps start as in ``macropnp.run_macro``: the first from ``init``, the
-    second from the first accepted state, every later one from the linear
-    predictor of the last two accepted states.  Only the predictor outlives
-    the older state, so a step keeps one extra set of fields alive.
-    """
-    vol = 1.0 / dom.mask.size
+def run_micro(dom: MicroDomain, init: MacroState, cfg: MacroConfig):
+    """March the DNS from t=0 to cfg.t_end with ``macropnp.march``; returns
+    (final state, diagnostics rows)."""
     state = init
-    start = None
     rows = []
-    for k in range(n_steps):
-        new, info = step_micro_pnp(state, dom, dt, cfg, start=start)
-        # init.phi need not be the potential of init's densities: no predictor from it
-        start = linear_predictor([new.nplus, new.nminus], new.phi,
-                                 [state.nplus, state.nminus], state.phi) if k else None
-        state = new
-        rows.append(
-            {
-                "t": state.t,
-                "mass1": float(state.nplus.sum()) * vol,
-                "mass2": float(state.nminus.sum()) * vol,
-                "charge": float((state.nplus - state.nminus).sum()) * vol,
-                "picard_iters": info["picard_iters"],
-            }
-        )
+    for state, info in march(lambda s, start: step_micro_pnp(s, dom, cfg, start=start),
+                             init, cfg.n_steps):
+        rows.append({**balance_columns(state), "picard_iters": info["picard_iters"]})
     return state, rows
 
 
@@ -177,8 +141,9 @@ def interpolate_to_fine(field_c: np.ndarray, fine_shape) -> np.ndarray:
 
 
 def reconstruct_two_scale(macro: MacroState, correctors: CorrectorSet,
-                          dom: MicroDomain) -> MicroState:
-    """Fine-grid fields from the macro solution and the cell correctors.
+                          dom: MicroDomain) -> MacroState:
+    """Fine-grid fields (u1 = n+, u2 = n-, u3 = phi) from the macro solution
+    and the cell correctors.
 
     phi  = u3 - s sum_k xi_k(x/s) d_k u3 + s^2 sum_kl zeta_kl(x/s) d^2_kl u3
     n_r  = u_r - s z_r u_r sum_k eta_k(x/s) d_k u3        (zero on solid)
@@ -222,7 +187,7 @@ def reconstruct_two_scale(macro: MacroState, correctors: CorrectorSet,
         nf = (uf - s * z * uf * corr) * dom.mask
         densities.append(nf)
 
-    return MicroState(nplus=densities[0], nminus=densities[1], phi=phi, t=macro.t)
+    return MacroState(u1=densities[0], u2=densities[1], u3=phi, t=macro.t)
 
 
 @dataclass

@@ -19,13 +19,12 @@ from pnp_upscale.macropnp import (
     GridOperators,
     MacroConfig,
     MacroState,
-    StepConfig,
     check_local_equilibrium,
     free_energy,
     run_macro,
     step_macro_pnp,
 )
-from pnp_upscale.microdns import MicroState, assemble_micro_domain, run_micro, step_micro_pnp
+from pnp_upscale.microdns import assemble_micro_domain, run_micro, step_micro_pnp
 from pnp_upscale.unitcell import (
     PermittivityParams,
     UnitCell,
@@ -216,15 +215,13 @@ def test_09_micro_macro_trivial_consistency():
         X, Y = grid2(M)
         n0 = 1 + 0.3 * np.cos(np.pi * X) * np.cos(np.pi * Y)
         mstate = MacroState(u1=n0.copy(), u2=np.ones_like(n0), u3=np.zeros_like(n0))
-        istate = MicroState(nplus=n0.copy(), nminus=np.ones_like(n0),
-                            phi=np.zeros_like(n0))
+        istate = MacroState(u1=n0.copy(), u2=np.ones_like(n0), u3=np.zeros_like(n0))
         mcfg = MacroConfig(dt=1e-3, t_end=0.01)
-        icfg = StepConfig()
         for _ in range(10):
             mstate, _ = step_macro_pnp(mstate, classical_tensors(2), mcfg)
-            istate, _ = step_micro_pnp(istate, dom, 1e-3, icfg)
-        assert rel_l2(mstate.u1, istate.nplus) <= 1e-3
-        assert rel_l2(mstate.u2, istate.nminus) <= 1e-3
+            istate, _ = step_micro_pnp(istate, dom, mcfg)
+        assert rel_l2(mstate.u1, istate.u1) <= 1e-3
+        assert rel_l2(mstate.u2, istate.u2) <= 1e-3
 
 
 def test_10_s_convergence():
@@ -268,9 +265,9 @@ def test_11_conservation_and_energy():
         Mf = dom.resolution
         X, Y = grid2(Mf)
         n0 = (1 + 0.3 * np.cos(np.pi * X) * np.cos(np.pi * Y)) * dom.mask
-        micro_init = MicroState(nplus=n0.copy(), nminus=1.0 * dom.mask,
-                                phi=np.zeros_like(n0))
-        _, micro_rows = run_micro(dom, micro_init, 1e-3, 20, StepConfig(bc="noflux"))
+        micro_init = MacroState(u1=n0.copy(), u2=1.0 * dom.mask, u3=np.zeros_like(n0))
+        _, micro_rows = run_micro(dom, micro_init,
+                                  MacroConfig(dt=1e-3, t_end=0.02, bc="noflux"))
         for r in micro_rows:
             assert abs(r["mass1"] - n0.mean()) <= 1e-10
             assert abs(r["mass2"] - dom.mask.mean()) <= 1e-10

@@ -22,8 +22,8 @@ from pnp_upscale.cellcorrect import (
     harmonic_face_coefficients,
     periodic_operator,
 )
-from pnp_upscale.macropnp import GridOperators, StepConfig
-from pnp_upscale.microdns import MicroState, assemble_micro_domain, run_micro
+from pnp_upscale.macropnp import GridOperators, MacroConfig, MacroState
+from pnp_upscale.microdns import assemble_micro_domain, run_micro
 from pnp_upscale.unitcell import PermittivityParams, build_unit_cell
 from pnp_upscale.upscale import compute_effective_tensors
 
@@ -520,18 +520,18 @@ def test_3d_dns_at_48_cubed_is_feasible(box_iterations):
     assert dom.mask.shape == (48, 48, 48)
     x = (np.arange(48) + 0.5) / 48
     bump = 1.0 + 0.3 * np.cos(np.pi * x)[:, None, None]
-    init = MicroState(nplus=bump * dom.mask, nminus=1.0 * dom.mask,
-                      phi=np.zeros(dom.mask.shape))
+    init = MacroState(u1=bump * dom.mask, u2=1.0 * dom.mask,
+                      u3=np.zeros(dom.mask.shape))
     t0 = time.perf_counter()
-    state, rows = run_micro(dom, init, 1e-3, 1, StepConfig(bc="noflux"))
+    state, rows = run_micro(dom, init, MacroConfig(dt=1e-3, t_end=1e-3, bc="noflux"))
     elapsed = time.perf_counter() - t0
     assert isinstance(dom.ops.poisson, SpectralPCG)
     assert isinstance(dom.ops.diffusion(1e-3, "noflux"), SpectralPCG)
     assert rows[0]["picard_iters"] > 1
     # every solve certified itself; the counts stay small
     assert 0 < max(box_iterations) <= 40
-    assert np.allclose(rows[0]["mass1"], float(init.nplus.mean()), rtol=1e-9)
-    assert not state.nplus[~dom.mask].any()
+    assert np.allclose(rows[0]["mass1"], float(init.u1.mean()), rtol=1e-9)
+    assert not state.u1[~dom.mask].any()
     assert elapsed < 60.0
 
 
@@ -541,15 +541,15 @@ def test_2d_dns_at_512_squared_is_feasible(box_iterations):
     assert dom.mask.shape == (512, 512)
     x = (np.arange(512) + 0.5) / 512
     bump = 1.0 + 0.3 * np.cos(np.pi * x)[:, None]
-    init = MicroState(nplus=bump * dom.mask, nminus=1.0 * dom.mask,
-                      phi=np.zeros(dom.mask.shape))
+    init = MacroState(u1=bump * dom.mask, u2=1.0 * dom.mask,
+                      u3=np.zeros(dom.mask.shape))
     t0 = time.perf_counter()
-    state, rows = run_micro(dom, init, 1e-3, 1, StepConfig(bc="noflux"))
+    state, rows = run_micro(dom, init, MacroConfig(dt=1e-3, t_end=1e-3, bc="noflux"))
     elapsed = time.perf_counter() - t0
     assert isinstance(dom.ops.poisson, SpectralPCG)
     assert isinstance(dom.ops.diffusion(1e-3, "noflux"), SpectralPCG)
     assert rows[0]["picard_iters"] > 1
     assert 0 < max(box_iterations) <= 60
-    assert np.allclose(rows[0]["mass1"], float(init.nplus.mean()), rtol=1e-9)
-    assert not state.nplus[~dom.mask].any()
+    assert np.allclose(rows[0]["mass1"], float(init.u1.mean()), rtol=1e-9)
+    assert not state.u1[~dom.mask].any()
     assert elapsed < 60.0

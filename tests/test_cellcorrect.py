@@ -2,7 +2,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pnp_upscale import upscale
 from pnp_upscale.cellcorrect import (
@@ -446,8 +446,15 @@ def mask_cell(mask):
                     geometry_spec={"kind": "mask", "dim": dim})
 
 
+#: fluid on the last row and the last column of a 4^2 cell: at alpha 0.25
+#: the reference Hhat is exactly 0 and the program's 2.4e-35
+CROSS_MASK = np.zeros((4, 4), dtype=bool)
+CROSS_MASK[-1, :] = CROSS_MASK[:, -1] = True
+
+
 @settings(max_examples=30)
 @given(random_masks(), st.floats(0.25, 100.0))
+@example(CROSS_MASK, 0.25)
 def test_random_masks_match_jacobi_reference(mask, alpha):
     assume(mask.any())
     dim = mask.ndim
@@ -474,7 +481,10 @@ def test_random_masks_match_jacobi_reference(mask, alpha):
         assert np.abs(got - ref).max() <= bound, name
     for name, ref in ref_tensors.items():
         got = getattr(tensors, name)
-        bound = TENSOR_TOL_FACTOR * tol * float(np.abs(ref).max())
+        # M and Hhat can vanish in exact arithmetic, and then differ only by
+        # rounding: their scale is at least the porosity
+        scale = max(float(np.abs(ref).max()), 0.0 if name == "eps0" else tensors.p)
+        bound = TENSOR_TOL_FACTOR * tol * scale
         assert np.abs(got - ref).max() <= bound, name
 
     assert symmetry_defect(tensors.eps0) <= 1e-8

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pnp_upscale.cellcorrect import CorrectorSet
-from pnp_upscale.macropnp import MacroConfig, MacroState, StepConfig, step_macro_pnp
+from pnp_upscale.macropnp import MacroConfig, MacroState, step_macro_pnp
 from pnp_upscale.microdns import (
     BudgetError,
-    MicroState,
     assemble_micro_domain,
     compare_fields,
     reconstruct_two_scale,
@@ -107,12 +106,23 @@ def test_micro_poisson_laminate_refinement():
 def test_zero_densities_forever():
     dom = full_domain(8, 4)
     z = np.zeros(dom.mask.shape)
-    state = MicroState(nplus=z.copy(), nminus=z.copy(), phi=z.copy())
-    cfg = StepConfig()
+    state = MacroState(u1=z.copy(), u2=z.copy(), u3=z.copy())
+    cfg = MacroConfig(dt=1e-3, t_end=1e-3)
     for _ in range(3):
-        state, _ = step_micro_pnp(state, dom, 1e-3, cfg)
-        assert np.all(state.nplus == 0.0) and np.all(state.nminus == 0.0)
-        assert np.all(state.phi == 0.0)
+        state, _ = step_micro_pnp(state, dom, cfg)
+        assert np.all(state.u1 == 0.0) and np.all(state.u2 == 0.0)
+        assert np.all(state.u3 == 0.0)
+
+
+@pytest.mark.parametrize("dt, k", [(1e-3, 3), (0.1, 3), (0.7, 3)])
+def test_run_micro_makes_t_end_over_dt_steps(dt, k):
+    # k dt / dt rounds to 3 + 4e-16 at dt = 0.1 and to 3 - 4e-16 at dt = 0.7
+    dom = full_domain(4, 2)
+    ones = np.ones(dom.mask.shape)
+    init = MacroState(u1=ones, u2=ones, u3=np.zeros_like(ones))
+    state, rows = run_micro(dom, init, MacroConfig(dt=dt, t_end=k * dt))
+    assert len(rows) == k
+    assert state.t == rows[-1]["t"] == pytest.approx(k * dt)
 
 
 def test_conservation_noflux():
@@ -121,8 +131,8 @@ def test_conservation_noflux():
     M = dom.resolution
     X, Y = grid2(M)
     n0 = (1 + 0.3 * np.cos(np.pi * X) * np.cos(np.pi * Y)) * dom.mask
-    init = MicroState(nplus=n0.copy(), nminus=1.0 * dom.mask, phi=np.zeros_like(n0))
-    _, rows = run_micro(dom, init, 1e-3, 5, StepConfig(bc="noflux"))
+    init = MacroState(u1=n0.copy(), u2=1.0 * dom.mask, u3=np.zeros_like(n0))
+    _, rows = run_micro(dom, init, MacroConfig(dt=1e-3, t_end=5e-3, bc="noflux"))
     m1 = n0.mean()
     m2 = dom.mask.mean()
     for r in rows:
@@ -136,12 +146,12 @@ def test_densities_stay_zero_on_solid():
     M = dom.resolution
     X, Y = grid2(M)
     n0 = (1 + 0.4 * np.sin(np.pi * X) * np.sin(np.pi * Y)) * dom.mask
-    state = MicroState(nplus=n0, nminus=1.0 * dom.mask, phi=np.zeros_like(n0))
+    state = MacroState(u1=n0, u2=1.0 * dom.mask, u3=np.zeros_like(n0))
     for _ in range(3):
-        state, _ = step_micro_pnp(state, dom, 1e-3, StepConfig())
+        state, _ = step_micro_pnp(state, dom, MacroConfig(dt=1e-3, t_end=1e-3))
     solid = ~dom.mask
-    assert np.all(state.nplus[solid] == 0.0)
-    assert np.all(state.nminus[solid] == 0.0)
+    assert np.all(state.u1[solid] == 0.0)
+    assert np.all(state.u2[solid] == 0.0)
 
 
 def test_refined_step_oracle():
@@ -152,16 +162,15 @@ def test_refined_step_oracle():
     M = dom.resolution
     X, Y = grid2(M)
     n0 = (1 + 0.3 * np.cos(np.pi * X) * np.cos(np.pi * Y)) * dom.mask
-    cfg = StepConfig(bc="noflux")
     coarse, _ = run_micro(
-        dom, MicroState(nplus=n0.copy(), nminus=1.0 * dom.mask, phi=np.zeros_like(n0)),
-        1e-4, 100, cfg,
+        dom, MacroState(u1=n0.copy(), u2=1.0 * dom.mask, u3=np.zeros_like(n0)),
+        MacroConfig(dt=1e-4, t_end=1e-2, bc="noflux"),
     )
     fine, _ = run_micro(
-        dom, MicroState(nplus=n0.copy(), nminus=1.0 * dom.mask, phi=np.zeros_like(n0)),
-        1e-5, 1000, cfg,
+        dom, MacroState(u1=n0.copy(), u2=1.0 * dom.mask, u3=np.zeros_like(n0)),
+        MacroConfig(dt=1e-5, t_end=1e-2, bc="noflux"),
     )
-    err = compare_fields(coarse.nplus, fine.nplus, mask=dom.mask)
+    err = compare_fields(coarse.u1, fine.u1, mask=dom.mask)
     assert err.l2_rel < 1e-4
 
 
@@ -176,14 +185,13 @@ def test_constant_coefficient_reduction():
                                Hhat=np.zeros((2, 2)))
     mstate = MacroState(u1=n0.copy(), u2=np.ones_like(n0), u3=np.zeros_like(n0))
     mcfg = MacroConfig(dt=1e-3, t_end=0.01)
-    istate = MicroState(nplus=n0.copy(), nminus=np.ones_like(n0), phi=np.zeros_like(n0))
-    icfg = StepConfig()
+    istate = MacroState(u1=n0.copy(), u2=np.ones_like(n0), u3=np.zeros_like(n0))
     for _ in range(10):
         mstate, _ = step_macro_pnp(mstate, tensors, mcfg)
-        istate, _ = step_micro_pnp(istate, dom, 1e-3, icfg)
-    assert rel_l2(mstate.u1, istate.nplus) < 1e-3
-    assert rel_l2(mstate.u2, istate.nminus) < 1e-3
-    assert np.abs(mstate.u3 - istate.phi).max() < 1e-9
+        istate, _ = step_micro_pnp(istate, dom, mcfg)
+    assert rel_l2(mstate.u1, istate.u1) < 1e-3
+    assert rel_l2(mstate.u2, istate.u2) < 1e-3
+    assert np.abs(mstate.u3 - istate.u3).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +229,8 @@ def test_reconstruction_zero_correctors_is_interpolation():
     macro = MacroState(u1=1 + 0.2 * X, u2=1 - 0.1 * Y, u3=np.sin(np.pi * X))
     recon = reconstruct_two_scale(macro, _zero_correctors(m), dom)
     phi_interp = interpolate_to_fine(macro.u3, dom.mask.shape)
-    assert np.allclose(recon.phi, phi_interp - phi_interp.mean(), atol=1e-14)
-    assert np.allclose(recon.nplus, interpolate_to_fine(macro.u1, dom.mask.shape), atol=1e-14)
+    assert np.allclose(recon.u3, phi_interp - phi_interp.mean(), atol=1e-14)
+    assert np.allclose(recon.u1, interpolate_to_fine(macro.u1, dom.mask.shape), atol=1e-14)
 
 
 def test_reconstruction_constant_macro_potential():
@@ -240,8 +248,8 @@ def test_reconstruction_constant_macro_potential():
                        u3=np.full((Mx, Mx), 3.0))
     recon = reconstruct_two_scale(macro, correctors, dom)
     # constant macro potential: every corrector term carries a zero gradient
-    assert np.abs(recon.phi).max() < 1e-13
-    assert np.allclose(recon.nplus[dom.mask], 2.0)
+    assert np.abs(recon.u3).max() < 1e-13
+    assert np.allclose(recon.u1[dom.mask], 2.0)
 
 
 def test_reconstruction_missing_zeta_warns(caplog):

@@ -6,6 +6,9 @@ accepts an iterate only from an iteration whose three solves certified
 
 import json
 import logging
+import os
+import subprocess
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -15,8 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 from pnp_upscale import cli, macropnp, microdns
 from pnp_upscale.cellcorrect import SolverError, SpectralPCG
-from pnp_upscale.macropnp import GridOperators, StepConfig, picard_step
-from pnp_upscale.microdns import MicroState, assemble_micro_domain, step_micro_pnp
+from pnp_upscale.macropnp import (GridOperators, MacroConfig, MacroState, StepConfig,
+                                  picard_step)
+from pnp_upscale.microdns import assemble_micro_domain, step_micro_pnp
 from pnp_upscale.unitcell import PermittivityParams, build_unit_cell
 
 from test_box_solver import random_masks
@@ -195,9 +199,9 @@ def test_dns_step_reports_its_counts():
     cell = build_unit_cell({"kind": "disc", "radius": 0.25, "dim": 2}, 8)
     dom = assemble_micro_domain(cell, PermittivityParams(1.0, 4.0), Fraction(1, 2))
     n = (1.0 + 0.3 * np.random.default_rng(5).random(dom.mask.shape)) * dom.mask
-    state = MicroState(nplus=n, nminus=1.0 * dom.mask, phi=np.zeros(dom.mask.shape))
+    state = MacroState(u1=n, u2=1.0 * dom.mask, u3=np.zeros(dom.mask.shape))
     with recorded_solves() as calls:
-        _, info = step_micro_pnp(state, dom, 1e-3, StepConfig())
+        _, info = step_micro_pnp(state, dom, MacroConfig(dt=1e-3, t_end=1e-3))
     assert len(info["cg_iters"]) == info["picard_iters"] == len(info["increments"]) >= 3
     assert [it for counts in info["cg_iters"] for it in counts] == [it for _, _, it in calls[:-1]]
 
@@ -288,6 +292,22 @@ def test_diverging_loop_names_its_cause(tmp_path, monkeypatch, capsys, command, 
     assert record["error"] == "SolverError"
     assert record["message"].startswith("Picard loop diverged: increments ")
     assert record["message"].endswith("; reduce dt")
+
+
+@pytest.mark.parametrize("lam, dt", [(1e-4, 1e-2), (1e-4, 1e-3), (1e-3, 1e-2)])
+def test_an_overflowing_loop_writes_only_its_record(tmp_path, lam, dt):
+    # the residual overflows the float32 cast of the DNS preconditioner; in a
+    # fresh process numpy's warning would reach stderr ahead of the record
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pnp_upscale.cli", "micro",
+         "--config", str(debye_config(tmp_path, lam, dt)), "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 3
+    (line,) = proc.stderr.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "SolverError"
+    assert record["message"].startswith("Picard loop diverged: increments ")
 
 
 @pytest.mark.parametrize("command, lam, dt, counts", debye_cells("converges"))

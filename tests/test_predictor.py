@@ -1,6 +1,6 @@
-"""Where each time step's Picard loop starts: the linear predictor of
-``run_macro`` and ``run_micro``, its clip at zero, and the warm first
-potential of a step from a stepped state."""
+"""Where each time step's Picard loop starts: ``macropnp.march``, the time
+loop of ``run_macro`` and ``run_micro``, its linear predictor and the clip at
+zero, and the warm first potential of a step from a stepped state."""
 
 from fractions import Fraction
 
@@ -12,11 +12,10 @@ from pnp_upscale.cellcorrect import SpectralPCG
 from pnp_upscale.macropnp import (
     MacroConfig,
     MacroState,
-    StepConfig,
     run_macro,
     step_macro_pnp,
 )
-from pnp_upscale.microdns import MicroState, assemble_micro_domain, run_micro, step_micro_pnp
+from pnp_upscale.microdns import assemble_micro_domain, run_micro, step_micro_pnp
 from pnp_upscale.unitcell import build_unit_cell
 from pnp_upscale.upscale import EffectiveTensors
 
@@ -57,6 +56,26 @@ def max_rel(a, b):
     return float(np.abs(a - b).max() / np.abs(b).max())
 
 
+def test_march_starts_from_init_then_the_first_state_then_the_predictor():
+    # accepted step k holds u1 = k^2, u2 = 5/k, u3 = -k on every cell
+    init = MacroState.zero(3)
+    calls = []
+
+    def step(state, start):
+        calls.append((state, start))
+        k = len(calls)
+        return MacroState(u1=np.full(3, k * k), u2=np.full(3, 5.0 / k), u3=np.full(3, -k),
+                          t=float(k)), f"info {k}"
+
+    accepted = list(macropnp.march(step, init, 4))
+    assert [info for _, info in accepted] == ["info 1", "info 2", "info 3", "info 4"]
+    assert [state for state, _ in calls] == [init] + [state for state, _ in accepted[:3]]
+    assert calls[0][1] is None and calls[1][1] is None
+    # max(2 v^n - v^(n-1), 0) per species and 2 u3^n - u3^(n-1)
+    for (_, (v, u3)), expect in zip(calls[2:], [(7.0, 0.0, -3.0), (14.0, 5.0 / 6.0, -4.0)]):
+        assert [float(v[0][0]), float(v[1][0]), float(u3[0])] == pytest.approx(expect, rel=1e-15)
+
+
 @pytest.mark.parametrize("dim, m", [(2, 16), (3, 8)])
 @pytest.mark.parametrize("bc", ["dirichlet", "noflux"])
 @pytest.mark.parametrize("full", [False, True], ids=["diagonal", "full"])
@@ -84,17 +103,17 @@ def test_dns_predictor_reaches_the_same_fixed_point(bc, box_iterations):
     cell = build_unit_cell({"kind": "disc", "radius": 0.25, "dim": 2}, 8)
     dom = assemble_micro_domain(cell, CONTRAST, Fraction(1, 2))
     n1 = blob(dom.resolution, 2, (0.3, 0.6), 0.8) * dom.mask
-    init = MicroState(nplus=n1, nminus=1.0 * dom.mask, phi=np.zeros(dom.mask.shape))
-    cfg = StepConfig(bc=bc)
-    final, rows = run_micro(dom, init, 1e-3, 8, cfg)
+    init = MacroState(u1=n1, u2=1.0 * dom.mask, u3=np.zeros(dom.mask.shape))
+    cfg = MacroConfig(dt=1e-3, t_end=8e-3, bc=bc)
+    final, rows = run_micro(dom, init, cfg)
     predicted = sum(box_iterations)
     box_iterations.clear()
     state, picard = init, 0
     for _ in rows:
-        state, info = step_micro_pnp(state, dom, 1e-3, cfg)
+        state, info = step_micro_pnp(state, dom, cfg)
         picard += info["picard_iters"]
-    assert max_rel(final.nplus, state.nplus) <= 10 * cfg.picard_tol
-    assert max_rel(final.nminus, state.nminus) <= 10 * cfg.picard_tol
+    assert max_rel(final.u1, state.u1) <= 10 * cfg.picard_tol
+    assert max_rel(final.u2, state.u2) <= 10 * cfg.picard_tol
     assert sum(row["picard_iters"] for row in rows) <= picard
     assert predicted < sum(box_iterations)
 
@@ -145,9 +164,10 @@ def test_step_from_a_stepped_state_solves_its_first_potential_in_no_iteration(
     cell = build_unit_cell({"kind": "disc", "radius": 0.25, "dim": 2}, 8)
     dom = assemble_micro_domain(cell, CONTRAST, Fraction(1, 2))
     n1 = blob(dom.resolution, 2, (0.3, 0.6), 0.8) * dom.mask
-    micro, _ = step_micro_pnp(MicroState(nplus=n1, nminus=1.0 * dom.mask,
-                                         phi=np.zeros(dom.mask.shape)),
-                              dom, 1e-3, StepConfig())
+    dns_cfg = MacroConfig(dt=1e-3, t_end=1e-3)
+    micro, _ = step_micro_pnp(MacroState(u1=n1, u2=1.0 * dom.mask,
+                                         u3=np.zeros(dom.mask.shape)),
+                              dom, dns_cfg)
     box_iterations.clear()
-    step_micro_pnp(micro, dom, 1e-3, StepConfig())
+    step_micro_pnp(micro, dom, dns_cfg)
     assert box_iterations[0] == 0
