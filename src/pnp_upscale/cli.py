@@ -302,9 +302,14 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except SolverError as exc:
         # a stall, or a residual lost below rounding, usually means the
-        # configured tolerance is out of reach
-        reach = "stagnated" in str(exc) or "can certify" in str(exc)
-        _emit_error(exc, "; raise solver.tol" if reach else "")
+        # configured tolerance is out of reach; picard_step does not know
+        # lambda, so the ratio that decides whether its loop contracts is added here
+        hint = ""
+        if "stagnated" in str(exc) or "can certify" in str(exc):
+            hint = "; raise solver.tol"
+        elif "Picard loop diverged" in str(exc):
+            hint = f"; lambda^2/dt = {cfg.lam ** 2 / cfg.macro_dt:.3g}"
+        _emit_error(exc, hint)
         return EXIT_SOLVER
     except (GeometryError, BudgetError, ValueError) as exc:
         _emit_error(exc)

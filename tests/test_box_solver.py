@@ -8,9 +8,11 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
@@ -504,7 +506,8 @@ def test_package_import_leaves_scipy_fft_out(tmp_path):
 
 
 @pytest.mark.parametrize("module, build", [
-    ("scipy.fft", lambda: SpectralPCG(np.copy, (4, 4), 0.25, np.ones(2), bc="noflux")),
+    # the box transforms find pocketfft through the scipy package
+    ("scipy", lambda: SpectralPCG(np.copy, (4, 4), 0.25, np.ones(2), bc="noflux")),
     ("scipy.sparse", lambda: _fv.face_operator((4, 4), 0.25, [1.0, 1.0])),
 ])
 def test_box_solver_without_scipy_is_a_solver_error(monkeypatch, module, build):
@@ -512,6 +515,89 @@ def test_box_solver_without_scipy_is_a_solver_error(monkeypatch, module, build):
     monkeypatch.setitem(sys.modules, module, None)
     with pytest.raises(SolverError, match=f"need {module}, but scipy cannot be imported"):
         build()
+
+
+# ---------------------------------------------------------------------------
+# the DCT/DST kernel: pocketfft loaded by file, or scipy.fft
+
+
+@pytest.fixture()
+def force_scipy_fft(monkeypatch):
+    """Call to route the box transforms through scipy.fft, as on a scipy
+    whose pocketfft file cannot be found."""
+    def force():
+        monkeypatch.setattr(cellcorrect, "_pocketfft_file", lambda scipy_dir: None)
+        cellcorrect._pocketfft.cache_clear()
+    yield force
+    cellcorrect._pocketfft.cache_clear()
+
+
+def test_pocketfft_loads_by_file_and_passes_its_check():
+    kernel = cellcorrect._pocketfft(scipy.__path__[0])
+    assert kernel is not None and kernel.__name__ == cellcorrect.POCKETFFT
+    assert cellcorrect._transforms_agree(kernel)
+
+
+def test_a_wrong_kernel_fails_the_check():
+    kernel = cellcorrect._pocketfft(scipy.__path__[0])
+    for wrong in (
+        SimpleNamespace(dct=lambda x, *args: x.copy(), dst=kernel.dst),  # no transform
+        SimpleNamespace(dct=kernel.dct, dst=lambda x, kind, axes, norm, *args:
+                        kernel.dst(x, kind, axes, 0, *args)),  # not normalized
+        SimpleNamespace(dct=kernel.dct, dst=lambda x, kind, axes, *args:
+                        kernel.dst(x, kind, axes[:1], *args)),  # first axis only
+        SimpleNamespace(dct=lambda x: x, dst=kernel.dst),  # another signature
+        SimpleNamespace(dst=kernel.dst),  # no dct
+    ):
+        assert not cellcorrect._transforms_agree(wrong)
+
+
+LATER_SCIPY_FFT = """\
+import sys
+import scipy
+from pnp_upscale import cellcorrect
+kernel = cellcorrect._pocketfft(scipy.__path__[0])
+assert "scipy.fft" not in sys.modules and "scipy.special" not in sys.modules
+import scipy.fft
+from scipy.fft._pocketfft import pypocketfft
+assert pypocketfft is kernel
+"""
+
+
+def test_a_later_scipy_fft_import_gets_the_same_module():
+    src = os.path.dirname(os.path.dirname(pnp_upscale.__file__))
+    proc = subprocess.run([sys.executable, "-c", LATER_SCIPY_FFT],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def box_solves(shape, bc, single):
+    """(x, certificate, iterations) of a masked diffusion solve with boundary
+    kind ``bc`` and, for noflux, of the singular Poisson solve with a
+    contrast coefficient, on the ``contrast_mask`` of ``shape``."""
+    mask, h, ones = contrast_mask(shape), 1.0 / shape[0], np.ones(len(shape))
+    b = np.random.default_rng(len(shape)).standard_normal(shape)
+    A = _fv.assemble_diffusion_matrix(shape, h, 1e-3, 1.0, bc, mask=mask)
+    solvers = [SpectralPCG(_fv.grid_matvec(A), shape, h, ones, 1e3, bc, mask, single=single)]
+    if bc == "noflux":
+        A = _fv.assemble_neumann_operator(shape, h, coef=np.where(mask, 1.0, 4.0))
+        solvers.append(SpectralPCG(_fv.grid_matvec(A), shape, h, ones, single=single))
+    return [solver.solve(b, 1e-10) for solver in solvers]
+
+
+@pytest.mark.parametrize("single", [False, True])
+@pytest.mark.parametrize("bc", ["noflux", "dirichlet"])
+@pytest.mark.parametrize("shape", [(24, 24), (8, 8, 8)])
+def test_scipy_fft_fallback_gives_the_same_bits(force_scipy_fft, shape, bc, single):
+    kernel = box_solves(shape, bc, single)
+    assert cellcorrect._pocketfft(scipy.__path__[0]) is not None
+    force_scipy_fft()
+    fallback = box_solves(shape, bc, single)
+    assert cellcorrect._pocketfft(scipy.__path__[0]) is None
+    for (x, cert, it), (y, cert_y, it_y) in zip(kernel, fallback, strict=True):
+        assert it > 1 and (cert, it) == (cert_y, it_y)
+        assert x.tobytes() == y.tobytes()
 
 
 def test_3d_dns_at_48_cubed_is_feasible(box_iterations):

@@ -538,7 +538,10 @@ loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 assert not loaded, loaded
 sys.meta_path.remove(blocker)
 assert main(["macro", "--config", cfg, "--out", out + "/macro"]) == 0
-assert "scipy.sparse" in sys.modules and "scipy.fft" in sys.modules
+from pnp_upscale.cellcorrect import POCKETFFT, _pocketfft
+assert _pocketfft.cache_info().currsize == 1  # looked up by the box solvers
+assert _pocketfft(sys.modules["scipy"].__path__[0]).__name__ == POCKETFFT
+assert "scipy.sparse" in sys.modules and "scipy.fft" not in sys.modules
 """
 
 
@@ -550,7 +553,19 @@ sys.exit(main(["macro", "--config", cfg, "--tensors", out + "/tensors.json",
 """
 
 
-def run_without_scipy(script, tmp_path):
+#: ``validate`` with scipy, then exit with the names of the scipy.fft and
+#: scipy.special modules it imported, if any
+VALIDATE_IMPORTS = """\
+import sys
+from pnp_upscale.cli import main
+cfg, out = sys.argv[1], sys.argv[2]
+assert main(["validate", "--config", cfg, "--out", out + "/report.csv"]) == 0
+sys.exit(sorted(m for m in sys.modules
+                if m.startswith(("scipy.fft", "scipy.special"))) or 0)
+"""
+
+
+def run_script(script, tmp_path):
     cfg = tmp_path / "disc.cfg"
     cfg.write_text(DISC_CFG)
     src = str(Path(pnp_upscale.__file__).parents[1])
@@ -560,7 +575,7 @@ def run_without_scipy(script, tmp_path):
 
 
 def test_cell_and_upscale_run_without_scipy(tmp_path):
-    proc = run_without_scipy(NUMPY_ONLY_RUN, tmp_path)
+    proc = run_script(NUMPY_ONLY_RUN, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "cell" / "tensors.json").read_text() == (
         tmp_path / "tensors.json").read_text()
@@ -570,7 +585,15 @@ def test_cell_and_upscale_run_without_scipy(tmp_path):
 def test_macro_without_scipy_is_a_solver_error(tmp_path):
     # the first box-grid solver needs scipy: a typed error and exit 3, not a
     # ModuleNotFoundError traceback
-    proc = run_without_scipy(MACRO_WITHOUT_SCIPY, tmp_path)
+    proc = run_script(MACRO_WITHOUT_SCIPY, tmp_path)
     assert proc.returncode == 3, proc.stderr
     assert "scipy" in proc.stderr and "Traceback" not in proc.stderr
     assert json.loads(proc.stderr)["error"] == "SolverError"
+
+
+def test_validate_imports_neither_scipy_fft_nor_scipy_special(tmp_path):
+    # the box solvers load pocketfft by file: scipy.fft would also load
+    # scipy.special, about 0.1 s of every macro, micro and validate process
+    proc = run_script(VALIDATE_IMPORTS, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "report.csv").exists()

@@ -291,7 +291,8 @@ def test_diverging_loop_names_its_cause(tmp_path, monkeypatch, capsys, command, 
     record = json.loads(line)
     assert record["error"] == "SolverError"
     assert record["message"].startswith("Picard loop diverged: increments ")
-    assert record["message"].endswith("; reduce dt")
+    # the command adds the ratio that the Picard step cannot know
+    assert record["message"].endswith(f"; reduce dt; lambda^2/dt = {lam ** 2 / dt:.3g}")
 
 
 @pytest.mark.parametrize("lam, dt", [(1e-4, 1e-2), (1e-4, 1e-3), (1e-3, 1e-2)])
