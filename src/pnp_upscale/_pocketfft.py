@@ -1,0 +1,105 @@
+"""The DCT/DST of the box-grid preconditioners: scipy's pocketfft kernel,
+loaded by file.
+
+``cellcorrect.SpectralPCG`` diagonalizes its no-flux and Dirichlet box
+preconditioners by the orthonormal type-2 DCT and DST.  Importing
+``scipy.fft`` for them would also load ``scipy.special`` (about 0.1 s per
+process), so ``load`` finds the compiled module that ``scipy.fft`` calls,
+``scipy/fft/_pocketfft/pypocketfft*.so``, through the scipy package and the
+interpreter's extension suffixes, loads it by file under its import name and
+checks it (``agrees``) before first use.  ``box_transforms`` calls it with the
+arguments ``scipy.fft`` passes, or goes through ``scipy.fft`` when the file
+is missing, fails to load or fails the check; both run the same kernel, so
+their results are the same bits.  ``cellcorrect`` imports this module only
+when it builds a box solver, so the cell problems neither load nor compile it.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import os
+from functools import cache, partial
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+
+import numpy as np
+
+from .cellcorrect import import_scipy
+
+#: import name of scipy's compiled pocketfft module
+POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
+
+
+def find_file(scipy_dir: str):
+    """Path of the pocketfft extension in the scipy package at ``scipy_dir``,
+    or None when there is none."""
+    folder = os.path.join(scipy_dir, "fft", "_pocketfft")
+    for suffix in EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "pypocketfft" + suffix)
+        if os.path.isfile(path):
+            return path
+    return None
+
+
+def _r2r(transform, kind: int, axes):
+    """``transform`` (pocketfft's dct or dst) of type ``kind`` over ``axes``,
+    with the arguments ``scipy.fft`` passes for ``norm="ortho"``: norm code 1,
+    a new output array, one thread and the default orthogonalization."""
+    return lambda x: transform(x, kind, axes, 1, None, 1, None)
+
+
+def agrees(module) -> bool:
+    """The 8-point DCT-II and DST-II of ``module`` and their inverses equal
+    the dense orthonormal cosine and sine matrices to 1e-12, in 1D and over
+    both axes in 2D."""
+    n = 8
+    k, j = np.arange(n)[:, None], np.arange(n) + 0.5
+    cos = np.sqrt(2.0 / n) * np.cos(np.pi * k * j / n)
+    cos[0] /= np.sqrt(2.0)
+    sin = np.sqrt(2.0 / n) * np.sin(np.pi * (k + 1) * j / n)
+    sin[-1] /= np.sqrt(2.0)
+    x = np.cos(np.arange(n * n) ** 1.5).reshape(n, n)
+    try:
+        for name, mat in (("dct", cos), ("dst", sin)):
+            transform = getattr(module, name)
+            for axes, data, forward, inverse in (
+                    ((0,), x[0], mat @ x[0], mat.T @ x[0]),
+                    ((0, 1), x, mat @ x @ mat.T, mat.T @ x @ mat)):
+                for kind, want in ((2, forward), (3, inverse)):
+                    if not np.allclose(_r2r(transform, kind, axes)(data), want,
+                                       rtol=0.0, atol=1e-12):
+                        return False
+    except (AttributeError, TypeError, ValueError, RuntimeError):
+        return False
+    return True
+
+
+@cache
+def load(scipy_dir: str):
+    """pocketfft loaded from its file in the scipy package at ``scipy_dir``,
+    or None when the file is missing, fails to load or fails ``agrees``.
+    A later ``import scipy.fft`` gets this same module object back."""
+    path = find_file(scipy_dir)
+    if path is None:
+        return None
+    loader = ExtensionFileLoader(POCKETFFT, path)
+    try:
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location(POCKETFFT, path, loader=loader))
+        loader.exec_module(module)
+    except ImportError:
+        return None
+    return module if agrees(module) else None
+
+
+def box_transforms(name: str, ndim: int):
+    """(forward, inverse): the orthonormal type-2 ``name`` ("dct" or "dst")
+    over all ``ndim`` axes, and its inverse, the type 3.  They call the
+    kernel from ``load``, or ``scipy.fft`` when that is None.  Without scipy,
+    ``SolverError``."""
+    kernel = load(import_scipy("scipy").__path__[0])
+    if kernel is None:
+        fft = import_scipy("scipy.fft")
+        return (partial(getattr(fft, name + "n"), type=2, norm="ortho"),
+                partial(getattr(fft, "i" + name + "n"), type=2, norm="ortho"))
+    transform, axes = getattr(kernel, name), tuple(range(ndim))
+    return _r2r(transform, 2, axes), _r2r(transform, 3, axes)

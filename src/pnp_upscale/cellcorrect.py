@@ -40,12 +40,9 @@ its iteration cap.
 from __future__ import annotations
 
 import importlib
-import importlib.util
 import logging
-import os
 from dataclasses import dataclass, field
-from functools import cache, partial
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from functools import partial
 
 import numpy as np
 
@@ -80,87 +77,6 @@ def import_scipy(name: str):
         raise SolverError(
             f"the box-grid solvers need {name}, but scipy cannot be imported: {exc}"
         ) from exc
-
-
-#: import name of scipy's compiled pocketfft module
-POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
-
-
-def _pocketfft_file(scipy_dir: str):
-    """Path of the pocketfft extension in the scipy package at ``scipy_dir``,
-    or None when there is none."""
-    folder = os.path.join(scipy_dir, "fft", "_pocketfft")
-    for suffix in EXTENSION_SUFFIXES:
-        path = os.path.join(folder, "pypocketfft" + suffix)
-        if os.path.isfile(path):
-            return path
-    return None
-
-
-def _r2r(transform, kind: int, axes):
-    """``transform`` (pocketfft's dct or dst) of type ``kind`` over ``axes``,
-    with the arguments ``scipy.fft`` passes for ``norm="ortho"``: norm code 1,
-    a new output array, one thread and the default orthogonalization."""
-    return lambda x: transform(x, kind, axes, 1, None, 1, None)
-
-
-def _transforms_agree(module) -> bool:
-    """The 8-point DCT-II and DST-II of ``module`` and their inverses equal
-    the dense orthonormal cosine and sine matrices to 1e-12, in 1D and over
-    both axes in 2D."""
-    n = 8
-    k, j = np.arange(n)[:, None], np.arange(n) + 0.5
-    cos = np.sqrt(2.0 / n) * np.cos(np.pi * k * j / n)
-    cos[0] /= np.sqrt(2.0)
-    sin = np.sqrt(2.0 / n) * np.sin(np.pi * (k + 1) * j / n)
-    sin[-1] /= np.sqrt(2.0)
-    x = np.cos(np.arange(n * n) ** 1.5).reshape(n, n)
-    try:
-        for name, mat in (("dct", cos), ("dst", sin)):
-            transform = getattr(module, name)
-            for axes, data, forward, inverse in (
-                    ((0,), x[0], mat @ x[0], mat.T @ x[0]),
-                    ((0, 1), x, mat @ x @ mat.T, mat.T @ x @ mat)):
-                for kind, want in ((2, forward), (3, inverse)):
-                    if not np.allclose(_r2r(transform, kind, axes)(data), want,
-                                       rtol=0.0, atol=1e-12):
-                        return False
-    except (AttributeError, TypeError, ValueError, RuntimeError):
-        return False
-    return True
-
-
-@cache
-def _pocketfft(scipy_dir: str):
-    """pocketfft loaded from its file in the scipy package at ``scipy_dir``,
-    or None when the file is missing, fails to load or fails
-    ``_transforms_agree``.  Importing ``scipy.fft`` would also load
-    ``scipy.special``; a later import of it gets this same module back."""
-    path = _pocketfft_file(scipy_dir)
-    if path is None:
-        return None
-    loader = ExtensionFileLoader(POCKETFFT, path)
-    try:
-        module = importlib.util.module_from_spec(
-            importlib.util.spec_from_file_location(POCKETFFT, path, loader=loader))
-        loader.exec_module(module)
-    except ImportError:
-        return None
-    return module if _transforms_agree(module) else None
-
-
-def box_transforms(name: str, ndim: int):
-    """(forward, inverse): the orthonormal type-2 ``name`` ("dct" or "dst")
-    over all ``ndim`` axes, and its inverse, the type 3.  They call scipy's
-    pocketfft kernel directly (``_pocketfft``), or through ``scipy.fft``
-    when it cannot be loaded or fails its check; both give the same bits."""
-    kernel = _pocketfft(import_scipy("scipy").__path__[0])
-    if kernel is None:
-        fft = import_scipy("scipy.fft")
-        return (partial(getattr(fft, name + "n"), type=2, norm="ortho"),
-                partial(getattr(fft, "i" + name + "n"), type=2, norm="ortho"))
-    transform, axes = getattr(kernel, name), tuple(range(ndim))
-    return _r2r(transform, 2, axes), _r2r(transform, 3, axes)
 
 
 @dataclass(eq=False)
@@ -337,9 +253,9 @@ class SpectralPCG:
     boundary kind ``bc`` picks the transform that diagonalizes the
     preconditioner (``inverse_symbol``): ``numpy.fft.rfftn`` for
     ``periodic``, the orthonormal type-2 DCT for ``noflux`` and the type-2
-    DST for ``dirichlet`` ghost-cell faces (``box_transforms``: scipy's
-    pocketfft kernel, loaded by file and checked when the first box solver
-    is built, else through ``scipy.fft`` with the same bits).
+    DST for ``dirichlet`` ghost-cell faces (``_pocketfft.box_transforms``:
+    scipy's pocketfft kernel, loaded by file and checked when the first box
+    solver is built, else through ``scipy.fft`` with the same bits).
     With ``single`` the transforms and the symbol run in float32, which
     halves the cost of a 256^2 DST pair; the residual is cast down before
     them and the result back up after, and everything else (the projection,
@@ -392,6 +308,9 @@ class SpectralPCG:
         else:
             dirichlet = bc == "dirichlet"
             angles = [np.pi * (np.arange(m) + int(dirichlet)) / m for m in self.shape]
+            # imported here, so that the cell problems do not compile it
+            from ._pocketfft import box_transforms
+
             self._forward, self._inverse = box_transforms(
                 "dst" if dirichlet else "dct", len(self.shape))
         self.inv_symbol = inverse_symbol(angles, h, scale, shift).astype(

@@ -17,7 +17,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 import pnp_upscale
-from pnp_upscale import _fv, cellcorrect
+from pnp_upscale import _fv, _pocketfft, cellcorrect
 from pnp_upscale.cellcorrect import (
     SolverError,
     SpectralPCG,
@@ -526,20 +526,20 @@ def force_scipy_fft(monkeypatch):
     """Call to route the box transforms through scipy.fft, as on a scipy
     whose pocketfft file cannot be found."""
     def force():
-        monkeypatch.setattr(cellcorrect, "_pocketfft_file", lambda scipy_dir: None)
-        cellcorrect._pocketfft.cache_clear()
+        monkeypatch.setattr(_pocketfft, "find_file", lambda scipy_dir: None)
+        _pocketfft.load.cache_clear()
     yield force
-    cellcorrect._pocketfft.cache_clear()
+    _pocketfft.load.cache_clear()
 
 
 def test_pocketfft_loads_by_file_and_passes_its_check():
-    kernel = cellcorrect._pocketfft(scipy.__path__[0])
-    assert kernel is not None and kernel.__name__ == cellcorrect.POCKETFFT
-    assert cellcorrect._transforms_agree(kernel)
+    kernel = _pocketfft.load(scipy.__path__[0])
+    assert kernel is not None and kernel.__name__ == _pocketfft.POCKETFFT
+    assert _pocketfft.agrees(kernel)
 
 
 def test_a_wrong_kernel_fails_the_check():
-    kernel = cellcorrect._pocketfft(scipy.__path__[0])
+    kernel = _pocketfft.load(scipy.__path__[0])
     for wrong in (
         SimpleNamespace(dct=lambda x, *args: x.copy(), dst=kernel.dst),  # no transform
         SimpleNamespace(dct=kernel.dct, dst=lambda x, kind, axes, norm, *args:
@@ -549,14 +549,14 @@ def test_a_wrong_kernel_fails_the_check():
         SimpleNamespace(dct=lambda x: x, dst=kernel.dst),  # another signature
         SimpleNamespace(dst=kernel.dst),  # no dct
     ):
-        assert not cellcorrect._transforms_agree(wrong)
+        assert not _pocketfft.agrees(wrong)
 
 
 LATER_SCIPY_FFT = """\
 import sys
 import scipy
-from pnp_upscale import cellcorrect
-kernel = cellcorrect._pocketfft(scipy.__path__[0])
+from pnp_upscale import _pocketfft
+kernel = _pocketfft.load(scipy.__path__[0])
 assert "scipy.fft" not in sys.modules and "scipy.special" not in sys.modules
 import scipy.fft
 from scipy.fft._pocketfft import pypocketfft
@@ -591,10 +591,10 @@ def box_solves(shape, bc, single):
 @pytest.mark.parametrize("shape", [(24, 24), (8, 8, 8)])
 def test_scipy_fft_fallback_gives_the_same_bits(force_scipy_fft, shape, bc, single):
     kernel = box_solves(shape, bc, single)
-    assert cellcorrect._pocketfft(scipy.__path__[0]) is not None
+    assert _pocketfft.load(scipy.__path__[0]) is not None
     force_scipy_fft()
     fallback = box_solves(shape, bc, single)
-    assert cellcorrect._pocketfft(scipy.__path__[0]) is None
+    assert _pocketfft.load(scipy.__path__[0]) is None
     for (x, cert, it), (y, cert_y, it_y) in zip(kernel, fallback, strict=True):
         assert it > 1 and (cert, it) == (cert_y, it_y)
         assert x.tobytes() == y.tobytes()

@@ -536,11 +536,12 @@ assert main(["cell", "--config", cfg, "--out", out + "/cell"]) == 0
 assert main(["upscale", "--config", cfg, "--out", out + "/tensors.json"]) == 0
 loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 assert not loaded, loaded
+assert "pnp_upscale._pocketfft" not in sys.modules
 sys.meta_path.remove(blocker)
 assert main(["macro", "--config", cfg, "--out", out + "/macro"]) == 0
-from pnp_upscale.cellcorrect import POCKETFFT, _pocketfft
-assert _pocketfft.cache_info().currsize == 1  # looked up by the box solvers
-assert _pocketfft(sys.modules["scipy"].__path__[0]).__name__ == POCKETFFT
+kernels = sys.modules["pnp_upscale._pocketfft"]  # imported by the box solvers
+assert kernels.load.cache_info().currsize == 1
+assert kernels.load(sys.modules["scipy"].__path__[0]).__name__ == kernels.POCKETFFT
 assert "scipy.sparse" in sys.modules and "scipy.fft" not in sys.modules
 """
 
