@@ -23,10 +23,10 @@ grids and float64 on the macro grid.  The SuperLU solvers
 with the same solve contract; no grid of the program factorizes.
 The oracles factorize a CSR copy of the DIA matrix.  scipy.sparse loads
 inside ``face_operator`` and the oracles, and the DCT/DST kernel (scipy's
-pocketfft extension, loaded by file in ``_pocketfft``) when
-the first box solver is built.  So importing this module, and the package,
-needs numpy only; without scipy the first box matrix or solver is a
-``SolverError`` (``cellcorrect.import_scipy``).
+pocketfft extension, loaded by file in ``_pocketfft``) when the first box
+solver is built.  So importing this module, and the package, needs numpy
+only; without scipy the first box matrix or solver is a ``SolverError``
+(``cellcorrect.import_scipy``).
 """
 
 from __future__ import annotations
