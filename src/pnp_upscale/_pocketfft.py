@@ -40,11 +40,12 @@ def find_file(scipy_dir: str):
     return None
 
 
-def _r2r(transform, kind: int, axes):
+def _r2r(transform, kind: int, axes, overwrite: bool = False):
     """``transform`` (pocketfft's dct or dst) of type ``kind`` over ``axes``,
     with the arguments ``scipy.fft`` passes for ``norm="ortho"``: norm code 1,
-    a new output array, one thread and the default orthogonalization."""
-    return lambda x: transform(x, kind, axes, 1, None, 1, None)
+    a new output array (with ``overwrite``, the input array itself, as for
+    ``overwrite_x=True``), one thread and the default orthogonalization."""
+    return lambda x: transform(x, kind, axes, 1, x if overwrite else None, 1, None)
 
 
 def agrees(module) -> bool:
@@ -91,15 +92,16 @@ def load(scipy_dir: str):
     return module if agrees(module) else None
 
 
-def box_transforms(name: str, ndim: int):
+def box_transforms(name: str, ndim: int, overwrite: bool = False):
     """(forward, inverse): the orthonormal type-2 ``name`` ("dct" or "dst")
-    over all ``ndim`` axes, and its inverse, the type 3.  They call the
-    kernel from ``load``, or ``scipy.fft`` when that is None.  Without scipy,
-    ``SolverError``."""
+    over all ``ndim`` axes, and its inverse, the type 3.  With ``overwrite``
+    each may write its result into its input array and return that, so the
+    caller must own the input.  They call the kernel from ``load``, or
+    ``scipy.fft`` when that is None.  Without scipy, ``SolverError``."""
     kernel = load(import_scipy("scipy").__path__[0])
     if kernel is None:
         fft = import_scipy("scipy.fft")
-        return (partial(getattr(fft, name + "n"), type=2, norm="ortho"),
-                partial(getattr(fft, "i" + name + "n"), type=2, norm="ortho"))
+        return tuple(partial(getattr(fft, prefix + name + "n"), type=2, norm="ortho",
+                             overwrite_x=overwrite) for prefix in ("", "i"))
     transform, axes = getattr(kernel, name), tuple(range(ndim))
-    return _r2r(transform, 2, axes), _r2r(transform, 3, axes)
+    return _r2r(transform, 2, axes, overwrite), _r2r(transform, 3, axes, overwrite)

@@ -19,22 +19,18 @@ exactly.  The singular systems are solved by ``SpectralPCG``: CG
 preconditioned with the inverse of the constant-coefficient periodic
 Laplacian, applied by FFT (the Moulinec-Suquet reference medium with CG
 acceleration), so the iteration count depends on the coefficient contrast
-and not on the resolution.  Each family of problems on one coefficient is
-one ``solve_periodic`` call, which builds the harmonic faces, the periodic
-operator and its solver once and solves every right-hand side of the
-family with them.  The right-hand side and every preconditioned
-residual are projected onto the mean-zero subspace; on a masked problem
-(``solve_periodic(..., domain_mask=...)``) the projection also zeroes the
-masked-out part, which restricts the same preconditioner to the fluid.
-The search directions stay in the subspace, so the iterate is projected
-once, at the end.  The system is consistent iff the right-hand side sums
-to zero.  The same class, with a DCT or DST in place of the FFT, solves
-every box grid of the macro run and the DNS (``macropnp.GridOperators``).
-The cell problems keep the preconditioner in float64, since their outputs
-are the stored tensors; only the DNS grids apply it in float32, which the
-flexible CG kernel ``pcg`` tolerates.  Every solve stops at a certificate,
-and raises ``SolverError`` when it stagnates (``STALL_WINDOW``) or reaches
-its iteration cap.
+and not on the resolution.  One ``solve_periodic`` call builds the faces,
+operator and solver of one coefficient once and solves a whole family.
+The right-hand side and every preconditioned residual are projected onto
+the mean-zero subspace, and on a masked problem the masked-out part is
+zeroed, which restricts the same preconditioner to the fluid; the search
+directions stay in the subspace, so the iterate is projected once, at the
+end.  The system is consistent iff the right-hand side sums to zero.  The
+same class, with a DCT or DST for the FFT, solves every box grid
+(``macropnp.GridOperators``), in float32 on the DNS grids only (the cell
+outputs are the stored tensors), which the flexible CG kernel ``pcg``
+tolerates.  Every solve stops at a certificate, or raises ``SolverError``
+at a stall (``STALL_WINDOW``) or its iteration cap.
 """
 
 from __future__ import annotations
@@ -74,9 +70,8 @@ def import_scipy(name: str):
     try:
         return importlib.import_module(name)
     except ImportError as exc:
-        raise SolverError(
-            f"the box-grid solvers need {name}, but scipy cannot be imported: {exc}"
-        ) from exc
+        raise SolverError(f"the box-grid solvers need {name}, but scipy cannot be "
+                          f"imported: {exc}") from exc
 
 
 @dataclass(eq=False)
@@ -181,12 +176,14 @@ def pcg(apply, precondition, certify, b: np.ndarray, x: np.ndarray, r: np.ndarra
     computed as -alpha z+ . Ap, since r+ - r = -alpha Ap: one dot product
     more per iteration and no stored residual.  ``certify(r, x)`` is the
     stopping measure; once the recurrence residual passes it, the true
-    residual b - apply(x) must pass too, or CG restarts from the true
-    residual.  Returns (x, certificate, iterations); raises ``SolverError``
-    on breakdown (p.Ap or z.r not finite once values overflow; p.Ap not
-    positive; z.r not positive while the certificate is above tol),
-    when the certificate has not halved in ``STALL_WINDOW`` iterations, or
-    after ``max_iter`` iterations.
+    residual b - apply(x), written into r, must pass too, or CG restarts
+    from it.  x, r and p change in place (alpha p and alpha Ap through one
+    scratch array) with the bits of x + alpha p and z + beta p, so
+    ``precondition`` must return a new array.  Returns (x, certificate,
+    iterations); raises ``SolverError`` on breakdown (p.Ap or z.r not
+    finite once values overflow; p.Ap not positive; z.r not positive while
+    the certificate is above tol), when the certificate has not halved in
+    ``STALL_WINDOW`` iterations, or after ``max_iter`` iterations.
     """
     if not r.any():
         return x, 0.0, 0
@@ -204,9 +201,9 @@ def pcg(apply, precondition, certify, b: np.ndarray, x: np.ndarray, r: np.ndarra
             )
         return rz
 
-    z = precondition(r)
-    p = z.copy()
-    rz = positive_rz(z)
+    p = precondition(r)  # the first z, which nothing else holds
+    rz = positive_rz(p)
+    scaled = np.empty_like(x)  # alpha p, then alpha Ap
     mark, mark_it = np.inf, 0  # the last certificate that halved its predecessor
     for it in range(1, max_iter + 1):
         Ap = apply(p)
@@ -216,12 +213,12 @@ def pcg(apply, precondition, certify, b: np.ndarray, x: np.ndarray, r: np.ndarra
         if pAp <= 0.0:
             raise SolverError("CG breakdown: operator lost positive definiteness")
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        x += np.multiply(p, alpha, out=scaled)
+        r -= np.multiply(Ap, alpha, out=scaled)
         res = certify(r, x)
         restart = res <= tol
         if restart:
-            r = b - apply(x)
+            np.subtract(b, apply(x), out=r)
             res = certify(r, x)
             if res <= tol:
                 return x, res, it
@@ -237,12 +234,13 @@ def pcg(apply, precondition, certify, b: np.ndarray, x: np.ndarray, r: np.ndarra
         z = precondition(r)
         rz_new = positive_rz(z)
         beta = 0.0 if restart else -alpha * float(np.vdot(z, Ap)) / rz
-        p = z + beta * p
+        p *= beta
+        p += z
         rz = rz_new
+        del z, Ap  # not held while the next iteration makes them anew
     res = certify(b - apply(x), x)
-    raise SolverError(
-        f"CG reached the iteration cap {max_iter} at residual {res:.3e} (tol {tol:.1e})"
-    )
+    raise SolverError(f"CG reached the iteration cap {max_iter} at residual {res:.3e} "
+                      f"(tol {tol:.1e})")
 
 
 class SpectralPCG:
@@ -258,13 +256,14 @@ class SpectralPCG:
     solver is built, else through ``scipy.fft`` with the same bits).
     With ``single`` the transforms and the symbol run in float32, which
     halves the cost of a 256^2 DST pair; the residual is cast down before
-    them and the result back up after, and everything else (the projection,
-    the iterate, the matvec, the certificate, the restart and
-    ``check_mean_zero``) stays float64, so only the convergence rate of the
-    flexible ``pcg`` feels the rounding, not the result.  Without a shift a
-    periodic or no-flux system is singular.  One
+    them (both write into that cast) and the result back up after, and
+    everything else (the projection, the iterate, the matvec, the
+    certificate, the restart and ``check_mean_zero``) stays float64, so only
+    the convergence rate of the flexible ``pcg`` feels the rounding, not the
+    result.  Without a shift a periodic or no-flux system is singular.  One
     projection follows every preconditioner application: the mean over the
-    active cells out when singular, the cells outside ``mask`` zeroed.  A
+    active cells out when singular, the cells outside ``mask`` zeroed by a
+    product with it (a float copy is kept only for a singular mean).  A
     singular system's right-hand side and result are projected as well, and
     the result passes ``check_mean_zero``.  Masked-out cells take their
     values from the right-hand side (identity rows on the box; zero after a
@@ -296,9 +295,10 @@ class SpectralPCG:
         self.max_iter = ITER_CAP_FACTOR * self.shape[0]
         self.mask = None if mask is None else np.asarray(mask, dtype=bool).reshape(self.shape)
         if self.mask is not None:
-            # a 0/1 weight instead of boolean indexing: dense passes per iteration
-            self.weight = self.mask.astype(float)
-            self.active = float(self.weight.sum())
+            # dense passes instead of boolean indexing; the masked mean of a
+            # singular system dots with a float weight (same bits as the mask)
+            self.weight = self.mask.astype(float) if self.singular else self.mask
+            self.active = float(np.count_nonzero(self.mask))
         if bc == "periodic":
             axes = tuple(range(len(self.shape)))
             half = self.shape[:-1] + (self.shape[-1] // 2 + 1,)
@@ -312,7 +312,7 @@ class SpectralPCG:
             from ._pocketfft import box_transforms
 
             self._forward, self._inverse = box_transforms(
-                "dst" if dirichlet else "dct", len(self.shape))
+                "dst" if dirichlet else "dct", len(self.shape), overwrite=single)
         self.inv_symbol = inverse_symbol(angles, h, scale, shift).astype(
             np.float32 if single else float, copy=False)
 
@@ -330,8 +330,9 @@ class SpectralPCG:
         # a residual past the float32 range casts to inf without a warning:
         # pcg reports the overflow through its non-finite z.r check
         with np.errstate(over="ignore"):
-            r = r.astype(self.inv_symbol.dtype, copy=False)
-        z = self._forward(r)
+            z = r.astype(self.inv_symbol.dtype, copy=False)
+        # single transforms overwrite their own float32 cast; a float64 z is r
+        z = self._forward(z)
         z *= self.inv_symbol
         return self._project(self._inverse(z).astype(float, copy=False))
 
@@ -424,8 +425,7 @@ def solve_periodic(coefficient: np.ndarray, rhs, tol: float,
         if abs(active_sum) > COMPAT_RTOL * nrm + 1e-300:
             raise SolverError(
                 f"singular system incompatible: |sum(rhs)| = {abs(active_sum):.3e} "
-                f"exceeds {COMPAT_RTOL:.0e} * ||rhs|| = {COMPAT_RTOL * nrm:.3e}"
-            )
+                f"exceeds {COMPAT_RTOL:.0e} * ||rhs|| = {COMPAT_RTOL * nrm:.3e}")
         u, res, it = solver.solve(f, tol)
         fields.append(u)
         residuals.append(res)

@@ -142,7 +142,9 @@ def _macro_run(cfg: RunConfig, tensors: EffectiveTensors, snapshot_times=()):
 def _dns_runs(cfg: RunConfig, cell):
     """Yield (s, domain, final state, diagnostics rows) of the DNS at each
     micro.s, run with the macro run's dt and t_end.  It starts from phi = 0:
-    the first step solves its potential afresh."""
+    the first step solves its potential afresh.  The initial state is
+    handed to ``run_micro`` in a list that the run empties, so that it does
+    not outlive the first step."""
     params = PermittivityParams(lam=cfg.lam, alpha=cfg.alpha)
     mcfg = _macro_config(cfg)
     for frac in cfg.micro_s:
@@ -152,7 +154,8 @@ def _dns_runs(cfg: RunConfig, cell):
         )
         u1 *= dom.mask  # in place: no unmasked copies live through the run
         u2 *= dom.mask
-        init = MacroState(u1=u1, u2=u2, u3=np.zeros(dom.mask.shape), t=0.0)
+        init = [MacroState(u1=u1, u2=u2, u3=np.zeros(dom.mask.shape), t=0.0)]
+        del u1, u2
         state, rows = run_micro(dom, init, mcfg)
         yield frac, dom, state, rows
 

@@ -166,9 +166,10 @@ class GridOperators:
     float32, which halves the transform cost; the macro grid keeps float64,
     whose transform inverts its constant-coefficient operators exactly, so
     they solve in one iteration.  Nothing is factorized, so memory grows
-    linearly with the cell count.  With a fluid ``mask`` the densities live
-    on fluid cells only: diffusion and drift use only the faces between two
-    fluid cells.
+    linearly with the cell count, and ``coef`` is dropped once the Poisson
+    operator is assembled: the operator keeps only its DIA table.  With a
+    fluid ``mask`` the densities live on fluid cells only: diffusion and
+    drift use only the faces between two fluid cells.
     """
 
     def __init__(self, shape, p: float = 1.0, *, tensor=None, coef=None,
@@ -198,9 +199,10 @@ class GridOperators:
     def poisson(self) -> SpectralPCG:
         A = assemble_neumann_operator(self.shape, self.h, tensor=self.tensor,
                                       coef=self.coef)
+        single, self.coef = self.coef is not None, None
         scale = np.ones(len(self.shape)) if self.tensor is None else np.diag(self.tensor)
         return SpectralPCG(grid_matvec(A), self.shape, self.h, scale,
-                           norm_A=abs(A).sum(axis=1).max(), single=self.coef is not None)
+                           norm_A=abs(A).sum(axis=1).max(), single=single)
 
     def diffusion(self, dt: float, bc: str) -> SpectralPCG:
         key = (float(dt), bc)
@@ -294,35 +296,47 @@ def _drift_divergences(v, u3: np.ndarray, A: np.ndarray, h: float, bc: str,
 
 def linear_predictor(v, u3, v_prev, u3_prev):
     """Start of the next Picard loop from the last two accepted steps: the
-    linear extrapolation ([max(2 v - v_prev, 0) per species], 2 u3 - u3_prev).
+    linear extrapolation [[max(2 v - v_prev, 0) per species], 2 u3 - u3_prev],
+    a list that ``picard_step`` can empty.
 
     The clip keeps the lagged densities of the first Picard iteration
     nonnegative for the upwind drift.  Each u3 must be the potential of its
     step's densities, so that the extrapolated potential is, by linearity,
     close to that of the extrapolated densities."""
-    return ([np.maximum(2.0 * a - b, 0.0) for a, b in zip(v, v_prev)],
-            2.0 * u3 - u3_prev)
+    return [[np.maximum(2.0 * a - b, 0.0) for a, b in zip(v, v_prev)],
+            2.0 * u3 - u3_prev]
 
 
-def march(step, init: MacroState, n_steps: int):
+def take(held):
+    """The state in the one-element list ``held``, which is emptied, or
+    ``held`` itself.  A list hands a state over: CPython keeps a call's
+    arguments on the caller's stack until the call returns, an emptied list
+    keeps nothing."""
+    return held.pop() if isinstance(held, list) else held
+
+
+def march(step, init, n_steps: int):
     """Yield the (state, info) of each of ``n_steps`` accepted steps from ``init``.
 
-    ``step(state, start)`` makes one step from ``state`` whose Picard loop
-    starts at ``start``.  The first step starts from ``init`` (its first
-    potential from ``init.u3``), the second from the first accepted state,
-    whose potential is that of its densities; every later step starts from
-    the linear predictor of the last two accepted states.  Only the
-    predictor outlives the older state, so a step keeps one extra set of
-    fields alive.
+    ``init`` is the initial state or a list holding it (``take``).
+    ``step(held, start)`` makes one step from the state in the list
+    ``held``, which it empties, with its Picard loop starting at ``start``:
+    None, or a [[u1, u2], u3] list that ``picard_step`` empties.  The first
+    step starts from the initial state (its first potential from its u3),
+    the second from the first accepted state, whose potential is that of its
+    densities; every later step from the linear predictor of the last two
+    accepted states.  So no frame here keeps the initial state past the
+    first step or a start past its Picard loop's first iteration; only the
+    state a step starts from lives through it, for the predictor after it.
     """
-    state, start = init, None
-    for k in range(n_steps):
-        new, info = step(state, start)
-        # init.u3 need not be the potential of init's densities: no predictor from it
-        start = linear_predictor([new.u1, new.u2], new.u3,
-                                 [state.u1, state.u2], state.u3) if k else None
-        state = new
-        yield state, info
+    held, start, prev = [take(init)], None, None
+    for _ in range(n_steps):
+        new, info = step(held, start)
+        # the initial u3 need not be the potential of its densities: no predictor from it
+        start = None if prev is None else linear_predictor(
+            [new.u1, new.u2], new.u3, [prev.u1, prev.u2], prev.u3)
+        held, prev = [new], new
+        yield new, info
 
 
 def balance_columns(state: MacroState) -> dict:
@@ -336,13 +350,14 @@ def balance_columns(state: MacroState) -> dict:
     }
 
 
-def picard_step(ops: GridOperators, v, u3, base, A: np.ndarray, dt: float,
+def picard_step(ops: GridOperators, start: list, base, A: np.ndarray, dt: float,
                 cfg: StepConfig):
     """Fixed-point loop of one implicit step on the grid of ``ops``.
 
-    ``v`` and ``u3`` are the start: the first lagged densities and the CG
-    start of the first potential.  The steppers pass the step's initial
-    state, or a predictor extrapolated from the last two accepted states;
+    ``start`` is the list [v, u3] of the first lagged densities [v1, v2]
+    and the CG start of the first potential, which the loop empties, so
+    that no frame keeps the start past iteration 1.  The steppers pass the
+    step's initial state or a predictor from the last two accepted states;
     the loop converges to the same fixed point either way.
     ``base`` holds the previous-step terms of the two right-hand sides, ``A``
     the drift tensor.  Each iteration solves the potential from the lagged
@@ -372,10 +387,13 @@ def picard_step(ops: GridOperators, v, u3, base, A: np.ndarray, dt: float,
     in ``DIVERGENCE_RUN`` iterations in a row, raises at once and does not
     wait for the values to overflow.  A solve that fails right after a grown
     increment, as one does once the values overflow, raises the same
-    divergence error, chained to the solver's.  Returns
+    divergence error, chained to the solver's.  Each species' right-hand
+    side is released once its solve has returned.  Returns
     ([u1, u2], u3, StepInfo), where u3 is the potential of the returned
     densities.
     """
+    v, u3 = start
+    start.clear()
     increments: list[float] = []
     cg_iters: list[tuple] = []
     iters = growing = 0
@@ -391,18 +409,16 @@ def picard_step(ops: GridOperators, v, u3, base, A: np.ndarray, dt: float,
         try:
             u3, cert, it = ops.potential(v[0], v[1], cfg.lin_tol, u3, reduction)
             rhs = _drift_divergences(v, u3, A, ops.h, cfg.bc, cfg.drift, ops.open_faces)
-            for prev, drift in zip(base, rhs):
-                np.subtract(prev, drift, out=drift)
-            if ops.solid is not None:
-                for b in rhs:
-                    b[ops.solid] = 0.0
+            for r in range(2):  # by index: no loop variable keeps a right-hand side
+                np.subtract(base[r], rhs[r], out=rhs[r])
+                if ops.solid is not None:
+                    rhs[r][ops.solid] = 0.0
             diffusion = ops.diffusion(dt, cfg.bc)
-            solved = [diffusion.solve(b, cfg.lin_tol, w, reduction) for b, w in zip(rhs, v)]
+            solved = [diffusion.solve(rhs.pop(0), cfg.lin_tol, w, reduction) for w in v]
         except SolverError as exc:
             if growing:  # the values grew into the failure: name the loop
                 raise diverged() from exc
             raise
-        del rhs
         new = [x for x, _, _ in solved]
         # np.max, unlike max, keeps a NaN of either species
         inc = float(np.max([np.sqrt(np.mean((new[r] - v[r]) ** 2)) for r in range(2)]))
@@ -431,25 +447,29 @@ def picard_step(ops: GridOperators, v, u3, base, A: np.ndarray, dt: float,
                            min_density=min_density, cg_iters=cg_iters)
 
 
-def step_macro_pnp(state: MacroState, tensors: EffectiveTensors,
-                   cfg: MacroConfig, ops: GridOperators | None = None,
-                   start=None):
+def step_macro_pnp(state, tensors: EffectiveTensors, cfg: MacroConfig,
+                   ops: GridOperators | None = None, start=None):
     """One accepted time step; returns (new_state, StepInfo).
 
-    ``ops`` are the grid's operators, ``GridOperators(shape, tensors.p,
+    ``state`` is the state to step from, or a list holding it (``take``);
+    the step drops it once it has formed the previous-step terms.  ``ops``
+    are the grid's operators, ``GridOperators(shape, tensors.p,
     tensor=tensors.eps0)``; without them the step builds its own.  ``start``
-    is the ([u1, u2], u3) start of the Picard loop, as ``linear_predictor``
-    makes it; without it the loop starts from ``state``, its first potential
-    from ``state.u3``.
+    is the [[u1, u2], u3] start of the Picard loop, as ``linear_predictor``
+    makes it; without it the loop starts from the state.
     """
+    state = take(state)
     if ops is None:
         ops = GridOperators(state.u1.shape, tensors.p, tensor=tensors.eps0)
     p = tensors.p
     A_drift = np.asarray(tensors.Hhat, dtype=float) - np.asarray(tensors.M, dtype=float)
     base = [p / cfg.dt * state.u1, p / cfg.dt * state.u2]
-    v, u3 = start if start is not None else ([state.u1, state.u2], state.u3)
-    v, u3, info = picard_step(ops, v, u3, base, A_drift, cfg.dt, cfg)
-    return MacroState(u1=v[0], u2=v[1], u3=u3, t=state.t + cfg.dt), info
+    t = state.t + cfg.dt
+    if start is None:
+        start = [[state.u1, state.u2], state.u3]
+    del state
+    v, u3, info = picard_step(ops, start, base, A_drift, cfg.dt, cfg)
+    return MacroState(u1=v[0], u2=v[1], u3=u3, t=t), info
 
 
 def _xlogx(u: np.ndarray) -> np.ndarray:
@@ -499,6 +519,22 @@ def _gradient_quadrature(u3: np.ndarray) -> float:
     return total
 
 
+def _block_reduce(ufunc, a: np.ndarray, window: int) -> np.ndarray:
+    """Binary ``ufunc`` reduced over blocks of ``window`` cells per axis.
+    Per axis, each offset in a block is folded into the blocks that reach
+    it through strided views, so a short last block needs no padding; each
+    block combines its cells in order, with the bits of ``ufunc.reduceat``
+    for exact ufuncs (max, min, logical or)."""
+    for axis in range(a.ndim):
+        out = a[_along(a.ndim, axis, slice(0, None, window))].copy()
+        for offset in range(1, min(window, a.shape[axis])):
+            part = a[_along(a.ndim, axis, slice(offset, None, window))]
+            head = out[_along(a.ndim, axis, slice(0, part.shape[axis]))]
+            ufunc(head, part, out=head)
+        a = out
+    return a
+
+
 def check_local_equilibrium(state: MacroState, window: int) -> float:
     """Max spread of the chemical potential log u_r + z_r u3 over voxel blocks.
 
@@ -512,17 +548,10 @@ def check_local_equilibrium(state: MacroState, window: int) -> float:
         raise ValueError("window must be >= 1")
     dev = 0.0
     skipped = 0
-    starts = [np.arange(0, s, window) for s in state.u1.shape]
-
-    def blockwise(ufunc, a):
-        for axis, idx in enumerate(starts):
-            a = ufunc.reduceat(a, idx, axis=axis)
-        return a
-
     for z, u in zip(Z_CHARGES, (state.u1, state.u2)):
         mu = np.log(np.where(u > 0.0, u, 1.0)) + z * state.u3
-        bad = blockwise(np.logical_or, u <= 0.0)
-        spread = blockwise(np.maximum, mu) - blockwise(np.minimum, mu)
+        bad = _block_reduce(np.logical_or, u <= 0.0, window)
+        spread = _block_reduce(np.maximum, mu, window) - _block_reduce(np.minimum, mu, window)
         skipped += int(bad.sum())
         if not bad.all():
             dev = max(dev, float(spread[~bad].max()))
@@ -534,20 +563,21 @@ def check_local_equilibrium(state: MacroState, window: int) -> float:
     return dev
 
 
-def run_macro(cfg: MacroConfig, tensors: EffectiveTensors, init: MacroState,
-              snapshot_times=()):
+def run_macro(cfg: MacroConfig, tensors: EffectiveTensors, init, snapshot_times=()):
     """March from t=0 to t_end, one diagnostics row per accepted step.
 
-    Returns (snapshots, rows) where snapshots is a list of (t, MacroState)
-    at the configured times plus the final state.  The grid's operators and
-    solvers are built once for the whole run; ``march`` starts the steps.
+    ``init`` is the initial state, or a list holding it that the run
+    empties (``take``).  Returns (snapshots, rows) where snapshots is a list
+    of (t, MacroState) at the configured times plus the final state.  The
+    grid's operators and solvers are built once for the whole run; ``march``
+    starts the steps.
     """
-    ops = GridOperators(init.u1.shape, tensors.p, tensor=tensors.eps0)
-    state = init
+    init = [take(init)]
+    ops = GridOperators(init[0].u1.shape, tensors.p, tensor=tensors.eps0)
     rows: list[DiagnosticsRow] = []
     snapshots: list[tuple[float, MacroState]] = []
     pending = sorted(snapshot_times)
-    steps = march(lambda s, start: step_macro_pnp(s, tensors, cfg, ops=ops, start=start),
+    steps = march(lambda held, start: step_macro_pnp(held, tensors, cfg, ops=ops, start=start),
                   init, cfg.n_steps)
     for state, info in steps:
         rows.append(

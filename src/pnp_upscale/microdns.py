@@ -29,7 +29,7 @@ import numpy as np
 from ._fv import assemble_diffusion_matrix, assemble_neumann_operator  # noqa: F401
 from .cellcorrect import CorrectorSet
 from .macropnp import (GridOperators, MacroConfig, MacroState, Z_CHARGES,
-                       balance_columns, march, picard_step)
+                       balance_columns, march, picard_step, take)
 from .unitcell import PermittivityParams, UnitCell
 
 logger = logging.getLogger(__name__)
@@ -43,18 +43,25 @@ class MicroDomain:
 
     ``ops`` holds the grid's operators: the whole-box Poisson operator with
     the high-contrast coefficient, and the diffusion operators on the fluid
-    voxels, each built on first use.
+    voxels, each built on first use.  The coefficient ``eps`` (``params``'
+    fluid value on the fluid, alpha on the solid) is not stored: it is
+    computed from the mask when asked, and the operators drop theirs once
+    the Poisson operator is assembled.
     """
 
     s: float
     tiles: int
     cell: UnitCell
     mask: np.ndarray
-    eps: np.ndarray
+    params: PermittivityParams
     ops: GridOperators = field(init=False, repr=False)
 
     def __post_init__(self):
         self.ops = GridOperators(self.mask.shape, coef=self.eps, mask=self.mask)
+
+    @property
+    def eps(self) -> np.ndarray:
+        return np.where(self.mask, self.params.fluid_value, self.params.alpha).astype(float)
 
     @property
     def dim(self) -> int:
@@ -83,35 +90,41 @@ def assemble_micro_domain(cell: UnitCell, params: PermittivityParams, s,
             f"fine grid needs {n} voxels ({fine_res} per axis), budget is {max_cells}"
         )
     mask = np.tile(cell.fluid_mask, (tiles,) * cell.dim)
-    eps = np.where(mask, params.fluid_value, params.alpha).astype(float)
-    return MicroDomain(s=float(frac), tiles=tiles, cell=cell, mask=mask, eps=eps)
+    return MicroDomain(s=float(frac), tiles=tiles, cell=cell, mask=mask, params=params)
 
 
-def step_micro_pnp(state: MacroState, dom: MicroDomain, cfg: MacroConfig, start=None):
+def step_micro_pnp(state, dom: MicroDomain, cfg: MacroConfig, start=None):
     """One IMEX step of cfg.dt of the microscopic system; returns (state,
     StepInfo as a dict).
 
     The same Picard stepper as the macroscopic model, with the physical
     drift velocity -z grad phi (drift tensor -I) restricted to fluid faces.
     Boundary faces carry no advective flux: the potential is Neumann there,
-    so the normal velocity vanishes.  ``start`` is the ([n+, n-], phi)
-    start of the Picard loop, as ``macropnp.linear_predictor`` makes it;
-    without it the loop starts from ``state``, its first potential from
-    ``state.u3``.
+    so the normal velocity vanishes.  ``state`` and ``start`` are handed
+    over as in ``macropnp.step_macro_pnp``: the state, or a one-element list
+    holding it that the step empties, and the [[n+, n-], phi] start of the
+    Picard loop, as ``macropnp.linear_predictor`` makes it, which the loop
+    empties; without a start the loop starts from the state, its first
+    potential from the state's u3.
     """
+    state = take(state)
     dt = cfg.dt
     base = [state.u1 / dt, state.u2 / dt]
-    v, phi = start if start is not None else ([state.u1, state.u2], state.u3)
-    v, phi, info = picard_step(dom.ops, v, phi, base, -np.eye(dom.dim), dt, cfg)
-    return MacroState(u1=v[0], u2=v[1], u3=phi, t=state.t + dt), dataclasses.asdict(info)
+    t = state.t + dt
+    if start is None:
+        start = [[state.u1, state.u2], state.u3]
+    del state
+    v, phi, info = picard_step(dom.ops, start, base, -np.eye(dom.dim), dt, cfg)
+    return MacroState(u1=v[0], u2=v[1], u3=phi, t=t), dataclasses.asdict(info)
 
 
-def run_micro(dom: MicroDomain, init: MacroState, cfg: MacroConfig):
+def run_micro(dom: MicroDomain, init, cfg: MacroConfig):
     """March the DNS from t=0 to cfg.t_end with ``macropnp.march``; returns
-    (final state, diagnostics rows)."""
-    state = init
+    (final state, diagnostics rows).  ``init`` is the initial state, or a
+    one-element list holding it, which the run empties, so that it does not
+    outlive the first step."""
     rows = []
-    for state, info in march(lambda s, start: step_micro_pnp(s, dom, cfg, start=start),
+    for state, info in march(lambda held, start: step_micro_pnp(held, dom, cfg, start=start),
                              init, cfg.n_steps):
         rows.append({**balance_columns(state), "picard_iters": info["picard_iters"]})
     return state, rows

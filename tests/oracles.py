@@ -138,6 +138,30 @@ def local_equilibrium_loop(u1, u2, u3, window):
     return dev, skipped
 
 
+def block_reduceat(ufunc, a, window):
+    """``ufunc.reduceat`` over blocks of ``window`` cells per axis, the last
+    block of an axis cut short: the block reduction of the local-equilibrium
+    check before it folded strided views."""
+    for axis in range(a.ndim):
+        a = ufunc.reduceat(a, np.arange(0, a.shape[axis], window), axis=axis)
+    return a
+
+
+def local_equilibrium_reduceat(u1, u2, u3, window):
+    """The local-equilibrium check computed with ``block_reduceat``:
+    (max chemical-potential spread, number of skipped blocks)."""
+    dev = 0.0
+    skipped = 0
+    for z, u in ((1.0, u1), (-1.0, u2)):
+        mu = np.log(np.where(u > 0.0, u, 1.0)) + z * u3
+        bad = block_reduceat(np.logical_or, u <= 0.0, window)
+        spread = block_reduceat(np.maximum, mu, window) - block_reduceat(np.minimum, mu, window)
+        skipped += int(bad.sum())
+        if not bad.all():
+            dev = max(dev, float(spread[~bad].max()))
+    return dev, skipped
+
+
 def periodic_fluid_connected(mask):
     """Brute-force flood fill of the fluid voxels over the six (four in 2D,
     two in 1D) face neighbours with periodic wraparound."""
@@ -254,6 +278,66 @@ def jacobi_projected_cg(faces, b, h, mask, tol, max_iter):
         p = z + rz_new / rz * p
         rz = rz_new
     raise RuntimeError("reference Jacobi CG did not converge")
+
+
+def allocating_pcg(apply, precondition, certify, b, x, r, tol, max_iter):
+    """``cellcorrect.pcg`` as it was before it worked in place: every update
+    (x + alpha p, r - alpha Ap, the restart residual, z + beta p) makes a
+    new array.  The reference for the bits of the in-place kernel; it
+    raises ``SolverError`` in the same cases with the same messages."""
+    from pnp_upscale.cellcorrect import STALL_WINDOW, SolverError
+
+    if not r.any():
+        return x, 0.0, 0
+
+    def positive_rz(z):
+        rz = float(np.vdot(r, z))
+        if not np.isfinite(rz):
+            raise SolverError(f"CG breakdown: z.r = {rz} is not finite; the values overflowed")
+        if rz <= 0.0:
+            raise SolverError(
+                f"CG breakdown: z.r = {rz:.3e} before the certificate reached the "
+                f"tolerance {tol:.1e}, which may be below what this grid can certify"
+            )
+        return rz
+
+    z = precondition(r)
+    p = z.copy()
+    rz = positive_rz(z)
+    mark, mark_it = np.inf, 0
+    for it in range(1, max_iter + 1):
+        Ap = apply(p)
+        pAp = float(np.vdot(p, Ap))
+        if not np.isfinite(pAp):
+            raise SolverError(f"CG breakdown: p.Ap = {pAp} is not finite; the values overflowed")
+        if pAp <= 0.0:
+            raise SolverError("CG breakdown: operator lost positive definiteness")
+        alpha = rz / pAp
+        x += alpha * p
+        r -= alpha * Ap
+        res = certify(r, x)
+        restart = res <= tol
+        if restart:
+            r = b - apply(x)
+            res = certify(r, x)
+            if res <= tol:
+                return x, res, it
+        if res <= 0.5 * mark:
+            mark, mark_it = res, it
+        elif it - mark_it >= STALL_WINDOW:
+            raise SolverError(
+                f"CG stagnated: certificate {mark:.3e} not halved in {STALL_WINDOW} "
+                f"iterations; the tolerance {tol:.1e} may be below what this grid "
+                f"can certify"
+            )
+        z = precondition(r)
+        rz_new = positive_rz(z)
+        beta = 0.0 if restart else -alpha * float(np.vdot(z, Ap)) / rz
+        p = z + beta * p
+        rz = rz_new
+    res = certify(b - apply(x), x)
+    raise SolverError(f"CG reached the iteration cap {max_iter} at residual {res:.3e} "
+                      f"(tol {tol:.1e})")
 
 
 # --- box-grid matrices, one COO loop per operator ---------------------------

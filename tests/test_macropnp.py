@@ -373,23 +373,18 @@ class _WarningRecords(logging.Handler):
 
 
 @st.composite
-def loceq_states(draw):
+def loceq_states(draw, max_window=5):
     dim = draw(st.integers(1, 3))
     shape = tuple(draw(st.lists(st.integers(1, 9), min_size=dim, max_size=dim)))
     density = st.one_of(st.just(0.0), st.just(-0.5), st.floats(1e-3, 10.0))
     u1 = draw(hnp.arrays(float, shape, elements=density))
     u2 = draw(hnp.arrays(float, shape, elements=density))
     u3 = draw(hnp.arrays(float, shape, elements=st.floats(-3.0, 3.0)))
-    return MacroState(u1=u1, u2=u2, u3=u3), draw(st.integers(1, 5))
+    return MacroState(u1=u1, u2=u2, u3=u3), draw(st.integers(1, max_window))
 
 
-@settings(max_examples=80, deadline=None)
-@given(loceq_states())
-def test_local_equilibrium_matches_loop(case):
-    # any grid (ragged edge blocks included), zero and negative densities
-    state, window = case
-    expected, expected_skipped = oracles.local_equilibrium_loop(
-        state.u1, state.u2, state.u3, window)
+def loceq_with_skipped(state, window):
+    """(check_local_equilibrium, the skipped count it logs)."""
     handler = _WarningRecords()
     log = logging.getLogger("pnp_upscale.macropnp")
     log.addHandler(handler)
@@ -398,9 +393,34 @@ def test_local_equilibrium_matches_loop(case):
             dev = check_local_equilibrium(state, window)
     finally:
         log.removeHandler(handler)
-    assert dev == expected
-    skipped = handler.records[0].args[0] if handler.records else 0
-    assert skipped == expected_skipped
+    return dev, handler.records[0].args[0] if handler.records else 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(loceq_states())
+def test_local_equilibrium_matches_loop(case):
+    # any grid (ragged edge blocks included), zero and negative densities
+    state, window = case
+    expected = oracles.local_equilibrium_loop(state.u1, state.u2, state.u3, window)
+    assert loceq_with_skipped(state, window) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(loceq_states(max_window=8))
+def test_local_equilibrium_blocks_are_the_reduceat_bits(case):
+    # the strided fold of each block gives ufunc.reduceat's bits, block by
+    # block, for windows that divide the side, do not, or exceed it
+    state, window = case
+    mu = np.log(np.where(state.u1 > 0.0, state.u1, 1.0)) + state.u3
+    for ufunc, a in ((np.maximum, mu), (np.minimum, mu), (np.logical_or, state.u1 <= 0.0)):
+        got = macropnp._block_reduce(ufunc, a, window)
+        want = oracles.block_reduceat(ufunc, a, window)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    expected = oracles.local_equilibrium_reduceat(state.u1, state.u2, state.u3, window)
+    dev, skipped = loceq_with_skipped(state, window)
+    assert (np.float64(dev).tobytes(), skipped) == (np.float64(expected[0]).tobytes(),
+                                                    expected[1])
 
 
 def test_local_equilibrium_skips_zero_blocks():

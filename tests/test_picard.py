@@ -42,11 +42,17 @@ def recorded_solves():
         yield calls
 
 
+def picard(ops, v, u3, *args):
+    """picard_step from the start (v, u3), handed over in a new list, which
+    the loop empties, so that the caller's arguments serve again."""
+    return picard_step(ops, [list(v), u3], *args)
+
+
 def lin_tol_loop(*args):
     """The loop with no forced iteration: every solve runs to lin_tol."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(macropnp, "FORCED_ITERATIONS", 0)
-        return picard_step(*args)
+        return picard(*args)
 
 
 def rms_gap(a, b):
@@ -61,7 +67,7 @@ def forced_step(*args):
     lin_tol; the StepInfo counts those of the solves."""
     cfg = args[-1]
     with recorded_solves() as calls:
-        v, u3, info = picard_step(*args)
+        v, u3, info = picard(*args)
     assert len(calls) == 3 * info.picard_iters + 1
     for k in range(info.picard_iters):
         forced = k < macropnp.FORCED_ITERATIONS and k + 1 < cfg.picard_cap
@@ -132,7 +138,7 @@ def fixed_point(args, cfg):
     """The step's accepted densities and potential, and the step's arguments
     with them as the start."""
     ops, _, _, base, A, dt = args
-    v, u3, _ = picard_step(*args, cfg)
+    v, u3, _ = picard(*args, cfg)
     return v, u3, (ops, v, u3, base, A, dt)
 
 
@@ -177,7 +183,7 @@ def test_small_caps(problem):
     # cap 1 from there: the unforced first iteration does not pass, as in
     # the lin_tol loop
     with pytest.raises(SolverError, match="within 1 iterations"):
-        picard_step(*args, StepConfig(bc="noflux", picard_cap=1))
+        picard(*args, StepConfig(bc="noflux", picard_cap=1))
     with pytest.raises(SolverError, match="within 1 iterations"):
         lin_tol_loop(*args, StepConfig(bc="noflux", picard_cap=1))
 
@@ -185,7 +191,7 @@ def test_small_caps(problem):
 def test_each_iteration_logs_one_record(caplog):
     args = macro_problem(2, True, 1e-3)
     with caplog.at_level(logging.DEBUG, logger="pnp_upscale.macropnp"):
-        _, _, info = picard_step(*args, StepConfig())
+        _, _, info = picard(*args, StepConfig())
     records = [r.getMessage() for r in caplog.records if "Picard iteration" in r.getMessage()]
     assert len(records) == info.picard_iters >= 3
     for k, (msg, inc, counts) in enumerate(zip(records, info.increments, info.cg_iters)):
@@ -337,7 +343,7 @@ def test_a_non_finite_increment_stops_the_loop_at_once(monkeypatch):
     monkeypatch.setattr(SpectralPCG, "solve", poisoned)
     with pytest.raises(SolverError, match=r"^Picard loop diverged: increments nan at "
                                           r"iteration 1; reduce dt$"):
-        picard_step(*macro_problem(2, True, 1e-3), StepConfig())
+        picard(*macro_problem(2, True, 1e-3), StepConfig())
 
 
 @pytest.mark.parametrize("fail_at, grown", [(7, True), (4, False)])
@@ -359,7 +365,7 @@ def test_a_solve_failing_after_a_grown_increment_is_divergence(monkeypatch, fail
 
     monkeypatch.setattr(SpectralPCG, "solve", growing)
     with pytest.raises(SolverError) as err:
-        picard_step(*macro_problem(2, True, 1e-3), StepConfig())
+        picard(*macro_problem(2, True, 1e-3), StepConfig())
     if grown:
         assert str(err.value).startswith("Picard loop diverged: increments ")
         assert str(err.value).endswith(" at iteration 3; reduce dt")

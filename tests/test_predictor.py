@@ -61,8 +61,8 @@ def test_march_starts_from_init_then_the_first_state_then_the_predictor():
     init = MacroState.zero(3)
     calls = []
 
-    def step(state, start):
-        calls.append((state, start))
+    def step(held, start):
+        calls.append((held.pop(), start))
         k = len(calls)
         return MacroState(u1=np.full(3, k * k), u2=np.full(3, 5.0 / k), u3=np.full(3, -k),
                           t=float(k)), f"info {k}"
@@ -130,9 +130,9 @@ def test_predictor_is_clipped_at_zero(monkeypatch):
     starts, accepted = [], []
     picard_step = macropnp.picard_step
 
-    def recording(ops, v, u3, *args):
-        starts.append(v)
-        result = picard_step(ops, v, u3, *args)
+    def recording(ops, start, *args):
+        starts.append(start[0])
+        result = picard_step(ops, start, *args)
         accepted.append(result[0])
         return result
 
