@@ -199,7 +199,8 @@ class GridOperators:
     def poisson(self) -> SpectralPCG:
         A = assemble_neumann_operator(self.shape, self.h, tensor=self.tensor,
                                       coef=self.coef)
-        single, self.coef = self.coef is not None, None
+        single = self.coef is not None
+        self.coef = None  # the DIA table holds all the solves need of it
         scale = np.ones(len(self.shape)) if self.tensor is None else np.diag(self.tensor)
         return SpectralPCG(grid_matvec(A), self.shape, self.h, scale,
                            norm_A=abs(A).sum(axis=1).max(), single=single)
