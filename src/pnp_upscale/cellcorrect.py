@@ -115,11 +115,11 @@ def harmonic_face_coefficients(coef: np.ndarray, mask: np.ndarray | None = None)
 def periodic_operator(faces, h: float):
     """u -> -div(c grad u) with the face transmissibilities from above.
 
-    Each axis' faces rolled onto the cells behind them are computed here,
-    once, and not on every application.  An application forms each
-    difference u - u[idx + e_d] and u - u[idx - e_d] from two slice pairs in
-    one reused buffer, without rolling u."""
-    back = [np.roll(kf, 1, axis=d) for d, kf in enumerate(faces)]
+    An application forms one face flux per axis, c (u[idx + e_d] - u[idx]),
+    from two slice pairs in one reused buffer, without rolling u, takes it
+    from the cell behind the face and adds it to the cell ahead.  Each
+    product and sum is the one of the two-difference stencil
+    c (u - u[idx + e_d]) + c[idx - e_d] (u - u[idx - e_d]), bit for bit."""
     # per axis: all cells but the last, all but the first, the first, the last
     cuts = [tuple((slice(None),) * d + (s,) for s in
                   (slice(0, -1), slice(1, None), slice(0, 1), slice(-1, None)))
@@ -127,14 +127,13 @@ def periodic_operator(faces, h: float):
 
     def apply(u: np.ndarray) -> np.ndarray:
         out = np.zeros_like(u)
-        diff = np.empty_like(u)
-        for kf, kb, (head, tail, first, last) in zip(faces, back, cuts):
-            np.subtract(u[head], u[tail], out=diff[head])
-            np.subtract(u[last], u[first], out=diff[last])
-            out += np.multiply(kf, diff, out=diff)
-            np.subtract(u[tail], u[head], out=diff[tail])
-            np.subtract(u[first], u[last], out=diff[first])
-            out += np.multiply(kb, diff, out=diff)
+        flux = np.empty_like(u)
+        for kf, (head, tail, first, last) in zip(faces, cuts):
+            np.subtract(u[tail], u[head], out=flux[head])
+            np.subtract(u[first], u[last], out=flux[last])
+            out -= np.multiply(kf, flux, out=flux)
+            out[tail] += flux[head]
+            out[first] += flux[last]
         out /= h * h
         return out
 

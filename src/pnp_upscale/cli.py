@@ -7,6 +7,9 @@ each scale ratio, the DNS of ``micro``.  Every CSV goes through
 are written atomically and carry the config hash, in the tensors document
 or in a sibling ``provenance.json``.  Solvers are deterministic, so a rerun
 of an unchanged configuration reproduces every output byte for byte.
+``macro`` writes each snapshot's dumps as the run reaches it, so the run
+holds no snapshot; ``diagnostics.csv`` and ``provenance.json`` follow the
+run, so a run that fails leaves its finished snapshots but neither file.
 
 Exit codes: 0 success, 2 configuration error, unusable ``--tensors`` file
 or output path, 3 solver or geometry failure, 4 validation error above the
@@ -130,13 +133,16 @@ def _compute_tensors(cfg: RunConfig):
     return cell, tensors, correctors
 
 
-def _macro_run(cfg: RunConfig, tensors: EffectiveTensors, snapshot_times=()):
-    """The upscaled run from the configured initial data: (snapshots, rows)."""
+def _macro_run(cfg: RunConfig, tensors: EffectiveTensors, write_snapshot=None):
+    """The upscaled run from the configured initial data: (final state, rows).
+    With ``write_snapshot``, the run hands it the state at each
+    ``output.snapshots`` time as it reaches it; without, it takes none."""
     u1, u2 = initial_density_fields(
         cfg.macro_init, cfg.macro_init_amplitude, cfg.cell_dim, cfg.macro_resolution
     )
     init = MacroState(u1=u1, u2=u2, u3=np.zeros_like(u1), t=0.0)
-    return run_macro(_macro_config(cfg), tensors, init, snapshot_times=snapshot_times)
+    times = cfg.output_snapshots if write_snapshot is not None else ()
+    return run_macro(_macro_config(cfg), tensors, init, times, write_snapshot)
 
 
 def _dns_runs(cfg: RunConfig, cell):
@@ -195,11 +201,16 @@ def cmd_macro(cfg: RunConfig, out: Path, tensors_path) -> int:
                                f"cell.dim = {cfg.cell_dim}"])
     else:
         tensors = _compute_tensors(cfg)[1]
-    snapshots, rows = _macro_run(cfg, tensors, cfg.output_snapshots)
+    snap_times = {}
+
+    def write_snapshot(state: MacroState) -> None:
+        key = f"{len(snap_times):03d}"
+        _write_fields(out, {f"{var}_{key}": getattr(state, var) for var in ("u1", "u2", "u3")})
+        snap_times[key] = state.t
+
+    final, rows = _macro_run(cfg, tensors, write_snapshot)
+    write_snapshot(final)
     _write_csv(out / "diagnostics.csv", DIAG_HEADER, map(dataclasses.asdict, rows))
-    _write_fields(out, {f"{var}_{k:03d}": getattr(state, var)
-                        for k, (_t, state) in enumerate(snapshots) for var in ("u1", "u2", "u3")})
-    snap_times = {f"{k:03d}": t for k, (t, _state) in enumerate(snapshots)}
     atomic_write_text(
         out / "provenance.json", _provenance(cfg, "macro", {"snapshots": snap_times})
     )
@@ -226,8 +237,7 @@ def run_validation(cfg: RunConfig):
     reconstruction, plus density reconstruction errors on the fluid region.
     """
     cell, tensors, correctors = _compute_tensors(cfg)
-    snapshots, _rows = _macro_run(cfg, tensors)
-    macro_final = snapshots[-1][1]
+    macro_final, _rows = _macro_run(cfg, tensors)
     results = []
     for frac, dom, dns, _rows in _dns_runs(cfg, cell):
         recon = reconstruct_two_scale(macro_final, correctors, dom)

@@ -474,8 +474,8 @@ def step_macro_pnp(state, tensors: EffectiveTensors, cfg: MacroConfig,
 
 
 def _xlogx(u: np.ndarray) -> np.ndarray:
-    """u log u with 0 log 0 = 0, for nonnegative u."""
-    return np.where(u > 0, u * np.log(np.where(u > 0, u, 1.0)), 0.0)
+    """u log u with 0 log 0 = 0, for nonnegative u: log 1 = 0 at u = 0."""
+    return u * np.log(np.where(u > 0, u, 1.0))
 
 
 def _density_energy(state: MacroState) -> float:
@@ -564,19 +564,23 @@ def check_local_equilibrium(state: MacroState, window: int) -> float:
     return dev
 
 
-def run_macro(cfg: MacroConfig, tensors: EffectiveTensors, init, snapshot_times=()):
+def run_macro(cfg: MacroConfig, tensors: EffectiveTensors, init, snapshot_times=(),
+              write_snapshot=None):
     """March from t=0 to t_end, one diagnostics row per accepted step.
 
     ``init`` is the initial state, or a list holding it that the run
-    empties (``take``).  Returns (snapshots, rows) where snapshots is a list
-    of (t, MacroState) at the configured times plus the final state.  The
-    grid's operators and solvers are built once for the whole run; ``march``
+    empties (``take``).  The accepted state nearest each of
+    ``snapshot_times`` is handed to ``write_snapshot(state)`` as the run
+    reaches it, once per time, and the run keeps no reference to it past
+    the steps that start from it.  Returns (final state, rows).  The grid's
+    operators and solvers are built once for the whole run; ``march``
     starts the steps.
     """
+    if snapshot_times and write_snapshot is None:
+        raise ValueError("snapshot_times need a write_snapshot callable")
     init = [take(init)]
     ops = GridOperators(init[0].u1.shape, tensors.p, tensor=tensors.eps0)
     rows: list[DiagnosticsRow] = []
-    snapshots: list[tuple[float, MacroState]] = []
     pending = sorted(snapshot_times)
     steps = march(lambda held, start: step_macro_pnp(held, tensors, cfg, ops=ops, start=start),
                   init, cfg.n_steps)
@@ -590,7 +594,6 @@ def run_macro(cfg: MacroConfig, tensors: EffectiveTensors, init, snapshot_times=
             )
         )
         while pending and state.t >= pending[0] - 0.5 * cfg.dt:
-            snapshots.append((state.t, state))
+            write_snapshot(state)
             pending.pop(0)
-    snapshots.append((state.t, state))
-    return snapshots, rows
+    return state, rows

@@ -219,6 +219,31 @@ def apply_periodic_operator_rolled(u, faces, h):
     return out
 
 
+def periodic_operator_two_differences(faces, h):
+    """-div(c grad u) on the periodic grid from both differences of each
+    cell, u - u[idx + e_d] and u - u[idx - e_d], with the faces rolled onto
+    the cells behind them once."""
+    back = [np.roll(kf, 1, axis=d) for d, kf in enumerate(faces)]
+    cuts = [tuple((slice(None),) * d + (s,) for s in
+                  (slice(0, -1), slice(1, None), slice(0, 1), slice(-1, None)))
+            for d in range(len(faces))]
+
+    def apply(u):
+        out = np.zeros_like(u)
+        diff = np.empty_like(u)
+        for kf, kb, (head, tail, first, last) in zip(faces, back, cuts):
+            np.subtract(u[head], u[tail], out=diff[head])
+            np.subtract(u[last], u[first], out=diff[last])
+            out += np.multiply(kf, diff, out=diff)
+            np.subtract(u[tail], u[head], out=diff[tail])
+            np.subtract(u[first], u[last], out=diff[first])
+            out += np.multiply(kb, diff, out=diff)
+        out /= h * h
+        return out
+
+    return apply
+
+
 def jacobi_projected_cg(faces, b, h, mask, tol, max_iter):
     """Reference solver for the singular periodic system: projected CG with
     the Jacobi (operator-diagonal) preconditioner.

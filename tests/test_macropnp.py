@@ -147,8 +147,7 @@ def test_oracle_equivalence_1d():
     x = (np.arange(M) + 0.5) / M
     init = MacroState(u1=1 + 0.5 * np.sin(np.pi * x), u2=np.ones(M), u3=np.zeros(M))
     cfg = MacroConfig(dt=dt, t_end=T, drift="central", picard_tol=1e-11)
-    snaps, _ = run_macro(cfg, classical_tensors(1), init)
-    final = snaps[-1][1]
+    final, _ = run_macro(cfg, classical_tensors(1), init)
     ref1, ref2 = oracles.explicit_pnp_1d(4 * M, dt / 10, int(round(T / (dt / 10))))
     r1 = ref1.reshape(M, 4).mean(axis=1)
     r2 = ref2.reshape(M, 4).mean(axis=1)
@@ -190,8 +189,7 @@ def test_positivity_upwind():
     x = (np.arange(m) + 0.5) / m
     state = MacroState(u1=1 + 0.5 * np.sin(np.pi * x), u2=np.ones(m), u3=np.zeros(m))
     cfg = MacroConfig(dt=1e-3, t_end=0.02, drift="upwind")
-    snaps, _ = run_macro(cfg, classical_tensors(1), state)
-    final = snaps[-1][1]
+    final, _ = run_macro(cfg, classical_tensors(1), state)
     assert final.u1.min() >= -1e-12 and final.u2.min() >= -1e-12
 
 
@@ -435,16 +433,19 @@ def test_local_equilibrium_skips_zero_blocks():
 def test_run_macro_rows_and_snapshots():
     m = 16
     cfg = MacroConfig(dt=1e-3, t_end=3e-3)
-    snaps, rows = run_macro(cfg, classical_tensors(2), MacroState.zero((m, m)),
-                            snapshot_times=(2e-3,))
+    snaps = []
+    final, rows = run_macro(cfg, classical_tensors(2), MacroState.zero((m, m)),
+                            snapshot_times=(2e-3, 2.2e-3), write_snapshot=snaps.append)
     assert len(rows) == 3
     for r in rows:
         assert isinstance(r, DiagnosticsRow)
         assert r.mass1 == 0.0 and r.mass2 == 0.0 and r.charge == 0.0
         assert r.free_energy == 0.0 and r.loceq_dev == 0.0
-    assert len(snaps) == 2  # requested time plus the final state
-    assert snaps[0][0] == pytest.approx(2e-3)
-    assert snaps[-1][0] == pytest.approx(3e-3)
+    # both requested times snap to the second step, each handed over once
+    assert [s.t for s in snaps] == [pytest.approx(2e-3)] * 2 and snaps[0] is snaps[1]
+    assert final.t == pytest.approx(3e-3)
+    with pytest.raises(ValueError, match="write_snapshot"):
+        run_macro(cfg, classical_tensors(2), MacroState.zero((m, m)), snapshot_times=(2e-3,))
 
 
 def test_mean_zero_potential_along_run():

@@ -1,8 +1,10 @@
 """What a box-grid step holds: the initial state and the Picard start are
 handed over in lists and freed once read, one 256^2 DNS step stays within
-its traced bytes per fine voxel, and the in-place CG kernel and float32
-transforms keep the bits of the allocating ones."""
+its traced bytes per fine voxel, a macro run holds no snapshot it has handed
+to its writer, and the in-place CG kernel and float32 transforms keep the
+bits of the allocating ones."""
 
+import json
 import tracemalloc
 import weakref
 
@@ -19,6 +21,7 @@ from pnp_upscale.cellcorrect import (
     periodic_operator,
 )
 from pnp_upscale.config import load_config
+from pnp_upscale.fieldio import format_field
 from pnp_upscale.macropnp import GridOperators, MacroConfig, MacroState, StepConfig
 from pnp_upscale.unitcell import build_unit_cell
 from pnp_upscale.upscale import EffectiveTensors
@@ -62,14 +65,108 @@ def watch_steps(monkeypatch, module, name, refs):
     return seen
 
 
-def test_the_macro_run_frees_its_initial_state_after_the_first_step(monkeypatch):
+def macro_tensors():
     eps0 = np.array([[1.0, 0.3], [0.3, 1.5]])
-    tensors = EffectiveTensors(dim=2, p=0.8, eps0=eps0, M=0.9 * np.eye(2), Hhat=0.2 * eps0)
+    return EffectiveTensors(dim=2, p=0.8, eps0=eps0, M=0.9 * np.eye(2), Hhat=0.2 * eps0)
+
+
+def test_the_macro_run_frees_its_initial_state_after_the_first_step(monkeypatch):
     init, refs = handed_over((16, 16), 1)
     seen = watch_steps(monkeypatch, macropnp, "step_macro_pnp", refs)
-    _, rows = macropnp.run_macro(MacroConfig(dt=1e-3, t_end=3e-3), tensors, init)
+    _, rows = macropnp.run_macro(MacroConfig(dt=1e-3, t_end=3e-3), macro_tensors(), init)
     assert len(rows) == 3
     assert init == [] and seen == [[True] * 3, [False] * 3, [False] * 3]
+
+
+def dropping_writer(refs=None):
+    """A snapshot writer that formats each field of the state it is handed
+    and drops the text; with ``refs``, it records weakrefs to the fields."""
+    def write(state):
+        for var in ("u1", "u2", "u3"):
+            format_field(var, getattr(state, var))
+        if refs is not None:
+            refs.extend(weakref.ref(getattr(state, var)) for var in ("u1", "u2", "u3"))
+    return write
+
+
+def test_the_macro_run_frees_each_snapshot_once_handed_over():
+    # by the next handover only the state being handed over is alive; once
+    # the run returns, only its final state
+    refs, seen = [], []
+    write = dropping_writer(refs)
+
+    def watching(state):
+        seen.append(alive(refs))
+        write(state)
+
+    init, _ = handed_over((16, 16), 7)
+    final, rows = macropnp.run_macro(MacroConfig(dt=1e-3, t_end=5e-3), macro_tensors(), init,
+                                     [1e-3 * k for k in range(1, 6)], watching)
+    assert len(rows) == 5 and seen == [[False] * 3 * k for k in range(5)]
+    assert alive(refs) == [False] * 12 + [True] * 3 and refs[-1]() is final.u3
+
+
+def test_the_macro_command_dumps_each_snapshot_as_the_run_hands_it_over(monkeypatch, tmp_path):
+    # 3.2e-3 snaps to the third step and 4e-3 to the last, which the command
+    # also dumps as the final state: five snapshots from four steps
+    config = tmp_path / "macro.cfg"
+    config.write_text("cell.kind = disc\ncell.dim = 2\ncell.resolution = 8\n"
+                      "cell.radius = 0.25\nphysics.lambda = 1.0\nphysics.alpha = 4.0\n"
+                      "macro.resolution = 12\nmacro.dt = 1e-3\nmacro.t_end = 4e-3\n"
+                      "output.snapshots = 1e-3 3e-3 3.2e-3 4e-3\n")
+    out = tmp_path / "out"
+    states, run_macro = [], cli.run_macro
+
+    def collecting(cfg, tensors, init, times, write):
+        def write_and_keep(state):
+            # every earlier snapshot is on disk, the run's summary is not
+            assert len(list(out.glob("*.dat"))) == 3 * len(states)
+            assert not (out / "diagnostics.csv").exists()
+            states.append(state)
+            write(state)
+        final, rows = run_macro(cfg, tensors, init, times, write_and_keep)
+        states.append(final)
+        return final, rows
+
+    monkeypatch.setattr(cli, "run_macro", collecting)
+    assert cli.main(["macro", "--config", str(config), "--out", str(out)]) == 0
+    assert [round(state.t * 1e3) for state in states] == [1, 3, 3, 4, 4]
+    assert len(list(out.glob("*.dat"))) == 15
+    for k, state in enumerate(states):
+        for var in ("u1", "u2", "u3"):
+            name = f"{var}_{k:03d}"
+            assert (out / f"{name}.dat").read_text() == format_field(name, getattr(state, var))
+    provenance = json.loads((out / "provenance.json").read_text())
+    assert provenance["snapshots"] == {f"{k:03d}": state.t for k, state in enumerate(states)}
+
+
+def test_a_macro_run_with_a_snapshot_at_every_step_peaks_within_one_field():
+    # 20 steps at 32^2 against the same run with one snapshot, at its end:
+    # holding the snapshots would add 3 fields per step.  The baseline writes
+    # one snapshot because formatting a 32^2 dump takes about 13 fields of
+    # scratch, more than a step's own temporaries: a run that writes none
+    # peaks lower by that fixed amount, whatever the snapshot count
+    m, steps = 32, 20
+    cfg = MacroConfig(dt=1e-3, t_end=steps * 1e-3, bc="noflux")
+    _pocketfft.box_transforms("dct", 2)  # the kernel loads once per process
+    dropping_writer()(MacroState.zero((m, m)))  # so do the formatter's tables
+    peaks = []
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        # the first traced run also traces caches that numpy fills once
+        for times in ([steps * 1e-3], [steps * 1e-3], [1e-3 * k for k in range(1, steps + 1)]):
+            init, _ = handed_over((m, m), 8)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            macropnp.run_macro(cfg, macro_tensors(), init, times, dropping_writer())
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    _, one, every = peaks
+    assert every - one <= m * m * 8, peaks
 
 
 def test_the_dns_frees_its_initial_state_after_the_first_step(monkeypatch):
