@@ -97,31 +97,19 @@ def test_manufactured_discrete_operator():
 @settings(max_examples=50)
 @given(st.integers(1, 3), st.integers(1, 9), st.data())
 def test_periodic_operator_is_bitwise_the_rolled_stencil(dim, m, data):
-    # slices in place of rolled copies of u and of the faces change no bit
+    # slices in place of rolled copies of u and of the faces change no bit,
+    # and one face flux per axis, taken from one cell and given to the next,
+    # makes the products and sums of the two differences formed at each cell
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     shape = (m,) * dim
     mask = rng.random(shape) < 0.7
     faces = harmonic_face_coefficients(np.where(mask, 1.0, 4.0), mask)
     apply = periodic_operator(faces, 1.0 / m)
+    two_differences = oracles.periodic_operator_two_differences(faces, 1.0 / m)
     for _ in range(3):
         u = rng.standard_normal(shape)
         ref = oracles.apply_periodic_operator_rolled(u, faces, 1.0 / m)
-        assert apply(u).tobytes() == ref.tobytes()
-
-
-@settings(max_examples=30)
-@given(st.integers(2, 3), st.integers(2, 12), st.floats(0.3, 0.9), st.data())
-def test_periodic_operator_keeps_the_bits_of_the_two_difference_form(dim, m, fluid, data):
-    # one face flux per axis, taken from one cell and given to the next, makes
-    # the products and sums of the two differences formed at every cell
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    shape = (m,) * dim
-    mask = rng.random(shape) < fluid
-    faces = harmonic_face_coefficients(np.where(mask, 1.0, 1.0 + 9.0 * rng.random(shape)), mask)
-    apply = periodic_operator(faces, 1.0 / m)
-    reference = oracles.periodic_operator_two_differences(faces, 1.0 / m)
-    for u in (rng.standard_normal(shape), np.where(mask, rng.standard_normal(shape), 0.0)):
-        assert apply(u).tobytes() == reference(u).tobytes()
+        assert apply(u).tobytes() == ref.tobytes() == two_differences(u).tobytes()
 
 
 def test_manufactured_convergence_order():
