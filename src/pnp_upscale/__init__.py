@@ -40,13 +40,11 @@ _SUBMODULE_NAMES = {
         "permittivity_bounds",
     ),
     "macropnp": (
-        "DiagnosticsRow",
         "MacroConfig",
         "MacroState",
         "StepConfig",
         "check_local_equilibrium",
         "free_energy",
-        "free_energy_effective",
         "run_macro",
         "step_macro_pnp",
     ),

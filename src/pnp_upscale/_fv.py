@@ -6,7 +6,7 @@ coefficient, perforated masks).  One face layout serves every grid:
 ``_face_slices`` gives, per axis, the lo and hi cells of the M-1 interior
 faces, so a box face array is the periodic cell's
 (``cellcorrect.harmonic_face_coefficients``) without its wrap face; the
-drift and the free energy walk the same faces.  Every matrix is
+drift walks the same faces.  Every matrix is
 -div(c grad u) + diag u from ``face_operator``: c is the harmonic mean of
 the permittivity on the DNS grid, eps0[d,d] plus its cross terms on the
 macro grid, and p on open fluid faces (0 on closed ones) for the
@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .cellcorrect import SolverError, harmonic_face_coefficients, import_scipy
+from .upscale import SYMMETRY_RTOL
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -62,9 +63,13 @@ def _tangential_weights(shape, axis, h):
 
 
 def _significant_offdiag(tensor):
+    """Whether an off-diagonal of ``tensor`` exceeds ``SYMMETRY_RTOL`` (1e-8)
+    of its largest entry, the asymmetry that ``upscale.eps0_defect``
+    accepts: below it a cross term is at the certified accuracy of the cell
+    solves, and the grid assembles and drifts without cross terms."""
     t = np.asarray(tensor, dtype=float)
     off = np.abs(t - np.diag(np.diag(t))).max()
-    return off > 1e-12 * max(np.abs(t).max(), 1e-300)
+    return off > SYMMETRY_RTOL * max(np.abs(t).max(), 1e-300)
 
 
 def _shift(e: tuple, d: int, k: int) -> tuple:

@@ -3,13 +3,16 @@
 One path per stage: ``_compute_tensors``, ``_macro_run`` and ``_dns_runs``.
 ``validate`` runs the macro run of ``macro`` (without snapshots) and, for
 each scale ratio, the DNS of ``micro``.  Every CSV goes through
-``_write_csv`` and every grid dump through ``_write_fields``; all artifacts
+``_write_csv``, whose header is the keys of the rows the runs return, and
+every grid dump through ``_write_fields``; all artifacts
 are written atomically and carry the config hash, in the tensors document
 or in a sibling ``provenance.json``.  Solvers are deterministic, so a rerun
 of an unchanged configuration reproduces every output byte for byte.
 ``macro`` writes each snapshot's dumps as the run reaches it, so the run
-holds no snapshot; ``diagnostics.csv`` and ``provenance.json`` follow the
-run, so a run that fails leaves its finished snapshots but neither file.
+holds no snapshot, and then the final state's, unless a snapshot time
+already handed that state over: each state is dumped once.
+``diagnostics.csv`` and ``provenance.json`` follow the run, so a run that
+fails leaves its finished snapshots but neither file.
 
 Exit codes: 0 success, 2 configuration error, unusable ``--tensors`` file
 or output path, 3 solver or geometry failure, 4 validation error above the
@@ -20,7 +23,6 @@ parent of the file that ``upscale`` and ``validate`` may write, first.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import sys
@@ -48,10 +50,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VALIDATION = 4
-
-DIAG_HEADER = ("t", "mass1", "mass2", "charge", "free_energy", "picard_iters", "loceq_dev")
-MICRO_HEADER = ("t", "mass1", "mass2", "charge", "picard_iters")
-VALIDATE_HEADER = ("s", "err_phi_L2", "err_n1_L2", "err_n2_L2", "err_phi_recon_L2")
 
 
 class ValidationError(RuntimeError):
@@ -88,7 +86,6 @@ def _macro_config(cfg: RunConfig) -> MacroConfig:
         drift=cfg.macro_drift,
         bc=cfg.macro_bc,
         lin_tol=cfg.solver_tol,
-        lam2=cfg.lam * cfg.lam,
         loceq_window=cfg.macro_loceq_window,
     )
 
@@ -104,8 +101,10 @@ def _provenance(cfg: RunConfig, command: str, extra: dict | None = None) -> str:
     return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
-def _write_csv(path, header, rows) -> None:
-    """A header line, then one line per row mapping, every value as %.17g."""
+def _write_csv(path, rows) -> None:
+    """A header line of the first row's keys, then one line per row dict,
+    its values in that order, each as %.17g."""
+    header = list(rows[0])
     lines = [",".join(header)]
     lines.extend(",".join("%.17g" % row[key] for key in header) for row in rows)
     atomic_write_text(path, "\n".join(lines) + "\n")
@@ -209,8 +208,9 @@ def cmd_macro(cfg: RunConfig, out: Path, tensors_path) -> int:
         snap_times[key] = state.t
 
     final, rows = _macro_run(cfg, tensors, write_snapshot)
-    write_snapshot(final)
-    _write_csv(out / "diagnostics.csv", DIAG_HEADER, map(dataclasses.asdict, rows))
+    if final.t not in snap_times.values():  # a snapshot time may have snapped to it
+        write_snapshot(final)
+    _write_csv(out / "diagnostics.csv", rows)
     atomic_write_text(
         out / "provenance.json", _provenance(cfg, "macro", {"snapshots": snap_times})
     )
@@ -223,7 +223,7 @@ def cmd_micro(cfg: RunConfig, out: Path) -> int:
     for frac, dom, state, rows in _dns_runs(cfg, cell):
         subdir = out / f"s_{frac.denominator}"
         _write_fields(subdir, {"nplus": state.u1, "nminus": state.u2, "phi": state.u3})
-        _write_csv(subdir / "diagnostics.csv", MICRO_HEADER, rows)
+        _write_csv(subdir / "diagnostics.csv", rows)
         del dom  # the next, finer DNS runs without this grid's operators
     atomic_write_text(out / "provenance.json", _provenance(cfg, "micro"))
     return EXIT_OK
@@ -263,7 +263,7 @@ def cmd_validate(cfg: RunConfig, out: Path) -> int:
         report, provenance = out / "report.csv", out / "provenance.json"
     report.parent.mkdir(parents=True, exist_ok=True)
     results = run_validation(cfg)
-    _write_csv(report, VALIDATE_HEADER, results)
+    _write_csv(report, results)
     atomic_write_text(provenance, _provenance(cfg, "validate"))
     if cfg.micro_fail_threshold is not None:
         worst = max(r["err_phi_recon_L2"] for r in results)

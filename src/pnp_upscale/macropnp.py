@@ -21,6 +21,11 @@ microdns: the same scheme on the perforated fine grid, with drift tensor -I.
 Both runs hold their fields in ``MacroState`` and take dt and t_end from
 ``MacroConfig``; ``march`` is their time loop and sets where each step's
 Picard loop starts.
+
+``run_macro`` returns one diagnostics row per step, a dict whose keys are
+its CSV columns.  Its ``free_energy`` is the functional of the effective
+model, p < sum_r u_r (log u_r - 1) + (u1 - u2) u3 / 2 >, whose second term
+is the field energy 1/2 <grad u3 . eps0 grad u3> of an accepted state.
 """
 
 from __future__ import annotations
@@ -105,7 +110,6 @@ class StepConfig:
 class MacroConfig(StepConfig):
     dt: float
     t_end: float
-    lam2: float = 1.0  # scalar coefficient in the free-energy diagnostic
     loceq_window: int = 4
 
     def __post_init__(self):
@@ -119,17 +123,6 @@ class MacroConfig(StepConfig):
     def n_steps(self) -> int:
         """Steps of a run from t=0 to t_end."""
         return int(round(self.t_end / self.dt))
-
-
-@dataclass
-class DiagnosticsRow:
-    t: float
-    mass1: float
-    mass2: float
-    charge: float
-    free_energy: float
-    picard_iters: int
-    loceq_dev: float
 
 
 @dataclass
@@ -478,46 +471,21 @@ def _xlogx(u: np.ndarray) -> np.ndarray:
     return u * np.log(np.where(u > 0, u, 1.0))
 
 
-def _density_energy(state: MacroState) -> float:
-    """Voxel quadrature of sum_r u_r (log u_r - 1) + (u1 - u2) u3, 0 log 0 = 0."""
+def free_energy(state: MacroState, p: float) -> float:
+    """Free energy of the effective model by voxel quadrature,
+
+        F = p < sum_r u_r (log u_r - 1) + (u1 - u2) u3 / 2 >,
+
+    with the 0 log 0 = 0 convention.  For a state whose u3 is the mean-zero
+    potential of the charge p (u1 - u2), as every accepted state's is, the
+    second term is the field energy 1/2 <grad u3 . eps0 grad u3> of the
+    assembled Poisson operator, so neither eps0 nor a gradient is needed.
+    """
     if (state.u1 < 0).any() or (state.u2 < 0).any():
         raise ValueError("free energy needs nonnegative densities")
-    ent = _xlogx(state.u1) - state.u1 + _xlogx(state.u2) - state.u2
-    inter = (state.u1 - state.u2) * state.u3
-    return float((ent + inter).sum()) * (1.0 / state.u1.size)
-
-
-def free_energy(state: MacroState, lam2: float) -> float:
-    """Classical free-energy diagnostic by voxel quadrature.
-
-    F = int( sum_r u_r (log u_r - 1) + (u1 - u2) u3 - lam2 |grad u3|^2 ),
-    with the 0 log 0 = 0 convention.  The gradient term uses face
-    differences over interior faces.
-    """
-    return _density_energy(state) - lam2 * _gradient_quadrature(state.u3)
-
-
-def free_energy_effective(state: MacroState, eps0: np.ndarray) -> float:
-    """Variant with the anisotropic field energy (grad u3).eps0 (grad u3)."""
-    vol = 1.0 / state.u1.size
-    grads = cell_gradients(state.u3, 1.0 / state.u1.shape[0])
-    eps0 = np.asarray(eps0, dtype=float)
-    quad = sum(
-        float((grads[i] * eps0[i, k] * grads[k]).sum()) * vol
-        for i in range(state.u3.ndim)
-        for k in range(state.u3.ndim)
-    )
-    return _density_energy(state) - quad
-
-
-def _gradient_quadrature(u3: np.ndarray) -> float:
-    h = 1.0 / u3.shape[0]
-    vol = 1.0 / u3.size
-    total = 0.0
-    for lo, hi in _face_slices(u3.ndim):
-        g = (u3[hi] - u3[lo]) / h
-        total += float((g * g).sum()) * vol
-    return total
+    density = _xlogx(state.u1) - state.u1 + _xlogx(state.u2) - state.u2
+    density += 0.5 * (state.u1 - state.u2) * state.u3
+    return p * float(density.sum()) / state.u1.size
 
 
 def _block_reduce(ufunc, a: np.ndarray, window: int) -> np.ndarray:
@@ -571,8 +539,10 @@ def run_macro(cfg: MacroConfig, tensors: EffectiveTensors, init, snapshot_times=
     ``init`` is the initial state, or a list holding it that the run
     empties (``take``).  The accepted state nearest each of
     ``snapshot_times`` is handed to ``write_snapshot(state)`` as the run
-    reaches it, once per time, and the run keeps no reference to it past
-    the steps that start from it.  Returns (final state, rows).  The grid's
+    reaches it, once however many times snap to its step, and the run keeps
+    no reference to it past the steps that start from it.  Returns (final
+    state, rows); each row is a dict of the columns t, mass1, mass2, charge,
+    free_energy, picard_iters and loceq_dev, in that order.  The grid's
     operators and solvers are built once for the whole run; ``march``
     starts the steps.
     """
@@ -580,20 +550,18 @@ def run_macro(cfg: MacroConfig, tensors: EffectiveTensors, init, snapshot_times=
         raise ValueError("snapshot_times need a write_snapshot callable")
     init = [take(init)]
     ops = GridOperators(init[0].u1.shape, tensors.p, tensor=tensors.eps0)
-    rows: list[DiagnosticsRow] = []
+    rows = []
     pending = sorted(snapshot_times)
     steps = march(lambda held, start: step_macro_pnp(held, tensors, cfg, ops=ops, start=start),
                   init, cfg.n_steps)
     for state, info in steps:
-        rows.append(
-            DiagnosticsRow(
-                **balance_columns(state),
-                free_energy=free_energy(state, cfg.lam2),
-                picard_iters=info.picard_iters,
-                loceq_dev=check_local_equilibrium(state, cfg.loceq_window),
-            )
-        )
-        while pending and state.t >= pending[0] - 0.5 * cfg.dt:
+        rows.append({
+            **balance_columns(state),
+            "free_energy": free_energy(state, tensors.p),
+            "picard_iters": info.picard_iters,
+            "loceq_dev": check_local_equilibrium(state, cfg.loceq_window),
+        })
+        if pending and state.t >= pending[0] - 0.5 * cfg.dt:
             write_snapshot(state)
-            pending.pop(0)
+            pending = [t for t in pending if t - 0.5 * cfg.dt > state.t]
     return state, rows

@@ -38,7 +38,7 @@ def eps0_defect(eps0: np.ndarray) -> str | None:
     """Why a finite square eps0 cannot make a Poisson operator, or None: an
     asymmetry above 1e-8 of its largest entry, or an eigenvalue <= 0."""
     asym = np.abs(eps0 - eps0.T).max()
-    if asym > 1e-8 * max(np.abs(eps0).max(), 1e-300):
+    if asym > SYMMETRY_RTOL * max(np.abs(eps0).max(), 1e-300):
         return "eps0 is not symmetric"
     eigs = np.linalg.eigvalsh(0.5 * (eps0 + eps0.T))
     if eigs.min() <= 0.0:

@@ -13,6 +13,8 @@ from pnp_upscale.unitcell import (
     permittivity_field,
 )
 
+import oracles
+
 CONTRAST = PermittivityParams(lam=1.0, alpha=4.0)
 
 # the same examples on every run (derandomize also disables the example
@@ -35,6 +37,24 @@ def checkerboard_cell(m):
         fluid_mask=checkerboard_mask(m),
         geometry_spec={"kind": "mask", "dim": 2},
     )
+
+
+def tilted_grain_mask(rng, m, solid=0.3, radius=0.08, aspect=2.5):
+    """2D periodic fluid mask of elliptic solid grains, all tilted by one
+    random angle, dropped at random centres until ``solid`` of the cell is
+    solid; redrawn until the fluid is face-connected."""
+    c = (np.arange(m) + 0.5) / m
+    X, Y = np.meshgrid(c, c, indexing="ij")
+    while True:
+        angle = rng.uniform(0.0, np.pi)
+        mask = np.ones((m, m), dtype=bool)
+        while 1.0 - mask.mean() < solid:
+            dx, dy = ((G - x0 + 0.5) % 1.0 - 0.5 for G, x0 in zip((X, Y), rng.random(2)))
+            a = np.cos(angle) * dx + np.sin(angle) * dy
+            b = -np.sin(angle) * dx + np.cos(angle) * dy
+            mask &= (a / (radius * aspect)) ** 2 + (b / radius) ** 2 > 1.0
+        if oracles.periodic_fluid_connected(mask):
+            return mask
 
 
 def rel_l2(a, b):

@@ -402,7 +402,7 @@ def _tangential_stencil(shape, axis, h):
 def _significant_offdiag(tensor):
     t = np.asarray(tensor, dtype=float)
     off = np.abs(t - np.diag(np.diag(t))).max()
-    return off > 1e-12 * max(np.abs(t).max(), 1e-300)
+    return off > 1e-8 * max(np.abs(t).max(), 1e-300)
 
 
 def assemble_neumann_operator(shape, h, tensor=None, coef=None) -> sp.csr_matrix:

@@ -249,13 +249,13 @@ def test_11_conservation_and_energy():
         x = (np.arange(M) + 0.5) / M
         init = MacroState(u1=1 + 0.5 * np.sin(np.pi * x), u2=np.ones(M),
                           u3=np.zeros(M))
-        cfg = MacroConfig(dt=1e-3, t_end=0.05, bc="noflux", lam2=1.0)
+        cfg = MacroConfig(dt=1e-3, t_end=0.05, bc="noflux")
         _, rows = run_macro(cfg, classical_tensors(1), init)
         m1, m2 = init.u1.mean(), init.u2.mean()
         for r in rows:
-            assert abs(r.mass1 - m1) <= 1e-10
-            assert abs(r.mass2 - m2) <= 1e-10
-        series = [free_energy(init, 1.0)] + [r.free_energy for r in rows]
+            assert abs(r["mass1"] - m1) <= 1e-10
+            assert abs(r["mass2"] - m2) <= 1e-10
+        series = [free_energy(init, 1.0)] + [r["free_energy"] for r in rows]
         assert max(np.diff(series)) <= 1e-8
         # micro side
         cell = build_unit_cell({"kind": "disc", "radius": 0.25, "dim": 2}, 16)

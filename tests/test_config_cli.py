@@ -265,7 +265,8 @@ def test_cmd_macro_diagnostics(tmp_path, base_config):
     lines = (out / "diagnostics.csv").read_text().splitlines()
     assert lines[0] == "t,mass1,mass2,charge,free_energy,picard_iters,loceq_dev"
     assert len(lines) == 4  # header + three steps
-    assert (out / "u1_000.dat").exists() and (out / "u3_001.dat").exists()
+    # the one snapshot time is the last step: its state is dumped once
+    assert (out / "u1_000.dat").exists() and not (out / "u3_001.dat").exists()
 
 
 def test_cmd_validate_rows(tmp_path, base_config):

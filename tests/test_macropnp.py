@@ -6,23 +6,22 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pnp_upscale import macropnp
-from pnp_upscale._fv import _face_slices
+from pnp_upscale._fv import _face_slices, assemble_neumann_operator
 from pnp_upscale.cellcorrect import SolverError
 from pnp_upscale.macropnp import (
-    DiagnosticsRow,
     GridOperators,
     MacroConfig,
     MacroState,
     check_local_equilibrium,
     free_energy,
-    free_energy_effective,
     run_macro,
     step_macro_pnp,
 )
-from pnp_upscale.upscale import EffectiveTensors
+from pnp_upscale.unitcell import PermittivityParams, build_unit_cell
+from pnp_upscale.upscale import EffectiveTensors, compute_effective_tensors
 
 import oracles
-from conftest import rel_l2
+from conftest import rel_l2, tilted_grain_mask
 
 
 def classical_tensors(dim, eps=1.0, p=1.0):
@@ -225,6 +224,34 @@ def test_drift_ignores_rounding_noise_off_the_diagonal(dim, bc, scheme, monkeypa
 
 
 @pytest.mark.parametrize("dim", [2, 3])
+def test_cross_terms_below_the_certified_accuracy_are_dropped(dim, monkeypatch):
+    # float32-preconditioned cell solves, each certified, left the sphere's
+    # Hhat an off-diagonal of 1.2e-11 of its largest entry; below 1e-8, the
+    # asymmetry eps0_defect accepts, the grid keeps its 2N+1-point stencil,
+    # the drift takes no cross term, and a step is the diagonal tensors' step
+    calls = []
+    gradients = macropnp.cell_gradients
+    monkeypatch.setattr(macropnp, "cell_gradients",
+                        lambda *a: calls.append(1) or gradients(*a))
+    m = 8
+    off = 1.2e-11 * (1.0 - np.eye(dim))
+    noisy = EffectiveTensors(dim=dim, p=0.7, eps0=np.eye(dim) + off, M=np.eye(dim),
+                             Hhat=-0.3 * np.eye(dim) + off)
+    exact = EffectiveTensors(dim=dim, p=0.7, eps0=np.eye(dim), M=np.eye(dim),
+                             Hhat=-0.3 * np.eye(dim))
+    A = assemble_neumann_operator((m,) * dim, 1.0 / m, tensor=noisy.eps0)
+    assert len(A.offsets) == 2 * dim + 1
+    rng = np.random.default_rng(dim)
+    u1 = 1.0 + rng.random((m,) * dim)
+    cfg = MacroConfig(dt=1e-3, t_end=1e-3)
+    steps = [step_macro_pnp(MacroState(u1=u1, u2=np.ones_like(u1), u3=np.zeros_like(u1)),
+                            tensors, cfg)[0] for tensors in (noisy, exact)]
+    assert not calls
+    for var in ("u1", "u2", "u3"):
+        assert getattr(steps[0], var).tobytes() == getattr(steps[1], var).tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("bc", ["dirichlet", "noflux"])
 @pytest.mark.parametrize("scheme", ["upwind", "central"])
 @pytest.mark.parametrize("tensor", ["diagonal", "full"])
@@ -305,23 +332,86 @@ def test_free_energy_matches_xlogy(dim, m, zeros, data):
     assert abs(got - ref) <= 1e-15 * abs(ref)
 
 
-def test_free_energy_effective_matches_for_zero_potential():
-    m = 8
-    rng = np.random.default_rng(1)
-    u1 = 1.0 + 0.1 * rng.random((m, m))
-    state = MacroState(u1=u1, u2=np.ones((m, m)), u3=np.zeros((m, m)))
-    assert free_energy_effective(state, 2.0 * np.eye(2)) == pytest.approx(
-        free_energy(state, 1.0)
-    )
+def entropy(state):
+    """<sum_r u_r (log u_r - 1)> by voxel quadrature."""
+    return float(np.mean(oracles.xlogx(state.u1) - state.u1
+                         + oracles.xlogx(state.u2) - state.u2))
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "noflux"])
+def test_free_energy_is_the_entropy_plus_the_field_energy(bc):
+    # an accepted state's u3 solves A u3 = p (u1 - u2) - its mean, with mean
+    # zero, so p <(u1 - u2) u3> / 2 is the field energy u3.(A u3) / (2n) of
+    # the assembled anisotropic operator
+    m = 32
+    eps0 = np.array([[1.0, 0.3], [0.3, 1.5]])
+    tensors = EffectiveTensors(dim=2, p=0.8, eps0=eps0, M=0.9 * np.eye(2), Hhat=0.2 * eps0)
+    X, Y = grid2(m)
+    init = MacroState(u1=1 + 0.5 * np.sin(np.pi * X) * np.sin(np.pi * Y),
+                      u2=np.ones((m, m)), u3=np.zeros((m, m)))
+    states = []  # every accepted state, handed over as a snapshot
+    _, rows = run_macro(MacroConfig(dt=1e-3, t_end=5e-3, bc=bc), tensors, init,
+                        [1e-3 * k for k in range(1, 6)], states.append)
+    A = assemble_neumann_operator((m, m), 1.0 / m, tensor=eps0)
+    for state, row in zip(states, rows, strict=True):
+        F = row["free_energy"]
+        assert F == free_energy(state, tensors.p)
+        u3 = state.u3.ravel()
+        field = 0.5 * float(u3 @ (A @ u3)) / u3.size
+        assert field > 1e-5 * abs(F)  # the check resolves the field term
+        assert abs(F - (tensors.p * entropy(state) + field)) <= 1e-8 * abs(F)
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.1])
+def test_free_energy_on_a_full_cell_exceeds_the_entropy_by_the_field_energy(lam):
+    # p = 1 and eps0 = lam^2 I: F is the entropy plus lam^2/2 <|grad u3|^2>
+    # over the interior faces (a functional with lam^2 in place of eps0 and
+    # no 1/2 cancels that term and leaves the entropy alone)
+    m = 32
+    X, Y = grid2(m)
+    state = MacroState(u1=1 + 0.5 * np.sin(np.pi * X) * np.sin(np.pi * Y),
+                       u2=np.ones((m, m)), u3=np.zeros((m, m)))
+    for _ in range(3):
+        state, _ = step_macro_pnp(state, classical_tensors(2, eps=lam ** 2),
+                                  MacroConfig(dt=1e-3, t_end=3e-3, bc="noflux"))
+    h = 1.0 / m
+    gradient = sum(float((((state.u3[hi] - state.u3[lo]) / h) ** 2).sum())
+                   for lo, hi in _face_slices(2)) / state.u3.size
+    F = free_energy(state, 1.0)
+    assert abs(F - entropy(state) - 0.5 * lam ** 2 * gradient) <= 1e-8 * abs(F)
+    assert 0.5 * lam ** 2 * gradient > 1e-5 * abs(F)  # the check resolves the field term
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_free_energy_never_rises_under_noflux_on_tilted_grain_tensors(seed):
+    # the tensors of a random anisotropic cell, each run from the potential of
+    # its initial densities (from u3 = 0 at lam = 0.1 the first step rises)
+    cell = build_unit_cell({"kind": "mask", "mask": tilted_grain_mask(
+        np.random.default_rng(seed), 32)}, 32)
+    m = 64
+    X, Y = grid2(m)
+    u1 = 1 + 0.5 * np.sin(np.pi * X) * np.sin(np.pi * Y)
+    u2 = np.ones((m, m))
+    for lam in (1.0, 0.1):
+        tensors, _ = compute_effective_tensors(cell, PermittivityParams(lam=lam, alpha=4.0),
+                                               second_order=False)
+        ops = GridOperators((m, m), tensors.p, tensor=tensors.eps0)
+        u3 = ops.potential(u1, u2, 1e-10)[0]
+        for drift in ("upwind", "central"):
+            init = MacroState(u1=u1, u2=u2, u3=u3)
+            cfg = MacroConfig(dt=1e-3, t_end=2e-2, bc="noflux", drift=drift)
+            _, rows = run_macro(cfg, tensors, init)
+            series = [free_energy(init, tensors.p)] + [r["free_energy"] for r in rows]
+            assert max(np.diff(series)) < 0.0, (lam, drift)
 
 
 def test_free_energy_monotone_noflux():
     M = 64
     x = (np.arange(M) + 0.5) / M
     init = MacroState(u1=1 + 0.5 * np.sin(np.pi * x), u2=np.ones(M), u3=np.zeros(M))
-    cfg = MacroConfig(dt=1e-3, t_end=0.05, bc="noflux", lam2=1.0)
+    cfg = MacroConfig(dt=1e-3, t_end=0.05, bc="noflux")
     _, rows = run_macro(cfg, classical_tensors(1), init)
-    series = [free_energy(init, 1.0)] + [r.free_energy for r in rows]
+    series = [free_energy(init, 1.0)] + [r["free_energy"] for r in rows]
     assert max(np.diff(series)) <= 1e-8
 
 
@@ -333,8 +423,8 @@ def test_conservation_noflux():
     _, rows = run_macro(cfg, classical_tensors(1), init)
     m1_0 = init.u1.mean()
     for r in rows:
-        assert abs(r.mass1 - m1_0) <= 1e-10
-        assert abs(r.mass2 - 1.0) <= 1e-10
+        assert abs(r["mass1"] - m1_0) <= 1e-10
+        assert abs(r["mass2"] - 1.0) <= 1e-10
 
 
 def test_local_equilibrium_boltzmann():
@@ -438,11 +528,12 @@ def test_run_macro_rows_and_snapshots():
                             snapshot_times=(2e-3, 2.2e-3), write_snapshot=snaps.append)
     assert len(rows) == 3
     for r in rows:
-        assert isinstance(r, DiagnosticsRow)
-        assert r.mass1 == 0.0 and r.mass2 == 0.0 and r.charge == 0.0
-        assert r.free_energy == 0.0 and r.loceq_dev == 0.0
-    # both requested times snap to the second step, each handed over once
-    assert [s.t for s in snaps] == [pytest.approx(2e-3)] * 2 and snaps[0] is snaps[1]
+        assert list(r) == ["t", "mass1", "mass2", "charge", "free_energy", "picard_iters",
+                           "loceq_dev"]
+        assert r["mass1"] == 0.0 and r["mass2"] == 0.0 and r["charge"] == 0.0
+        assert r["free_energy"] == 0.0 and r["loceq_dev"] == 0.0
+    # both requested times snap to the second step, which is handed over once
+    assert [s.t for s in snaps] == [pytest.approx(2e-3)]
     assert final.t == pytest.approx(3e-3)
     with pytest.raises(ValueError, match="write_snapshot"):
         run_macro(cfg, classical_tensors(2), MacroState.zero((m, m)), snapshot_times=(2e-3,))

@@ -107,8 +107,8 @@ def test_the_macro_run_frees_each_snapshot_once_handed_over():
 
 
 def test_the_macro_command_dumps_each_snapshot_as_the_run_hands_it_over(monkeypatch, tmp_path):
-    # 3.2e-3 snaps to the third step and 4e-3 to the last, which the command
-    # also dumps as the final state: five snapshots from four steps
+    # 3e-3 and 3.2e-3 snap to the third step and 4e-3 to the last: each of
+    # the three states is handed over and dumped once, the final one included
     config = tmp_path / "macro.cfg"
     config.write_text("cell.kind = disc\ncell.dim = 2\ncell.resolution = 8\n"
                       "cell.radius = 0.25\nphysics.lambda = 1.0\nphysics.alpha = 4.0\n"
@@ -125,13 +125,13 @@ def test_the_macro_command_dumps_each_snapshot_as_the_run_hands_it_over(monkeypa
             states.append(state)
             write(state)
         final, rows = run_macro(cfg, tensors, init, times, write_and_keep)
-        states.append(final)
+        assert states[-1] is final  # handed over for 4e-3, so not dumped again
         return final, rows
 
     monkeypatch.setattr(cli, "run_macro", collecting)
     assert cli.main(["macro", "--config", str(config), "--out", str(out)]) == 0
-    assert [round(state.t * 1e3) for state in states] == [1, 3, 3, 4, 4]
-    assert len(list(out.glob("*.dat"))) == 15
+    assert [round(state.t * 1e3) for state in states] == [1, 3, 4]
+    assert len(list(out.glob("*.dat"))) == 9
     for k, state in enumerate(states):
         for var in ("u1", "u2", "u3"):
             name = f"{var}_{k:03d}"

@@ -58,7 +58,7 @@ def test_run_macro_factorizes_once(solvers):
                       u3=np.zeros((m, m)))
     cfg = MacroConfig(dt=1e-3, t_end=5e-3)
     _, rows = run_macro(cfg, _tensors(np.eye(2)), init)
-    assert len(rows) == 5 and all(r.picard_iters > 0 for r in rows)
+    assert len(rows) == 5 and all(r["picard_iters"] > 0 for r in rows)
     # the macro grid is never factorized: one box CG solver per operator
     assert solvers["poisson"] == [("SpectralPCG", m * m)]
     assert solvers["diffusion"] == [("SpectralPCG", m * m)]

@@ -93,7 +93,7 @@ def test_macro_predictor_reaches_the_same_fixed_point(dim, m, bc, full, box_iter
         picard += info.picard_iters
     assert max_rel(final.u1, state.u1) <= 10 * cfg.picard_tol
     assert max_rel(final.u2, state.u2) <= 10 * cfg.picard_tol
-    assert sum(row.picard_iters for row in rows) <= picard
+    assert sum(row["picard_iters"] for row in rows) <= picard
     assert predicted < sum(box_iterations)
 
 
