@@ -42,7 +42,6 @@ _SUBMODULE_NAMES = {
     "macropnp": (
         "MacroConfig",
         "MacroState",
-        "StepConfig",
         "check_local_equilibrium",
         "free_energy",
         "run_macro",

@@ -42,6 +42,7 @@ from functools import partial
 
 import numpy as np
 
+from .config import RunConfig
 from .unitcell import GeometryError, UnitCell
 
 logger = logging.getLogger(__name__)
@@ -52,7 +53,7 @@ MEAN_ZERO_RTOL = 1e-10
 #: |sum(rhs)| <= COMPAT_RTOL * ||rhs|| is required of the singular system
 COMPAT_RTOL = 1e-10
 
-DEFAULT_TOL = 1e-10
+DEFAULT_TOL = RunConfig.solver_tol
 ITER_CAP_FACTOR = 50  # iteration cap = factor * resolution
 
 #: CG stops as stagnated once its certificate has not halved in this many iterations

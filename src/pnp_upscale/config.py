@@ -15,6 +15,7 @@ one shot; unknown and duplicate keys are rejected.  Example:
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -167,6 +168,31 @@ _ONLY_WITH = {
 }
 
 
+def step_count_defect(dt: float, t_end: float, dt_key: str = "dt",
+                      t_end_key: str = "t_end") -> str | None:
+    """Why a run of ``dt`` steps cannot end at ``t_end``, or None: it needs
+    a whole number, at least 1, of steps.  ``macropnp.MacroConfig`` and the
+    config file share this rule; the keys name the two settings."""
+    steps = t_end / dt
+    if not steps >= 1:
+        return f"{t_end_key} ({t_end}) must be at least {dt_key} ({dt})"
+    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
+        return f"{t_end_key} ({t_end}) must be a whole number of {dt_key} ({dt}) steps"
+    return None
+
+
+def snapshot_defect(t: float, dt: float, t_end: float, key: str = "snapshot",
+                    dt_key: str = "dt", t_end_key: str = "t_end") -> str | None:
+    """Why no step of a run of ``dt`` steps to ``t_end`` is the nearest to
+    the snapshot time ``t``, or None: ``t`` must lie in [dt/2, t_end + dt/2].
+    ``macropnp.run_macro`` and the config file share this rule."""
+    lo, hi = 0.5 * dt, t_end + 0.5 * dt
+    if lo <= t <= hi:
+        return None
+    return (f"{key} time {t} lies outside [{dt_key}/2, {t_end_key} + {dt_key}/2] = "
+            f"[{lo}, {hi}], where the run snaps a time to its nearest step")
+
+
 def load_config(path) -> RunConfig:
     """Parse and exhaustively validate a configuration file.
 
@@ -256,18 +282,14 @@ def _cross_validate(cfg: RunConfig, path: Path, seen: dict, errors: list) -> Non
                     errors.append(f"{where('cell.mask_path')}mask file header "
                                   f"{' '.join(header)!r} does not match cell.dim = "
                                   f"{cfg.cell_dim} and cell.resolution = {cfg.cell_resolution}")
-    dt, t_end, at = cfg.macro_dt, cfg.macro_t_end, where("macro.t_end")
-    steps = t_end / dt
-    if steps < 1:
-        errors.append(f"{at}macro.t_end ({t_end}) must be at least macro.dt ({dt})")
-    elif abs(steps - round(steps)) > 1e-9 * steps:
-        errors.append(f"{at}macro.t_end ({t_end}) must be a whole number of macro.dt ({dt}) steps")
-    lo, hi = 0.5 * dt, t_end + 0.5 * dt
+    dt, t_end = cfg.macro_dt, cfg.macro_t_end
+    defect = step_count_defect(dt, t_end, "macro.dt", "macro.t_end")
+    if defect:
+        errors.append(where("macro.t_end") + defect)
     for t in cfg.output_snapshots:
-        if not lo <= t <= hi:
-            errors.append(f"{where('output.snapshots')}output.snapshots time {t} lies outside "
-                          f"[macro.dt/2, macro.t_end + macro.dt/2] = [{lo}, {hi}], where the run "
-                          "snaps a time to its nearest step")
+        defect = snapshot_defect(t, dt, t_end, "output.snapshots", "macro.dt", "macro.t_end")
+        if defect:
+            errors.append(where("output.snapshots") + defect)
     if not -1.0 < cfg.macro_init_amplitude < 1.0:
         errors.append(
             f"{where('macro.init_amplitude')}macro.init_amplitude must sit in "

@@ -18,9 +18,9 @@ from an iteration solved to the full tolerance.
 
 ``GridOperators``, ``picard_step`` and ``march`` also drive the DNS in
 microdns: the same scheme on the perforated fine grid, with drift tensor -I.
-Both runs hold their fields in ``MacroState`` and take dt and t_end from
-``MacroConfig``; ``march`` is their time loop and sets where each step's
-Picard loop starts.
+Both runs hold their fields in ``MacroState`` and step on one
+``MacroConfig``, whose defaults and checks are the config file's; ``march``
+is their time loop and sets where each step's Picard loop starts.
 
 ``run_macro`` returns one diagnostics row per step, a dict whose keys are
 its CSV columns.  Its ``free_energy`` is the functional of the effective
@@ -46,6 +46,7 @@ from ._fv import (
     grid_matvec,
 )
 from .cellcorrect import SolverError, SpectralPCG
+from .config import RunConfig, snapshot_defect, step_count_defect
 from .upscale import EffectiveTensors, eps0_defect
 
 logger = logging.getLogger(__name__)
@@ -89,35 +90,29 @@ class MacroState:
         return cls(u1=z.copy(), u2=z.copy(), u3=z.copy(), t=0.0)
 
 
-@dataclass
-class StepConfig:
-    """Picard-loop and discretization settings shared by the macro and DNS steppers."""
-
-    picard_tol: float = 1e-9
-    picard_cap: int = 50
-    drift: str = "upwind"  # or "central"
-    bc: str = "dirichlet"  # academic set; "noflux" conserves mass
-    lin_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.drift not in ("upwind", "central"):
-            raise ValueError(f"unknown drift scheme {self.drift!r}")
-        if self.bc not in ("dirichlet", "noflux"):
-            raise ValueError(f"unknown bc {self.bc!r}")
-
-
 @dataclass(kw_only=True)
-class MacroConfig(StepConfig):
+class MacroConfig:
+    """Time step, run length and Picard-loop settings of a macro or DNS run."""
+
     dt: float
     t_end: float
-    loceq_window: int = 4
+    picard_tol: float = RunConfig.macro_picard_tol
+    picard_cap: int = RunConfig.macro_picard_cap
+    drift: str = RunConfig.macro_drift  # or "central"
+    bc: str = RunConfig.macro_bc  # academic set; "noflux" conserves mass
+    lin_tol: float = RunConfig.solver_tol
+    loceq_window: int = RunConfig.macro_loceq_window
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.t_end < self.dt:
-            raise ValueError("t_end must be at least one step")
-        super().__post_init__()
+        defect = step_count_defect(self.dt, self.t_end)
+        if defect:
+            raise ValueError(defect)
+        if self.drift not in ("upwind", "central"):
+            raise ValueError(f"unknown drift scheme {self.drift!r}")
+        if self.bc not in ("dirichlet", "noflux"):
+            raise ValueError(f"unknown bc {self.bc!r}")
 
     @property
     def n_steps(self) -> int:
@@ -132,7 +127,6 @@ class StepInfo:
 
     picard_iters: int
     increments: list = field(default_factory=list)
-    min_density: float = 0.0
     cg_iters: list = field(default_factory=list)
 
 
@@ -344,8 +338,7 @@ def balance_columns(state: MacroState) -> dict:
     }
 
 
-def picard_step(ops: GridOperators, start: list, base, A: np.ndarray, dt: float,
-                cfg: StepConfig):
+def picard_step(ops: GridOperators, start: list, base, A: np.ndarray, cfg: MacroConfig):
     """Fixed-point loop of one implicit step on the grid of ``ops``.
 
     ``start`` is the list [v, u3] of the first lagged densities [v1, v2]
@@ -407,7 +400,7 @@ def picard_step(ops: GridOperators, start: list, base, A: np.ndarray, dt: float,
                 np.subtract(base[r], rhs[r], out=rhs[r])
                 if ops.solid is not None:
                     rhs[r][ops.solid] = 0.0
-            diffusion = ops.diffusion(dt, cfg.bc)
+            diffusion = ops.diffusion(cfg.dt, cfg.bc)
             solved = [diffusion.solve(rhs.pop(0), cfg.lin_tol, w, reduction) for w in v]
         except SolverError as exc:
             if growing:  # the values grew into the failure: name the loop
@@ -437,8 +430,7 @@ def picard_step(ops: GridOperators, start: list, base, A: np.ndarray, dt: float,
         raise SolverError(
             f"negative density {min_density:.3e} under the upwind scheme"
         )
-    return v, u3, StepInfo(picard_iters=iters, increments=increments,
-                           min_density=min_density, cg_iters=cg_iters)
+    return v, u3, StepInfo(picard_iters=iters, increments=increments, cg_iters=cg_iters)
 
 
 def step_macro_pnp(state, tensors: EffectiveTensors, cfg: MacroConfig,
@@ -448,21 +440,21 @@ def step_macro_pnp(state, tensors: EffectiveTensors, cfg: MacroConfig,
     ``state`` is the state to step from, or a list holding it (``take``);
     the step drops it once it has formed the previous-step terms.  ``ops``
     are the grid's operators, ``GridOperators(shape, tensors.p,
-    tensor=tensors.eps0)``; without them the step builds its own.  ``start``
-    is the [[u1, u2], u3] start of the Picard loop, as ``linear_predictor``
-    makes it; without it the loop starts from the state.
+    tensor=tensors.eps0)``; without them the step builds its own; the step
+    reads the porosity from them.  ``start`` is the [[u1, u2], u3] start of
+    the Picard loop, as ``linear_predictor`` makes it; without it the loop
+    starts from the state.
     """
     state = take(state)
     if ops is None:
         ops = GridOperators(state.u1.shape, tensors.p, tensor=tensors.eps0)
-    p = tensors.p
     A_drift = np.asarray(tensors.Hhat, dtype=float) - np.asarray(tensors.M, dtype=float)
-    base = [p / cfg.dt * state.u1, p / cfg.dt * state.u2]
+    base = [ops.p / cfg.dt * state.u1, ops.p / cfg.dt * state.u2]
     t = state.t + cfg.dt
     if start is None:
         start = [[state.u1, state.u2], state.u3]
     del state
-    v, u3, info = picard_step(ops, start, base, A_drift, cfg.dt, cfg)
+    v, u3, info = picard_step(ops, start, base, A_drift, cfg)
     return MacroState(u1=v[0], u2=v[1], u3=u3, t=t), info
 
 
@@ -548,6 +540,10 @@ def run_macro(cfg: MacroConfig, tensors: EffectiveTensors, init, snapshot_times=
     """
     if snapshot_times and write_snapshot is None:
         raise ValueError("snapshot_times need a write_snapshot callable")
+    for t in snapshot_times:
+        defect = snapshot_defect(t, cfg.dt, cfg.t_end)
+        if defect:
+            raise ValueError(defect)
     init = [take(init)]
     ops = GridOperators(init[0].u1.shape, tensors.p, tensor=tensors.eps0)
     rows = []

@@ -1,14 +1,14 @@
 """Direct numerical simulation of the oscillating-coefficient PNP system.
 
 The microscopic domain tiles the reference cell s^-1 times per axis, so the
-fine voxel grid lines up exactly with the cell voxel grid and the composite
-mask equals the periodic tiling bit for bit.  The potential is solved on the
+fine voxel grid lines up exactly with the cell voxel grid; ``MicroDomain``
+keeps the cell and the tile count and derives s, the mask and the
+coefficient, the cell's tiled bit for bit.  The potential is solved on the
 whole box with the high-contrast coefficient (interface continuity holds
 weakly through the conservative discretization); the densities live on the
 fluid voxels with no-flux on the solid interface.  The DNS marches as the
-macro run does, through ``macropnp.march`` with the dt and t_end of a
-``MacroConfig``, and holds its fields in ``MacroState``: u1 = n+, u2 = n-
-and u3 = phi.
+macro run does, through ``macropnp.march`` with a ``MacroConfig``, and
+holds its fields in ``MacroState``: u1 = n+, u2 = n- and u3 = phi.
 
 Also here: two-scale reconstruction of fine fields from a macroscopic state
 plus the cell correctors, and the field comparison report used by the
@@ -28,40 +28,49 @@ import numpy as np
 # attributes of this module because perfbench/tracing.py wraps them here.
 from ._fv import assemble_diffusion_matrix, assemble_neumann_operator  # noqa: F401
 from .cellcorrect import CorrectorSet
+from .config import RunConfig
 from .macropnp import (GridOperators, MacroConfig, MacroState, Z_CHARGES,
                        balance_columns, march, picard_step, take)
-from .unitcell import PermittivityParams, UnitCell
+from .unitcell import PermittivityParams, UnitCell, permittivity_field
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_CELL_BUDGET = 1 << 20  # 1024**2 fine voxels
+DEFAULT_CELL_BUDGET = RunConfig.micro_budget
 
 
 @dataclass(eq=False)
 class MicroDomain:
-    """Perforated fine grid at scale ratio s (s^-1 an integer).
+    """Perforated fine grid of ``tiles`` cells per axis, at scale ratio
+    s = 1/tiles: ``tile`` repeats a cell-grid field, such as the fluid
+    ``mask``, over it.
 
     ``ops`` holds the grid's operators: the whole-box Poisson operator with
     the high-contrast coefficient, and the diffusion operators on the fluid
-    voxels, each built on first use.  The coefficient ``eps`` (``params``'
-    fluid value on the fluid, alpha on the solid) is not stored: it is
-    computed from the mask when asked, and the operators drop theirs once
-    the Poisson operator is assembled.
+    voxels, each built on first use.  The coefficient ``eps``, the cell's
+    ``permittivity_field`` tiled, is not stored: it is computed when asked,
+    and the operators drop theirs once the Poisson operator is assembled.
     """
 
-    s: float
     tiles: int
     cell: UnitCell
-    mask: np.ndarray
     params: PermittivityParams
+    mask: np.ndarray = field(init=False, repr=False)
     ops: GridOperators = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.mask = self.tile(self.cell.fluid_mask)
         self.ops = GridOperators(self.mask.shape, coef=self.eps, mask=self.mask)
+
+    def tile(self, a: np.ndarray) -> np.ndarray:
+        return np.tile(a, (self.tiles,) * self.dim)
 
     @property
     def eps(self) -> np.ndarray:
-        return np.where(self.mask, self.params.fluid_value, self.params.alpha).astype(float)
+        return self.tile(permittivity_field(self.cell, self.params))
+
+    @property
+    def s(self) -> float:
+        return 1.0 / self.tiles
 
     @property
     def dim(self) -> int:
@@ -89,8 +98,7 @@ def assemble_micro_domain(cell: UnitCell, params: PermittivityParams, s,
         raise BudgetError(
             f"fine grid needs {n} voxels ({fine_res} per axis), budget is {max_cells}"
         )
-    mask = np.tile(cell.fluid_mask, (tiles,) * cell.dim)
-    return MicroDomain(s=float(frac), tiles=tiles, cell=cell, mask=mask, params=params)
+    return MicroDomain(tiles=tiles, cell=cell, params=params)
 
 
 def step_micro_pnp(state, dom: MicroDomain, cfg: MacroConfig, start=None):
@@ -108,13 +116,12 @@ def step_micro_pnp(state, dom: MicroDomain, cfg: MacroConfig, start=None):
     potential from the state's u3.
     """
     state = take(state)
-    dt = cfg.dt
-    base = [state.u1 / dt, state.u2 / dt]
-    t = state.t + dt
+    base = [state.u1 / cfg.dt, state.u2 / cfg.dt]
+    t = state.t + cfg.dt
     if start is None:
         start = [[state.u1, state.u2], state.u3]
     del state
-    v, phi, info = picard_step(dom.ops, start, base, -np.eye(dom.dim), dt, cfg)
+    v, phi, info = picard_step(dom.ops, start, base, -np.eye(dom.dim), cfg)
     return MacroState(u1=v[0], u2=v[1], u3=phi, t=t), dataclasses.asdict(info)
 
 
@@ -162,12 +169,12 @@ def reconstruct_two_scale(macro: MacroState, correctors: CorrectorSet,
     n_r  = u_r - s z_r u_r sum_k eta_k(x/s) d_k u3        (zero on solid)
 
     Correctors are sampled at the wrapped fine coordinate, which is an exact
-    index map because the fine grid tiles the cell grid; macro derivatives
-    are central differences interpolated to the fine centers.
+    index map because the fine grid tiles the cell grid (``dom.tile``);
+    macro derivatives are central differences interpolated to the fine
+    centers.
     """
     fine_shape = dom.mask.shape
     s = dom.s
-    tiles = (dom.tiles,) * dom.dim
     hc = 1.0 / macro.u3.shape[0]
 
     if macro.u3.shape[0] < 2:
@@ -177,12 +184,12 @@ def reconstruct_two_scale(macro: MacroState, correctors: CorrectorSet,
 
     phi = interpolate_to_fine(macro.u3, fine_shape)
     for k in range(dom.dim):
-        phi = phi - s * np.tile(correctors.xi3[k], tiles) * gfine[k]
+        phi = phi - s * dom.tile(correctors.xi3[k]) * gfine[k]
     if correctors.zeta3 is not None:
         for k in range(dom.dim):
             for l in range(dom.dim):
                 hess = np.gradient(grads[k], hc, axis=l, edge_order=1)
-                phi = phi + s * s * np.tile(correctors.zeta3[k, l], tiles) * interpolate_to_fine(
+                phi = phi + s * s * dom.tile(correctors.zeta3[k, l]) * interpolate_to_fine(
                     hess, fine_shape
                 )
     else:
@@ -196,7 +203,7 @@ def reconstruct_two_scale(macro: MacroState, correctors: CorrectorSet,
         if correctors.eta is None:
             raise ValueError("density reconstruction needs the eta correctors")
         for k in range(dom.dim):
-            corr += np.tile(correctors.eta[k], tiles) * gfine[k]
+            corr += dom.tile(correctors.eta[k]) * gfine[k]
         nf = (uf - s * z * uf * corr) * dom.mask
         densities.append(nf)
 

@@ -24,7 +24,7 @@ from .cellcorrect import (
     solve_potential_corrector,
     solve_second_order_potential_corrector,
 )
-from .config import ConfigError
+from .config import ConfigError, RunConfig
 from .unitcell import PermittivityParams, UnitCell, permittivity_field, porosity
 
 logger = logging.getLogger(__name__)
@@ -34,11 +34,15 @@ SYMMETRY_RTOL = 1e-8
 BOUNDS_SLACK = 1e-6
 
 
+def symmetry_defect(t: np.ndarray) -> float:
+    scale = max(float(np.abs(t).max()), 1e-300)
+    return float(np.abs(t - t.T).max()) / scale
+
+
 def eps0_defect(eps0: np.ndarray) -> str | None:
-    """Why a finite square eps0 cannot make a Poisson operator, or None: an
-    asymmetry above 1e-8 of its largest entry, or an eigenvalue <= 0."""
-    asym = np.abs(eps0 - eps0.T).max()
-    if asym > SYMMETRY_RTOL * max(np.abs(eps0).max(), 1e-300):
+    """Why a finite square eps0 cannot make a Poisson operator, or None: a
+    ``symmetry_defect`` above 1e-8, or an eigenvalue <= 0."""
+    if symmetry_defect(eps0) > SYMMETRY_RTOL:
         return "eps0 is not symmetric"
     eigs = np.linalg.eigvalsh(0.5 * (eps0 + eps0.T))
     if eigs.min() <= 0.0:
@@ -52,15 +56,18 @@ class EffectiveTensors:
 
     eps0 is the effective permittivity, M the electro-convection tensor and
     Hhat the diffusion shape so that the concentration-proportional transport
-    tensor of species r is z_r * u_r(t,x) * Hhat.
+    tensor of species r is z_r * u_r(t,x) * Hhat.  The dimension is eps0's.
     """
 
-    dim: int
     p: float
     eps0: np.ndarray
     M: np.ndarray
     Hhat: np.ndarray
     provenance: dict = field(default_factory=dict)
+
+    @property
+    def dim(self) -> int:
+        return len(self.eps0)
 
     def to_json_dict(self) -> dict:
         prov = dict(self.provenance)
@@ -105,7 +112,7 @@ class EffectiveTensors:
         defect = eps0_defect(eps0)
         if defect:
             raise ConfigError([defect])
-        return cls(dim=eps0.shape[0], p=p, eps0=eps0, M=M, Hhat=Hhat, provenance=provenance)
+        return cls(p=p, eps0=eps0, M=M, Hhat=Hhat, provenance=provenance)
 
     @classmethod
     def from_json(cls, text: str) -> "EffectiveTensors":
@@ -200,13 +207,9 @@ def check_spectral_bounds(eps0: np.ndarray, kappa: np.ndarray) -> tuple[float, f
     return float(eigs.min()), float(eigs.max())
 
 
-def symmetry_defect(t: np.ndarray) -> float:
-    scale = max(float(np.abs(t).max()), 1e-300)
-    return float(np.abs(t - t.T).max()) / scale
-
-
 def compute_effective_tensors(cell: UnitCell, params: PermittivityParams,
-                              tol: float = 1e-10, second_order: bool = True):
+                              tol: float = RunConfig.solver_tol,
+                              second_order: bool = RunConfig.solver_second_order):
     """Full cell-problem pipeline: correctors, tensors and certificates.
 
     Returns (EffectiveTensors, CorrectorSet).  The second-order correctors
@@ -248,9 +251,7 @@ def compute_effective_tensors(cell: UnitCell, params: PermittivityParams,
         "max_residual": max(residuals.values()) if residuals else 0.0,
         "eps0_eig_range": [lo, hi],
     }
-    tensors = EffectiveTensors(
-        dim=cell.dim, p=porosity(cell), eps0=eps0, M=M, Hhat=Hhat,
-        provenance=provenance,
-    )
+    tensors = EffectiveTensors(p=porosity(cell), eps0=eps0, M=M, Hhat=Hhat,
+                               provenance=provenance)
     return tensors, correctors
 

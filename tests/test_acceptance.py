@@ -55,7 +55,7 @@ def verdict(number, title):
 
 
 def classical_tensors(dim, eps=1.0, p=1.0):
-    return EffectiveTensors(dim=dim, p=p, eps0=eps * np.eye(dim), M=np.eye(dim),
+    return EffectiveTensors(p=p, eps0=eps * np.eye(dim), M=np.eye(dim),
                             Hhat=np.zeros((dim, dim)))
 
 

@@ -130,6 +130,46 @@ def test_end_time_between_steps_rejected(tmp_path, capsys):
     assert "whole number of macro.dt" in record["message"]
 
 
+def test_an_infinite_end_time_is_a_config_error(tmp_path):
+    path = tmp_path / "t.cfg"
+    path.write_text("macro.t_end = inf\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.errors == [
+        "line 1: macro.t_end (inf) must be a whole number of macro.dt (0.0001) steps"]
+
+
+# RunConfig's defaults changed before the library is imported: every library
+# default must follow, since each reads its RunConfig field
+DEFAULTS = """
+import inspect
+from pnp_upscale.config import RunConfig
+changed = dict(macro_picard_tol=2e-9, macro_picard_cap=7, macro_drift="central",
+               macro_bc="noflux", solver_tol=3e-11, macro_loceq_window=5,
+               solver_second_order=False, micro_budget=12345)
+for name, value in changed.items():
+    setattr(RunConfig, name, value)
+from pnp_upscale import cellcorrect, microdns
+from pnp_upscale.macropnp import MacroConfig
+from pnp_upscale.upscale import compute_effective_tensors
+cfg = MacroConfig(dt=1e-3, t_end=1e-3)
+library = {"macro_picard_tol": cfg.picard_tol, "macro_picard_cap": cfg.picard_cap,
+           "macro_drift": cfg.drift, "macro_bc": cfg.bc, "solver_tol": cfg.lin_tol,
+           "macro_loceq_window": cfg.loceq_window, "micro_budget": microdns.DEFAULT_CELL_BUDGET}
+params = inspect.signature(compute_effective_tensors).parameters
+assert library == {name: changed[name] for name in library}, library
+assert cellcorrect.DEFAULT_TOL == params["tol"].default == changed["solver_tol"]
+assert params["second_order"].default is False
+"""
+
+
+def test_library_defaults_are_the_run_config_defaults():
+    src = os.path.dirname(os.path.dirname(pnp_upscale.__file__))
+    proc = subprocess.run([sys.executable, "-c", DEFAULTS], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("snapshots, bad", [
     ("0.0005 0.003 0.0035", None),  # the window's ends snap to steps 1 and 3
     ("0.004", "0.004"),  # beyond the last step: it was dropped

@@ -26,7 +26,7 @@ from conftest import rel_l2, tilted_grain_mask
 
 def classical_tensors(dim, eps=1.0, p=1.0):
     n = dim
-    return EffectiveTensors(dim=n, p=p, eps0=eps * np.eye(n), M=np.eye(n),
+    return EffectiveTensors(p=p, eps0=eps * np.eye(n), M=np.eye(n),
                             Hhat=np.zeros((n, n)))
 
 
@@ -235,9 +235,9 @@ def test_cross_terms_below_the_certified_accuracy_are_dropped(dim, monkeypatch):
                         lambda *a: calls.append(1) or gradients(*a))
     m = 8
     off = 1.2e-11 * (1.0 - np.eye(dim))
-    noisy = EffectiveTensors(dim=dim, p=0.7, eps0=np.eye(dim) + off, M=np.eye(dim),
+    noisy = EffectiveTensors(p=0.7, eps0=np.eye(dim) + off, M=np.eye(dim),
                              Hhat=-0.3 * np.eye(dim) + off)
-    exact = EffectiveTensors(dim=dim, p=0.7, eps0=np.eye(dim), M=np.eye(dim),
+    exact = EffectiveTensors(p=0.7, eps0=np.eye(dim), M=np.eye(dim),
                              Hhat=-0.3 * np.eye(dim))
     A = assemble_neumann_operator((m,) * dim, 1.0 / m, tensor=noisy.eps0)
     assert len(A.offsets) == 2 * dim + 1
@@ -296,6 +296,48 @@ def test_config_validation():
         MacroConfig(dt=1e-3, t_end=1e-2, drift="qwerty")
 
 
+def test_a_t_end_between_steps_is_rejected():
+    # a run makes round(t_end / dt) steps: 1.0 would stop at t = 0.9, as the
+    # config file's macro.t_end would, by the same rule
+    with pytest.raises(ValueError, match=r"^t_end \(1.0\) must be a whole number of "
+                                         r"dt \(0.3\) steps$"):
+        MacroConfig(dt=0.3, t_end=1.0)
+    assert MacroConfig(dt=0.1, t_end=0.3).n_steps == 3
+
+
+@pytest.mark.parametrize("t", [0.5, 4e-3, 4e-4, float("nan")])
+def test_run_macro_rejects_a_snapshot_time_that_no_step_is_nearest_to(t):
+    cfg = MacroConfig(dt=1e-3, t_end=3e-3)
+    snaps = []
+    with pytest.raises(ValueError, match=f"^snapshot time {t} lies outside "
+                                         r"\[dt/2, t_end \+ dt/2\] = \[0.0005, 0.0035\]"):
+        run_macro(cfg, classical_tensors(2), MacroState.zero((8, 8)), snapshot_times=(t,),
+                  write_snapshot=snaps.append)
+    # the window's ends snap to the first and the last step
+    run_macro(cfg, classical_tensors(2), MacroState.zero((8, 8)),
+              snapshot_times=(5e-4, 3.5e-3), write_snapshot=snaps.append)
+    assert [s.t for s in snaps] == [pytest.approx(1e-3), pytest.approx(3e-3)]
+
+
+def test_the_step_takes_the_porosity_of_its_operators():
+    # both right-hand sides take ops.p: a tensors.p that differs from it
+    # does not enter the step
+    m = 12
+    eps0 = np.array([[1.0, 0.3], [0.3, 1.5]])
+    X, Y = grid2(m)
+    init = MacroState(u1=1 + 0.5 * np.sin(np.pi * X) * np.sin(np.pi * Y),
+                      u2=np.ones((m, m)), u3=np.zeros((m, m)))
+    cfg = MacroConfig(dt=1e-3, t_end=1e-3)
+    states = []
+    for p in (0.8, 0.5):
+        tensors = EffectiveTensors(p=p, eps0=eps0, M=0.9 * np.eye(2), Hhat=0.2 * eps0)
+        ops = GridOperators((m, m), 0.8, tensor=eps0)
+        states.append(step_macro_pnp(init, tensors, cfg, ops=ops)[0])
+    same, other = states
+    for name in ("u1", "u2", "u3"):
+        assert getattr(same, name).tobytes() == getattr(other, name).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # diagnostics
 
@@ -345,7 +387,7 @@ def test_free_energy_is_the_entropy_plus_the_field_energy(bc):
     # the assembled anisotropic operator
     m = 32
     eps0 = np.array([[1.0, 0.3], [0.3, 1.5]])
-    tensors = EffectiveTensors(dim=2, p=0.8, eps0=eps0, M=0.9 * np.eye(2), Hhat=0.2 * eps0)
+    tensors = EffectiveTensors(p=0.8, eps0=eps0, M=0.9 * np.eye(2), Hhat=0.2 * eps0)
     X, Y = grid2(m)
     init = MacroState(u1=1 + 0.5 * np.sin(np.pi * X) * np.sin(np.pi * Y),
                       u2=np.ones((m, m)), u3=np.zeros((m, m)))

@@ -22,7 +22,7 @@ from pnp_upscale.cellcorrect import (
 )
 from pnp_upscale.config import load_config
 from pnp_upscale.fieldio import format_field
-from pnp_upscale.macropnp import GridOperators, MacroConfig, MacroState, StepConfig
+from pnp_upscale.macropnp import GridOperators, MacroConfig, MacroState
 from pnp_upscale.unitcell import build_unit_cell
 from pnp_upscale.upscale import EffectiveTensors
 
@@ -67,7 +67,7 @@ def watch_steps(monkeypatch, module, name, refs):
 
 def macro_tensors():
     eps0 = np.array([[1.0, 0.3], [0.3, 1.5]])
-    return EffectiveTensors(dim=2, p=0.8, eps0=eps0, M=0.9 * np.eye(2), Hhat=0.2 * eps0)
+    return EffectiveTensors(p=0.8, eps0=eps0, M=0.9 * np.eye(2), Hhat=0.2 * eps0)
 
 
 def test_the_macro_run_frees_its_initial_state_after_the_first_step(monkeypatch):
@@ -221,8 +221,8 @@ def test_the_picard_loop_frees_its_start_after_iteration_1(monkeypatch, shape):
         return solve(self, *args, **kwargs)
 
     monkeypatch.setattr(SpectralPCG, "solve", watching)
-    _, _, info = macropnp.picard_step(ops, start, base, -np.eye(len(shape)), 1e-3,
-                                      StepConfig(bc="noflux"))
+    _, _, info = macropnp.picard_step(ops, start, base, -np.eye(len(shape)),
+                                      MacroConfig(dt=1e-3, t_end=1e-3, bc="noflux"))
     assert info.picard_iters >= 2 and start == []
     assert seen[:3] == [[True] * 3] + 2 * [[True, True, False]]
     assert seen[3:] == [[False] * 3] * (len(seen) - 3)

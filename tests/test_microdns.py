@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pnp_upscale.cellcorrect import CorrectorSet
-from pnp_upscale.macropnp import MacroConfig, MacroState, step_macro_pnp
+from pnp_upscale.macropnp import MacroConfig, MacroState, free_energy, march, step_macro_pnp
 from pnp_upscale.microdns import (
     BudgetError,
+    MicroDomain,
     assemble_micro_domain,
     compare_fields,
     reconstruct_two_scale,
@@ -15,11 +16,13 @@ from pnp_upscale.microdns import (
     step_micro_pnp,
     interpolate_to_fine,
 )
-from pnp_upscale.unitcell import PermittivityParams, build_unit_cell, porosity
+from pnp_upscale.unitcell import (PermittivityParams, UnitCell, build_unit_cell,
+                                  permittivity_field, porosity)
 from pnp_upscale.upscale import EffectiveTensors
 
 import oracles
 from conftest import CONTRAST, rel_l2
+from test_box_solver import random_masks
 
 
 def grid2(m):
@@ -51,6 +54,19 @@ def test_full_cell_uniform():
     dom = full_domain(8, 8, lam=0.5)
     assert dom.mask.all()
     assert np.all(dom.eps == 0.25)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_the_domain_derives_s_mask_and_coefficient_from_its_tiles(dim):
+    cell = build_unit_cell({"kind": "disc", "radius": 0.25, "dim": dim}, 8)
+    reps = (2,) * dim
+    for dom in (assemble_micro_domain(cell, CONTRAST, Fraction(1, 2)),
+                MicroDomain(tiles=2, cell=cell, params=CONTRAST)):
+        assert dom.s == 0.5 and dom.resolution == 16
+        assert np.array_equal(dom.mask, np.tile(cell.fluid_mask, reps))
+        assert np.array_equal(dom.eps, np.tile(permittivity_field(cell, CONTRAST), reps))
+    with pytest.raises(TypeError):
+        MicroDomain(s=0.25, tiles=2, cell=cell, params=CONTRAST)
 
 
 def test_budget_error():
@@ -140,6 +156,51 @@ def test_conservation_noflux():
         assert abs(r["mass2"] - m2) <= 1e-10
 
 
+def random_mask_domain(mask, alpha):
+    """The DNS grid at s = 1/2 of the cell with fluid ``mask``."""
+    cell = UnitCell(dim=mask.ndim, resolution=mask.shape[0], fluid_mask=mask,
+                    geometry_spec={"kind": "mask"})
+    return MicroDomain(tiles=2, cell=cell, params=PermittivityParams(lam=1.0, alpha=alpha))
+
+
+def dns_states(dom, init, cfg):
+    """The initial state and the accepted state of each step of cfg."""
+    yield init
+    for state, _ in march(lambda held, start: step_micro_pnp(held, dom, cfg, start=start),
+                          init, cfg.n_steps):
+        yield state
+
+
+@settings(max_examples=60)
+@given(random_masks(), st.floats(0.25, 100.0), st.floats(1e-4, 1e-2),
+       st.sampled_from(["upwind", "central"]), st.integers(0, 2**32 - 1))
+def test_noflux_dns_invariants_on_random_masks(mask, alpha, dt, drift, seed):
+    # 3 no-flux steps from random densities on the fluid, whose potential
+    # is the initial u3.  The masked diffusion CG stops at lin_tol, so each
+    # step conserves mass to lin_tol, not to rounding
+    assume(mask.any())
+    dom = random_mask_domain(mask, alpha)
+    cfg = MacroConfig(dt=dt, t_end=3 * dt, bc="noflux", drift=drift)
+    rng = np.random.default_rng(seed)
+    u1, u2 = ((1.0 + 0.5 * rng.random(dom.mask.shape)) * dom.mask for _ in range(2))
+    u3 = dom.ops.potential(u1, u2, cfg.lin_tol)[0]
+    states = list(dns_states(dom, MacroState(u1=u1, u2=u2, u3=u3), cfg))
+    assert len(states) == 4
+    for old, new in zip(states, states[1:]):
+        for name in ("u1", "u2"):
+            mass, new_mass = getattr(old, name).sum(), getattr(new, name).sum()
+            assert abs(new_mass - mass) <= cfg.lin_tol * mass
+            if drift == "upwind":
+                assert (getattr(new, name)[dom.mask] > 0.0).all()
+        assert free_energy(new, 1.0) <= free_energy(old, 1.0)
+    # equal uniform densities are a fixed point of every step, exactly
+    c = 1.0 + rng.random()
+    uniform = MacroState(u1=c * dom.mask, u2=c * dom.mask, u3=np.zeros(dom.mask.shape))
+    for state in dns_states(dom, uniform, cfg):
+        assert np.array_equal(state.u1, uniform.u1) and np.array_equal(state.u2, uniform.u2)
+        assert not state.u3.any()
+
+
 def test_densities_stay_zero_on_solid():
     cell = build_unit_cell({"kind": "disc", "radius": 0.3, "dim": 2}, 16)
     dom = assemble_micro_domain(cell, CONTRAST, Fraction(1, 2))
@@ -181,7 +242,7 @@ def test_constant_coefficient_reduction():
     M = dom.resolution
     X, Y = grid2(M)
     n0 = 1 + 0.3 * np.cos(np.pi * X) * np.cos(np.pi * Y)
-    tensors = EffectiveTensors(dim=2, p=1.0, eps0=np.eye(2), M=np.eye(2),
+    tensors = EffectiveTensors(p=1.0, eps0=np.eye(2), M=np.eye(2),
                                Hhat=np.zeros((2, 2)))
     mstate = MacroState(u1=n0.copy(), u2=np.ones_like(n0), u3=np.zeros_like(n0))
     mcfg = MacroConfig(dt=1e-3, t_end=0.01)

@@ -78,7 +78,7 @@ EXPORTS = """
 import sys
 import pnp_upscale
 names = list(pnp_upscale.__all__)
-assert len(names) == len(set(names)) == 35
+assert len(names) == len(set(names)) == 34
 for name in names:
     obj = getattr(pnp_upscale, name)
     home = obj.__module__

@@ -46,7 +46,7 @@ def solvers(monkeypatch):
 
 
 def _tensors(eps0):
-    return EffectiveTensors(dim=2, p=0.8, eps0=np.asarray(eps0), M=np.eye(2),
+    return EffectiveTensors(p=0.8, eps0=np.asarray(eps0), M=np.eye(2),
                             Hhat=0.1 * np.eye(2))
 
 

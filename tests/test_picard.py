@@ -18,8 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from pnp_upscale import cli, macropnp, microdns
 from pnp_upscale.cellcorrect import SolverError, SpectralPCG
-from pnp_upscale.macropnp import (GridOperators, MacroConfig, MacroState, StepConfig,
-                                  picard_step)
+from pnp_upscale.macropnp import GridOperators, MacroConfig, MacroState, picard_step
 from pnp_upscale.microdns import assemble_micro_domain, step_micro_pnp
 from pnp_upscale.unitcell import PermittivityParams, build_unit_cell
 
@@ -46,6 +45,11 @@ def picard(ops, v, u3, *args):
     """picard_step from the start (v, u3), handed over in a new list, which
     the loop empties, so that the caller's arguments serve again."""
     return picard_step(ops, [list(v), u3], *args)
+
+
+def step_config(dt, **settings):
+    """The settings of one step of ``dt``."""
+    return MacroConfig(dt=dt, t_end=dt, **settings)
 
 
 def lin_tol_loop(*args):
@@ -86,7 +90,7 @@ def dns_problem(mask, alpha, dt, seed):
     ops = GridOperators(mask.shape, coef=np.where(mask, 1.0, alpha), mask=mask)
     rng = np.random.default_rng(seed)
     v = [(1.0 + 0.5 * rng.random(mask.shape)) * mask for _ in range(2)]
-    return ops, v, np.zeros(mask.shape), [w / dt for w in v], -np.eye(mask.ndim), dt
+    return ops, v, np.zeros(mask.shape), [w / dt for w in v], -np.eye(mask.ndim)
 
 
 def macro_problem(dim, full, dt):
@@ -101,7 +105,7 @@ def macro_problem(dim, full, dt):
     r2 = sum((g - 0.4) ** 2 for g in np.meshgrid(*([c] * dim), indexing="ij"))
     v = [1.0 + 0.8 * np.exp(-20.0 * r2), np.ones((m,) * dim)]
     A = 0.2 * eps0 - 0.9 * np.eye(dim)  # Hhat - M
-    return ops, v, np.zeros((m,) * dim), [0.8 / dt * w for w in v], A, dt
+    return ops, v, np.zeros((m,) * dim), [0.8 / dt * w for w in v], A
 
 
 # a loose picard_tol lets a forced iteration pass the increment test, which
@@ -112,7 +116,7 @@ def macro_problem(dim, full, dt):
        st.sampled_from([1e-9, 1e-5]), st.integers(0, 2**32 - 1))
 def test_dns_step_matches_the_lin_tol_loop(mask, alpha, dt, drift, bc, picard_tol, seed):
     args = dns_problem(mask, alpha, dt, seed)
-    cfg = StepConfig(drift=drift, bc=bc, picard_tol=picard_tol)
+    cfg = step_config(dt, drift=drift, bc=bc, picard_tol=picard_tol)
     v, _, info = forced_step(*args, cfg)
     ref, _, ref_info = lin_tol_loop(*args, cfg)
     assert rms_gap(v, ref) <= cfg.picard_tol
@@ -126,7 +130,7 @@ def test_dns_step_matches_the_lin_tol_loop(mask, alpha, dt, drift, bc, picard_to
 @pytest.mark.parametrize("dim", [2, 3])
 def test_macro_step_matches_the_lin_tol_loop(dim, full, bc, dt, picard_tol):
     args = macro_problem(dim, full, dt)
-    cfg = StepConfig(bc=bc, picard_tol=picard_tol)
+    cfg = step_config(dt, bc=bc, picard_tol=picard_tol)
     v, u3, info = forced_step(*args, cfg)
     ref, ref_u3, ref_info = lin_tol_loop(*args, cfg)
     assert rms_gap(v, ref) <= cfg.picard_tol
@@ -137,61 +141,62 @@ def test_macro_step_matches_the_lin_tol_loop(dim, full, bc, dt, picard_tol):
 def fixed_point(args, cfg):
     """The step's accepted densities and potential, and the step's arguments
     with them as the start."""
-    ops, _, _, base, A, dt = args
+    ops, _, _, base, A = args
     v, u3, _ = picard(*args, cfg)
-    return v, u3, (ops, v, u3, base, A, dt)
+    return v, u3, (ops, v, u3, base, A)
 
 
-@pytest.mark.parametrize("problem", [
-    lambda: macro_problem(2, True, 1e-3),
-    lambda: macro_problem(3, True, 2e-2),
-    lambda: dns_problem(np.random.default_rng(1).random((24, 24)) > 0.2, 40.0, 1e-3, 1),
-    lambda: dns_problem(np.random.default_rng(2).random((8, 8, 8)) > 0.2, 4.0, 1e-2, 2),
+@pytest.mark.parametrize("problem, dt", [
+    (lambda dt: macro_problem(2, True, dt), 1e-3),
+    (lambda dt: macro_problem(3, True, dt), 2e-2),
+    (lambda dt: dns_problem(np.random.default_rng(1).random((24, 24)) > 0.2, 40.0, dt, 1), 1e-3),
+    (lambda dt: dns_problem(np.random.default_rng(2).random((8, 8, 8)) > 0.2, 4.0, dt, 2), 1e-2),
 ], ids=["macro2d", "macro3d", "dns2d", "dns3d"])
-def test_a_step_from_its_fixed_point(problem):
+def test_a_step_from_its_fixed_point(problem, dt):
     # the start passes every forced solve's stop at lin_tol, so the first
     # iteration is already a lin_tol one and the loop ends there
-    cfg = StepConfig(bc="noflux")
-    fixed, _, args = fixed_point(problem(), cfg)
+    cfg = step_config(dt, bc="noflux")
+    fixed, _, args = fixed_point(problem(dt), cfg)
     v, _, info = forced_step(*args, cfg)
     assert info.picard_iters == 1
     assert rms_gap(v, fixed) <= cfg.picard_tol
     # a cap of 1 or 2 accepts it too, and never forces the iteration at the cap
     for cap in (1, 2):
-        capped = StepConfig(bc="noflux", picard_cap=cap)
+        capped = step_config(dt, bc="noflux", picard_cap=cap)
         v, _, info = forced_step(*args, capped)
         assert info.picard_iters == 1 and rms_gap(v, fixed) <= cfg.picard_tol
 
 
 @pytest.mark.parametrize("problem", [
-    lambda: macro_problem(2, True, 1e-3),
-    lambda: dns_problem(np.random.default_rng(3).random((24, 24)) > 0.2, 40.0, 1e-3, 3),
+    lambda dt: macro_problem(2, True, dt),
+    lambda dt: dns_problem(np.random.default_rng(3).random((24, 24)) > 0.2, 40.0, dt, 3),
 ], ids=["macro2d", "dns2d"])
 def test_small_caps(problem):
-    cfg = StepConfig(bc="noflux")
-    fixed, u3, (ops, _, _, base, A, dt) = fixed_point(problem(), cfg)
+    dt = 1e-3
+    cfg = step_config(dt, bc="noflux")
+    fixed, u3, (ops, _, _, base, A) = fixed_point(problem(dt), cfg)
     # a start near the fixed point: its second iteration, the one at cap 2,
     # runs to lin_tol and is accepted
     rng = np.random.default_rng(0)
     near = [w * (1.0 + 1e-7 * rng.standard_normal(w.shape)) for w in fixed]
-    args = (ops, near, u3, base, A, dt)
+    args = (ops, near, u3, base, A)
     ref, _, ref_info = lin_tol_loop(*args, cfg)
     assert ref_info.picard_iters == 2
-    v, _, info = forced_step(*args, StepConfig(bc="noflux", picard_cap=2))
+    v, _, info = forced_step(*args, step_config(dt, bc="noflux", picard_cap=2))
     assert info.picard_iters == 2
     assert rms_gap(v, ref) <= cfg.picard_tol and rms_gap(v, fixed) <= cfg.picard_tol
     # cap 1 from there: the unforced first iteration does not pass, as in
     # the lin_tol loop
     with pytest.raises(SolverError, match="within 1 iterations"):
-        picard(*args, StepConfig(bc="noflux", picard_cap=1))
+        picard(*args, step_config(dt, bc="noflux", picard_cap=1))
     with pytest.raises(SolverError, match="within 1 iterations"):
-        lin_tol_loop(*args, StepConfig(bc="noflux", picard_cap=1))
+        lin_tol_loop(*args, step_config(dt, bc="noflux", picard_cap=1))
 
 
 def test_each_iteration_logs_one_record(caplog):
     args = macro_problem(2, True, 1e-3)
     with caplog.at_level(logging.DEBUG, logger="pnp_upscale.macropnp"):
-        _, _, info = picard(*args, StepConfig())
+        _, _, info = picard(*args, step_config(1e-3))
     records = [r.getMessage() for r in caplog.records if "Picard iteration" in r.getMessage()]
     assert len(records) == info.picard_iters >= 3
     for k, (msg, inc, counts) in enumerate(zip(records, info.increments, info.cg_iters)):
@@ -343,7 +348,7 @@ def test_a_non_finite_increment_stops_the_loop_at_once(monkeypatch):
     monkeypatch.setattr(SpectralPCG, "solve", poisoned)
     with pytest.raises(SolverError, match=r"^Picard loop diverged: increments nan at "
                                           r"iteration 1; reduce dt$"):
-        picard(*macro_problem(2, True, 1e-3), StepConfig())
+        picard(*macro_problem(2, True, 1e-3), step_config(1e-3))
 
 
 @pytest.mark.parametrize("fail_at, grown", [(7, True), (4, False)])
@@ -365,7 +370,7 @@ def test_a_solve_failing_after_a_grown_increment_is_divergence(monkeypatch, fail
 
     monkeypatch.setattr(SpectralPCG, "solve", growing)
     with pytest.raises(SolverError) as err:
-        picard(*macro_problem(2, True, 1e-3), StepConfig())
+        picard(*macro_problem(2, True, 1e-3), step_config(1e-3))
     if grown:
         assert str(err.value).startswith("Picard loop diverged: increments ")
         assert str(err.value).endswith(" at iteration 3; reduce dt")

@@ -43,7 +43,7 @@ def macro_tensors(dim, full):
     if full:
         eps0 = eps0 + 0.3 * (np.ones((dim, dim)) - np.eye(dim))
     # Hhat - M carries the off-diagonals of eps0 into the drift
-    return EffectiveTensors(dim=dim, p=0.8, eps0=eps0, M=0.9 * np.eye(dim), Hhat=0.2 * eps0)
+    return EffectiveTensors(p=0.8, eps0=eps0, M=0.9 * np.eye(dim), Hhat=0.2 * eps0)
 
 
 def blob(m, dim, center, amplitude):

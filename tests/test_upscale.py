@@ -234,6 +234,14 @@ def test_drift_tensor_is_minus_p_to_order_h_on_discs(radius, alpha):
         assert np.abs(offset).max() / tensors.p <= 1.0 / m, m
 
 
+def test_the_dimension_is_that_of_eps0():
+    tensors = EffectiveTensors(p=0.5, eps0=np.eye(3), M=np.eye(3), Hhat=np.zeros((3, 3)))
+    assert tensors.dim == 3
+    assert tensors.to_json_dict()["provenance"]["dim"] == 3
+    with pytest.raises(TypeError, match="dim"):
+        EffectiveTensors(dim=3, p=0.5, eps0=np.eye(2), M=np.eye(2), Hhat=np.zeros((2, 2)))
+
+
 def test_tensors_json_roundtrip():
     cell = laminate_cell(16)
     tensors, _ = compute_effective_tensors(cell, CONTRAST, tol=1e-11, second_order=False)
