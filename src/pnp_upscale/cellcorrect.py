@@ -42,7 +42,7 @@ from functools import partial
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, tolerance_defect
 from .unitcell import GeometryError, UnitCell
 
 logger = logging.getLogger(__name__)
@@ -403,8 +403,8 @@ def solve_periodic(coefficient: np.ndarray, rhs, tol: float,
     Returns (fields, residuals, iterations): the stacked mean-zero fields and
     the certificate and CG iteration count of each solve.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if defect := tolerance_defect(tol):
+        raise ValueError(defect)
     coef = np.asarray(coefficient, dtype=float)
     active = domain_mask if domain_mask is not None else slice(None)
     if not np.isfinite(coef[active]).all() or (coef[active] <= 0).any():
@@ -479,8 +479,8 @@ def solve_density_corrector_shape(cell: UnitCell, xi3: np.ndarray,
             "fluid region is disconnected under periodic wraparound; "
             "the perforated cell problem decouples"
         )
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if defect := tolerance_defect(tol):
+        raise ValueError(defect)
     mask = cell.fluid_mask
     apply = periodic_operator(harmonic_face_coefficients(np.ones(mask.shape), mask), cell.h)
     fields, residuals = [], []

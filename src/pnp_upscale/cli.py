@@ -77,19 +77,6 @@ def initial_density_fields(kind: str, amplitude: float, dim: int, resolution: in
     return u1, u2
 
 
-def _macro_config(cfg: RunConfig) -> MacroConfig:
-    return MacroConfig(
-        dt=cfg.macro_dt,
-        t_end=cfg.macro_t_end,
-        picard_tol=cfg.macro_picard_tol,
-        picard_cap=cfg.macro_picard_cap,
-        drift=cfg.macro_drift,
-        bc=cfg.macro_bc,
-        lin_tol=cfg.solver_tol,
-        loceq_window=cfg.macro_loceq_window,
-    )
-
-
 def _provenance(cfg: RunConfig, command: str, extra: dict | None = None) -> str:
     record = {
         "command": command,
@@ -141,7 +128,7 @@ def _macro_run(cfg: RunConfig, tensors: EffectiveTensors, write_snapshot=None):
     )
     init = MacroState(u1=u1, u2=u2, u3=np.zeros_like(u1), t=0.0)
     times = cfg.output_snapshots if write_snapshot is not None else ()
-    return run_macro(_macro_config(cfg), tensors, init, times, write_snapshot)
+    return run_macro(MacroConfig.from_run(cfg), tensors, init, times, write_snapshot)
 
 
 def _dns_runs(cfg: RunConfig, cell):
@@ -151,7 +138,7 @@ def _dns_runs(cfg: RunConfig, cell):
     handed to ``run_micro`` in a list that the run empties, so that it does
     not outlive the first step."""
     params = PermittivityParams(lam=cfg.lam, alpha=cfg.alpha)
-    mcfg = _macro_config(cfg)
+    mcfg = MacroConfig.from_run(cfg)
     for frac in cfg.micro_s:
         dom = assemble_micro_domain(cell, params, frac, max_cells=cfg.micro_budget)
         u1, u2 = initial_density_fields(

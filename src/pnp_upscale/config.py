@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,49 +27,6 @@ class ConfigError(ValueError):
     def __init__(self, errors):
         self.errors = list(errors)
         super().__init__("\n".join(self.errors))
-
-
-@dataclass
-class RunConfig:
-    cell_kind: str = "full"
-    cell_dim: int = 2
-    cell_resolution: int = 32
-    cell_fraction: float | None = None
-    cell_axis: int = 0
-    cell_radius: float | None = None
-    cell_mask_path: str | None = None  # as written in the config
-    cell_mask_file: str | None = field(default=None, init=False)  # resolved by load_config
-    lam: float = 1.0
-    alpha: float = 1.0
-    solver_tol: float = 1e-10
-    solver_second_order: bool = True
-    macro_resolution: int = 64
-    macro_dt: float = 1e-4
-    macro_t_end: float = 1e-3
-    macro_bc: str = "dirichlet"
-    macro_drift: str = "upwind"
-    macro_picard_tol: float = 1e-9
-    macro_picard_cap: int = 50
-    macro_init: str = "asymmetric"
-    macro_init_amplitude: float = 0.5
-    macro_loceq_window: int = 4
-    micro_s: tuple = (Fraction(1, 2),)
-    micro_budget: int = 1 << 20
-    micro_fail_threshold: float | None = None
-    output_dir: str = "out"
-    output_snapshots: tuple = ()
-    config_hash: str = ""
-
-    def geometry_spec(self) -> dict:
-        spec = {"kind": self.cell_kind, "dim": self.cell_dim}
-        if self.cell_kind == "laminate":
-            spec["fraction"] = self.cell_fraction
-            spec["axis"] = self.cell_axis
-        elif self.cell_kind == "disc":
-            spec["radius"] = self.cell_radius
-        elif self.cell_kind == "mask":
-            spec["path"] = self.cell_mask_file or self.cell_mask_path
-        return spec
 
 
 def _parse_bool(text: str) -> bool:
@@ -98,74 +55,124 @@ def _parse_float_list(text: str) -> tuple:
     return tuple(float(t) for t in text.split())
 
 
+# a check returns why a parsed value is rejected, or None
+
+
 def _positive(x):
-    if not x > 0:
-        raise ValueError(f"must be positive, got {x}")
-    return x
+    return None if x > 0 else f"must be positive, got {x}"
 
 
 def _in_unit(x):
-    if not 0 < x <= 1:
-        raise ValueError(f"must be in (0, 1], got {x}")
-    return x
+    return None if 0 < x <= 1 else f"must be in (0, 1], got {x}"
 
 
 def _choice(*options):
-    def check(x):
-        if x not in options:
-            raise ValueError(f"must be one of {'|'.join(options)}, got {x!r}")
-        return x
-
-    return check
+    listed = "|".join(map(str, options))
+    return lambda x: None if x in options else f"must be one of {listed}, got {x!r}"
 
 
 def _at_least(lo):
-    def check(x):
-        if x < lo:
-            raise ValueError(f"must be >= {lo}, got {x}")
-        return x
-
-    return check
+    return lambda x: None if x >= lo else f"must be >= {lo}, got {x}"
 
 
-# key -> (attribute, parser, validator or None)
-_SCHEMA = {
-    "cell.kind": ("cell_kind", str, _choice("full", "laminate", "disc", "mask")),
-    "cell.dim": ("cell_dim", int, _choice(1, 2, 3)),
-    "cell.resolution": ("cell_resolution", int, _at_least(4)),
-    "cell.fraction": ("cell_fraction", float, _in_unit),
-    "cell.axis": ("cell_axis", int, _at_least(0)),
-    "cell.radius": ("cell_radius", float, None),
-    "cell.mask_path": ("cell_mask_path", str, None),
-    "physics.lambda": ("lam", float, _positive),
-    "physics.alpha": ("alpha", float, _positive),
-    "solver.tol": ("solver_tol", float, _positive),
-    "solver.second_order": ("solver_second_order", _parse_bool, None),
-    "macro.resolution": ("macro_resolution", int, _at_least(4)),
-    "macro.dt": ("macro_dt", float, _positive),
-    "macro.t_end": ("macro_t_end", float, _positive),
-    "macro.bc": ("macro_bc", str, _choice("dirichlet", "noflux")),
-    "macro.drift": ("macro_drift", str, _choice("upwind", "central")),
-    "macro.picard_tol": ("macro_picard_tol", float, _positive),
-    "macro.picard_cap": ("macro_picard_cap", int, _at_least(1)),
-    "macro.init": ("macro_init", str, _choice("uniform", "eigenmode", "asymmetric")),
-    "macro.init_amplitude": ("macro_init_amplitude", float, None),
-    "macro.loceq_window": ("macro_loceq_window", int, _at_least(1)),
-    "micro.s": ("micro_s", _parse_fraction_list, None),
-    "micro.budget": ("micro_budget", int, _at_least(1)),
-    "micro.fail_threshold": ("micro_fail_threshold", float, _positive),
-    "output.dir": ("output_dir", str, None),
-    "output.snapshots": ("output_snapshots", _parse_float_list, None),
-}
+def tolerance_defect(tol: float, key: str = "tol") -> str | None:
+    """Why ``tol`` cannot stop a linear solve, or None: it must lie in (0, 1).
+    At x = 0 every certificate, relative residual or backward error, is at
+    most 1, so a tolerance of 1 or more accepts the start and solves
+    nothing.  The config file and the library's solvers share this rule."""
+    if 0 < tol < 1:
+        return None
+    return f"{key} {tol} lies outside (0, 1); at x = 0 every certificate is at most 1"
 
-# key -> (key, value) it takes effect under; set otherwise it would do nothing
-_ONLY_WITH = {
-    "cell.fraction": ("cell.kind", "laminate"),
-    "cell.axis": ("cell.kind", "laminate"),
-    "cell.radius": ("cell.kind", "disc"),
-    "cell.mask_path": ("cell.kind", "mask"),
-    "macro.init_amplitude": ("macro.init", "asymmetric"),
-}
+
+def coefficient_defect(values: dict) -> str | None:
+    """Why a permittivity taking the {name: value} ``values`` (lambda^2 on
+    fluid, alpha on solid) has faces the solvers cannot use, or None: the
+    harmonic face mean 2ab/(a+b) of every pair, computed as
+    ``cellcorrect.harmonic_face_coefficients`` does, must be a positive
+    finite float.  ``unitcell.PermittivityParams`` and the config file
+    share this rule."""
+    for na, a in values.items():
+        for nb, b in values.items():
+            mean = 2.0 * a * b / (a + b) if a + b else math.nan
+            if not 0.0 < mean < math.inf:
+                return (f"the harmonic face mean of {na} = {a} and {nb} = {b} is {mean}, "
+                        "not a positive finite float")
+    return None
+
+
+def setting(key: str, default, parse=float, check=lambda x: None,
+            only_with: tuple | None = None):
+    """A ``RunConfig`` field: the setting of the config-file ``key``, read by
+    ``parse`` (which raises ``ValueError``) and then ``check``.  With
+    ``only_with`` = (owner key, value) it takes effect only while the owner
+    holds that value, and a field that is None then is required."""
+    return field(default=default, metadata={"key": key, "parse": parse, "check": check,
+                                            "only_with": only_with})
+
+
+@dataclass
+class RunConfig:
+    """A run's settings; each ``setting`` field is one config-file key."""
+
+    cell_kind: str = setting("cell.kind", "full", str,
+                             _choice("full", "laminate", "disc", "mask"))
+    cell_dim: int = setting("cell.dim", 2, int, _choice(1, 2, 3))
+    cell_resolution: int = setting("cell.resolution", 32, int, _at_least(4))
+    cell_fraction: float | None = setting("cell.fraction", None, float, _in_unit,
+                                          ("cell.kind", "laminate"))
+    cell_axis: int = setting("cell.axis", 0, int, _at_least(0), ("cell.kind", "laminate"))
+    cell_radius: float | None = setting("cell.radius", None, only_with=("cell.kind", "disc"))
+    cell_mask_path: str | None = setting("cell.mask_path", None, str,  # as written
+                                         only_with=("cell.kind", "mask"))
+    cell_mask_file: str | None = field(default=None, init=False)  # resolved by load_config
+    lam: float = setting("physics.lambda", 1.0, check=lambda x: _positive(x) or
+                         coefficient_defect({"lambda^2": x * x}))
+    alpha: float = setting("physics.alpha", 1.0, check=lambda x: _positive(x) or
+                           coefficient_defect({"alpha": x}))
+    solver_tol: float = setting("solver.tol", 1e-10, check=lambda x: _positive(x) or
+                                tolerance_defect(x, "tolerance"))
+    solver_second_order: bool = setting("solver.second_order", True, _parse_bool)
+    macro_resolution: int = setting("macro.resolution", 64, int, _at_least(4))
+    macro_dt: float = setting("macro.dt", 1e-4, check=_positive)
+    macro_t_end: float = setting("macro.t_end", 1e-3, check=_positive)
+    macro_bc: str = setting("macro.bc", "dirichlet", str, _choice("dirichlet", "noflux"))
+    macro_drift: str = setting("macro.drift", "upwind", str, _choice("upwind", "central"))
+    macro_picard_tol: float = setting("macro.picard_tol", 1e-9, check=_positive)
+    macro_picard_cap: int = setting("macro.picard_cap", 50, int, _at_least(1))
+    macro_init: str = setting("macro.init", "asymmetric", str,
+                              _choice("uniform", "eigenmode", "asymmetric"))
+    macro_init_amplitude: float = setting("macro.init_amplitude", 0.5,
+                                          only_with=("macro.init", "asymmetric"))
+    macro_loceq_window: int = setting("macro.loceq_window", 4, int, _at_least(1))
+    micro_s: tuple = setting("micro.s", (Fraction(1, 2),), _parse_fraction_list)
+    micro_budget: int = setting("micro.budget", 1 << 20, int, _at_least(1))
+    micro_fail_threshold: float | None = setting("micro.fail_threshold", None,
+                                                 check=_positive)
+    output_dir: str = setting("output.dir", "out", str)
+    output_snapshots: tuple = setting("output.snapshots", (), _parse_float_list)
+    config_hash: str = ""
+
+    def geometry_spec(self) -> dict:
+        spec = {"kind": self.cell_kind, "dim": self.cell_dim}
+        if self.cell_kind == "laminate":
+            spec["fraction"] = self.cell_fraction
+            spec["axis"] = self.cell_axis
+        elif self.cell_kind == "disc":
+            spec["radius"] = self.cell_radius
+        elif self.cell_kind == "mask":
+            spec["path"] = self.cell_mask_file or self.cell_mask_path
+        return spec
+
+
+#: the config file's key table: key -> its RunConfig field
+KEYS = {f.metadata["key"]: f for f in fields(RunConfig) if f.metadata}
+
+
+def run_setting(key: str):
+    """A field of a library settings class that the config-file ``key`` sets,
+    with that key's ``RunConfig`` default."""
+    return field(default=getattr(RunConfig, KEYS[key].name), metadata={"key": key})
 
 
 def step_count_defect(dt: float, t_end: float, dt_key: str = "dt",
@@ -222,19 +229,19 @@ def load_config(path) -> RunConfig:
             )
             continue
         seen[key] = lineno
-        entry = _SCHEMA.get(key)
+        entry = KEYS.get(key)
         if entry is None:
             errors.append(f"line {lineno}: unknown key {key!r}")
             continue
-        attr, parser, validator = entry
         try:
-            parsed = parser(value)
-            if validator is not None:
-                parsed = validator(parsed)
-        except ValueError as exc:
-            errors.append(f"line {lineno}: {key}: {exc}")
+            parsed = entry.metadata["parse"](value)
+            defect = entry.metadata["check"](parsed)
+        except (ValueError, ArithmeticError) as exc:  # Fraction("1/0") divides by zero
+            defect = exc
+        if defect:
+            errors.append(f"line {lineno}: {key}: {defect}")
             continue
-        setattr(cfg, attr, parsed)
+        setattr(cfg, entry.name, parsed)
 
     _cross_validate(cfg, path, seen, errors)
     if errors:
@@ -247,41 +254,38 @@ def _cross_validate(cfg: RunConfig, path: Path, seen: dict, errors: list) -> Non
     def where(key):
         return f"line {seen[key]}: " if key in seen else ""
 
-    for key, (owner, value) in _ONLY_WITH.items():
-        if key in seen and getattr(cfg, _SCHEMA[owner][0]) != value:
-            errors.append(f"{where(key)}{key} takes effect only with {owner} = {value}")
-    if cfg.cell_kind == "laminate":
-        if cfg.cell_fraction is None:
-            errors.append("cell.kind=laminate requires cell.fraction")
-        if cfg.cell_axis >= cfg.cell_dim:
-            errors.append(
-                f"{where('cell.axis')}cell.axis {cfg.cell_axis} out of range for "
-                f"dim {cfg.cell_dim}"
-            )
-    if cfg.cell_kind == "disc":
-        if cfg.cell_radius is None:
-            errors.append("cell.kind=disc requires cell.radius")
-        elif not 0 < cfg.cell_radius <= 0.5:
-            errors.append(
-                f"{where('cell.radius')}cell.radius must be in (0, 0.5], got {cfg.cell_radius}"
-            )
-    if cfg.cell_kind == "mask":
-        if cfg.cell_mask_path is None:
-            errors.append("cell.kind=mask requires cell.mask_path")
+    required = []
+    for key, f in KEYS.items():
+        if f.metadata["only_with"] is None:
+            continue
+        owner, value = f.metadata["only_with"]
+        if getattr(cfg, KEYS[owner].name) != value:
+            if key in seen:
+                errors.append(f"{where(key)}{key} takes effect only with {owner} = {value}")
+        elif getattr(cfg, f.name) is None:
+            required.append(f"{owner}={value} requires {key}")
+    errors.extend(required)
+    kind = cfg.cell_kind
+    if kind == "laminate" and cfg.cell_axis >= cfg.cell_dim:
+        errors.append(
+            f"{where('cell.axis')}cell.axis {cfg.cell_axis} out of range for dim {cfg.cell_dim}"
+        )
+    if kind == "disc" and cfg.cell_radius is not None and not 0 < cfg.cell_radius <= 0.5:
+        errors.append(
+            f"{where('cell.radius')}cell.radius must be in (0, 0.5], got {cfg.cell_radius}"
+        )
+    if kind == "mask" and cfg.cell_mask_path is not None:
+        mask_path = (path.parent / cfg.cell_mask_path).resolve()
+        if not mask_path.is_file():
+            errors.append(f"{where('cell.mask_path')}mask file not found: {mask_path}")
         else:
-            mask_path = (path.parent / cfg.cell_mask_path).resolve()
-            if not mask_path.is_file():
-                errors.append(
-                    f"{where('cell.mask_path')}mask file not found: {mask_path}"
-                )
-            else:
-                cfg.cell_mask_file = str(mask_path)
-                with open(mask_path) as fh:
-                    header = fh.readline().split()[:2]
-                if header != [str(cfg.cell_dim), str(cfg.cell_resolution)]:
-                    errors.append(f"{where('cell.mask_path')}mask file header "
-                                  f"{' '.join(header)!r} does not match cell.dim = "
-                                  f"{cfg.cell_dim} and cell.resolution = {cfg.cell_resolution}")
+            cfg.cell_mask_file = str(mask_path)
+            with open(mask_path) as fh:
+                header = fh.readline().split()[:2]
+            if header != [str(cfg.cell_dim), str(cfg.cell_resolution)]:
+                errors.append(f"{where('cell.mask_path')}mask file header "
+                              f"{' '.join(header)!r} does not match cell.dim = "
+                              f"{cfg.cell_dim} and cell.resolution = {cfg.cell_resolution}")
     dt, t_end = cfg.macro_dt, cfg.macro_t_end
     defect = step_count_defect(dt, t_end, "macro.dt", "macro.t_end")
     if defect:

@@ -31,7 +31,7 @@ is the field energy 1/2 <grad u3 . eps0 grad u3> of an accepted state.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -46,7 +46,8 @@ from ._fv import (
     grid_matvec,
 )
 from .cellcorrect import SolverError, SpectralPCG
-from .config import RunConfig, snapshot_defect, step_count_defect
+from .config import (KEYS, RunConfig, run_setting, snapshot_defect, step_count_defect,
+                     tolerance_defect)
 from .upscale import EffectiveTensors, eps0_defect
 
 logger = logging.getLogger(__name__)
@@ -92,27 +93,35 @@ class MacroState:
 
 @dataclass(kw_only=True)
 class MacroConfig:
-    """Time step, run length and Picard-loop settings of a macro or DNS run."""
+    """Time step, run length and Picard-loop settings of a macro or DNS run.
+    Each field names the config-file key that sets it and, but for dt and
+    t_end, takes that key's ``RunConfig`` default."""
 
-    dt: float
-    t_end: float
-    picard_tol: float = RunConfig.macro_picard_tol
-    picard_cap: int = RunConfig.macro_picard_cap
-    drift: str = RunConfig.macro_drift  # or "central"
-    bc: str = RunConfig.macro_bc  # academic set; "noflux" conserves mass
-    lin_tol: float = RunConfig.solver_tol
-    loceq_window: int = RunConfig.macro_loceq_window
+    dt: float = field(metadata={"key": "macro.dt"})
+    t_end: float = field(metadata={"key": "macro.t_end"})
+    picard_tol: float = run_setting("macro.picard_tol")
+    picard_cap: int = run_setting("macro.picard_cap")
+    drift: str = run_setting("macro.drift")  # or "central"
+    bc: str = run_setting("macro.bc")  # academic set; "noflux" conserves mass
+    lin_tol: float = run_setting("solver.tol")
+    loceq_window: int = run_setting("macro.loceq_window")
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        defect = step_count_defect(self.dt, self.t_end)
+        defect = (step_count_defect(self.dt, self.t_end)
+                  or tolerance_defect(self.lin_tol, "lin_tol"))
         if defect:
             raise ValueError(defect)
         if self.drift not in ("upwind", "central"):
             raise ValueError(f"unknown drift scheme {self.drift!r}")
         if self.bc not in ("dirichlet", "noflux"):
             raise ValueError(f"unknown bc {self.bc!r}")
+
+    @classmethod
+    def from_run(cls, cfg: RunConfig) -> "MacroConfig":
+        """The settings of the config file's run ``cfg``, each read from its key."""
+        return cls(**{f.name: getattr(cfg, KEYS[f.metadata["key"]].name) for f in fields(cls)})
 
     @property
     def n_steps(self) -> int:

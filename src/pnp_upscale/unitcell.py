@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import coefficient_defect
+
 
 class GeometryError(ValueError):
     """Invalid or unsupported cell geometry."""
@@ -36,10 +38,10 @@ class PermittivityParams:
     alpha: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError(f"lam must be a positive finite number, got {self.lam}")
-        if not (np.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError(f"alpha must be a positive finite number, got {self.alpha}")
+        defect = (coefficient_defect({"lam^2": self.fluid_value, "alpha": self.alpha})
+                  if self.lam > 0.0 else f"lam must be positive, got {self.lam}")
+        if defect:
+            raise ValueError(defect)
 
     @property
     def fluid_value(self) -> float:

@@ -297,6 +297,19 @@ def test_problem_validation():
         solve_periodic(np.ones((m, m)), [np.zeros((m, m)), bad], 1e-10)
 
 
+@pytest.mark.parametrize("tol", [0.0, 1.0, np.inf])
+def test_a_tolerance_outside_the_unit_interval_is_rejected(tol):
+    # at x = 0 every certificate is at most 1: a tol of 1 or more would
+    # accept the start and solve nothing
+    cell = build_unit_cell({"kind": "disc", "radius": 0.3, "dim": 2}, 8)
+    kappa = permittivity_field(cell, CONTRAST)
+    xi3, _ = solve_potential_corrector(cell, kappa)
+    with pytest.raises(ValueError, match=r"^tol .* lies outside \(0, 1\)"):
+        solve_periodic(kappa, xi3, tol)
+    with pytest.raises(ValueError, match=r"^tol .* lies outside \(0, 1\)"):
+        solve_density_corrector_shape(cell, xi3, tol=tol)
+
+
 @pytest.mark.parametrize("shape", [(32,), (16, 16), (8, 8, 8)])
 def test_constant_coefficient_solves_in_one_iteration(shape):
     # the preconditioner inverts the constant-coefficient operator exactly,

@@ -15,7 +15,7 @@ import pnp_upscale
 from pnp_upscale import cli
 from pnp_upscale.cellcorrect import SolverError
 from pnp_upscale.cli import main, initial_density_fields
-from pnp_upscale.config import ConfigError, load_config
+from pnp_upscale.config import KEYS, ConfigError, load_config
 from pnp_upscale.fieldio import atomic_write_text, format_field, read_field
 from pnp_upscale.macropnp import GridOperators
 
@@ -186,6 +186,116 @@ def test_snapshot_times_must_snap_to_a_step(tmp_path, snapshots, bad):
     assert err.value.errors == [
         f"line 3: output.snapshots time {bad} lies outside [macro.dt/2, macro.t_end + "
         "macro.dt/2] = [0.0005, 0.0035], where the run snaps a time to its nearest step"]
+
+
+#: a value that each key of the table rejects; output.dir is free text
+REJECTED = {
+    "cell.kind": "torus", "cell.dim": "4", "cell.resolution": "3", "cell.fraction": "1.5",
+    "cell.axis": "-1", "cell.radius": "0.75", "cell.mask_path": "missing.mask",
+    "physics.lambda": "1e200", "physics.alpha": "0", "solver.tol": "1",
+    "solver.second_order": "maybe", "macro.resolution": "2", "macro.dt": "-1e-3",
+    "macro.t_end": "2.5e-4", "macro.bc": "periodic", "macro.drift": "sideways",
+    "macro.picard_tol": "0", "macro.picard_cap": "0", "macro.init": "cosine",
+    "macro.init_amplitude": "1.0", "macro.loceq_window": "0", "micro.s": "1/0",
+    "micro.budget": "0", "micro.fail_threshold": "-1", "output.snapshots": "1.0",
+}
+
+
+def test_every_key_has_a_rejected_value():
+    assert set(REJECTED) == set(KEYS) - {"output.dir"}
+
+
+@pytest.mark.parametrize("key", sorted(REJECTED))
+def test_every_key_is_checked(tmp_path, capsys, key):
+    # under the (key, value) it takes effect with, if any, so that the
+    # key's own check rejects it
+    owner = KEYS[key].metadata["only_with"]
+    entries = ([owner] if owner else []) + [(key, REJECTED[key])]
+    text = "".join(f"{k} = {v}\n" for k, v in entries)
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert main(["upscale", "--config", str(path), "--out", str(tmp_path / "t.json")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ConfigError"
+    assert f"line {text.count(chr(10))}: " in record["message"]
+
+
+#: loads a config that sets every key, then exits with the numpy modules imported
+NUMPY_FREE = """\
+import sys
+from pnp_upscale.config import ConfigError, load_config
+try:
+    load_config(sys.argv[1])
+except ConfigError as exc:
+    print("\\n".join(exc.errors))
+sys.exit(sorted(m for m in sys.modules if m.split(".")[0] == "numpy") or 0)
+"""
+
+
+def test_config_loads_without_numpy(tmp_path):
+    (tmp_path / "cell.mask").write_text(block_mask_text(8))
+    every = dict(REJECTED, **{
+        "cell.kind": "mask", "cell.dim": "2", "cell.resolution": "8", "cell.fraction": "0.5",
+        "cell.axis": "0", "cell.radius": "0.25", "cell.mask_path": "cell.mask",
+        "physics.lambda": "0.5", "physics.alpha": "4", "solver.tol": "1e-8",
+        "solver.second_order": "no", "macro.resolution": "16", "macro.dt": "1e-3",
+        "macro.t_end": "2e-3", "macro.bc": "noflux", "macro.drift": "central",
+        "macro.picard_tol": "1e-8", "macro.picard_cap": "9", "macro.init": "asymmetric",
+        "macro.init_amplitude": "0.25", "macro.loceq_window": "2", "micro.s": "1/2 1/4",
+        "micro.budget": "4096", "micro.fail_threshold": "0.5", "output.dir": "run_out",
+        "output.snapshots": "1e-3 2e-3"})
+    assert set(every) == set(KEYS)
+    path = tmp_path / "every.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in every.items()))
+    src = os.path.dirname(os.path.dirname(pnp_upscale.__file__))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_FREE, str(path)], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    # every value parses and passes its check; three keys have no effect on a mask cell
+    assert proc.stdout.splitlines() == [
+        f"line {list(every).index(key) + 1}: {key} takes effect only with cell.kind = laminate"
+        if key != "cell.radius" else
+        f"line {list(every).index(key) + 1}: {key} takes effect only with cell.kind = disc"
+        for key in ("cell.fraction", "cell.axis", "cell.radius")]
+
+
+LAMBDA_ALPHA = "cell.kind = disc\ncell.dim = 2\ncell.resolution = 16\ncell.radius = 0.25\n"
+
+
+@pytest.mark.parametrize("line", ["physics.lambda = inf", "physics.alpha = inf",
+                                  "physics.lambda = 1e200", "physics.lambda = 1e154",
+                                  "physics.lambda = 1e-200"])
+def test_a_coefficient_without_usable_faces_is_a_config_error(tmp_path, line):
+    # lambda^2 and alpha each need a positive finite harmonic face mean
+    # 2ab/(a+b) with themselves; in a subprocess, so that a numpy warning
+    # printed before the error would show
+    path = tmp_path / "run.cfg"
+    path.write_text(LAMBDA_ALPHA + line + "\n")
+    proc = subprocess.run([sys.executable, "-m", "pnp_upscale.cli", "upscale", "--config",
+                           str(path), "--out", str(tmp_path / "t.json")], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=os.path.dirname(
+                              os.path.dirname(pnp_upscale.__file__))))
+    assert proc.returncode == 2, proc.stderr
+    (record,) = proc.stderr.splitlines()
+    record = json.loads(record)
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith(f"line 5: {line.split()[0]}: the harmonic face mean")
+    assert "\n" not in record["message"]
+
+
+@pytest.mark.parametrize("tol", ["1", "inf", "1.5"])
+def test_a_tolerance_of_one_or_more_is_a_config_error(tmp_path, capsys, tol):
+    # at x = 0 every certificate is at most 1: the solves would accept the
+    # start and the run would write the coefficient's mean as eps0
+    path = tmp_path / "run.cfg"
+    path.write_text(LAMBDA_ALPHA + f"physics.alpha = 4.0\nsolver.tol = {tol}\n")
+    for command in ("upscale", "validate"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "t")]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert record["message"] == (f"line 6: solver.tol: tolerance {float(tol)} lies outside "
+                                     "(0, 1); at x = 0 every certificate is at most 1")
 
 
 def block_mask_text(m=8):

@@ -294,6 +294,9 @@ def test_config_validation():
         MacroConfig(dt=1.0, t_end=0.5)
     with pytest.raises(ValueError):
         MacroConfig(dt=1e-3, t_end=1e-2, drift="qwerty")
+    for lin_tol in (0.0, 1.0, np.inf):  # the config file's solver.tol rule
+        with pytest.raises(ValueError, match="^lin_tol .* lies outside"):
+            MacroConfig(dt=1e-3, t_end=1e-2, lin_tol=lin_tol)
 
 
 def test_a_t_end_between_steps_is_rejected():

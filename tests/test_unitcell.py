@@ -90,11 +90,15 @@ def test_permittivity_values():
     assert len(np.unique(field)) == 2
 
 
-def test_permittivity_params_validation():
+@pytest.mark.parametrize("lam, alpha", [
+    (-1.0, 1.0), (1.0, 0.0), (np.nan, 1.0), (1.0, np.nan),
+    # a face mean 2ab/(a+b) of the values lam^2 and alpha that is not a
+    # positive finite float: inf, overflow and underflow
+    (np.inf, 1.0), (1.0, np.inf), (1e200, 1.0), (1e154, 1.0), (1e-200, 1.0), (1.0, 1e-320),
+])
+def test_permittivity_params_validation(lam, alpha):
     with pytest.raises(ValueError):
-        PermittivityParams(lam=-1.0, alpha=1.0)
-    with pytest.raises(ValueError):
-        PermittivityParams(lam=1.0, alpha=0.0)
+        PermittivityParams(lam=lam, alpha=alpha)
 
 
 def test_geometry_errors():
