@@ -267,7 +267,9 @@ class SpectralPCG:
     singular system's right-hand side and result are projected as well, and
     the result passes ``check_mean_zero``.  Masked-out cells take their
     values from the right-hand side (identity rows on the box; zero after a
-    singular projection).
+    singular projection).  A shifted no-flux solve that iterates ends by
+    adding one constant to x on the active cells, which leaves the active
+    sum of its residual, the mass a diffusion step loses, at rounding.
 
     ``solve(b, tol, x0, reduction)`` returns (x, certificate, iterations),
     x shaped as b.  It starts from ``x0`` brought into the subspace (zero
@@ -290,6 +292,7 @@ class SpectralPCG:
         self.apply = apply
         self.shape = tuple(shape)
         self.bc = bc
+        self.shift = shift
         self.singular = shift == 0.0 and bc != "dirichlet"
         self.norm_A = norm_A
         self.max_iter = ITER_CAP_FACTOR * self.shape[0]
@@ -369,6 +372,11 @@ class SpectralPCG:
         if not res <= tol:  # a NaN certificate must not pass
             x, res, it = pcg(self.apply, self._precondition, certify, b, x, r, tol,
                              self.max_iter)
+            if self.bc == "noflux" and not self.singular:
+                # each column of the operator sums to the shift over the active cells
+                active = True if self.mask is None else self.mask
+                count = x.size if self.mask is None else self.active
+                np.add(x, float(r.sum(where=active)) / (self.shift * count), out=x, where=active)
         if self.singular:
             check_mean_zero(self._project(x), self.mask)
         logger.debug("%s elliptic solve: %d iterations, residual %.3e", self.bc, it, res)

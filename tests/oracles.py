@@ -308,8 +308,9 @@ def jacobi_projected_cg(faces, b, h, mask, tol, max_iter):
 def allocating_pcg(apply, precondition, certify, b, x, r, tol, max_iter):
     """``cellcorrect.pcg`` as it was before it worked in place: every update
     (x + alpha p, r - alpha Ap, the restart residual, z + beta p) makes a
-    new array.  The reference for the bits of the in-place kernel; it
-    raises ``SolverError`` in the same cases with the same messages."""
+    new array; like the kernel, it leaves the true residual in the caller's
+    ``r``.  The reference for the bits of the in-place kernel; it raises
+    ``SolverError`` in the same cases with the same messages."""
     from pnp_upscale.cellcorrect import STALL_WINDOW, SolverError
 
     if not r.any():
@@ -343,7 +344,7 @@ def allocating_pcg(apply, precondition, certify, b, x, r, tol, max_iter):
         res = certify(r, x)
         restart = res <= tol
         if restart:
-            r = b - apply(x)
+            r[...] = b - apply(x)  # the caller reads the true residual from r
             res = certify(r, x)
             if res <= tol:
                 return x, res, it
