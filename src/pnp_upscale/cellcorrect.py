@@ -268,8 +268,9 @@ class SpectralPCG:
     the result passes ``check_mean_zero``.  Masked-out cells take their
     values from the right-hand side (identity rows on the box; zero after a
     singular projection).  A shifted no-flux solve that iterates ends by
-    adding one constant to x on the active cells, which leaves the active
-    sum of its residual, the mass a diffusion step loses, at rounding.
+    adding one constant to x on the active cells, where each column of the
+    operator sums to the shift: the active sum of its residual, the mass a
+    diffusion step loses, drops to rounding.
 
     ``solve(b, tol, x0, reduction)`` returns (x, certificate, iterations),
     x shaped as b.  It starts from ``x0`` brought into the subspace (zero
@@ -373,7 +374,6 @@ class SpectralPCG:
             x, res, it = pcg(self.apply, self._precondition, certify, b, x, r, tol,
                              self.max_iter)
             if self.bc == "noflux" and not self.singular:
-                # each column of the operator sums to the shift over the active cells
                 active = True if self.mask is None else self.mask
                 count = x.size if self.mask is None else self.active
                 np.add(x, float(r.sum(where=active)) / (self.shift * count), out=x, where=active)

@@ -55,9 +55,6 @@ def _parse_float_list(text: str) -> tuple:
     return tuple(float(t) for t in text.split())
 
 
-# a check returns why a parsed value is rejected, or None
-
-
 def _positive(x):
     return None if x > 0 else f"must be positive, got {x}"
 
@@ -75,23 +72,20 @@ def _at_least(lo):
     return lambda x: None if x >= lo else f"must be >= {lo}, got {x}"
 
 
-def tolerance_defect(tol: float, key: str = "tol") -> str | None:
-    """Why ``tol`` cannot stop a linear solve, or None: it must lie in (0, 1).
-    At x = 0 every certificate, relative residual or backward error, is at
-    most 1, so a tolerance of 1 or more accepts the start and solves
-    nothing.  The config file and the library's solvers share this rule."""
+def tolerance_defect(tol: float) -> str | None:
+    """Why ``tol`` cannot stop a linear solve, or None: at x = 0 every
+    certificate is at most 1, so a tolerance outside (0, 1) solves nothing or
+    never stops.  The config file and the library's solvers share this rule."""
     if 0 < tol < 1:
         return None
-    return f"{key} {tol} lies outside (0, 1); at x = 0 every certificate is at most 1"
+    return f"tolerance {tol} lies outside (0, 1); at x = 0 every certificate is at most 1"
 
 
 def coefficient_defect(values: dict) -> str | None:
-    """Why a permittivity taking the {name: value} ``values`` (lambda^2 on
-    fluid, alpha on solid) has faces the solvers cannot use, or None: the
-    harmonic face mean 2ab/(a+b) of every pair, computed as
-    ``cellcorrect.harmonic_face_coefficients`` does, must be a positive
-    finite float.  ``unitcell.PermittivityParams`` and the config file
-    share this rule."""
+    """Why a permittivity taking the {name: value} ``values`` has faces the
+    solvers cannot use, or None: the face mean 2ab/(a+b) of every pair, as
+    ``cellcorrect.harmonic_face_coefficients`` computes it, must be a positive
+    finite float.  ``unitcell.PermittivityParams`` and the config file share it."""
     for na, a in values.items():
         for nb, b in values.items():
             mean = 2.0 * a * b / (a + b) if a + b else math.nan
@@ -104,9 +98,10 @@ def coefficient_defect(values: dict) -> str | None:
 def setting(key: str, default, parse=float, check=lambda x: None,
             only_with: tuple | None = None):
     """A ``RunConfig`` field: the setting of the config-file ``key``, read by
-    ``parse`` (which raises ``ValueError``) and then ``check``.  With
-    ``only_with`` = (owner key, value) it takes effect only while the owner
-    holds that value, and a field that is None then is required."""
+    ``parse`` (which raises ``ValueError``) and then ``check``, which returns
+    why it rejects the value, or None.  With ``only_with`` = (owner key,
+    value) it takes effect only while the owner holds that value, and a field
+    that is None then is required."""
     return field(default=default, metadata={"key": key, "parse": parse, "check": check,
                                             "only_with": only_with})
 
@@ -131,7 +126,7 @@ class RunConfig:
     alpha: float = setting("physics.alpha", 1.0, check=lambda x: _positive(x) or
                            coefficient_defect({"alpha": x}))
     solver_tol: float = setting("solver.tol", 1e-10, check=lambda x: _positive(x) or
-                                tolerance_defect(x, "tolerance"))
+                                tolerance_defect(x))
     solver_second_order: bool = setting("solver.second_order", True, _parse_bool)
     macro_resolution: int = setting("macro.resolution", 64, int, _at_least(4))
     macro_dt: float = setting("macro.dt", 1e-4, check=_positive)

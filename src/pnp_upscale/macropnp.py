@@ -46,8 +46,7 @@ from ._fv import (
     grid_matvec,
 )
 from .cellcorrect import SolverError, SpectralPCG
-from .config import (KEYS, RunConfig, run_setting, snapshot_defect, step_count_defect,
-                     tolerance_defect)
+from .config import KEYS, RunConfig, run_setting, snapshot_defect, step_count_defect
 from .upscale import EffectiveTensors, eps0_defect
 
 logger = logging.getLogger(__name__)
@@ -94,8 +93,8 @@ class MacroState:
 @dataclass(kw_only=True)
 class MacroConfig:
     """Time step, run length and Picard-loop settings of a macro or DNS run.
-    Each field names the config-file key that sets it and, but for dt and
-    t_end, takes that key's ``RunConfig`` default."""
+    Each field names the config-file key that sets it, passes that key's
+    check and, but for dt and t_end, takes its ``RunConfig`` default."""
 
     dt: float = field(metadata={"key": "macro.dt"})
     t_end: float = field(metadata={"key": "macro.t_end"})
@@ -107,16 +106,11 @@ class MacroConfig:
     loceq_window: int = run_setting("macro.loceq_window")
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        defect = (step_count_defect(self.dt, self.t_end)
-                  or tolerance_defect(self.lin_tol, "lin_tol"))
-        if defect:
+        for f in fields(self):
+            if defect := KEYS[f.metadata["key"]].metadata["check"](getattr(self, f.name)):
+                raise ValueError(f"{f.name}: {defect}")
+        if defect := step_count_defect(self.dt, self.t_end):
             raise ValueError(defect)
-        if self.drift not in ("upwind", "central"):
-            raise ValueError(f"unknown drift scheme {self.drift!r}")
-        if self.bc not in ("dirichlet", "noflux"):
-            raise ValueError(f"unknown bc {self.bc!r}")
 
     @classmethod
     def from_run(cls, cfg: RunConfig) -> "MacroConfig":

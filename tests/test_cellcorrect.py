@@ -304,9 +304,9 @@ def test_a_tolerance_outside_the_unit_interval_is_rejected(tol):
     cell = build_unit_cell({"kind": "disc", "radius": 0.3, "dim": 2}, 8)
     kappa = permittivity_field(cell, CONTRAST)
     xi3, _ = solve_potential_corrector(cell, kappa)
-    with pytest.raises(ValueError, match=r"^tol .* lies outside \(0, 1\)"):
+    with pytest.raises(ValueError, match=r"^tolerance .* lies outside \(0, 1\)"):
         solve_periodic(kappa, xi3, tol)
-    with pytest.raises(ValueError, match=r"^tol .* lies outside \(0, 1\)"):
+    with pytest.raises(ValueError, match=r"^tolerance .* lies outside \(0, 1\)"):
         solve_density_corrector_shape(cell, xi3, tol=tol)
 
 

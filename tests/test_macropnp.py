@@ -294,9 +294,11 @@ def test_config_validation():
         MacroConfig(dt=1.0, t_end=0.5)
     with pytest.raises(ValueError):
         MacroConfig(dt=1e-3, t_end=1e-2, drift="qwerty")
-    for lin_tol in (0.0, 1.0, np.inf):  # the config file's solver.tol rule
-        with pytest.raises(ValueError, match="^lin_tol .* lies outside"):
-            MacroConfig(dt=1e-3, t_end=1e-2, lin_tol=lin_tol)
+    # each field passes the check of its config-file key
+    for setting in ({"lin_tol": 1.0}, {"lin_tol": np.inf}, {"lin_tol": 0.0},
+                    {"picard_cap": 0}, {"picard_tol": -1.0}, {"loceq_window": 0}):
+        with pytest.raises(ValueError, match=f"^{next(iter(setting))}: "):
+            MacroConfig(dt=1e-3, t_end=1e-2, **setting)
 
 
 def test_a_t_end_between_steps_is_rejected():
