@@ -118,8 +118,8 @@ class RunConfig:
                                           ("cell.kind", "laminate"))
     cell_axis: int = setting("cell.axis", 0, int, _at_least(0), ("cell.kind", "laminate"))
     cell_radius: float | None = setting("cell.radius", None, only_with=("cell.kind", "disc"))
-    cell_mask_path: str | None = setting("cell.mask_path", None, str,  # as written
-                                         only_with=("cell.kind", "mask"))
+    cell_mask_path: str | None = setting("cell.mask_path", None, str,
+                                         only_with=("cell.kind", "mask"))  # as written
     cell_mask_file: str | None = field(default=None, init=False)  # resolved by load_config
     lam: float = setting("physics.lambda", 1.0, check=lambda x: _positive(x) or
                          coefficient_defect({"lambda^2": x * x}))
@@ -249,7 +249,7 @@ def _cross_validate(cfg: RunConfig, path: Path, seen: dict, errors: list) -> Non
     def where(key):
         return f"line {seen[key]}: " if key in seen else ""
 
-    required = []
+    required = []  # reported after every "only with" error
     for key, f in KEYS.items():
         if f.metadata["only_with"] is None:
             continue
