@@ -78,14 +78,8 @@ def initial_density_fields(kind: str, amplitude: float, dim: int, resolution: in
 
 
 def _provenance(cfg: RunConfig, command: str, extra: dict | None = None) -> str:
-    record = {
-        "command": command,
-        "config_sha256": cfg.config_hash,
-        "version": __version__,
-    }
-    if extra:
-        record.update(extra)
-    return json.dumps(record, indent=2, sort_keys=True) + "\n"
+    record = {"command": command, "config_sha256": cfg.config_hash, "version": __version__}
+    return json.dumps({**record, **(extra or {})}, indent=2, sort_keys=True) + "\n"
 
 
 def _write_csv(path, rows) -> None:
@@ -106,12 +100,8 @@ def _write_fields(directory: Path, fields: dict) -> None:
 def _compute_tensors(cfg: RunConfig):
     cell = build_unit_cell(cfg.geometry_spec(), cfg.cell_resolution)
     params = PermittivityParams(lam=cfg.lam, alpha=cfg.alpha)
-    tensors, correctors = compute_effective_tensors(
-        cell,
-        params,
-        tol=cfg.solver_tol,
-        second_order=cfg.solver_second_order,
-    )
+    tensors, correctors = compute_effective_tensors(cell, params, tol=cfg.solver_tol,
+                                                    second_order=cfg.solver_second_order)
     tensors.provenance["config_sha256"] = cfg.config_hash
     if cfg.cell_kind == "mask":
         # the path as written keeps the bytes independent of the run directory

@@ -18,6 +18,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from numbers import Integral
 from pathlib import Path
 
 
@@ -41,18 +42,12 @@ def _parse_fraction_list(text: str) -> tuple:
     out = []
     for tok in text.split():
         frac = Fraction(tok)
-        if not 0 < frac <= 1:
-            raise ValueError(f"scale ratio {tok} outside (0, 1]")
-        if frac.numerator != 1:
-            raise ValueError(f"scale ratio {tok} is not the inverse of an integer")
+        if defect := scale_ratio_defect(frac, tok):
+            raise ValueError(defect)
         out.append(frac)
     if not out:
         raise ValueError("empty list")
     return tuple(out)
-
-
-def _parse_float_list(text: str) -> tuple:
-    return tuple(float(t) for t in text.split())
 
 
 def _positive(x):
@@ -72,20 +67,20 @@ def _at_least(lo):
     return lambda x: None if x >= lo else f"must be >= {lo}, got {x}"
 
 
+# The rules the config file shares with the library: each returns why it
+# rejects its input, or None, and names the library code that applies it.
 def tolerance_defect(tol: float) -> str | None:
-    """Why ``tol`` cannot stop a linear solve, or None: at x = 0 every
-    certificate is at most 1, so a tolerance outside (0, 1) solves nothing or
-    never stops.  The config file and the library's solvers share this rule."""
+    """At x = 0 every certificate is at most 1, so a tolerance outside (0, 1)
+    solves nothing or never stops; the library's solvers apply it."""
     if 0 < tol < 1:
         return None
     return f"tolerance {tol} lies outside (0, 1); at x = 0 every certificate is at most 1"
 
 
 def coefficient_defect(values: dict) -> str | None:
-    """Why a permittivity taking the {name: value} ``values`` has faces the
-    solvers cannot use, or None: the face mean 2ab/(a+b) of every pair, as
-    ``cellcorrect.harmonic_face_coefficients`` computes it, must be a positive
-    finite float.  ``unitcell.PermittivityParams`` and the config file share it."""
+    """A permittivity taking the {name: value} ``values`` needs the face mean
+    2ab/(a+b) of every pair, as ``cellcorrect.harmonic_face_coefficients``
+    computes it, to be a positive finite float; ``unitcell.PermittivityParams``."""
     for na, a in values.items():
         for nb, b in values.items():
             mean = 2.0 * a * b / (a + b) if a + b else math.nan
@@ -93,6 +88,60 @@ def coefficient_defect(values: dict) -> str | None:
                 return (f"the harmonic face mean of {na} = {a} and {nb} = {b} is {mean}, "
                         "not a positive finite float")
     return None
+
+
+def scale_ratio_defect(s: Fraction, shown) -> str | None:
+    """``s``, written ``shown``, must be 1/tiles; ``microdns.assemble_micro_domain``."""
+    if not 0 < s <= 1:
+        return f"scale ratio {shown} outside (0, 1]"
+    return None if s.numerator == 1 else f"scale ratio {shown} is not the inverse of an integer"
+
+
+def tile_count_defect(tiles) -> str | None:
+    """A tile count must be a positive integer; ``microdns.MicroDomain``."""
+    ok = isinstance(tiles, Integral) and tiles >= 1
+    return None if ok else f"tile count must be a positive integer, got {tiles!r}"
+
+
+def laminate_axis_defect(axis: int, dim: int) -> str | None:
+    """axis < dim, past the cell.axis key check; ``unitcell.build_unit_cell``."""
+    return None if axis < dim else f"{axis} out of range for dim {dim}"
+
+
+def disc_radius_defect(radius: float) -> str | None:
+    """A centred disc must fit the cell; ``unitcell.build_unit_cell``."""
+    return None if 0 < radius <= 0.5 else f"must be in (0, 0.5], got {radius}"
+
+
+def mask_header_defect(header: list, dim, resolution) -> str | None:
+    """A mask file's first two tokens must be [dim, resolution]; ``unitcell.build_unit_cell``."""
+    if header == [str(dim), str(resolution)]:
+        return None
+    return (f"mask file header {' '.join(header)!r} does not match cell.dim = {dim} "
+            f"and cell.resolution = {resolution}")
+
+
+def step_count_defect(dt: float, t_end: float, dt_key: str = "dt",
+                      t_end_key: str = "t_end") -> str | None:
+    """A run of ``dt`` steps to ``t_end`` needs a whole number, at least 1,
+    of steps; ``macropnp.MacroConfig``.  The keys name the two settings."""
+    steps = t_end / dt
+    if not steps >= 1:
+        return f"{t_end_key} ({t_end}) must be at least {dt_key} ({dt})"
+    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
+        return f"{t_end_key} ({t_end}) must be a whole number of {dt_key} ({dt}) steps"
+    return None
+
+
+def snapshot_defect(t: float, dt: float, t_end: float, key: str = "snapshot",
+                    dt_key: str = "dt", t_end_key: str = "t_end") -> str | None:
+    """Some step of a run of ``dt`` steps to ``t_end`` must be the nearest to
+    the snapshot time ``t``: t in [dt/2, t_end + dt/2]; ``macropnp.run_macro``."""
+    lo, hi = 0.5 * dt, t_end + 0.5 * dt
+    if lo <= t <= hi:
+        return None
+    return (f"{key} time {t} lies outside [{dt_key}/2, {t_end_key} + {dt_key}/2] = "
+            f"[{lo}, {hi}], where the run snaps a time to its nearest step")
 
 
 def setting(key: str, default, parse=float, check=lambda x: None,
@@ -145,7 +194,8 @@ class RunConfig:
     micro_fail_threshold: float | None = setting("micro.fail_threshold", None,
                                                  check=_positive)
     output_dir: str = setting("output.dir", "out", str)
-    output_snapshots: tuple = setting("output.snapshots", (), _parse_float_list)
+    output_snapshots: tuple = setting("output.snapshots", (),
+                                      lambda text: tuple(float(t) for t in text.split()))
     config_hash: str = ""
 
     def geometry_spec(self) -> dict:
@@ -164,35 +214,15 @@ class RunConfig:
 KEYS = {f.metadata["key"]: f for f in fields(RunConfig) if f.metadata}
 
 
+def key_defect(key: str, value) -> str | None:
+    """The check of ``key``, which the library's types apply to their fields."""
+    return KEYS[key].metadata["check"](value)
+
+
 def run_setting(key: str):
     """A field of a library settings class that the config-file ``key`` sets,
     with that key's ``RunConfig`` default."""
     return field(default=getattr(RunConfig, KEYS[key].name), metadata={"key": key})
-
-
-def step_count_defect(dt: float, t_end: float, dt_key: str = "dt",
-                      t_end_key: str = "t_end") -> str | None:
-    """Why a run of ``dt`` steps cannot end at ``t_end``, or None: it needs
-    a whole number, at least 1, of steps.  ``macropnp.MacroConfig`` and the
-    config file share this rule; the keys name the two settings."""
-    steps = t_end / dt
-    if not steps >= 1:
-        return f"{t_end_key} ({t_end}) must be at least {dt_key} ({dt})"
-    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
-        return f"{t_end_key} ({t_end}) must be a whole number of {dt_key} ({dt}) steps"
-    return None
-
-
-def snapshot_defect(t: float, dt: float, t_end: float, key: str = "snapshot",
-                    dt_key: str = "dt", t_end_key: str = "t_end") -> str | None:
-    """Why no step of a run of ``dt`` steps to ``t_end`` is the nearest to
-    the snapshot time ``t``, or None: ``t`` must lie in [dt/2, t_end + dt/2].
-    ``macropnp.run_macro`` and the config file share this rule."""
-    lo, hi = 0.5 * dt, t_end + 0.5 * dt
-    if lo <= t <= hi:
-        return None
-    return (f"{key} time {t} lies outside [{dt_key}/2, {t_end_key} + {dt_key}/2] = "
-            f"[{lo}, {hi}], where the run snaps a time to its nearest step")
 
 
 def load_config(path) -> RunConfig:
@@ -219,9 +249,7 @@ def load_config(path) -> RunConfig:
             continue
         key, value = (part.strip() for part in line.split("=", 1))
         if key in seen:
-            errors.append(
-                f"line {lineno}: duplicate key {key!r} (first set on line {seen[key]})"
-            )
+            errors.append(f"line {lineno}: duplicate key {key!r} (first set on line {seen[key]})")
             continue
         seen[key] = lineno
         entry = KEYS.get(key)
@@ -261,14 +289,11 @@ def _cross_validate(cfg: RunConfig, path: Path, seen: dict, errors: list) -> Non
             required.append(f"{owner}={value} requires {key}")
     errors.extend(required)
     kind = cfg.cell_kind
-    if kind == "laminate" and cfg.cell_axis >= cfg.cell_dim:
-        errors.append(
-            f"{where('cell.axis')}cell.axis {cfg.cell_axis} out of range for dim {cfg.cell_dim}"
-        )
-    if kind == "disc" and cfg.cell_radius is not None and not 0 < cfg.cell_radius <= 0.5:
-        errors.append(
-            f"{where('cell.radius')}cell.radius must be in (0, 0.5], got {cfg.cell_radius}"
-        )
+    if kind == "laminate" and (defect := laminate_axis_defect(cfg.cell_axis, cfg.cell_dim)):
+        errors.append(f"{where('cell.axis')}cell.axis {defect}")
+    if kind == "disc" and cfg.cell_radius is not None and (
+            defect := disc_radius_defect(cfg.cell_radius)):
+        errors.append(f"{where('cell.radius')}cell.radius {defect}")
     if kind == "mask" and cfg.cell_mask_path is not None:
         mask_path = (path.parent / cfg.cell_mask_path).resolve()
         if not mask_path.is_file():
@@ -277,10 +302,8 @@ def _cross_validate(cfg: RunConfig, path: Path, seen: dict, errors: list) -> Non
             cfg.cell_mask_file = str(mask_path)
             with open(mask_path) as fh:
                 header = fh.readline().split()[:2]
-            if header != [str(cfg.cell_dim), str(cfg.cell_resolution)]:
-                errors.append(f"{where('cell.mask_path')}mask file header "
-                              f"{' '.join(header)!r} does not match cell.dim = "
-                              f"{cfg.cell_dim} and cell.resolution = {cfg.cell_resolution}")
+            if defect := mask_header_defect(header, cfg.cell_dim, cfg.cell_resolution):
+                errors.append(where("cell.mask_path") + defect)
     dt, t_end = cfg.macro_dt, cfg.macro_t_end
     defect = step_count_defect(dt, t_end, "macro.dt", "macro.t_end")
     if defect:
@@ -290,7 +313,5 @@ def _cross_validate(cfg: RunConfig, path: Path, seen: dict, errors: list) -> Non
         if defect:
             errors.append(where("output.snapshots") + defect)
     if not -1.0 < cfg.macro_init_amplitude < 1.0:
-        errors.append(
-            f"{where('macro.init_amplitude')}macro.init_amplitude must sit in "
-            f"(-1, 1) to keep densities positive, got {cfg.macro_init_amplitude}"
-        )
+        errors.append(f"{where('macro.init_amplitude')}macro.init_amplitude must sit in "
+                      f"(-1, 1) to keep densities positive, got {cfg.macro_init_amplitude}")

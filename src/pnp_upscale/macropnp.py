@@ -46,8 +46,8 @@ from ._fv import (
     grid_matvec,
 )
 from .cellcorrect import SolverError, SpectralPCG
-from .config import KEYS, RunConfig, run_setting, snapshot_defect, step_count_defect
-from .upscale import EffectiveTensors, eps0_defect
+from .config import KEYS, RunConfig, key_defect, run_setting, snapshot_defect, step_count_defect
+from .upscale import EffectiveTensors
 
 logger = logging.getLogger(__name__)
 
@@ -107,7 +107,7 @@ class MacroConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if defect := KEYS[f.metadata["key"]].metadata["check"](getattr(self, f.name)):
+            if defect := key_defect(f.metadata["key"], getattr(self, f.name)):
                 raise ValueError(f"{f.name}: {defect}")
         if defect := step_count_defect(self.dt, self.t_end):
             raise ValueError(defect)
@@ -140,10 +140,11 @@ class StepInfo:
 class GridOperators:
     """Operators of one square box grid on [0,1]^N, kept for a whole run.
 
-    The Poisson operator is -div(tensor grad) for a constant symmetric
-    ``tensor`` (the macro grid) or -div(coef(x) grad) for a per-cell
-    ``coef`` (the DNS grid); its source is p (v1 - v2).  The
-    implicit-diffusion operators (p/dt) I - p Lap are kept per (dt, bc).
+    The Poisson operator is -div(tensor grad) for a constant N x N
+    ``tensor``, an eps0 that ``EffectiveTensors`` has checked (the macro
+    grid), or -div(coef(x) grad) for a per-cell ``coef`` (the DNS grid);
+    its source is p (v1 - v2).  The implicit-diffusion operators
+    (p/dt) I - p Lap are kept per (dt, bc).
     Each solver is built on first use, so a caller holds one object per
     grid for as long as it solves on it.  Every grid, 2D or 3D, macro or
     DNS, solves with ``cellcorrect.SpectralPCG``, as the cell problems do:
@@ -172,9 +173,6 @@ class GridOperators:
             tensor = np.asarray(tensor, dtype=float)
             if tensor.shape != (N, N):
                 raise ValueError(f"eps0 must be {N}x{N} for a {N}D grid")
-            defect = eps0_defect(tensor)
-            if defect:
-                raise ValueError(defect)
         self.h = 1.0 / self.shape[0]
         self.p = p
         self.tensor = tensor

@@ -28,7 +28,7 @@ import numpy as np
 # attributes of this module because perfbench/tracing.py wraps them here.
 from ._fv import assemble_diffusion_matrix, assemble_neumann_operator  # noqa: F401
 from .cellcorrect import CorrectorSet
-from .config import RunConfig
+from .config import RunConfig, scale_ratio_defect, tile_count_defect
 from .macropnp import (GridOperators, MacroConfig, MacroState, Z_CHARGES,
                        balance_columns, march, picard_step, take)
 from .unitcell import PermittivityParams, UnitCell, permittivity_field
@@ -58,6 +58,8 @@ class MicroDomain:
     ops: GridOperators = field(init=False, repr=False)
 
     def __post_init__(self):
+        if defect := tile_count_defect(self.tiles):
+            raise ValueError(defect)
         self.mask = self.tile(self.cell.fluid_mask)
         self.ops = GridOperators(self.mask.shape, coef=self.eps, mask=self.mask)
 
@@ -89,8 +91,8 @@ def assemble_micro_domain(cell: UnitCell, params: PermittivityParams, s,
                           max_cells: int = DEFAULT_CELL_BUDGET) -> MicroDomain:
     """Tile the cell mask s^-1 times per axis and build the fine coefficient."""
     frac = Fraction(s).limit_denominator(10**9)
-    if frac.numerator != 1 or frac.denominator < 1:
-        raise ValueError(f"scale ratio must be 1/integer, got {s}")
+    if defect := scale_ratio_defect(frac, s):
+        raise ValueError(defect)
     tiles = frac.denominator
     fine_res = tiles * cell.resolution
     n = fine_res**cell.dim
@@ -179,6 +181,8 @@ def reconstruct_two_scale(macro: MacroState, correctors: CorrectorSet,
 
     if macro.u3.shape[0] < 2:
         raise ValueError("macro grid too coarse to differentiate")
+    if correctors.eta is None:
+        raise ValueError("density reconstruction needs the eta correctors")
     grads = [np.gradient(macro.u3, hc, axis=k, edge_order=1) for k in range(dom.dim)]
     gfine = [interpolate_to_fine(g, fine_shape) for g in grads]
 
@@ -196,16 +200,13 @@ def reconstruct_two_scale(macro: MacroState, correctors: CorrectorSet,
         logger.warning("second-order corrector missing: s^2 term skipped")
     phi = phi - phi.mean()
 
+    corr = np.zeros(fine_shape)  # sum_k eta_k(x/s) d_k u3, shared by both species
+    for k in range(dom.dim):
+        corr += dom.tile(correctors.eta[k]) * gfine[k]
     densities = []
     for z, u in zip(Z_CHARGES, (macro.u1, macro.u2)):
         uf = interpolate_to_fine(u, fine_shape)
-        corr = np.zeros_like(uf)
-        if correctors.eta is None:
-            raise ValueError("density reconstruction needs the eta correctors")
-        for k in range(dom.dim):
-            corr += dom.tile(correctors.eta[k]) * gfine[k]
-        nf = (uf - s * z * uf * corr) * dom.mask
-        densities.append(nf)
+        densities.append((uf - s * z * uf * corr) * dom.mask)
 
     return MacroState(u1=densities[0], u2=densities[1], u3=phi, t=macro.t)
 
@@ -229,12 +230,9 @@ def compare_fields(a: np.ndarray, b: np.ndarray,
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"grid mismatch: {a.shape} vs {b.shape}")
-    if mask is not None:
-        if mask.shape != a.shape:
-            raise ValueError("mask grid mismatch")
-        sel = np.asarray(mask, dtype=bool)
-    else:
-        sel = np.ones(a.shape, dtype=bool)
+    if mask is not None and mask.shape != a.shape:
+        raise ValueError("mask grid mismatch")
+    sel = np.ones(a.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     vol = 1.0 / a.size
     diff = a[sel] - b[sel]
     ref = b[sel]

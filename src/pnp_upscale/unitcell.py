@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import coefficient_defect
+from .config import (coefficient_defect, disc_radius_defect, key_defect,
+                     laminate_axis_defect, mask_header_defect)
 
 
 class GeometryError(ValueError):
@@ -62,10 +63,8 @@ class UnitCell:
     geometry_spec: dict
 
     def __post_init__(self):
-        if self.dim not in (1, 2, 3):
-            raise GeometryError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if self.resolution < 4:
-            raise GeometryError(f"resolution must be >= 4, got {self.resolution}")
+        _require("dim", key_defect("cell.dim", self.dim))
+        _require("resolution", key_defect("cell.resolution", self.resolution))
         mask = np.ascontiguousarray(self.fluid_mask, dtype=bool)
         expected = (self.resolution,) * self.dim
         if mask.shape != expected:
@@ -92,6 +91,11 @@ class UnitCell:
         return hs.hexdigest()[:16]
 
 
+def _require(what: str, defect: str | None) -> None:
+    if defect:
+        raise GeometryError(f"{what} {defect}")
+
+
 def build_unit_cell(spec: dict, m: int) -> UnitCell:
     """Rasterize a declarative geometry spec onto an m^dim voxel grid.
 
@@ -101,35 +105,29 @@ def build_unit_cell(spec: dict, m: int) -> UnitCell:
       disc      -- centered solid sphere/disc of given ``radius``, fluid outside
       mask      -- explicit mask, from ``path`` (text file) or ``mask`` array
     """
-    if m < 4:
-        raise GeometryError(f"resolution must be >= 4, got {m}")
     kind = spec.get("kind")
     dim = int(spec.get("dim", 2))
-    if dim not in (1, 2, 3):
-        raise GeometryError(f"dim must be 1, 2 or 3, got {dim}")
+    _require("dim", key_defect("cell.dim", dim))  # before rasterizing m^dim voxels
+    _require("resolution", key_defect("cell.resolution", m))
     centers = (np.arange(m) + 0.5) / m
 
+    needed = {"laminate": "fraction", "disc": "radius"}.get(kind)
+    if needed and needed not in spec:
+        raise GeometryError(f"{kind} geometry needs a {needed!r}")
     if kind == "full":
         mask = np.ones((m,) * dim, dtype=bool)
     elif kind == "laminate":
-        if "fraction" not in spec:
-            raise GeometryError("laminate geometry needs a 'fraction'")
         fraction = float(spec["fraction"])
-        if not 0.0 < fraction <= 1.0:
-            raise GeometryError(f"laminate fraction must be in (0,1], got {fraction}")
+        _require("laminate fraction", key_defect("cell.fraction", fraction))
         axis = int(spec.get("axis", 0))
-        if not 0 <= axis < dim:
-            raise GeometryError(f"laminate axis {axis} out of range for dim {dim}")
+        _require("laminate axis", key_defect("cell.axis", axis) or laminate_axis_defect(axis, dim))
         line = centers < fraction
         shape = [1] * dim
         shape[axis] = m
         mask = np.broadcast_to(line.reshape(shape), (m,) * dim).copy()
     elif kind == "disc":
-        if "radius" not in spec:
-            raise GeometryError("disc geometry needs a 'radius'")
         radius = float(spec["radius"])
-        if not 0.0 < radius <= 0.5:
-            raise GeometryError(f"disc radius must be in (0,0.5], got {radius}")
+        _require("disc radius", disc_radius_defect(radius))
         grids = np.meshgrid(*([centers] * dim), indexing="ij")
         r2 = sum((g - 0.5) ** 2 for g in grids)
         mask = r2 > radius * radius  # solid inclusion; fluid outside
@@ -138,20 +136,16 @@ def build_unit_cell(spec: dict, m: int) -> UnitCell:
             mask = np.asarray(spec["mask"], dtype=bool)
             dim = mask.ndim
         elif "path" in spec:
-            dim, mm, mask = read_mask_file(spec["path"])
-            if mm != m:
-                raise GeometryError(
-                    f"mask file resolution {mm} does not match requested {m}"
-                )
+            dim, mm, mask = read_mask_file(spec["path"])  # a spec without dim takes the file's
+            _require(f"{spec['path']}:",
+                     mask_header_defect([str(dim), str(mm)], int(spec.get("dim", dim)), m))
         else:
             raise GeometryError("mask geometry needs 'path' or 'mask'")
     else:
         raise GeometryError(f"unsupported geometry kind {kind!r}")
 
-    stored = dict(spec)
-    stored.pop("mask", None)  # keep the spec JSON-serializable
-    stored["kind"] = kind
-    stored["dim"] = dim
+    stored = {key: v for key, v in spec.items() if key != "mask"}  # JSON-serializable
+    stored.update(kind=kind, dim=dim)
     return UnitCell(dim=dim, resolution=m, fluid_mask=mask, geometry_spec=stored)
 
 
@@ -177,18 +171,14 @@ def read_mask_file(path) -> tuple[int, int, np.ndarray]:
     n = m**dim
     values = tokens[2:]
     if len(values) != n:
-        raise GeometryError(
-            f"mask file {path}: expected {n} entries for N={dim} m={m}, got {len(values)}"
-        )
-    flat = np.empty(n, dtype=bool)
-    for i, tok in enumerate(values):
-        if tok == "0":
-            flat[i] = False
-        elif tok == "1":
-            flat[i] = True
-        else:
-            raise GeometryError(f"mask file {path}: entry {i} is {tok!r}, expected 0 or 1")
-    return dim, m, flat.reshape((m,) * dim)
+        raise GeometryError(f"mask file {path}: expected {n} entries for N={dim} m={m}, "
+                            f"got {len(values)}")
+    flat = np.array(values, dtype=str)
+    bad = np.flatnonzero((flat != "0") & (flat != "1"))
+    if bad.size:
+        raise GeometryError(f"mask file {path}: entry {bad[0]} is {values[bad[0]]!r}, "
+                            "expected 0 or 1")
+    return dim, m, (flat == "1").reshape((m,) * dim)
 
 
 def write_mask_file(path, cell: UnitCell) -> None:

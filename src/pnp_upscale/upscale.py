@@ -41,12 +41,12 @@ def symmetry_defect(t: np.ndarray) -> float:
 
 def eps0_defect(eps0: np.ndarray) -> str | None:
     """Why a finite square eps0 cannot make a Poisson operator, or None: a
-    ``symmetry_defect`` above 1e-8, or an eigenvalue <= 0."""
+    ``symmetry_defect`` above 1e-8, or an eigenvalue <= 0.  One line."""
     if symmetry_defect(eps0) > SYMMETRY_RTOL:
         return "eps0 is not symmetric"
     eigs = np.linalg.eigvalsh(0.5 * (eps0 + eps0.T))
     if eigs.min() <= 0.0:
-        return f"eps0 is not positive definite (eigenvalues {eigs})"
+        return f"eps0 is not positive definite (eigenvalues {np.array2string(eigs, np.inf)})"
     return None
 
 
@@ -57,6 +57,8 @@ class EffectiveTensors:
     eps0 is the effective permittivity, M the electro-convection tensor and
     Hhat the diffusion shape so that the concentration-proportional transport
     tensor of species r is z_r * u_r(t,x) * Hhat.  The dimension is eps0's.
+    Raises ValueError, a line per violation, unless 0 < p <= 1, eps0, M and
+    Hhat are finite and share one square shape, and ``eps0_defect`` passes.
     """
 
     p: float
@@ -65,29 +67,39 @@ class EffectiveTensors:
     Hhat: np.ndarray
     provenance: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.p = float(self.p)
+        errors = [] if 0.0 < self.p <= 1.0 else [f"porosity p = {self.p} is outside (0, 1]"]
+        shape = np.shape(self.eps0)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            errors.append(f"eps0 has shape {shape}, not a square matrix")
+        for name in ("eps0", "M", "Hhat"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            setattr(self, name, value)
+            if value.shape != shape:
+                errors.append(f"{name} has shape {value.shape}, eps0 {shape}")
+            elif not np.isfinite(value).all():
+                errors.append(f"{name} has non-finite entries")
+        if not errors and (defect := eps0_defect(self.eps0)):
+            errors.append(defect)
+        if errors:
+            raise ValueError("\n".join(errors))
+
     @property
     def dim(self) -> int:
         return len(self.eps0)
 
     def to_json_dict(self) -> dict:
-        prov = dict(self.provenance)
-        prov.setdefault("dim", self.dim)
-        return {
-            "p": self.p,
-            "eps0": np.asarray(self.eps0).tolist(),
-            "M": np.asarray(self.M).tolist(),
-            "Hhat": np.asarray(self.Hhat).tolist(),
-            "provenance": prov,
-        }
+        tensors = {name: getattr(self, name).tolist() for name in ("eps0", "M", "Hhat")}
+        return {"p": self.p, **tensors, "provenance": {"dim": self.dim, **self.provenance}}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "EffectiveTensors":
-        """Raises ConfigError unless every key is present, 0 < p <= 1,
-        eps0, M and Hhat are finite and share one square shape, and eps0 is
-        symmetric positive definite (``eps0_defect``)."""
+        """Raises ConfigError unless every key is present and parses, and
+        the tensors pass their own checks: one error per failed check."""
         if not isinstance(data, dict):
             raise ConfigError(["not a JSON object"])
         missing = [key for key in ("p", "eps0", "M", "Hhat") if key not in data]
@@ -99,33 +111,25 @@ class EffectiveTensors:
             provenance = dict(data.get("provenance", {}))
         except (TypeError, ValueError) as exc:
             raise ConfigError([f"malformed entry: {exc}"]) from exc
-        errors = [] if 0.0 < p <= 1.0 else [f"porosity p = {p} is outside (0, 1]"]
-        if eps0.ndim != 2 or eps0.shape[0] != eps0.shape[1]:
-            errors.append(f"eps0 has shape {eps0.shape}, not a square matrix")
-        for name, value in (("eps0", eps0), ("M", M), ("Hhat", Hhat)):
-            if value.shape != eps0.shape:
-                errors.append(f"{name} has shape {value.shape}, eps0 {eps0.shape}")
-            elif not np.isfinite(value).all():
-                errors.append(f"{name} has non-finite entries")
-        if errors:
-            raise ConfigError(errors)
-        defect = eps0_defect(eps0)
-        if defect:
-            raise ConfigError([defect])
-        return cls(p=p, eps0=eps0, M=M, Hhat=Hhat, provenance=provenance)
+        try:
+            return cls(p=p, eps0=eps0, M=M, Hhat=Hhat, provenance=provenance)
+        except ValueError as exc:
+            raise ConfigError(str(exc).split("\n")) from exc
 
     @classmethod
     def from_json(cls, text: str) -> "EffectiveTensors":
         return cls.from_json_dict(json.loads(text))
 
 
-def effective_permittivity(cell: UnitCell, kappa: np.ndarray, xi3: np.ndarray) -> np.ndarray:
+def effective_permittivity(cell: UnitCell, kappa: np.ndarray, xi3: np.ndarray,
+                           tol: float = RunConfig.solver_tol) -> np.ndarray:
     """Effective permittivity from the potential correctors (flux form).
 
     eps0[i,k] averages kappa * (delta_ik - d_i xi_k) over the faces normal to
     i.  The energy form, averaging kappa (e_i - grad xi_i).(e_k - grad xi_k)
     over all faces, agrees with it up to the corrector solve residual; a
-    larger disagreement signals an inconsistent discretization and raises.
+    larger disagreement raises, naming the contrast max/min kappa and the
+    ``tol`` xi3 was solved to: the contrast amplifies the solve residual.
     """
     N = cell.dim
     h = cell.h
@@ -150,7 +154,8 @@ def effective_permittivity(cell: UnitCell, kappa: np.ndarray, xi3: np.ndarray) -
     if defect > FLUX_ENERGY_RTOL:
         raise SolverError(
             f"flux-form vs energy-form disagreement {defect:.3e} exceeds "
-            f"{FLUX_ENERGY_RTOL:.0e}: inconsistent discretization"
+            f"{FLUX_ENERGY_RTOL:.0e}; likely cause: the coefficient contrast max/min "
+            f"kappa = {kappa.max() / kappa.min():.3g} for correctors solved to tol = {tol:.3g}"
         )
     logger.debug("eps0 flux/energy agreement: %.3e", defect)
     return flux
@@ -201,9 +206,7 @@ def check_spectral_bounds(eps0: np.ndarray, kappa: np.ndarray) -> tuple[float, f
     eigs = np.linalg.eigvalsh(sym)
     tol = BOUNDS_SLACK * arith
     if eigs.min() < harm - tol or eigs.max() > arith + tol:
-        raise SolverError(
-            f"eps0 eigenvalues {eigs} violate the bounds [{harm:.6g}, {arith:.6g}]"
-        )
+        raise SolverError(f"eps0 eigenvalues {eigs} violate the bounds [{harm:.6g}, {arith:.6g}]")
     return float(eigs.min()), float(eigs.max())
 
 
@@ -217,7 +220,7 @@ def compute_effective_tensors(cell: UnitCell, params: PermittivityParams,
     """
     kappa = permittivity_field(cell, params)
     xi3, res_xi = solve_potential_corrector(cell, kappa, tol=tol)
-    eps0 = effective_permittivity(cell, kappa, xi3)
+    eps0 = effective_permittivity(cell, kappa, xi3, tol)
     defect = symmetry_defect(eps0)
     if defect > SYMMETRY_RTOL:
         raise SolverError(f"eps0 symmetry defect {defect:.3e} exceeds {SYMMETRY_RTOL:.0e}")

@@ -18,6 +18,7 @@ from pnp_upscale.cli import main, initial_density_fields
 from pnp_upscale.config import KEYS, ConfigError, load_config
 from pnp_upscale.fieldio import atomic_write_text, format_field, read_field
 from pnp_upscale.macropnp import GridOperators
+from pnp_upscale.upscale import EffectiveTensors
 
 import oracles
 
@@ -554,6 +555,27 @@ def test_unusable_tensors_file(tmp_path, base_config, capsys, text, message):
     assert main(args + ["--tensors", str(tensors)]) == 0
 
 
+@pytest.mark.parametrize("change, message", [
+    pytest.param({"p": 0}, "porosity p = 0.0 is outside (0, 1]", id="p-0"),
+    pytest.param({"p": 7}, "p = 7.0 is outside (0, 1]", id="p-7"),
+    pytest.param({"p": float("nan")}, "p = nan is outside (0, 1]", id="p-nan"),
+    pytest.param({"Hhat": [[float("inf"), 0.0], [0.0, 0.1]]}, "Hhat has non-finite entries",
+                 id="inf-Hhat"),
+    pytest.param({"M": EYE3}, "M has shape (3, 3), eps0 (2, 2)", id="3x3-M"),
+    pytest.param({"eps0": [[1.0, 0.5], [0.0, 1.0]]}, "eps0 is not symmetric",
+                 id="asymmetric-eps0"),
+    pytest.param({"eps0": [[1.0, 0.0], [0.0, -1.0]]}, "eps0 is not positive definite",
+                 id="indefinite-eps0"),
+])
+def test_library_tensors_meet_the_tensors_file_rules(change, message):
+    # the rules live in EffectiveTensors, so tensors that skip the file meet
+    # them too, with the message of test_unusable_tensors_file; a run with
+    # p = 0, which would zero both densities in its first step, never starts
+    with pytest.raises(ValueError) as err:
+        EffectiveTensors(**dict(TENSORS, **change))
+    assert message in str(err.value) and "\n" not in str(err.value)
+
+
 def test_micro_makes_no_wasted_potential_solve(tmp_path, monkeypatch):
     # each DNS step solves its potential once per Picard iteration plus
     # once for the accepted densities; nothing else solves one
@@ -611,6 +633,20 @@ def test_stalled_solve_advises_raising_the_tolerance(base_config, capsys, monkey
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "SolverError" and record["message"].startswith(message)
     assert record["message"].endswith("; raise solver.tol") == hinted
+
+
+def test_flux_energy_error_names_the_contrast(tmp_path, capsys):
+    # at lambda = 1e-3 the contrast alpha / lambda^2 = 1e6 lifts the flux and
+    # energy forms of eps0 apart past the 1e-8 gate at the default tol
+    config = tmp_path / "run.cfg"
+    config.write_text("cell.kind = disc\ncell.dim = 2\ncell.resolution = 16\n"
+                      "cell.radius = 0.25\nphysics.lambda = 1e-3\nphysics.alpha = 1.0\n")
+    assert main(["upscale", "--config", str(config), "--out", str(tmp_path / "t.json")]) == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "SolverError"
+    assert "flux-form vs energy-form disagreement" in record["message"]
+    assert "exceeds 1e-08; likely cause: the coefficient contrast max/min kappa = 1e+06 " \
+        "for correctors solved to tol = 1e-10" in record["message"]
 
 
 @pytest.mark.parametrize("tol", ["1e-18", "1e-20", "1e-22"])

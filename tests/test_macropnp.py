@@ -86,10 +86,12 @@ def test_poisson_mean_zero_certificate():
 
 
 def test_poisson_not_spd():
+    # the macro Poisson operator takes eps0 from EffectiveTensors, which checks it
     with pytest.raises(ValueError, match="positive definite"):
-        GridOperators((8, 8), tensor=-np.eye(2))
+        EffectiveTensors(p=0.5, eps0=-np.eye(2), M=np.eye(2), Hhat=np.eye(2))
     with pytest.raises(ValueError, match="symmetric"):
-        GridOperators((8, 8), tensor=np.array([[1.0, 0.5], [-0.5, 1.0]]))
+        EffectiveTensors(p=0.5, eps0=np.array([[1.0, 0.5], [-0.5, 1.0]]), M=np.eye(2),
+                         Hhat=np.eye(2))
 
 
 def test_poisson_cross_terms_converge():

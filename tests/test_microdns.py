@@ -76,9 +76,17 @@ def test_budget_error():
 
 
 def test_bad_scale_ratio():
+    # the micro.s rule of the config file
     cell = build_unit_cell({"kind": "full", "dim": 2}, 8)
-    with pytest.raises(ValueError, match="1/integer"):
+    with pytest.raises(ValueError, match="is not the inverse of an integer"):
         assemble_micro_domain(cell, CONTRAST, 0.3)
+
+
+@pytest.mark.parametrize("tiles", [0, -1, 1.5])
+def test_tile_count_is_a_positive_integer(tiles):
+    cell = build_unit_cell({"kind": "full", "dim": 2}, 8)
+    with pytest.raises(ValueError, match="tile count must be a positive integer"):
+        MicroDomain(tiles=tiles, cell=cell, params=CONTRAST)
 
 
 # ---------------------------------------------------------------------------

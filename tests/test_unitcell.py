@@ -164,6 +164,15 @@ def test_mask_file_errors(tmp_path):
         build_unit_cell({"kind": "mask", "path": str(good)}, 8)
 
 
+def test_mask_spec_dim_must_match_the_file(tmp_path):
+    path = tmp_path / "cell.mask"
+    write_mask_file(path, build_unit_cell({"kind": "disc", "radius": 0.25, "dim": 3}, 8))
+    with pytest.raises(GeometryError, match="mask file header '3 8' does not match cell.dim = 2"):
+        build_unit_cell({"kind": "mask", "path": str(path), "dim": 2}, 8)
+    # a spec without dim takes the file's
+    assert build_unit_cell({"kind": "mask", "path": str(path)}, 8).dim == 3
+
+
 def test_connectivity():
     disc = build_unit_cell({"kind": "disc", "radius": 0.25, "dim": 2}, 16)
     assert disc.fluid_connected

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pnp_upscale import _fv
 from pnp_upscale.cellcorrect import SolverError, face_gradient, solve_potential_corrector
@@ -240,6 +241,29 @@ def test_the_dimension_is_that_of_eps0():
     assert tensors.to_json_dict()["provenance"]["dim"] == 3
     with pytest.raises(TypeError, match="dim"):
         EffectiveTensors(dim=3, p=0.5, eps0=np.eye(2), M=np.eye(2), Hhat=np.zeros((2, 2)))
+
+
+@st.composite
+def valid_tensors(draw):
+    n = draw(st.integers(1, 3))
+    entries = st.floats(-1e3, 1e3)
+    off = np.triu(draw(hnp.arrays(float, (n, n), elements=entries)), 1)
+    eps0 = off + off.T  # symmetric, and positive definite by diagonal dominance
+    eps0[np.diag_indices(n)] = np.abs(eps0).sum(axis=1) + draw(
+        hnp.arrays(float, n, elements=st.floats(0.1, 10.0)))
+    return EffectiveTensors(p=draw(st.floats(0.0, 1.0, exclude_min=True)), eps0=eps0,
+                            M=draw(hnp.arrays(float, (n, n), elements=entries)),
+                            Hhat=draw(hnp.arrays(float, (n, n), elements=entries)))
+
+
+@settings(max_examples=50)
+@given(valid_tensors())
+def test_tensors_dict_round_trip_keeps_every_bit(tensors):
+    loaded = EffectiveTensors.from_json_dict(tensors.to_json_dict())
+    assert np.float64(loaded.p).tobytes() == np.float64(tensors.p).tobytes()
+    for name in ("eps0", "M", "Hhat"):
+        a, b = getattr(loaded, name), getattr(tensors, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_tensors_json_roundtrip():
