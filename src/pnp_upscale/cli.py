@@ -9,8 +9,8 @@ are written atomically and carry the config hash, in the tensors document
 or in a sibling ``provenance.json``.  Solvers are deterministic, so a rerun
 of an unchanged configuration reproduces every output byte for byte.
 ``macro`` writes each snapshot's dumps as the run reaches it, so the run
-holds no snapshot, and then the final state's, unless a snapshot time
-already handed that state over: each state is dumped once.
+holds no snapshot; t_end is its last snapshot time, and ``run_macro``
+hands each state over once, however many times snap to it.
 ``diagnostics.csv`` and ``provenance.json`` follow the run, so a run that
 fails leaves its finished snapshots but neither file.
 
@@ -97,11 +97,12 @@ def _write_fields(directory: Path, fields: dict) -> None:
         atomic_write_text(directory / f"{name}.dat", format_field(name, values))
 
 
-def _compute_tensors(cfg: RunConfig):
+def _compute_tensors(cfg: RunConfig, second_order: bool = False):
+    """(cell, tensors, correctors), with zeta3, which no tensor reads, on request."""
     cell = build_unit_cell(cfg.geometry_spec(), cfg.cell_resolution)
     params = PermittivityParams(lam=cfg.lam, alpha=cfg.alpha)
     tensors, correctors = compute_effective_tensors(cell, params, tol=cfg.solver_tol,
-                                                    second_order=cfg.solver_second_order)
+                                                    second_order=second_order)
     tensors.provenance["config_sha256"] = cfg.config_hash
     if cfg.cell_kind == "mask":
         # the path as written keeps the bytes independent of the run directory
@@ -112,12 +113,13 @@ def _compute_tensors(cfg: RunConfig):
 def _macro_run(cfg: RunConfig, tensors: EffectiveTensors, write_snapshot=None):
     """The upscaled run from the configured initial data: (final state, rows).
     With ``write_snapshot``, the run hands it the state at each
-    ``output.snapshots`` time as it reaches it; without, it takes none."""
+    ``output.snapshots`` time and at t_end, each state once, as it reaches
+    it; without, it takes none."""
     u1, u2 = initial_density_fields(
         cfg.macro_init, cfg.macro_init_amplitude, cfg.cell_dim, cfg.macro_resolution
     )
     init = MacroState(u1=u1, u2=u2, u3=np.zeros_like(u1), t=0.0)
-    times = cfg.output_snapshots if write_snapshot is not None else ()
+    times = (*cfg.output_snapshots, cfg.macro_t_end) if write_snapshot is not None else ()
     return run_macro(MacroConfig.from_run(cfg), tensors, init, times, write_snapshot)
 
 
@@ -144,7 +146,7 @@ def _dns_runs(cfg: RunConfig, cell):
 
 def cmd_cell(cfg: RunConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    cell, tensors, correctors = _compute_tensors(cfg)
+    cell, tensors, correctors = _compute_tensors(cfg, cfg.solver_second_order)
     dims = range(cell.dim)
     fields = {f"xi3_{j + 1}": correctors.xi3[j] for j in dims}
     fields.update({f"eta_{j + 1}": correctors.eta[j] for j in dims})
@@ -184,10 +186,7 @@ def cmd_macro(cfg: RunConfig, out: Path, tensors_path) -> int:
         _write_fields(out, {f"{var}_{key}": getattr(state, var) for var in ("u1", "u2", "u3")})
         snap_times[key] = state.t
 
-    final, rows = _macro_run(cfg, tensors, write_snapshot)
-    if final.t not in snap_times.values():  # a snapshot time may have snapped to it
-        write_snapshot(final)
-    _write_csv(out / "diagnostics.csv", rows)
+    _write_csv(out / "diagnostics.csv", _macro_run(cfg, tensors, write_snapshot)[1])
     atomic_write_text(
         out / "provenance.json", _provenance(cfg, "macro", {"snapshots": snap_times})
     )
@@ -213,7 +212,7 @@ def run_validation(cfg: RunConfig):
     the interpolated macro potential (macro-only) and against the two-scale
     reconstruction, plus density reconstruction errors on the fluid region.
     """
-    cell, tensors, correctors = _compute_tensors(cfg)
+    cell, tensors, correctors = _compute_tensors(cfg, cfg.solver_second_order)
     macro_final, _rows = _macro_run(cfg, tensors)
     results = []
     for frac, dom, dns, _rows in _dns_runs(cfg, cell):

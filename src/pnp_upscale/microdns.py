@@ -27,6 +27,7 @@ import numpy as np
 # The DNS assembles through macropnp.GridOperators; these names stay
 # attributes of this module because perfbench/tracing.py wraps them here.
 from ._fv import assemble_diffusion_matrix, assemble_neumann_operator  # noqa: F401
+from ._fv import cell_gradients
 from .cellcorrect import CorrectorSet
 from .config import RunConfig, scale_ratio_defect, tile_count_defect
 from .macropnp import (GridOperators, MacroConfig, MacroState, Z_CHARGES,
@@ -172,8 +173,8 @@ def reconstruct_two_scale(macro: MacroState, correctors: CorrectorSet,
 
     Correctors are sampled at the wrapped fine coordinate, which is an exact
     index map because the fine grid tiles the cell grid (``dom.tile``);
-    macro derivatives are central differences interpolated to the fine
-    centers.
+    macro derivatives are the drift's cell gradients (``_fv.cell_gradients``:
+    central inside, one-sided at the edges) interpolated to the fine centers.
     """
     fine_shape = dom.mask.shape
     s = dom.s
@@ -183,7 +184,7 @@ def reconstruct_two_scale(macro: MacroState, correctors: CorrectorSet,
         raise ValueError("macro grid too coarse to differentiate")
     if correctors.eta is None:
         raise ValueError("density reconstruction needs the eta correctors")
-    grads = [np.gradient(macro.u3, hc, axis=k, edge_order=1) for k in range(dom.dim)]
+    grads = cell_gradients(macro.u3, hc)
     gfine = [interpolate_to_fine(g, fine_shape) for g in grads]
 
     phi = interpolate_to_fine(macro.u3, fine_shape)
@@ -191,8 +192,7 @@ def reconstruct_two_scale(macro: MacroState, correctors: CorrectorSet,
         phi = phi - s * dom.tile(correctors.xi3[k]) * gfine[k]
     if correctors.zeta3 is not None:
         for k in range(dom.dim):
-            for l in range(dom.dim):
-                hess = np.gradient(grads[k], hc, axis=l, edge_order=1)
+            for l, hess in enumerate(cell_gradients(grads[k], hc)):
                 phi = phi + s * s * dom.tile(correctors.zeta3[k, l]) * interpolate_to_fine(
                     hess, fine_shape
                 )

@@ -161,36 +161,32 @@ def effective_permittivity(cell: UnitCell, kappa: np.ndarray, xi3: np.ndarray,
     return flux
 
 
-def electro_convection_tensor(cell: UnitCell, xi3: np.ndarray) -> np.ndarray:
-    """M[i,k] = (1/|Y|) int_{Y^s} (delta_ik - d_i xi_k); reduces to p*I when xi3 = 0."""
+def _face_average(cell: UnitCell, weights, f: np.ndarray) -> np.ndarray:
+    """T[i,k] = the mean over the faces normal to i of weights[i] * d_i f_k."""
     N = cell.dim
-    h = cell.h
+    return np.array([[float(np.mean(weights[i] * face_gradient(f[k], i, cell.h)))
+                      for k in range(N)] for i in range(N)])
+
+
+def electro_convection_tensor(cell: UnitCell, xi3: np.ndarray) -> np.ndarray:
+    """M[i,k] = (1/|Y|) int_{Y^s} (delta_ik - d_i xi_k); reduces to p*I when xi3 = 0.
+
+    Each face weighs by the fluid volume it carries, 1/2 (chi + chi one cell on).
+    """
     chi = cell.fluid_mask.astype(float)
-    p = porosity(cell)
-    M = np.zeros((N, N))
-    for i in range(N):
-        w = 0.5 * (chi + np.roll(chi, -1, axis=i))  # fluid volume carried by each face
-        for k in range(N):
-            g = face_gradient(xi3[k], i, h)
-            M[i, k] = (p if i == k else 0.0) - float(np.mean(w * g))
-    return M
+    weights = [0.5 * (chi + np.roll(chi, -1, axis=i)) for i in range(cell.dim)]
+    return porosity(cell) * np.eye(cell.dim) - _face_average(cell, weights, xi3)
 
 
 def diffusion_shape_tensor(cell: UnitCell, eta: np.ndarray) -> np.ndarray:
-    """Hhat[i,k] = (1/|Y|) int_{Y^s} d_i eta_k over fluid-fluid faces.
+    """Hhat[i,k] = (1/|Y|) int_{Y^s} d_i eta_k over the fluid-fluid faces,
+    the open faces of eta's own problem.
 
     The species transport tensor is recovered as z_r * u_r * Hhat; Hhat is
     reported unsymmetrized.
     """
-    N = cell.dim
-    h = cell.h
     mask = cell.fluid_mask
-    H = np.zeros((N, N))
-    for i in range(N):
-        ff = (mask & np.roll(mask, -1, axis=i)).astype(float)
-        for k in range(N):
-            H[i, k] = float(np.mean(ff * face_gradient(eta[k], i, h)))
-    return H
+    return _face_average(cell, harmonic_face_coefficients(np.ones(mask.shape), mask), eta)
 
 
 def permittivity_bounds(kappa: np.ndarray) -> tuple[float, float]:

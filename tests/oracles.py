@@ -162,15 +162,13 @@ def local_equilibrium_reduceat(u1, u2, u3, window):
     return dev, skipped
 
 
-def periodic_fluid_connected(mask):
-    """Brute-force flood fill of the fluid voxels over the six (four in 2D,
-    two in 1D) face neighbours with periodic wraparound."""
+def periodic_fluid_component(mask, start):
+    """Brute-force flood fill of the fluid voxels face-connected to ``start``
+    over the six (four in 2D, two in 1D) face neighbours with periodic
+    wraparound, as a boolean mask."""
     mask = np.asarray(mask, dtype=bool)
-    fluid = [tuple(int(i) for i in idx) for idx in np.argwhere(mask)]
-    if not fluid:
-        return False
-    seen = {fluid[0]}
-    queue = [fluid[0]]
+    seen = {tuple(start)}
+    queue = [tuple(start)]
     while queue:
         idx = queue.pop()
         for d in range(mask.ndim):
@@ -181,7 +179,49 @@ def periodic_fluid_connected(mask):
                 if mask[nb] and nb not in seen:
                     seen.add(nb)
                     queue.append(nb)
-    return len(seen) == len(fluid)
+    component = np.zeros_like(mask)
+    component[tuple(np.array(sorted(seen)).T)] = True
+    return component
+
+
+def periodic_fluid_connected(mask):
+    """Whether the fluid voxels form one face-connected periodic component."""
+    mask = np.asarray(mask, dtype=bool)
+    fluid = np.argwhere(mask)
+    return len(fluid) > 0 and bool((periodic_fluid_component(mask, fluid[0]) == mask).all())
+
+
+# --- the face-average tensors as separate loops ----------------------------
+
+
+def electro_convection_tensor_loop(cell, xi3):
+    """M[i,k] = p delta_ik - the mean of w * d_i xi_k over the faces normal to
+    i, w the fluid volume each face carries, one entry at a time."""
+    N = cell.dim
+    h = cell.h
+    chi = cell.fluid_mask.astype(float)
+    p = float(np.mean(cell.fluid_mask))
+    M = np.zeros((N, N))
+    for i in range(N):
+        w = 0.5 * (chi + np.roll(chi, -1, axis=i))
+        for k in range(N):
+            g = (np.roll(xi3[k], -1, axis=i) - xi3[k]) / h
+            M[i, k] = (p if i == k else 0.0) - float(np.mean(w * g))
+    return M
+
+
+def diffusion_shape_tensor_loop(cell, eta):
+    """Hhat[i,k] = the mean of d_i eta_k over the fluid-fluid faces normal to
+    i, one entry at a time."""
+    N = cell.dim
+    h = cell.h
+    mask = cell.fluid_mask
+    H = np.zeros((N, N))
+    for i in range(N):
+        ff = (mask & np.roll(mask, -1, axis=i)).astype(float)
+        for k in range(N):
+            H[i, k] = float(np.mean(ff * ((np.roll(eta[k], -1, axis=i) - eta[k]) / h)))
+    return H
 
 
 def map_coordinates_interpolation(field_c, fine_shape):

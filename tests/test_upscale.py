@@ -235,6 +235,33 @@ def test_drift_tensor_is_minus_p_to_order_h_on_discs(radius, alpha):
         assert np.abs(offset).max() / tensors.p <= 1.0 / m, m
 
 
+@st.composite
+def face_connected_masks(draw):
+    """1D-3D fluid masks, m = 4-16: the fluid voxels face-connected to one
+    voxel, over periodic wraps, of a random solid."""
+    dim = draw(st.integers(1, 3))
+    m = draw(st.integers(4, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fluid = rng.random((m,) * dim) >= draw(st.floats(0.0, 0.6))
+    start = tuple(rng.integers(0, m, size=dim))
+    fluid[start] = True
+    return oracles.periodic_fluid_component(fluid, start)
+
+
+@settings(max_examples=60)
+@given(face_connected_masks(), st.integers(0, 2**32 - 1))
+def test_face_average_rule_keeps_every_bit(mask, seed):
+    # M and Hhat are one face-average rule with two weights; the loops of
+    # each tensor apart are its reference, bit for bit
+    cell = UnitCell(dim=mask.ndim, resolution=mask.shape[0], fluid_mask=mask,
+                    geometry_spec={"kind": "mask", "dim": mask.ndim})
+    xi3, eta = np.random.default_rng(seed).standard_normal((2, mask.ndim, *mask.shape))
+    assert (electro_convection_tensor(cell, xi3).tobytes()
+            == oracles.electro_convection_tensor_loop(cell, xi3).tobytes())
+    assert (diffusion_shape_tensor(cell, eta).tobytes()
+            == oracles.diffusion_shape_tensor_loop(cell, eta).tobytes())
+
+
 def test_the_dimension_is_that_of_eps0():
     tensors = EffectiveTensors(p=0.5, eps0=np.eye(3), M=np.eye(3), Hhat=np.zeros((3, 3)))
     assert tensors.dim == 3
