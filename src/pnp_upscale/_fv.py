@@ -15,14 +15,17 @@ densities, whose diagonal adds p/dt and the Dirichlet ghost-cell penalty.
 stencil offset and a column per cell, and rolls each row by its flat offset
 into the diagonal (DIA) storage of the matrix: one representation, built
 in place, whose products sum each row in the column order of CSR.
-Each matrix is assembled once and solved by ``cellcorrect.SpectralPCG``,
-the solver of the periodic cell problems, with a constant-coefficient box
-preconditioner diagonalized by DCT-II or DST-II, in float32 on the DNS
-grids and float64 on the macro grid.  The SuperLU solvers
-``PinnedNeumannSolver`` and ``FactorizedSolver`` are its test oracles only,
-with the same solve contract; no grid of the program factorizes.
+Each matrix is assembled once, held as a ``CompactDia`` (a symmetric one
+by its diagonal and the rows below it) and solved by
+``cellcorrect.SpectralPCG``, the solver of the periodic cell problems,
+with a constant-coefficient box preconditioner diagonalized by DCT-II or
+DST-II, in float32 on the DNS grids and float64 on the macro grid.  The
+SuperLU solvers ``PinnedNeumannSolver`` and ``FactorizedSolver`` are its
+test oracles only, with the same solve contract; no grid of the program
+factorizes.
 The oracles factorize a CSR copy of the DIA matrix.  scipy.sparse loads
-inside ``face_operator`` and the oracles, and the DCT/DST kernel (scipy's
+inside ``face_operator`` and the oracles, the DIA product kernel that
+``CompactDia`` checks with it, and the DCT/DST kernel (scipy's
 pocketfft extension, loaded by file in ``_pocketfft``) when the first box
 solver is built.  So importing this module, and the package, needs numpy
 only; without scipy the first box matrix or solver is a ``SolverError``
@@ -32,6 +35,7 @@ only; without scipy the first box matrix or solver is a ``SolverError``
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -186,9 +190,107 @@ def assemble_neumann_operator(shape, h, tensor=None, coef=None) -> sp.dia_matrix
     return face_operator(shape, h, faces)
 
 
-def grid_matvec(A: sp.dia_matrix):
-    """u -> A u on grid-shaped arrays: the ``apply`` of ``SpectralPCG``."""
-    return lambda u: (A @ u.ravel()).reshape(u.shape)
+def _blocks(A: sp.dia_matrix):
+    """The stored blocks of ``CompactDia``, each (table, offsets, shift k): the
+    product adds the table's DIA product with x[k:] to y[:n-k]."""
+    n, data, offsets = A.shape[0], A.data, A.offsets
+    upper = offsets > 0
+    rows = dict(zip(offsets.tolist(), data))
+    mirrored = all(-k in rows and np.array_equal(rows[k][k:].view(np.uint64),
+                                                 rows[-k][:n - k].view(np.uint64))
+                   for k in offsets[upper].tolist())
+    if not mirrored:
+        return [(np.ascontiguousarray(data), offsets, 0)]
+    table = data[~upper]  # the diagonal and the rows below it, copied
+    lower = dict(zip(offsets[~upper].tolist(), table))
+    diagonal = np.zeros(1, dtype=offsets.dtype)
+    return [(table, offsets[~upper], 0)] + [
+        (lower[-k][None, :n - k], diagonal, k) for k in offsets[upper].tolist()]
+
+
+def _kernel_product(kernel, blocks, x: np.ndarray, y: np.ndarray) -> None:
+    """y = A x through scipy's DIA kernel, block by block into the zeroed y."""
+    y.fill(0.0)
+    for table, offsets, k in blocks:
+        m = x.size - k
+        kernel(m, m, len(offsets), table.shape[1], offsets, table, x[k:], y[:m])
+
+
+def _kernel_agrees(kernel) -> bool:
+    """The blocked products of ``kernel`` equal the public ``dia_matrix``
+    product bit for bit, on a 12-cell mirrored operator and an unmirrored one."""
+    sp = import_scipy("scipy.sparse")
+    n, rng = 12, np.random.default_rng(0)
+    lower = rng.standard_normal((3, n))  # offsets -3, -1 and 0
+    mirrored = np.vstack([lower, np.roll(lower[1], 1), np.roll(lower[0], 3)])
+    x = rng.standard_normal(n)
+    try:
+        for data, compact in ((mirrored, True), (rng.standard_normal((5, n)), False)):
+            A = sp.dia_matrix((data, [-3, -1, 0, 1, 3]), shape=(n, n))
+            blocks, y = _blocks(A), np.empty(n)
+            _kernel_product(kernel, blocks, x, y)
+            if (len(blocks) > 1) != compact or y.tobytes() != (A @ x).tobytes():
+                return False
+    except (TypeError, ValueError, RuntimeError):
+        return False
+    return True
+
+
+@cache
+def dia_kernel():
+    """scipy's DIA product kernel, ``scipy.sparse._sparsetools.dia_matvec``,
+    or None when it is missing or fails ``_kernel_agrees``."""
+    try:
+        from scipy.sparse._sparsetools import dia_matvec
+    except ImportError:
+        return None
+    return dia_matvec if _kernel_agrees(dia_matvec) else None
+
+
+class CompactDia:
+    """u -> A u on grid-shaped arrays, the ``apply`` of ``SpectralPCG``, for a
+    DIA matrix of ``face_operator``, storing each face coefficient once.
+
+    In a bitwise-symmetric operator the row at offset +k is the row at -k
+    moved k places: A[i, i+k] = A[i+k, i], and the zero padding lines up.  So
+    the diagonal and the rows below it stay one table, copied from the
+    matrix, and each row above the diagonal is a view of its mirror.  A
+    product zeroes its output, adds the lower block, then each upper row in
+    increasing offset order: the sums of ``A @ u`` in its order, so the same
+    bits.  A matrix whose upper rows do not all mirror bit for bit, as the
+    cross-term Poisson's do not, keeps its full table as one block (then
+    ``compact`` is False).  Products go through scipy's DIA kernel
+    (``dia_kernel``) or, when that is missing or fails its check, through
+    public ``dia_matrix`` products per block, with the same bits.
+    ``out``, if given, is a C-contiguous float array of u's size, which the
+    product overwrites and returns; the kernel checks no sizes, so a call
+    checks both before it.
+    """
+
+    def __init__(self, A: sp.dia_matrix):
+        self.n = A.shape[0]
+        self.blocks = _blocks(A)
+        self.compact = len(self.blocks) > 1
+        self.kernel = dia_kernel()
+        if self.kernel is None:
+            sp = import_scipy("scipy.sparse")
+            self.public = [sp.dia_matrix((table, offsets), shape=(self.n - k,) * 2)
+                           for table, offsets, k in self.blocks]
+
+    def __call__(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty(u.shape)
+        x, y = np.ascontiguousarray(u, dtype=float).reshape(-1), out.reshape(-1)
+        if not (x.size == y.size == self.n and out.dtype == float and out.flags.c_contiguous):
+            raise ValueError(f"a product of an operator on {self.n} cells needs u and a "
+                             f"C-contiguous float out of that size")
+        if self.kernel is not None:
+            _kernel_product(self.kernel, self.blocks, x, y)
+            return out
+        y.fill(0.0)
+        for M, (_, _, k) in zip(self.public, self.blocks):
+            y[:self.n - k] += M @ x[k:]
+        return out
 
 
 class PinnedNeumannSolver:

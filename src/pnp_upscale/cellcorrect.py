@@ -118,7 +118,8 @@ def periodic_operator(faces, h: float):
 
     An application forms one face flux per axis, c (u[idx + e_d] - u[idx]),
     from two slice pairs in one reused buffer, without rolling u, takes it
-    from the cell behind the face and adds it to the cell ahead.  Each
+    from the cell behind the face and adds it to the cell ahead, in ``out``
+    if given (as ``_fv.CompactDia`` does) or a new array.  Each
     product and sum is the one of the two-difference stencil
     c (u - u[idx + e_d]) + c[idx - e_d] (u - u[idx - e_d]), bit for bit."""
     # per axis: all cells but the last, all but the first, the first, the last
@@ -126,8 +127,11 @@ def periodic_operator(faces, h: float):
                   (slice(0, -1), slice(1, None), slice(0, 1), slice(-1, None)))
              for d in range(len(faces))]
 
-    def apply(u: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u)
+    def apply(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.zeros_like(u)
+        else:
+            out.fill(0.0)
         flux = np.empty_like(u)
         for kf, (head, tail, first, last) in zip(faces, cuts):
             np.subtract(u[tail], u[head], out=flux[head])
@@ -179,11 +183,13 @@ def pcg(apply, precondition, certify, b: np.ndarray, x: np.ndarray, r: np.ndarra
     residual b - apply(x), written into r, must pass too, or CG restarts
     from it.  x, r and p change in place (alpha p and alpha Ap through one
     scratch array) with the bits of x + alpha p and z + beta p, so
-    ``precondition`` must return a new array.  Returns (x, certificate,
-    iterations); raises ``SolverError`` on breakdown (p.Ap or z.r not
-    finite once values overflow; p.Ap not positive; z.r not positive while
-    the certificate is above tol), when the certificate has not halved in
-    ``STALL_WINDOW`` iterations, or after ``max_iter`` iterations.
+    ``precondition`` must return a new array; ``apply(u, out)`` writes A p,
+    and the restart's A x, into one buffer that this kernel owns.  Returns
+    (x, certificate, iterations); raises ``SolverError`` on breakdown (p.Ap
+    or z.r not finite once values overflow; p.Ap not positive; z.r not
+    positive while the certificate is above tol), when the certificate has
+    not halved in ``STALL_WINDOW`` iterations, or after ``max_iter``
+    iterations.
     """
     if not r.any():
         return x, 0.0, 0
@@ -204,9 +210,10 @@ def pcg(apply, precondition, certify, b: np.ndarray, x: np.ndarray, r: np.ndarra
     p = precondition(r)  # the first z, which nothing else holds
     rz = positive_rz(p)
     scaled = np.empty_like(x)  # alpha p, then alpha Ap
+    Ap = np.empty_like(x)  # A p, and A x at a restart, whose beta = 0 needs no A p
     mark, mark_it = np.inf, 0  # the last certificate that halved its predecessor
     for it in range(1, max_iter + 1):
-        Ap = apply(p)
+        apply(p, Ap)
         pAp = float(np.vdot(p, Ap))
         if not np.isfinite(pAp):
             raise SolverError(f"CG breakdown: p.Ap = {pAp} is not finite; the values overflowed")
@@ -218,7 +225,7 @@ def pcg(apply, precondition, certify, b: np.ndarray, x: np.ndarray, r: np.ndarra
         res = certify(r, x)
         restart = res <= tol
         if restart:
-            np.subtract(b, apply(x), out=r)
+            np.subtract(b, apply(x, Ap), out=r)
             res = certify(r, x)
             if res <= tol:
                 return x, res, it
@@ -237,7 +244,7 @@ def pcg(apply, precondition, certify, b: np.ndarray, x: np.ndarray, r: np.ndarra
         p *= beta
         p += z
         rz = rz_new
-        del z, Ap  # not held while the next iteration makes them anew
+        del z  # not held while the next iteration makes it anew
     res = certify(b - apply(x), x)
     raise SolverError(f"CG reached the iteration cap {max_iter} at residual {res:.3e} "
                       f"(tol {tol:.1e})")
@@ -247,7 +254,7 @@ class SpectralPCG:
     """Projected CG on one grid, preconditioned by the inverse of the
     constant-coefficient operator shift I - sum_d scale_d d_dd.
 
-    ``apply`` maps a grid-shaped array to the operator applied to it.  The
+    ``apply(u, out=None)`` writes A u into ``out`` or a new array.  The
     boundary kind ``bc`` picks the transform that diagonalizes the
     preconditioner (``inverse_symbol``): ``numpy.fft.rfftn`` for
     ``periodic``, the orthonormal type-2 DCT for ``noflux`` and the type-2
@@ -360,7 +367,8 @@ class SpectralPCG:
                 x -= self._mean(x)
         if self.mask is not None:
             np.copyto(x, b, where=~self.mask)
-        r = b - self.apply(x)
+        r = self.apply(x)
+        np.subtract(b, r, out=r)
 
         def certify(r, x):
             res = float(np.linalg.norm(r))

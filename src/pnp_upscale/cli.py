@@ -270,7 +270,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.tensors is not None and args.command != "macro":
         parser.error(f"--tensors applies to macro only, not to {args.command}")
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
+    # the level and a stderr handler go on the package's logger for this call
+    # only; logging.basicConfig does nothing under a root logger with a handler
+    log = logging.getLogger("pnp_upscale")
+    level, handler = log.level, logging.StreamHandler()
+    handler.setFormatter(logging.Formatter(logging.BASIC_FORMAT))
+    log.setLevel(logging.DEBUG if args.verbose else logging.WARNING)
+    log.addHandler(handler)
     try:
         cfg = load_config(args.config)
         out = Path(args.out) if args.out else Path(cfg.output_dir)
@@ -303,6 +309,9 @@ def main(argv=None) -> int:
     except (GeometryError, BudgetError, ValueError) as exc:
         _emit_error(exc)
         return EXIT_SOLVER
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 def _emit_error(exc: Exception, hint: str = "") -> None:

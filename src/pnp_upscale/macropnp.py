@@ -37,13 +37,13 @@ from functools import cached_property
 import numpy as np
 
 from ._fv import (
+    CompactDia,
     _along,
     _face_slices,
     _significant_offdiag,
     assemble_diffusion_matrix,
     assemble_neumann_operator,
     cell_gradients,
-    grid_matvec,
 )
 from .cellcorrect import SolverError, SpectralPCG
 from .config import KEYS, RunConfig, key_defect, run_setting, snapshot_defect, step_count_defect
@@ -157,8 +157,10 @@ class GridOperators:
     float32, which halves the transform cost; the macro grid keeps float64,
     whose transform inverts its constant-coefficient operators exactly, so
     they solve in one iteration.  Nothing is factorized, so memory grows
-    linearly with the cell count, and ``coef`` is dropped once the Poisson
-    operator is assembled: the operator keeps only its DIA table.  With a
+    linearly with the cell count.  Each solver holds its operator as a
+    ``_fv.CompactDia``, which stores each face coefficient of a symmetric
+    matrix once; ``norm_A`` is taken from the assembled matrix, which is then
+    dropped, and so is ``coef`` once the Poisson operator is built.  With a
     fluid ``mask`` the densities live on fluid cells only: diffusion and
     drift use only the faces between two fluid cells.
     """
@@ -188,10 +190,11 @@ class GridOperators:
         A = assemble_neumann_operator(self.shape, self.h, tensor=self.tensor,
                                       coef=self.coef)
         single = self.coef is not None
-        self.coef = None  # the DIA table holds all the solves need of it
+        self.coef = None  # the operator's table holds all the solves need of it
         scale = np.ones(len(self.shape)) if self.tensor is None else np.diag(self.tensor)
-        return SpectralPCG(grid_matvec(A), self.shape, self.h, scale,
-                           norm_A=abs(A).sum(axis=1).max(), single=single)
+        norm_A = abs(A).sum(axis=1).max()
+        return SpectralPCG(CompactDia(A), self.shape, self.h, scale, norm_A=norm_A,
+                           single=single)
 
     def diffusion(self, dt: float, bc: str) -> SpectralPCG:
         key = (float(dt), bc)
@@ -199,7 +202,7 @@ class GridOperators:
         if solver is None:
             A = assemble_diffusion_matrix(self.shape, self.h, dt, self.p, bc,
                                           mask=self.mask)
-            solver = SpectralPCG(grid_matvec(A), self.shape, self.h,
+            solver = SpectralPCG(CompactDia(A), self.shape, self.h,
                                  np.full(len(self.shape), self.p), shift=self.p / dt,
                                  bc=bc, mask=self.mask, single=self.mask is not None)
             self._diffusion[key] = solver
@@ -339,7 +342,7 @@ def balance_columns(state: MacroState) -> dict:
     }
 
 
-def picard_step(ops: GridOperators, start: list, base, A: np.ndarray, cfg: MacroConfig):
+def picard_step(ops: GridOperators, start: list, previous, A: np.ndarray, cfg: MacroConfig):
     """Fixed-point loop of one implicit step on the grid of ``ops``.
 
     ``start`` is the list [v, u3] of the first lagged densities [v1, v2]
@@ -347,8 +350,10 @@ def picard_step(ops: GridOperators, start: list, base, A: np.ndarray, cfg: Macro
     that no frame keeps the start past iteration 1.  The steppers pass the
     step's initial state or a predictor from the last two accepted states;
     the loop converges to the same fixed point either way.
-    ``base`` holds the previous-step terms of the two right-hand sides, ``A``
-    the drift tensor.  Each iteration solves the potential from the lagged
+    ``previous(r)`` forms species r's previous-step term p u_r / dt, from
+    the densities of the state the step steps from, which the stepper holds
+    anyway, each time a right-hand side needs it; ``A`` is the drift
+    tensor.  Each iteration solves the potential from the lagged
     densities, computes both species' drift from it in one pass over the
     faces, then solves the implicit diffusion of each species with it.
     Every CG solve starts from the previous iterate: the potential from the
@@ -398,7 +403,7 @@ def picard_step(ops: GridOperators, start: list, base, A: np.ndarray, cfg: Macro
             u3, cert, it = ops.potential(v[0], v[1], cfg.lin_tol, u3, reduction)
             rhs = _drift_divergences(v, u3, A, ops.h, cfg.bc, cfg.drift, ops.open_faces)
             for r in range(2):  # by index: no loop variable keeps a right-hand side
-                np.subtract(base[r], rhs[r], out=rhs[r])
+                np.subtract(previous(r), rhs[r], out=rhs[r])
                 if ops.solid is not None:
                     rhs[r][ops.solid] = 0.0
             diffusion = ops.diffusion(cfg.dt, cfg.bc)
@@ -439,7 +444,8 @@ def step_macro_pnp(state, tensors: EffectiveTensors, cfg: MacroConfig,
     """One accepted time step; returns (new_state, StepInfo).
 
     ``state`` is the state to step from, or a list holding it (``take``);
-    the step drops it once it has formed the previous-step terms.  ``ops``
+    the step keeps its densities, for the previous-step terms, and drops its
+    potential once the Picard loop has read it.  ``ops``
     are the grid's operators, ``GridOperators(shape, tensors.p,
     tensor=tensors.eps0)``; without them the step builds its own; the step
     reads the porosity from them.  ``start`` is the [[u1, u2], u3] start of
@@ -450,12 +456,11 @@ def step_macro_pnp(state, tensors: EffectiveTensors, cfg: MacroConfig,
     if ops is None:
         ops = GridOperators(state.u1.shape, tensors.p, tensor=tensors.eps0)
     A_drift = np.asarray(tensors.Hhat, dtype=float) - np.asarray(tensors.M, dtype=float)
-    base = [ops.p / cfg.dt * state.u1, ops.p / cfg.dt * state.u2]
-    t = state.t + cfg.dt
+    u, t = [state.u1, state.u2], state.t + cfg.dt
     if start is None:
-        start = [[state.u1, state.u2], state.u3]
+        start = [list(u), state.u3]
     del state
-    v, u3, info = picard_step(ops, start, base, A_drift, cfg)
+    v, u3, info = picard_step(ops, start, lambda r: ops.p / cfg.dt * u[r], A_drift, cfg)
     return MacroState(u1=v[0], u2=v[1], u3=u3, t=t), info
 
 

@@ -119,12 +119,11 @@ def step_micro_pnp(state, dom: MicroDomain, cfg: MacroConfig, start=None):
     potential from the state's u3.
     """
     state = take(state)
-    base = [state.u1 / cfg.dt, state.u2 / cfg.dt]
-    t = state.t + cfg.dt
+    u, t = [state.u1, state.u2], state.t + cfg.dt
     if start is None:
-        start = [[state.u1, state.u2], state.u3]
+        start = [list(u), state.u3]
     del state
-    v, phi, info = picard_step(dom.ops, start, base, -np.eye(dom.dim), cfg)
+    v, phi, info = picard_step(dom.ops, start, lambda r: u[r] / cfg.dt, -np.eye(dom.dim), cfg)
     return MacroState(u1=v[0], u2=v[1], u3=phi, t=t), dataclasses.asdict(info)
 
 

@@ -61,7 +61,7 @@ def diffusion_pair(shape, dt, p, bc, mask=None):
 
 def in_double(solver, A, scale, shift=0.0):
     """``solver``'s system with its preconditioner in float64."""
-    return SpectralPCG(_fv.grid_matvec(A), solver.shape, 1.0 / solver.shape[0], scale,
+    return SpectralPCG(_fv.CompactDia(A), solver.shape, 1.0 / solver.shape[0], scale,
                        shift, solver.bc, solver.mask, solver.norm_A)
 
 
@@ -405,7 +405,7 @@ def test_iteration_cap_and_breakdown_raise():
     with pytest.raises(SolverError, match="iteration cap 2"):
         box.solve(b, 1e-10)
     box, _, A = diffusion_pair(shape, 1e-3, 1.0, "noflux")
-    box.apply = _fv.grid_matvec(-A)
+    box.apply = _fv.CompactDia(-A)
     with pytest.raises(SolverError, match="breakdown"):
         box.solve(b, 1e-10)
 
@@ -579,10 +579,10 @@ def box_solves(shape, bc, single):
     mask, h, ones = contrast_mask(shape), 1.0 / shape[0], np.ones(len(shape))
     b = np.random.default_rng(len(shape)).standard_normal(shape)
     A = _fv.assemble_diffusion_matrix(shape, h, 1e-3, 1.0, bc, mask=mask)
-    solvers = [SpectralPCG(_fv.grid_matvec(A), shape, h, ones, 1e3, bc, mask, single=single)]
+    solvers = [SpectralPCG(_fv.CompactDia(A), shape, h, ones, 1e3, bc, mask, single=single)]
     if bc == "noflux":
         A = _fv.assemble_neumann_operator(shape, h, coef=np.where(mask, 1.0, 4.0))
-        solvers.append(SpectralPCG(_fv.grid_matvec(A), shape, h, ones, single=single))
+        solvers.append(SpectralPCG(_fv.CompactDia(A), shape, h, ones, single=single))
     return [solver.solve(b, 1e-10) for solver in solvers]
 
 

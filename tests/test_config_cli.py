@@ -297,17 +297,8 @@ def effect_run(tmp_path_factory):
         (inputs / "run.cfg").write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
         argv = [command, "--config", str(inputs / "run.cfg"),
                 *(arg.format(inputs=inputs) for arg in extra)]
-        # basicConfig adds no handler to a root logger that has one, as
-        # pytest's does: cleared, --verbose reaches stderr as in a fresh process
-        logger = logging.getLogger()
-        handlers, level = logger.handlers[:], logger.level
-        logger.handlers.clear()
-        try:
-            with contextlib.redirect_stderr(io.StringIO()) as err:
-                code = main(argv)
-        finally:
-            logger.handlers[:] = handlers
-            logger.setLevel(level)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
         outputs = {}
         for path in sorted(root.rglob("*")):
             if path.is_dir() or inputs in path.parents or path.name.endswith("provenance.json"):
@@ -728,6 +719,31 @@ def test_only_cell_and_validate_solve_the_second_order_family(tmp_path, caplog, 
                      "--verbose"]) == 0
     records = [r for r in caplog.records if r.getMessage().startswith("periodic elliptic solve")]
     assert len(records) == solves
+
+
+def test_verbose_takes_effect_for_its_own_call_only(tmp_path):
+    # under a root logger that has a handler, as pytest's and an embedding
+    # program's may, --verbose still reaches stderr, and a later call without
+    # it logs nothing; each call leaves the package's logger as it found it
+    config = tmp_path / "run.cfg"
+    config.write_text(DISC_CFG)
+    root, package = logging.getLogger(), logging.getLogger("pnp_upscale")
+    found = package.level, package.handlers[:]
+    other = logging.NullHandler()
+    root.addHandler(other)
+    logs = []
+    try:
+        for verbose in ([], ["--verbose"], [], ["--verbose"]):
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                assert main(["upscale", "--config", str(config),
+                             "--out", str(tmp_path / "tensors.json"), *verbose]) == 0
+            logs.append(err.getvalue())
+            assert (package.level, package.handlers) == found
+    finally:
+        root.removeHandler(other)
+    assert logs[0] == logs[2] == ""
+    assert logs[1] == logs[3]
+    assert logs[1].startswith("DEBUG:pnp_upscale.cellcorrect:periodic elliptic solve")
 
 
 def test_exit_code_solver_failure(tmp_path, capsys):

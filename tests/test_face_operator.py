@@ -168,3 +168,82 @@ def test_assembly_peak_bytes_per_voxel(shape):
             tracemalloc.stop()
         per_voxel = peak / np.prod(shape)
         assert per_voxel <= BUILD_PEAK_BOUNDS[name][len(shape)], (name, per_voxel)
+
+
+# ---------------------------------------------------------------------------
+# the compact storage of ``_fv.CompactDia``
+
+
+def bitwise_symmetric(A) -> bool:
+    C = canonical(A)
+    T = canonical(A.T)
+    return (np.array_equal(C.indptr, T.indptr) and np.array_equal(C.indices, T.indices)
+            and C.data.tobytes() == T.data.tobytes())
+
+
+def test_which_assembled_operators_are_bitwise_symmetric():
+    # the DNS Poisson and both diffusion kinds are, so their holders keep the
+    # diagonal and the rows below it only.  The macro Poisson with cross terms
+    # is not: at the two outer cell layers the tangential derivative is
+    # one-sided, and its cross entries there (about eps0[0,1]/(2h^2)) have no
+    # mirror; its holder keeps the full table.  Its eps0 here is macro2d's of
+    # seed 1, rounded, with which the 128^2 operator has 3024 such entries
+    rng = np.random.default_rng(11)
+    m = 32
+    shape, h = (m, m), 1.0 / m
+    mask = rng.random(shape) >= 0.3
+    symmetric = [_fv.assemble_neumann_operator(shape, h, coef=np.where(mask, 1.0, 4.0))]
+    symmetric += [_fv.assemble_diffusion_matrix(shape, h, 1e-3, 0.7, bc, mask=fluid)
+                  for bc in ("dirichlet", "noflux") for fluid in (None, mask)]
+    for A in symmetric:
+        assert bitwise_symmetric(A) and _fv.CompactDia(A).compact
+    T = np.array([[1.568, 0.099], [0.099, 1.426]])
+    A = _fv.assemble_neumann_operator(shape, h, tensor=T)
+    assert not bitwise_symmetric(A) and not _fv.CompactDia(A).compact
+    D = sp.coo_matrix(canonical(A) - canonical(A.T))
+    D.eliminate_zeros()
+    for cells in (D.row, D.col):  # the distance of each cell to the nearest edge
+        index = np.array(np.unravel_index(cells, shape))
+        assert np.minimum(index, m - 1 - index).min(axis=0).max() == 1
+    assert D.nnz > 0
+    assert np.abs(D.data).max() <= T[0, 1] / (h * h)
+
+
+@pytest.mark.parametrize("public", [False, True], ids=["kernel", "public"])
+@settings(max_examples=60)
+@given(grids(), st.floats(0.01, 100.0), st.floats(1e-5, 1.0),
+       st.sampled_from(["dirichlet", "noflux"]), st.data())
+def test_compact_products_give_the_bits_of_the_dia_product(public, grid, alpha, dt, bc, data):
+    # through scipy's DIA kernel, or the public dia_matrix products per
+    # block that replace it when it is missing or fails its check
+    if not public and _fv.dia_kernel() is None:
+        pytest.skip("scipy's DIA kernel is missing or fails its check")
+    shape, mask = grid
+    h = 1.0 / shape[0]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(shape) * (rng.random(shape) < 0.8)  # with zeros
+    operators = [_fv.assemble_neumann_operator(shape, h, coef=np.where(mask, 1.0, alpha)),
+                 _fv.assemble_neumann_operator(shape, h, tensor=data.draw(
+                     spd_tensors(len(shape))))]
+    operators += [_fv.assemble_diffusion_matrix(shape, h, dt, 0.5, bc, mask=m)
+                  for m in (None, mask)]
+    with pytest.MonkeyPatch.context() as mp:
+        if public:
+            mp.setattr(_fv, "dia_kernel", lambda: None)
+        for A in operators:
+            holder = _fv.CompactDia(A)
+            assert (holder.kernel is None) == public
+            out = np.full(shape, np.nan)
+            expected = (A @ x.ravel()).tobytes()
+            assert holder(x, out) is out and out.tobytes() == expected
+            assert holder(x).tobytes() == expected
+
+
+def test_a_compact_product_checks_its_arrays_before_the_kernel():
+    # the kernel reads and writes by pointer, unchecked
+    holder = _fv.CompactDia(_fv.assemble_diffusion_matrix((4, 4), 0.25, 1e-2, 1.0, "noflux"))
+    u = np.ones((4, 4))
+    for args in ((np.ones((3, 3)),), (u, np.empty((3, 3))), (u, np.empty((4, 4), np.float32)),
+                 (u, np.empty((8, 8))[::2, ::2])):
+        with pytest.raises(ValueError, match="C-contiguous float out"):
+            holder(*args)

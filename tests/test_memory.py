@@ -30,11 +30,12 @@ import oracles
 from test_box_solver import disc_domain, random_masks
 
 #: traced peak of a step of the 256^2 DNS (32^2 disc cell, s = 1/8), in
-#: bytes per fine voxel: 225.6 measured over its first three steps with
+#: bytes per fine voxel: 177.6 measured over its first three steps with
 #: CPython 3.11 and numpy 2.4, pinned with 3 % headroom, less than one more
-#: float64 field (steps that kept their start, the initial state, the
-#: coefficient and every CG temporary took 304.7)
-DNS_STEP_BYTES_PER_VOXEL = 232
+#: float64 field (225.6 with full DIA tables and a scaled copy of each
+#: step's densities; 304.7 when steps also kept their start, the initial
+#: state, the coefficient and every CG temporary)
+DNS_STEP_BYTES_PER_VOXEL = 183
 
 
 def handed_over(shape, seed, mask=None):
@@ -206,26 +207,30 @@ def test_the_dns_command_hands_its_initial_state_over(monkeypatch, tmp_path):
 @pytest.mark.parametrize("shape", [(24, 24), (8, 8, 8)])
 def test_the_picard_loop_frees_its_start_after_iteration_1(monkeypatch, shape):
     # iteration 1 reads the start potential in its Poisson solve and the
-    # start densities up to its diffusion solves; later solves find them gone
+    # start densities up to its diffusion solves; later solves find them
+    # gone, while the densities of the state it steps from, which form the
+    # previous-step terms, live through the loop
     mask = np.random.default_rng(3).random(shape) > 0.2
     ops = GridOperators(shape, coef=np.where(mask, 1.0, 4.0), mask=mask)
-    (state,), refs = handed_over(shape, 4, mask)
-    base = [state.u1 / 1e-3, state.u2 / 1e-3]
-    start = [[state.u1, state.u2], state.u3]
-    del state
+    (state,), kept = handed_over(shape, 4, mask)
+    (predicted,), refs = handed_over(shape, 5, mask)
+    u = [state.u1, state.u2]
+    start = [[predicted.u1, predicted.u2], predicted.u3]
+    del state, predicted
     seen = []
     solve = SpectralPCG.solve
 
     def watching(self, *args, **kwargs):
-        seen.append(alive(refs))
+        seen.append(alive(refs) + alive(kept))
         return solve(self, *args, **kwargs)
 
     monkeypatch.setattr(SpectralPCG, "solve", watching)
-    _, _, info = macropnp.picard_step(ops, start, base, -np.eye(len(shape)),
+    _, _, info = macropnp.picard_step(ops, start, lambda r: u[r] / 1e-3, -np.eye(len(shape)),
                                       MacroConfig(dt=1e-3, t_end=1e-3, bc="noflux"))
     assert info.picard_iters >= 2 and start == []
-    assert seen[:3] == [[True] * 3] + 2 * [[True, True, False]]
-    assert seen[3:] == [[False] * 3] * (len(seen) - 3)
+    held = [True, True, False]  # the state's densities; its u3 is no part of the loop
+    assert seen[:3] == [[True] * 3 + held] + 2 * [[True, True, False] + held]
+    assert seen[3:] == [[False] * 3 + held] * (len(seen) - 3)
 
 
 def test_a_256_squared_dns_step_stays_within_its_bytes_per_voxel(tmp_path):
@@ -268,15 +273,15 @@ def box_systems(mask, alpha, single):
     h, ones = 1.0 / shape[0], np.ones(N)
     ops = GridOperators(shape, coef=np.where(mask, 1.0, alpha), mask=mask)
     A = _fv.assemble_neumann_operator(shape, h, coef=np.where(mask, 1.0, alpha))
-    systems = {"poisson": SpectralPCG(_fv.grid_matvec(A), shape, h, ones,
+    systems = {"poisson": SpectralPCG(_fv.CompactDia(A), shape, h, ones,
                                       norm_A=abs(A).sum(axis=1).max(), single=single)}
     for bc in ("dirichlet", "noflux"):
         A = _fv.assemble_diffusion_matrix(shape, h, 1e-2, 1.0, bc, mask=mask)
-        systems[bc] = SpectralPCG(_fv.grid_matvec(A), shape, h, ones, 1e2, bc, mask,
+        systems[bc] = SpectralPCG(_fv.CompactDia(A), shape, h, ones, 1e2, bc, mask,
                                   single=single)
     faces = [ops.open_faces[d] * 1.0 for d in range(N)]
     A = _fv.face_operator(shape, h, faces, np.where(mask, 0.0, 1.0))
-    systems["masked neumann"] = SpectralPCG(_fv.grid_matvec(A), shape, h, ones,
+    systems["masked neumann"] = SpectralPCG(_fv.CompactDia(A), shape, h, ones,
                                             mask=mask, single=single)
     if not single:
         apply = periodic_operator(harmonic_face_coefficients(np.ones(shape), mask), h)
@@ -323,7 +328,7 @@ def test_preconditioner_transforms_keep_their_bits_and_the_residual(shape, bc, s
     mask = np.random.default_rng(5).random(shape) > 0.2
     h, ones = 1.0 / shape[0], np.ones(len(shape))
     A = _fv.assemble_diffusion_matrix(shape, h, 1e-2, 1.0, bc, mask=mask)
-    solver = SpectralPCG(_fv.grid_matvec(A), shape, h, ones, 1e2, bc, mask, single=single)
+    solver = SpectralPCG(_fv.CompactDia(A), shape, h, ones, 1e2, bc, mask, single=single)
     forward, inverse = _pocketfft.box_transforms("dst" if bc == "dirichlet" else "dct",
                                                  len(shape))
     r = np.random.default_rng(6).standard_normal(shape)
