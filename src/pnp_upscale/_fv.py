@@ -6,36 +6,35 @@ coefficient, perforated masks).  One face layout serves every grid:
 ``_face_slices`` gives, per axis, the lo and hi cells of the M-1 interior
 faces, so a box face array is the periodic cell's
 (``cellcorrect.harmonic_face_coefficients``) without its wrap face; the
-drift walks the same faces.  Every matrix is
+drift walks the same faces.  Every operator is
 -div(c grad u) + diag u from ``face_operator``: c is the harmonic mean of
 the permittivity on the DNS grid, eps0[d,d] plus its cross terms on the
 macro grid, and p on open fluid faces (0 on closed ones) for the
 densities, whose diagonal adds p/dt and the Dirichlet ghost-cell penalty.
 ``face_operator`` writes the entries into one dense table, a row per
 stencil offset and a column per cell, and rolls each row by its flat offset
-into the diagonal (DIA) storage of the matrix: one representation, built
-in place, whose products sum each row in the column order of CSR.
-Each matrix is assembled once, held as a ``CompactDia`` (a symmetric one
-by its diagonal and the rows below it) and solved by
-``cellcorrect.SpectralPCG``, the solver of the periodic cell problems,
-with a constant-coefficient box preconditioner diagonalized by DCT-II or
-DST-II, in float32 on the DNS grids and float64 on the macro grid.  The
-SuperLU solvers ``PinnedNeumannSolver`` and ``FactorizedSolver`` are its
-test oracles only, with the same solve contract; no grid of the program
-factorizes.
-The oracles factorize a CSR copy of the DIA matrix.  scipy.sparse loads
-inside ``face_operator`` and the oracles, the DIA product kernel that
-``CompactDia`` checks with it, and the DCT/DST kernel (scipy's
-pocketfft extension, loaded by file in ``_pocketfft``) when the first box
-solver is built.  So importing this module, and the package, needs numpy
-only; without scipy the first box matrix or solver is a ``SolverError``
+into the diagonal (DIA) storage of the operator, whose products sum each
+row in the column order of CSR; a symmetric operator, one without cross
+terms, keeps only the diagonal and the rows below it.  That table is the
+``CompactDia`` that ``cellcorrect.SpectralPCG``, the solver of the periodic
+cell problems, applies and takes ||A||_inf from, with a
+constant-coefficient box preconditioner diagonalized by DCT-II or DST-II,
+in float32 on the DNS grids and float64 on the macro grid.  The SuperLU
+solvers ``PinnedNeumannSolver`` and ``FactorizedSolver`` are its test
+oracles only, with the same solve contract, on ``scipy.sparse`` matrices
+that the tests rebuild from a holder; no grid of the program factorizes.
+Assembly needs numpy only.  scipy.sparse loads at the first product, for
+the DIA kernel of ``CompactDia``, and scipy's pocketfft extension (the
+DCT/DST kernel, loaded by file in ``_pocketfft``) when the first box solver
+is built.  So importing this module, and the package, needs numpy only;
+without scipy the first box solver is a ``SolverError``
 (``cellcorrect.import_scipy``).
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cache
+from functools import cache, cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -96,7 +95,8 @@ def _add_derivative(rows, cells, end, d2, v):
 
 def _stencil_table(shape, h, faces, diag, wall, tensor, offsets) -> np.ndarray:
     """The entries of ``face_operator``: row k holds, per cell, its entry for
-    the neighbour at stencil offset ``offsets[k]``."""
+    the neighbour at stencil offset ``offsets[k]``.  The rows above the
+    diagonal are written only if ``offsets`` has them."""
     N = len(shape)
     table = np.zeros((len(offsets), int(np.prod(shape))))
     rows = {e: row.reshape(shape) for e, row in zip(offsets, table)}
@@ -104,12 +104,13 @@ def _stencil_table(shape, h, faces, diag, wall, tensor, offsets) -> np.ndarray:
     D = rows[zero]
     D[...] = diag
     for d, (lo, hi) in enumerate(_face_slices(N)):
-        # -t, the lo cell's entry for its hi neighbour and the hi cell's for its lo one
-        up = rows[_shift(zero, d, 1)][lo]
-        np.divide(faces[d], -(h * h), out=up)
-        rows[_shift(zero, d, -1)][hi] = up
-        D[lo] -= up
-        D[hi] -= up
+        # -t, the hi cell's entry for its lo neighbour and the lo cell's for its hi one
+        down = rows[_shift(zero, d, -1)][hi]
+        np.divide(faces[d], -(h * h), out=down)
+        if _shift(zero, d, 1) in rows:
+            rows[_shift(zero, d, 1)][lo] = down
+        D[lo] -= down
+        D[hi] -= down
         if wall is not None:
             for side in (0, -1):
                 cells = _along(N, d, side)
@@ -130,8 +131,8 @@ def _stencil_table(shape, h, faces, diag, wall, tensor, offsets) -> np.ndarray:
     return table
 
 
-def face_operator(shape, h, faces, diag=0.0, wall=None, tensor=None) -> sp.dia_matrix:
-    """DIA matrix of -div(c grad u) + diag u on a box grid, by face fluxes.
+def face_operator(shape, h, faces, diag=0.0, wall=None, tensor=None) -> CompactDia:
+    """The ``CompactDia`` of -div(c grad u) + diag u on a box grid, by face fluxes.
 
     ``faces[d]`` is the transmissibility c on the interior faces of axis d
     (a scalar, or an array in the ``_face_slices`` layout); a zero face is
@@ -147,20 +148,22 @@ def face_operator(shape, h, faces, diag=0.0, wall=None, tensor=None) -> sp.dia_m
     The entries go into one dense table with a row per stencil offset e
     (in {-1,0,1}^N, at most one nonzero component, two with cross terms)
     and a column per cell.  Rolling row e by its flat offset k moves cell
-    i's entry for cell i + k to column i + k: the table becomes the storage
-    of ``scipy.sparse.dia_matrix``.  The roll wraps only the zeros of
-    neighbours outside the grid.  The flat offsets increase, so a product
-    sums each row in column order, as CSR does.  A side of 2 after the
-    first axis can fold two cross-term offsets onto one flat offset or swap
-    their order; such rows are summed per flat offset and sorted, exactly,
-    as a cell has at most one in-grid neighbour per flat offset.
+    i's entry for cell i + k to column i + k: the table becomes the DIA
+    storage of the operator.  The roll wraps only the zeros of neighbours
+    outside the grid.  The flat offsets increase, so a product sums each row
+    in column order, as CSR does.  Without significant cross terms the
+    operator is symmetric, and only the diagonal and the rows below it are
+    written: the holder is compact.  With them, a side of 2 after the first
+    axis can fold two cross-term offsets onto one flat offset or swap their
+    order; such rows are summed per flat offset and sorted, exactly, as a
+    cell has at most one in-grid neighbour per flat offset.
     """
-    sp = import_scipy("scipy.sparse")
     shape = tuple(shape)
     N, n = len(shape), int(np.prod(shape))
     cross = tensor is not None and _significant_offdiag(tensor)
+    zero = (0,) * N
     offsets = [e for e in itertools.product((-1, 0, 1), repeat=N)
-               if np.count_nonzero(e) <= (2 if cross else 1)]
+               if np.count_nonzero(e) <= (2 if cross else 1) and (cross or e <= zero)]
     table = _stencil_table(shape, h, faces, diag, wall, tensor if cross else None, offsets)
     strides = [int(np.prod(shape[d + 1:])) for d in range(N)]
     flat = np.array([np.dot(e, strides) for e in offsets])
@@ -171,10 +174,10 @@ def face_operator(shape, h, faces, diag=0.0, wall=None, tensor=None) -> sp.dia_m
         folded = np.zeros((len(flat), n))
         np.add.at(folded, fold, table)
         table = folded
-    return sp.dia_matrix((table, flat), shape=(n, n))
+    return CompactDia(table, flat, compact=not cross)
 
 
-def assemble_neumann_operator(shape, h, tensor=None, coef=None) -> sp.dia_matrix:
+def assemble_neumann_operator(shape, h, tensor=None, coef=None) -> CompactDia:
     """-div(T grad u) or -div(c(x) grad u) with zero-flux boundary faces.
 
     Exactly one of ``tensor`` (constant symmetric matrix: faces T[d,d] plus
@@ -190,24 +193,6 @@ def assemble_neumann_operator(shape, h, tensor=None, coef=None) -> sp.dia_matrix
     return face_operator(shape, h, faces)
 
 
-def _blocks(A: sp.dia_matrix):
-    """The stored blocks of ``CompactDia``, each (table, offsets, shift k): the
-    product adds the table's DIA product with x[k:] to y[:n-k]."""
-    n, data, offsets = A.shape[0], A.data, A.offsets
-    upper = offsets > 0
-    rows = dict(zip(offsets.tolist(), data))
-    mirrored = all(-k in rows and np.array_equal(rows[k][k:].view(np.uint64),
-                                                 rows[-k][:n - k].view(np.uint64))
-                   for k in offsets[upper].tolist())
-    if not mirrored:
-        return [(np.ascontiguousarray(data), offsets, 0)]
-    table = data[~upper]  # the diagonal and the rows below it, copied
-    lower = dict(zip(offsets[~upper].tolist(), table))
-    diagonal = np.zeros(1, dtype=offsets.dtype)
-    return [(table, offsets[~upper], 0)] + [
-        (lower[-k][None, :n - k], diagonal, k) for k in offsets[upper].tolist()]
-
-
 def _kernel_product(kernel, blocks, x: np.ndarray, y: np.ndarray) -> None:
     """y = A x through scipy's DIA kernel, block by block into the zeroed y."""
     y.fill(0.0)
@@ -218,18 +203,19 @@ def _kernel_product(kernel, blocks, x: np.ndarray, y: np.ndarray) -> None:
 
 def _kernel_agrees(kernel) -> bool:
     """The blocked products of ``kernel`` equal the public ``dia_matrix``
-    product bit for bit, on a 12-cell mirrored operator and an unmirrored one."""
+    product bit for bit, on a 12-cell compact operator and a full one."""
     sp = import_scipy("scipy.sparse")
     n, rng = 12, np.random.default_rng(0)
-    lower = rng.standard_normal((3, n))  # offsets -3, -1 and 0
+    offsets = np.array([-3, -1, 0, 1, 3])
+    lower = rng.standard_normal((3, n))
     mirrored = np.vstack([lower, np.roll(lower[1], 1), np.roll(lower[0], 3)])
-    x = rng.standard_normal(n)
+    full = rng.standard_normal((5, n))
+    x, y = rng.standard_normal(n), np.empty(n)
     try:
-        for data, compact in ((mirrored, True), (rng.standard_normal((5, n)), False)):
-            A = sp.dia_matrix((data, [-3, -1, 0, 1, 3]), shape=(n, n))
-            blocks, y = _blocks(A), np.empty(n)
-            _kernel_product(kernel, blocks, x, y)
-            if (len(blocks) > 1) != compact or y.tobytes() != (A @ x).tobytes():
+        for data, holder in ((mirrored, CompactDia(lower, offsets[:3], compact=True)),
+                             (full, CompactDia(full, offsets, compact=False))):
+            _kernel_product(kernel, holder.blocks, x, y)
+            if y.tobytes() != (sp.dia_matrix((data, offsets), shape=(n, n)) @ x).tobytes():
                 return False
     except (TypeError, ValueError, RuntimeError):
         return False
@@ -248,18 +234,19 @@ def dia_kernel():
 
 
 class CompactDia:
-    """u -> A u on grid-shaped arrays, the ``apply`` of ``SpectralPCG``, for a
-    DIA matrix of ``face_operator``, storing each face coefficient once.
+    """A box-grid operator of ``face_operator`` in DIA storage, and its
+    product u -> A u on grid-shaped arrays, the ``apply`` of ``SpectralPCG``.
 
-    In a bitwise-symmetric operator the row at offset +k is the row at -k
-    moved k places: A[i, i+k] = A[i+k, i], and the zero padding lines up.  So
-    the diagonal and the rows below it stay one table, copied from the
-    matrix, and each row above the diagonal is a view of its mirror.  A
-    product zeroes its output, adds the lower block, then each upper row in
-    increasing offset order: the sums of ``A @ u`` in its order, so the same
-    bits.  A matrix whose upper rows do not all mirror bit for bit, as the
-    cross-term Poisson's do not, keeps its full table as one block (then
-    ``compact`` is False).  Products go through scipy's DIA kernel
+    ``table`` holds the rows of the storage at the increasing flat
+    ``offsets``: the entry of the row at k in column j is A[j - k, j].  A
+    ``compact`` operator is symmetric, and its table holds only the
+    diagonal and the rows below it: the row at +k is the row at -k moved k
+    places, A[i, i+k] = A[i+k, i], and the zero padding lines up, so each
+    row above the diagonal is a view of its mirror.  A product zeroes its
+    output, adds the lower block, then each upper row in increasing offset
+    order: the sums of the full DIA product in its order, so the same bits.
+    Otherwise, as for the cross-term Poisson, the table is the whole
+    storage and one block.  Products go through scipy's DIA kernel
     (``dia_kernel``) or, when that is missing or fails its check, through
     public ``dia_matrix`` products per block, with the same bits.
     ``out``, if given, is a C-contiguous float array of u's size, which the
@@ -267,15 +254,23 @@ class CompactDia:
     checks both before it.
     """
 
-    def __init__(self, A: sp.dia_matrix):
-        self.n = A.shape[0]
-        self.blocks = _blocks(A)
-        self.compact = len(self.blocks) > 1
-        self.kernel = dia_kernel()
-        if self.kernel is None:
-            sp = import_scipy("scipy.sparse")
-            self.public = [sp.dia_matrix((table, offsets), shape=(self.n - k,) * 2)
-                           for table, offsets, k in self.blocks]
+    def __init__(self, table: np.ndarray, offsets: np.ndarray, compact: bool):
+        self.n = n = table.shape[1]
+        self.table, self.offsets, self.compact = table, offsets, compact
+        # (table, offsets, shift k): a product adds the table's DIA product
+        # with x[k:] to y[:n-k]
+        self.blocks = [(table, offsets, 0)]
+        if compact:
+            lower, diagonal = dict(zip(offsets.tolist(), table)), np.zeros(1, dtype=offsets.dtype)
+            self.blocks += [(lower[-k][None, :n - k], diagonal, k)
+                            for k in (-offsets[offsets < 0])[::-1].tolist()]
+
+    @cached_property
+    def public(self) -> list:
+        """The blocks as public ``dia_matrix`` products, for when there is no kernel."""
+        sp = import_scipy("scipy.sparse")
+        return [sp.dia_matrix((table, offsets), shape=(self.n - k,) * 2)
+                for table, offsets, k in self.blocks]
 
     def __call__(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if out is None:
@@ -284,18 +279,27 @@ class CompactDia:
         if not (x.size == y.size == self.n and out.dtype == float and out.flags.c_contiguous):
             raise ValueError(f"a product of an operator on {self.n} cells needs u and a "
                              f"C-contiguous float out of that size")
-        if self.kernel is not None:
-            _kernel_product(self.kernel, self.blocks, x, y)
+        kernel = dia_kernel()  # loaded here, so that assembly needs numpy only
+        if kernel is not None:
+            _kernel_product(kernel, self.blocks, x, y)
             return out
         y.fill(0.0)
         for M, (_, _, k) in zip(self.public, self.blocks):
             y[:self.n - k] += M @ x[k:]
         return out
 
+    def norm_inf(self) -> float:
+        """||A||_inf, the largest entry of |A| 1, by the product of |A|'s
+        holder with ones: the sums of scipy's ``abs(A).sum(axis=1)``, which
+        is the DIA product of |A| with ones."""
+        magnitude = CompactDia(np.abs(self.table), self.offsets, self.compact)
+        return float(magnitude(np.ones(self.n)).max())
+
 
 class PinnedNeumannSolver:
     """Direct solver for the consistent singular Neumann system: the test
-    oracle for the box Poisson solves of ``cellcorrect.SpectralPCG``.
+    oracle for the box Poisson solves of ``cellcorrect.SpectralPCG``, on a
+    ``scipy.sparse`` matrix of the operator.
 
     ``solve(b, tol)`` keeps that solver's contract and returns (x,
     certificate, 0), a direct solve counting no iterations.  The right-hand
@@ -307,7 +311,7 @@ class PinnedNeumannSolver:
     does not grow with the h^-2 scale of the operator.
     """
 
-    def __init__(self, A: sp.dia_matrix):
+    def __init__(self, A: sp.spmatrix):
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
@@ -349,7 +353,7 @@ class FactorizedSolver:
     returns (x, relative residual, 0).
     """
 
-    def __init__(self, A: sp.dia_matrix):
+    def __init__(self, A: sp.spmatrix):
         import scipy.sparse.linalg as spla
 
         self.A = A.tocsr()
@@ -367,7 +371,7 @@ class FactorizedSolver:
         return x, res / bnorm if bnorm else 0.0, 0
 
 
-def assemble_diffusion_matrix(shape, h, dt, p, bc, mask=None) -> sp.dia_matrix:
+def assemble_diffusion_matrix(shape, h, dt, p, bc, mask=None) -> CompactDia:
     """(p/dt) I - p Lap  with the requested density boundary condition.
 
     bc = 'dirichlet' adds the ghost-cell penalty 2p/h^2 per boundary face of

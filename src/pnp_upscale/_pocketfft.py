@@ -43,9 +43,20 @@ def find_file(scipy_dir: str):
 def _r2r(transform, kind: int, axes, overwrite: bool = False):
     """``transform`` (pocketfft's dct or dst) of type ``kind`` over ``axes``,
     with the arguments ``scipy.fft`` passes for ``norm="ortho"``: norm code 1,
-    a new output array (with ``overwrite``, the input array itself, as for
-    ``overwrite_x=True``), one thread and the default orthogonalization."""
-    return lambda x: transform(x, kind, axes, 1, x if overwrite else None, 1, None)
+    ``out`` or a new output array (with ``overwrite``, the input array
+    itself, as for ``overwrite_x=True``), one thread and the default
+    orthogonalization."""
+    return lambda x, out=None: transform(x, kind, axes, 1, x if overwrite else out, 1, None)
+
+
+def _into(transform):
+    """``transform`` writing its result into ``out`` when given, by a copy."""
+    def call(x, out=None):
+        if out is None:
+            return transform(x)
+        out[...] = transform(x)
+        return out
+    return call
 
 
 def agrees(module) -> bool:
@@ -96,12 +107,13 @@ def box_transforms(name: str, ndim: int, overwrite: bool = False):
     """(forward, inverse): the orthonormal type-2 ``name`` ("dct" or "dst")
     over all ``ndim`` axes, and its inverse, the type 3.  With ``overwrite``
     each may write its result into its input array and return that, so the
-    caller must own the input.  They call the kernel from ``load``, or
-    ``scipy.fft`` when that is None.  Without scipy, ``SolverError``."""
+    caller must own the input; without it each writes into ``out`` when
+    given.  They call the kernel from ``load``, or ``scipy.fft`` when that is
+    None.  Without scipy, ``SolverError``."""
     kernel = load(import_scipy("scipy").__path__[0])
     if kernel is None:
         fft = import_scipy("scipy.fft")
-        return tuple(partial(getattr(fft, prefix + name + "n"), type=2, norm="ortho",
-                             overwrite_x=overwrite) for prefix in ("", "i"))
+        return tuple(_into(partial(getattr(fft, prefix + name + "n"), type=2, norm="ortho",
+                                   overwrite_x=overwrite)) for prefix in ("", "i"))
     transform, axes = getattr(kernel, name), tuple(range(ndim))
     return _r2r(transform, 2, axes, overwrite), _r2r(transform, 3, axes, overwrite)

@@ -182,9 +182,12 @@ def pcg(apply, precondition, certify, b: np.ndarray, x: np.ndarray, r: np.ndarra
     stopping measure; once the recurrence residual passes it, the true
     residual b - apply(x), written into r, must pass too, or CG restarts
     from it.  x, r and p change in place (alpha p and alpha Ap through one
-    scratch array) with the bits of x + alpha p and z + beta p, so
-    ``precondition`` must return a new array; ``apply(u, out)`` writes A p,
-    and the restart's A x, into one buffer that this kernel owns.  Returns
+    scratch array) with the bits of x + alpha p and z + beta p.
+    ``precondition(r, out)`` returns z, written into ``out`` or a new array,
+    never into r: the first z goes into a new array, which becomes p, and
+    every later one into the scratch array, which is free from r's update to
+    the next iteration's.  ``apply(u, out)`` writes A p, and the restart's
+    A x, into one buffer that this kernel owns.  Returns
     (x, certificate, iterations); raises ``SolverError`` on breakdown (p.Ap
     or z.r not finite once values overflow; p.Ap not positive; z.r not
     positive while the certificate is above tol), when the certificate has
@@ -207,9 +210,9 @@ def pcg(apply, precondition, certify, b: np.ndarray, x: np.ndarray, r: np.ndarra
             )
         return rz
 
-    p = precondition(r)  # the first z, which nothing else holds
+    p = precondition(r, np.empty_like(x))  # the first z, which nothing else holds
     rz = positive_rz(p)
-    scaled = np.empty_like(x)  # alpha p, then alpha Ap
+    scaled = np.empty_like(x)  # alpha p, then alpha Ap, then z
     Ap = np.empty_like(x)  # A p, and A x at a restart, whose beta = 0 needs no A p
     mark, mark_it = np.inf, 0  # the last certificate that halved its predecessor
     for it in range(1, max_iter + 1):
@@ -238,13 +241,12 @@ def pcg(apply, precondition, certify, b: np.ndarray, x: np.ndarray, r: np.ndarra
                 f"iterations; the tolerance {tol:.1e} may be below what this grid "
                 f"can certify"
             )
-        z = precondition(r)
+        z = precondition(r, scaled)
         rz_new = positive_rz(z)
         beta = 0.0 if restart else -alpha * float(np.vdot(z, Ap)) / rz
         p *= beta
         p += z
         rz = rz_new
-        del z  # not held while the next iteration makes it anew
     res = certify(b - apply(x), x)
     raise SolverError(f"CG reached the iteration cap {max_iter} at residual {res:.3e} "
                       f"(tol {tol:.1e})")
@@ -263,14 +265,16 @@ class SpectralPCG:
     solver is built, else through ``scipy.fft`` with the same bits).
     With ``single`` the transforms and the symbol run in float32, which
     halves the cost of a 256^2 DST pair; the residual is cast down before
-    them (both write into that cast) and the result back up after, and
-    everything else (the projection, the iterate, the matvec, the
+    them (both write into that cast) and the result back up after, into the
+    buffer ``pcg`` hands over (a float64 inverse transform writes there
+    itself), and everything else (the projection, the iterate, the matvec, the
     certificate, the restart and ``check_mean_zero``) stays float64, so only
     the convergence rate of the flexible ``pcg`` feels the rounding, not the
     result.  Without a shift a periodic or no-flux system is singular.  One
     projection follows every preconditioner application: the mean over the
     active cells out when singular, the cells outside ``mask`` zeroed by a
-    product with it (a float copy is kept only for a singular mean).  A
+    product with it (a float copy is kept only for a singular mean; a
+    regular masked float32 result is cast up in that product).  A
     singular system's right-hand side and result are projected as well, and
     the result passes ``check_mean_zero``.  Masked-out cells take their
     values from the right-hand side (identity rows on the box; zero after a
@@ -337,7 +341,7 @@ class SpectralPCG:
             v *= self.weight
         return v
 
-    def _precondition(self, r: np.ndarray) -> np.ndarray:
+    def _precondition(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
         # a residual past the float32 range casts to inf without a warning:
         # pcg reports the overflow through its non-finite z.r check
         with np.errstate(over="ignore"):
@@ -345,7 +349,13 @@ class SpectralPCG:
         # single transforms overwrite their own float32 cast; a float64 z is r
         z = self._forward(z)
         z *= self.inv_symbol
-        return self._project(self._inverse(z).astype(float, copy=False))
+        if self.inv_symbol.dtype == float:
+            return self._project(self._inverse(z, out=out))
+        z = self._inverse(z)
+        if self.mask is not None and not self.singular:
+            return np.multiply(z, self.mask, out=out)  # the projection
+        out[...] = z
+        return self._project(out)
 
     def solve(self, b: np.ndarray, tol: float, x0: np.ndarray | None = None,
               reduction: float = 0.0):

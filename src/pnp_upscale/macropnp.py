@@ -25,7 +25,10 @@ is their time loop and sets where each step's Picard loop starts.
 ``run_macro`` returns one diagnostics row per step, a dict whose keys are
 its CSV columns.  Its ``free_energy`` is the functional of the effective
 model, p < sum_r u_r (log u_r - 1) + (u1 - u2) u3 / 2 >, whose second term
-is the field energy 1/2 <grad u3 . eps0 grad u3> of an accepted state.
+is 1/2 <u3, A u3> for the assembled Poisson operator A at an accepted state:
+the field energy 1/2 <grad u3 . eps0 grad u3> where A is symmetric, and
+only that of A's symmetric part where significant cross terms make
+A != A^T (ROADMAP item 18).
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from functools import cached_property
 import numpy as np
 
 from ._fv import (
-    CompactDia,
     _along,
     _face_slices,
     _significant_offdiag,
@@ -157,10 +159,10 @@ class GridOperators:
     float32, which halves the transform cost; the macro grid keeps float64,
     whose transform inverts its constant-coefficient operators exactly, so
     they solve in one iteration.  Nothing is factorized, so memory grows
-    linearly with the cell count.  Each solver holds its operator as a
-    ``_fv.CompactDia``, which stores each face coefficient of a symmetric
-    matrix once; ``norm_A`` is taken from the assembled matrix, which is then
-    dropped, and so is ``coef`` once the Poisson operator is built.  With a
+    linearly with the cell count.  Each solver applies the ``_fv.CompactDia``
+    that assembly builds, which stores each face coefficient of a symmetric
+    operator once; the Poisson's ``norm_A`` is a product of that holder, and
+    ``coef`` is dropped once the Poisson operator is built.  With a
     fluid ``mask`` the densities live on fluid cells only: diffusion and
     drift use only the faces between two fluid cells.
     """
@@ -192,9 +194,7 @@ class GridOperators:
         single = self.coef is not None
         self.coef = None  # the operator's table holds all the solves need of it
         scale = np.ones(len(self.shape)) if self.tensor is None else np.diag(self.tensor)
-        norm_A = abs(A).sum(axis=1).max()
-        return SpectralPCG(CompactDia(A), self.shape, self.h, scale, norm_A=norm_A,
-                           single=single)
+        return SpectralPCG(A, self.shape, self.h, scale, norm_A=A.norm_inf(), single=single)
 
     def diffusion(self, dt: float, bc: str) -> SpectralPCG:
         key = (float(dt), bc)
@@ -202,7 +202,7 @@ class GridOperators:
         if solver is None:
             A = assemble_diffusion_matrix(self.shape, self.h, dt, self.p, bc,
                                           mask=self.mask)
-            solver = SpectralPCG(CompactDia(A), self.shape, self.h,
+            solver = SpectralPCG(A, self.shape, self.h,
                                  np.full(len(self.shape), self.p), shift=self.p / dt,
                                  bc=bc, mask=self.mask, single=self.mask is not None)
             self._diffusion[key] = solver
@@ -476,8 +476,11 @@ def free_energy(state: MacroState, p: float) -> float:
 
     with the 0 log 0 = 0 convention.  For a state whose u3 is the mean-zero
     potential of the charge p (u1 - u2), as every accepted state's is, the
-    second term is the field energy 1/2 <grad u3 . eps0 grad u3> of the
-    assembled Poisson operator, so neither eps0 nor a gradient is needed.
+    second term is 1/2 <u3, A u3> for the assembled Poisson operator A, so
+    neither eps0 nor a gradient is needed.  That is the field energy
+    1/2 <grad u3 . eps0 grad u3> of a symmetric A; with significant cross
+    terms A != A^T, and the term is the energy of A's symmetric part
+    (A + A^T)/2 only, while the steps solve with A itself.
     """
     if (state.u1 < 0).any() or (state.u2 < 0).any():
         raise ValueError("free energy needs nonnegative densities")

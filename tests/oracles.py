@@ -345,6 +345,18 @@ def jacobi_projected_cg(faces, b, h, mask, tol, max_iter):
     raise RuntimeError("reference Jacobi CG did not converge")
 
 
+def allocating_precondition(solver, r, out):
+    """``SpectralPCG._precondition`` as it was before it wrote into the
+    array ``pcg`` hands it: the inverse transform's result in a new array,
+    cast up into another one on the float32 grids, then projected; ``out``
+    is not used."""
+    with np.errstate(over="ignore"):
+        z = r.astype(solver.inv_symbol.dtype, copy=False)
+    z = solver._forward(z)
+    z *= solver.inv_symbol
+    return solver._project(solver._inverse(z).astype(float, copy=False))
+
+
 def allocating_pcg(apply, precondition, certify, b, x, r, tol, max_iter):
     """``cellcorrect.pcg`` as it was before it worked in place: every update
     (x + alpha p, r - alpha Ap, the restart residual, z + beta p) makes a
@@ -367,7 +379,7 @@ def allocating_pcg(apply, precondition, certify, b, x, r, tol, max_iter):
             )
         return rz
 
-    z = precondition(r)
+    z = precondition(r, np.empty_like(r))
     p = z.copy()
     rz = positive_rz(z)
     mark, mark_it = np.inf, 0
@@ -396,7 +408,7 @@ def allocating_pcg(apply, precondition, certify, b, x, r, tol, max_iter):
                 f"iterations; the tolerance {tol:.1e} may be below what this grid "
                 f"can certify"
             )
-        z = precondition(r)
+        z = precondition(r, np.empty_like(r))
         rz_new = positive_rz(z)
         beta = 0.0 if restart else -alpha * float(np.vdot(z, Ap)) / rz
         p = z + beta * p
@@ -411,6 +423,23 @@ def allocating_pcg(apply, precondition, certify, b, x, r, tol, max_iter):
 # The reference for ``_fv.face_operator``: each assembler walks the cell pairs
 # of every interior face and appends its own triplets, the diffusion one with
 # the ghost-cell penalty added per axis after that axis's faces.
+
+
+def dia_matrix(holder) -> sp.dia_matrix:
+    """The ``scipy.sparse`` DIA matrix of a ``_fv.CompactDia``, for the SuperLU
+    oracles and the comparisons with the assemblers below: its table, and
+    for a compact holder each row above the diagonal rebuilt from its
+    mirror, the row at +k being the row at -k moved k places."""
+    table, offsets, n = holder.table, holder.offsets, holder.n
+    if holder.compact:
+        lower = dict(zip(offsets.tolist(), table))
+        upper = -offsets[offsets < 0][::-1]
+        rows = np.zeros((len(upper), n))
+        for row, k in zip(rows, upper.tolist()):
+            row[k:] = lower[-k][:n - k]
+        table, offsets = np.vstack([table, rows]), np.concatenate([offsets, upper])
+    return sp.dia_matrix((table, offsets), shape=(n, n))
+
 
 def _face_index_pairs(shape, axis):
     """Flat indices (lo, hi) of the cells on either side of interior faces."""

@@ -1,4 +1,4 @@
-"""SpectralPCG on the box grids: the assembled DIA operators against the
+"""SpectralPCG on the box grids: the assembled operators against the
 SuperLU oracles, its warm start, the 2D and 3D DNS sizes that SuperLU could
 not reach, and the one-iteration solve of a constant coefficient on every
 kind of grid."""
@@ -29,6 +29,8 @@ from pnp_upscale.microdns import assemble_micro_domain, run_micro
 from pnp_upscale.unitcell import PermittivityParams, build_unit_cell
 from pnp_upscale.upscale import compute_effective_tensors
 
+import oracles
+
 
 @pytest.fixture()
 def box_iterations(monkeypatch):
@@ -47,21 +49,21 @@ def box_iterations(monkeypatch):
 
 def poisson_pair(shape, tensor=None, coef=None):
     """The program's Poisson solver of a box grid, its SuperLU oracle and
-    the matrix."""
+    the matrix, rebuilt from the operator the solver applies."""
     ops = GridOperators(shape, tensor=tensor, coef=coef)
-    A = _fv.assemble_neumann_operator(shape, ops.h, tensor=tensor, coef=coef)
+    A = oracles.dia_matrix(ops.poisson.apply)
     return ops.poisson, _fv.PinnedNeumannSolver(A), A
 
 
 def diffusion_pair(shape, dt, p, bc, mask=None):
     ops = GridOperators(shape, p, mask=mask)
-    A = _fv.assemble_diffusion_matrix(shape, ops.h, dt, p, bc, mask=mask)
+    A = oracles.dia_matrix(ops.diffusion(dt, bc).apply)
     return ops.diffusion(dt, bc), _fv.FactorizedSolver(A), A
 
 
-def in_double(solver, A, scale, shift=0.0):
+def in_double(solver, scale, shift=0.0):
     """``solver``'s system with its preconditioner in float64."""
-    return SpectralPCG(_fv.CompactDia(A), solver.shape, 1.0 / solver.shape[0], scale,
+    return SpectralPCG(solver.apply, solver.shape, 1.0 / solver.shape[0], scale,
                        shift, solver.bc, solver.mask, solver.norm_A)
 
 
@@ -121,7 +123,7 @@ def test_random_masks_match_superlu(mask, alpha, dt, bc, seed):
     box, lu, A = poisson_pair(shape, coef=np.where(mask, 1.0, alpha))
     assert box.inv_symbol.dtype == np.float32
     (x, cert, iters), (ref, _, _) = box.solve(b, tol), lu.solve(b, tol)
-    double = in_double(box, A, np.ones(mask.ndim)).solve(b, tol)[2]
+    double = in_double(box, np.ones(mask.ndim)).solve(b, tol)[2]
     assert iters <= double + 2 + double // 2
     bp = b - b.mean()
     backward = np.linalg.norm(A @ x - bp) / (
@@ -135,7 +137,7 @@ def test_random_masks_match_superlu(mask, alpha, dt, bc, seed):
     box, lu, A = diffusion_pair(shape, dt, 1.0, bc, mask=mask)
     assert box.inv_symbol.dtype == np.float32
     (x, cert, iters), (ref, _, _) = box.solve(b, tol), lu.solve(b, tol)
-    double = in_double(box, A, np.ones(mask.ndim), 1.0 / dt).solve(b, tol)[2]
+    double = in_double(box, np.ones(mask.ndim), 1.0 / dt).solve(b, tol)[2]
     assert iters <= double + 2 + double // 2
     assert np.array_equal(x[~mask.ravel()], b[~mask.ravel()])
     assert np.linalg.norm(A @ x - b) <= tol * np.linalg.norm(b) and cert <= tol
@@ -154,14 +156,12 @@ def test_single_precision_on_dns_grids(dim, m, tiles):
     # the DNS grids of the validation workloads (alpha = 4): the float32
     # preconditioner costs at most 2 iterations per solve over float64
     dom = disc_domain(dim, m, tiles)
-    shape, h, ones = dom.mask.shape, dom.ops.h, np.ones(dim)
+    shape, ones = dom.mask.shape, np.ones(dim)
     rng = np.random.default_rng(dim)
-    A = _fv.assemble_neumann_operator(shape, h, coef=dom.eps)
-    pairs = [(dom.ops.poisson, in_double(dom.ops.poisson, A, ones))]
+    pairs = [(dom.ops.poisson, in_double(dom.ops.poisson, ones))]
     for bc in ("dirichlet", "noflux"):
-        A = _fv.assemble_diffusion_matrix(shape, h, 1e-3, 1.0, bc, mask=dom.mask)
         pairs.append((dom.ops.diffusion(1e-3, bc),
-                      in_double(dom.ops.diffusion(1e-3, bc), A, ones, 1e3)))
+                      in_double(dom.ops.diffusion(1e-3, bc), ones, 1e3)))
     for single, double in pairs:
         b = rng.standard_normal(shape)
         (x, _, iters), (ref, _, iters_double) = single.solve(b, 1e-10), double.solve(b, 1e-10)
@@ -404,8 +404,8 @@ def test_iteration_cap_and_breakdown_raise():
     box.max_iter = 2
     with pytest.raises(SolverError, match="iteration cap 2"):
         box.solve(b, 1e-10)
-    box, _, A = diffusion_pair(shape, 1e-3, 1.0, "noflux")
-    box.apply = _fv.CompactDia(-A)
+    box, _, _ = diffusion_pair(shape, 1e-3, 1.0, "noflux")
+    box.apply = _fv.CompactDia(-box.apply.table, box.apply.offsets, box.apply.compact)
     with pytest.raises(SolverError, match="breakdown"):
         box.solve(b, 1e-10)
 
@@ -469,7 +469,7 @@ def test_factorized_solver_certifies_its_residual():
     assert np.linalg.norm(lu.A @ x - b) <= 1e-10 * np.linalg.norm(b) and cert <= 1e-10
     # factors of another matrix solve a different system
     other = _fv.assemble_diffusion_matrix(shape, 1.0 / 8, 1e-2, 1.0, "noflux")
-    lu.lu = spla.splu(other.tocsc())
+    lu.lu = spla.splu(oracles.dia_matrix(other).tocsc())
     with pytest.raises(SolverError, match="relative residual"):
         lu.solve(b, 1e-10)
 
@@ -505,14 +505,28 @@ def test_package_import_leaves_scipy_fft_out(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.fixture()
+def no_cached_dia_kernel():
+    """Clear ``_fv.dia_kernel``'s cache before and after the test, so that a
+    kernel found earlier in the process cannot hide a missing scipy.sparse,
+    and a kernel missing in the test is not kept for later ones."""
+    _fv.dia_kernel.cache_clear()
+    yield
+    _fv.dia_kernel.cache_clear()
+
+
 @pytest.mark.parametrize("module, build", [
     # the box transforms find pocketfft through the scipy package
     ("scipy", lambda: SpectralPCG(np.copy, (4, 4), 0.25, np.ones(2), bc="noflux")),
-    ("scipy.sparse", lambda: _fv.face_operator((4, 4), 0.25, [1.0, 1.0])),
+    # assembly needs numpy only; the Poisson solver's ||A|| is its first product
+    ("scipy.sparse", lambda: GridOperators((4, 4), tensor=np.eye(2)).poisson),
 ])
-def test_box_solver_without_scipy_is_a_solver_error(monkeypatch, module, build):
+def test_box_solver_without_scipy_is_a_solver_error(monkeypatch, no_cached_dia_kernel,
+                                                    module, build):
     # a None entry in sys.modules makes the import fail as on a numpy-only install
     monkeypatch.setitem(sys.modules, module, None)
+    if module == "scipy.sparse":
+        _fv.face_operator((4, 4), 0.25, [1.0, 1.0])
     with pytest.raises(SolverError, match=f"need {module}, but scipy cannot be imported"):
         build()
 
@@ -579,10 +593,10 @@ def box_solves(shape, bc, single):
     mask, h, ones = contrast_mask(shape), 1.0 / shape[0], np.ones(len(shape))
     b = np.random.default_rng(len(shape)).standard_normal(shape)
     A = _fv.assemble_diffusion_matrix(shape, h, 1e-3, 1.0, bc, mask=mask)
-    solvers = [SpectralPCG(_fv.CompactDia(A), shape, h, ones, 1e3, bc, mask, single=single)]
+    solvers = [SpectralPCG(A, shape, h, ones, 1e3, bc, mask, single=single)]
     if bc == "noflux":
         A = _fv.assemble_neumann_operator(shape, h, coef=np.where(mask, 1.0, 4.0))
-        solvers.append(SpectralPCG(_fv.CompactDia(A), shape, h, ones, single=single))
+        solvers.append(SpectralPCG(A, shape, h, ones, single=single))
     return [solver.solve(b, 1e-10) for solver in solvers]
 
 

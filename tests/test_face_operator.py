@@ -1,7 +1,7 @@
 """The one face-flux builder of the box grids against the per-operator COO
-assemblers kept in ``oracles``: the same matrices and products, bit for bit,
-on random grids, masks, contrasts, time steps and tensors; and the memory it
-takes to build them."""
+assemblers kept in ``oracles``: the same matrices, rebuilt from the holders
+it returns, and the same products, bit for bit, on random grids, masks,
+contrasts, time steps and tensors; and the memory it takes to build them."""
 
 import tracemalloc
 
@@ -25,34 +25,34 @@ CROSS_RTOL = 1e-15
 
 
 def canonical(A):
-    """CSR with sorted indices and no stored zeros: the DIA matrix's entries
-    in the oracles' layout."""
+    """CSR with sorted indices and no stored zeros: a matrix's entries in the
+    oracles' layout."""
     C = A.tocsr()
     C.eliminate_zeros()
     C.sort_indices()
     return C
 
 
-def assert_bitwise(A, B):
+def assert_bitwise(holder, B):
     """Equal entries and equal products A x, bit for bit."""
-    C = canonical(A)
+    C = canonical(oracles.dia_matrix(holder))
     assert C.shape == B.shape
     assert np.array_equal(C.indptr, B.indptr)
     assert np.array_equal(C.indices, B.indices)
     assert C.data.tobytes() == B.data.tobytes()
     x = np.random.default_rng(B.nnz).standard_normal(B.shape[1])
-    assert np.array_equal(A @ x, B @ x)
+    assert np.array_equal(holder(x), B @ x)
 
 
-def assert_close_cross_terms(A, B):
+def assert_close_cross_terms(holder, B):
     """Entries within ``CROSS_RTOL`` of the oracle's; the product sums them
     in CSR's column order, bit for bit."""
-    C = canonical(A)
+    C = canonical(oracles.dia_matrix(holder))
     D = sp.coo_matrix(C - B)
     row_scale = abs(B).max(axis=1).toarray().ravel()
     assert np.all(np.abs(D.data) <= CROSS_RTOL * row_scale[D.row])
     x = np.random.default_rng(B.nnz).standard_normal(B.shape[1])
-    assert np.array_equal(A @ x, C @ x)
+    assert np.array_equal(holder(x), C @ x)
 
 
 @st.composite
@@ -122,8 +122,8 @@ def test_side_two_grids_fold_cross_term_offsets(shape):
     C = _fv.assemble_neumann_operator(shape, h, coef=coef)
     assert_bitwise(C, oracles.assemble_neumann_operator(shape, h, coef=coef))
     x = rng.standard_normal(shape)
-    for M in (A, C):  # the folded table's product, held compactly where it mirrors
-        assert _fv.CompactDia(M)(x).tobytes() == (M @ x.ravel()).tobytes()
+    for M in (A, C):  # the folded table's product, held compactly without cross terms
+        assert M(x).tobytes() == (oracles.dia_matrix(M) @ x.ravel()).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(16, 16), (6, 6, 6)])
@@ -137,15 +137,20 @@ def test_poisson_norm_is_the_oracle_infinity_norm(shape):
         norm_A = GridOperators(shape, **kwargs).poisson.norm_A
         ref = spla.norm(oracles.assemble_neumann_operator(shape, h, **kwargs), np.inf)
         assert abs(norm_A - ref) <= 1e-15 * ref
+        # the holder's product of |A| with ones sums as scipy's row sums of |A|
+        A = oracles.dia_matrix(_fv.assemble_neumann_operator(shape, h, **kwargs))
+        assert norm_A == abs(A).sum(axis=1).max()
 
 
 #: largest tracemalloc peak inside an ``assemble_*`` call, in bytes per
-#: voxel, by dimension: measured 64.2 / 88.4 (256^2 / 32^3), 80.2 / 160.6 and
-#: 80.1 / 103.6, against 104.8 / 144.2, 156.3 / 315.9 and 100.6 / 133.3 of a
-#: CSR gather from the same table; the bounds keep about 20 % headroom
-BUILD_PEAK_BOUNDS = {"coefficient Poisson": {2: 77, 3: 106},
+#: voxel, by dimension: measured 48.2 / 64.3 (256^2 / 32^3), 80.2 / 160.5 and
+#: 64.1 / 79.6, against 64.2 / 88.4 and 80.1 / 103.6 when the symmetric
+#: builds also wrote the rows above the diagonal, and 104.8 / 144.2, 156.3 /
+#: 315.9 and 100.6 / 133.3 of a CSR gather from the full table; the bounds
+#: keep about 20 % headroom
+BUILD_PEAK_BOUNDS = {"coefficient Poisson": {2: 58, 3: 77},
                      "cross-term Poisson": {2: 96, 3: 193},
-                     "masked Dirichlet diffusion": {2: 96, 3: 124}}
+                     "masked Dirichlet diffusion": {2: 77, 3: 96}}
 
 
 @pytest.mark.parametrize("shape", [(256, 256), (32, 32, 32)])
@@ -185,24 +190,31 @@ def bitwise_symmetric(A) -> bool:
 
 
 def test_which_assembled_operators_are_bitwise_symmetric():
-    # the DNS Poisson and both diffusion kinds are, so their holders keep the
-    # diagonal and the rows below it only.  The macro Poisson with cross terms
-    # is not: at the two outer cell layers the tangential derivative is
-    # one-sided, and its cross entries there (about eps0[0,1]/(2h^2)) have no
-    # mirror; its holder keeps the full table.  Its eps0 here is macro2d's of
-    # seed 1, rounded, with which the 128^2 operator has 3024 such entries
+    # the DNS Poisson and both diffusion kinds are, as their COO references
+    # show, so their holders keep the diagonal and the rows below it only,
+    # and the matrices rebuilt from them are the references.  The macro
+    # Poisson with cross terms is not: at the two outer cell layers the
+    # tangential derivative is one-sided, and its cross entries there (about
+    # eps0[0,1]/(2h^2)) have no mirror; its holder keeps the full table.  Its
+    # eps0 here is macro2d's of seed 1, rounded, with which the 128^2
+    # operator has 3024 such entries
     rng = np.random.default_rng(11)
     m = 32
     shape, h = (m, m), 1.0 / m
     mask = rng.random(shape) >= 0.3
-    symmetric = [_fv.assemble_neumann_operator(shape, h, coef=np.where(mask, 1.0, 4.0))]
-    symmetric += [_fv.assemble_diffusion_matrix(shape, h, 1e-3, 0.7, bc, mask=fluid)
+    coef = np.where(mask, 1.0, 4.0)
+    symmetric = [(_fv.assemble_neumann_operator(shape, h, coef=coef),
+                  oracles.assemble_neumann_operator(shape, h, coef=coef))]
+    symmetric += [(_fv.assemble_diffusion_matrix(shape, h, 1e-3, 0.7, bc, mask=fluid),
+                   oracles.assemble_diffusion_matrix(shape, h, 1e-3, 0.7, bc, mask=fluid))
                   for bc in ("dirichlet", "noflux") for fluid in (None, mask)]
-    for A in symmetric:
-        assert bitwise_symmetric(A) and _fv.CompactDia(A).compact
+    for holder, reference in symmetric:
+        assert bitwise_symmetric(reference) and holder.compact
+        assert_bitwise(holder, reference)
     T = np.array([[1.568, 0.099], [0.099, 1.426]])
-    A = _fv.assemble_neumann_operator(shape, h, tensor=T)
-    assert not bitwise_symmetric(A) and not _fv.CompactDia(A).compact
+    holder = _fv.assemble_neumann_operator(shape, h, tensor=T)
+    A = oracles.dia_matrix(holder)
+    assert not bitwise_symmetric(A) and not holder.compact
     D = sp.coo_matrix(canonical(A) - canonical(A.T))
     D.eliminate_zeros()
     for cells in (D.row, D.col):  # the distance of each cell to the nearest edge
@@ -225,26 +237,25 @@ def test_compact_products_give_the_bits_of_the_dia_product(public, grid, alpha, 
     h = 1.0 / shape[0]
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     x = rng.standard_normal(shape) * (rng.random(shape) < 0.8)  # with zeros
-    operators = [_fv.assemble_neumann_operator(shape, h, coef=np.where(mask, 1.0, alpha)),
-                 _fv.assemble_neumann_operator(shape, h, tensor=data.draw(
-                     spd_tensors(len(shape))))]
-    operators += [_fv.assemble_diffusion_matrix(shape, h, dt, 0.5, bc, mask=m)
-                  for m in (None, mask)]
+    holders = [_fv.assemble_neumann_operator(shape, h, coef=np.where(mask, 1.0, alpha)),
+               _fv.assemble_neumann_operator(shape, h, tensor=data.draw(
+                   spd_tensors(len(shape))))]
+    holders += [_fv.assemble_diffusion_matrix(shape, h, dt, 0.5, bc, mask=m)
+                for m in (None, mask)]
     with pytest.MonkeyPatch.context() as mp:
         if public:
             mp.setattr(_fv, "dia_kernel", lambda: None)
-        for A in operators:
-            holder = _fv.CompactDia(A)
-            assert (holder.kernel is None) == public
+        for holder in holders:
             out = np.full(shape, np.nan)
-            expected = (A @ x.ravel()).tobytes()
+            expected = (oracles.dia_matrix(holder) @ x.ravel()).tobytes()
             assert holder(x, out) is out and out.tobytes() == expected
             assert holder(x).tobytes() == expected
+            assert ("public" in vars(holder)) == public
 
 
 def test_a_compact_product_checks_its_arrays_before_the_kernel():
     # the kernel reads and writes by pointer, unchecked
-    holder = _fv.CompactDia(_fv.assemble_diffusion_matrix((4, 4), 0.25, 1e-2, 1.0, "noflux"))
+    holder = _fv.assemble_diffusion_matrix((4, 4), 0.25, 1e-2, 1.0, "noflux")
     u = np.ones((4, 4))
     for args in ((np.ones((3, 3)),), (u, np.empty((3, 3))), (u, np.empty((4, 4), np.float32)),
                  (u, np.empty((8, 8))[::2, ::2])):

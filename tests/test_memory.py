@@ -10,7 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
-import scipy.sparse  # noqa: F401  (loaded before tracing, as by the first box matrix)
+import scipy.sparse  # noqa: F401  (loaded before tracing, as by the first box product)
 from hypothesis import given, settings, strategies as st
 
 from pnp_upscale import _fv, _pocketfft, cellcorrect, cli, macropnp, microdns
@@ -30,12 +30,13 @@ import oracles
 from test_box_solver import disc_domain, random_masks
 
 #: traced peak of a step of the 256^2 DNS (32^2 disc cell, s = 1/8), in
-#: bytes per fine voxel: 177.6 measured over its first three steps with
+#: bytes per fine voxel: 169.6 measured over its first three steps with
 #: CPython 3.11 and numpy 2.4, pinned with 3 % headroom, less than one more
-#: float64 field (225.6 with full DIA tables and a scaled copy of each
-#: step's densities; 304.7 when steps also kept their start, the initial
-#: state, the coefficient and every CG temporary)
-DNS_STEP_BYTES_PER_VOXEL = 183
+#: float64 field (177.6 with a new array for each preconditioner result;
+#: 225.6 with full DIA tables and a scaled copy of each step's densities;
+#: 304.7 when steps also kept their start, the initial state, the
+#: coefficient and every CG temporary)
+DNS_STEP_BYTES_PER_VOXEL = 175
 
 
 def handed_over(shape, seed, mask=None):
@@ -273,16 +274,13 @@ def box_systems(mask, alpha, single):
     h, ones = 1.0 / shape[0], np.ones(N)
     ops = GridOperators(shape, coef=np.where(mask, 1.0, alpha), mask=mask)
     A = _fv.assemble_neumann_operator(shape, h, coef=np.where(mask, 1.0, alpha))
-    systems = {"poisson": SpectralPCG(_fv.CompactDia(A), shape, h, ones,
-                                      norm_A=abs(A).sum(axis=1).max(), single=single)}
+    systems = {"poisson": SpectralPCG(A, shape, h, ones, norm_A=A.norm_inf(), single=single)}
     for bc in ("dirichlet", "noflux"):
         A = _fv.assemble_diffusion_matrix(shape, h, 1e-2, 1.0, bc, mask=mask)
-        systems[bc] = SpectralPCG(_fv.CompactDia(A), shape, h, ones, 1e2, bc, mask,
-                                  single=single)
+        systems[bc] = SpectralPCG(A, shape, h, ones, 1e2, bc, mask, single=single)
     faces = [ops.open_faces[d] * 1.0 for d in range(N)]
     A = _fv.face_operator(shape, h, faces, np.where(mask, 0.0, 1.0))
-    systems["masked neumann"] = SpectralPCG(_fv.CompactDia(A), shape, h, ones,
-                                            mask=mask, single=single)
+    systems["masked neumann"] = SpectralPCG(A, shape, h, ones, mask=mask, single=single)
     if not single:
         apply = periodic_operator(harmonic_face_coefficients(np.ones(shape), mask), h)
         systems["masked periodic"] = SpectralPCG(apply, shape, h, ones, bc="periodic",
@@ -304,6 +302,8 @@ def outcome(solver, b, x0):
        st.integers(0, 2**32 - 1))
 def test_in_place_cg_gives_the_bits_of_the_allocating_kernel(mask, alpha, single, warm,
                                                              seed):
+    # the kernel and the preconditioner, which writes z into the kernel's
+    # scratch array, against both as they were when each made new arrays
     rng = np.random.default_rng(seed)
     systems = box_systems(mask, alpha, single)
     b = rng.standard_normal(mask.shape)
@@ -312,6 +312,7 @@ def test_in_place_cg_gives_the_bits_of_the_allocating_kernel(mask, alpha, single
     with pytest.MonkeyPatch.context() as mp:
         for name, solver in systems.items():
             mp.setattr(cellcorrect, "pcg", oracles.allocating_pcg)
+            mp.setattr(SpectralPCG, "_precondition", oracles.allocating_precondition)
             expected = outcome(solver, b, x0)
             mp.undo()
             assert outcome(solver, b, x0) == expected, name
@@ -324,17 +325,18 @@ def test_in_place_cg_gives_the_bits_of_the_allocating_kernel(mask, alpha, single
 @pytest.mark.parametrize("shape", [(24, 24), (8, 8, 8)])
 def test_preconditioner_transforms_keep_their_bits_and_the_residual(shape, bc, single):
     # the float32 transforms overwrite their own cast of the residual; the
-    # float64 ones must not write into the residual, which the cast returns
+    # float64 ones must not write into the residual, which the cast returns.
+    # The result goes into the array handed over
     mask = np.random.default_rng(5).random(shape) > 0.2
     h, ones = 1.0 / shape[0], np.ones(len(shape))
     A = _fv.assemble_diffusion_matrix(shape, h, 1e-2, 1.0, bc, mask=mask)
-    solver = SpectralPCG(_fv.CompactDia(A), shape, h, ones, 1e2, bc, mask, single=single)
+    solver = SpectralPCG(A, shape, h, ones, 1e2, bc, mask, single=single)
     forward, inverse = _pocketfft.box_transforms("dst" if bc == "dirichlet" else "dct",
                                                  len(shape))
     r = np.random.default_rng(6).standard_normal(shape)
-    kept = r.copy()
-    z = solver._precondition(r)
+    kept, out = r.copy(), np.full(shape, np.nan)
+    z = solver._precondition(r, out)
     expected = inverse(forward(r.astype(solver.inv_symbol.dtype)) * solver.inv_symbol)
     expected = expected.astype(float) * mask
     assert r.tobytes() == kept.tobytes()
-    assert z.dtype == float and z.tobytes() == expected.tobytes()
+    assert z is out and z.tobytes() == expected.tobytes()

@@ -5,6 +5,7 @@ appear."""
 import json
 import subprocess
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -83,6 +84,31 @@ def test_validation_factorizes_once_per_grid(solvers):
         # the macro grid, then one DNS grid per scale ratio
         for kind in ("poisson", "diffusion"):
             assert solvers[kind] == [("SpectralPCG", n**dim) for n in (8, 8, 12)]
+
+
+def test_only_the_kernel_check_builds_scipy_matrices(monkeypatch):
+    # every box operator is the holder that assembly builds, and its norm a
+    # product of that holder: a validate run constructs no scipy.sparse
+    # matrix but those of the DIA kernel's check, which runs here once
+    import scipy.sparse
+
+    stacks = []
+    init = scipy.sparse._base._spbase.__init__
+
+    def recording(self, *args, **kwargs):
+        stacks.append({frame.f_code.co_name for frame, _ in traceback.walk_stack(None)})
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse._base._spbase, "__init__", recording)
+    _fv.dia_kernel.cache_clear()
+    cfg = RunConfig(
+        cell_kind="disc", cell_dim=2, cell_resolution=8, cell_radius=0.25, lam=1.0,
+        alpha=4.0, macro_resolution=8, macro_dt=1e-3, macro_t_end=2e-3,
+        micro_s=(Fraction(1, 2),),
+    )
+    run_validation(cfg)
+    assert _fv.dia_kernel() is not None and stacks
+    assert all("_kernel_agrees" in names for names in stacks)
 
 
 TRACED_VALIDATE = """
