@@ -128,7 +128,8 @@ def _dns_runs(cfg: RunConfig, cell):
     micro.s, run with the macro run's dt and t_end.  It starts from phi = 0:
     the first step solves its potential afresh.  The initial state is
     handed to ``run_micro`` in a list that the run empties, so that it does
-    not outlive the first step."""
+    not outlive the first step; the run's operators are freed when it
+    returns, so none is alive when the caller gets the domain."""
     params = PermittivityParams(lam=cfg.lam, alpha=cfg.alpha)
     mcfg = MacroConfig.from_run(cfg)
     for frac in cfg.micro_s:
@@ -196,11 +197,10 @@ def cmd_macro(cfg: RunConfig, out: Path, tensors_path) -> int:
 def cmd_micro(cfg: RunConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cell = build_unit_cell(cfg.geometry_spec(), cfg.cell_resolution)
-    for frac, dom, state, rows in _dns_runs(cfg, cell):
+    for frac, _dom, state, rows in _dns_runs(cfg, cell):
         subdir = out / f"s_{frac.denominator}"
         _write_fields(subdir, {"nplus": state.u1, "nminus": state.u2, "phi": state.u3})
         _write_csv(subdir / "diagnostics.csv", rows)
-        del dom  # the next, finer DNS runs without this grid's operators
     atomic_write_text(out / "provenance.json", _provenance(cfg, "micro"))
     return EXIT_OK
 
@@ -228,7 +228,7 @@ def run_validation(cfg: RunConfig):
                 "err_phi_recon_L2": compare_fields(recon.u3, dns.u3).l2_rel,
             }
         )
-        del dom, dns, recon, macro_phi  # the next, finer DNS runs without them
+        del dns, recon, macro_phi  # the next, finer DNS runs without them
     return results
 
 

@@ -45,24 +45,29 @@ class MicroDomain:
     s = 1/tiles: ``tile`` repeats a cell-grid field, such as the fluid
     ``mask``, over it.
 
-    ``ops`` holds the grid's operators: the whole-box Poisson operator with
-    the high-contrast coefficient, and the diffusion operators on the fluid
-    voxels, each built on first use.  The coefficient ``eps``, the cell's
-    ``permittivity_field`` tiled, is not stored: it is computed when asked,
-    and the operators drop theirs once the Poisson operator is assembled.
+    The domain is the grid's geometry only.  ``operators`` builds the
+    grid's ``GridOperators`` (the whole-box Poisson operator with the
+    high-contrast coefficient, and the diffusion operators on the fluid
+    voxels, each built on first use) for the run that steps on them, which
+    owns them, so that they are freed when it returns.  The coefficient
+    ``eps``, the cell's ``permittivity_field`` tiled, is not stored: it is
+    computed when asked, and the operators drop theirs once the Poisson
+    operator is assembled.
     """
 
     tiles: int
     cell: UnitCell
     params: PermittivityParams
     mask: np.ndarray = field(init=False, repr=False)
-    ops: GridOperators = field(init=False, repr=False)
 
     def __post_init__(self):
         if defect := tile_count_defect(self.tiles):
             raise ValueError(defect)
         self.mask = self.tile(self.cell.fluid_mask)
-        self.ops = GridOperators(self.mask.shape, coef=self.eps, mask=self.mask)
+
+    def operators(self) -> GridOperators:
+        """New operators of the grid, none of them built yet."""
+        return GridOperators(self.mask.shape, coef=self.eps, mask=self.mask)
 
     def tile(self, a: np.ndarray) -> np.ndarray:
         return np.tile(a, (self.tiles,) * self.dim)
@@ -104,7 +109,8 @@ def assemble_micro_domain(cell: UnitCell, params: PermittivityParams, s,
     return MicroDomain(tiles=tiles, cell=cell, params=params)
 
 
-def step_micro_pnp(state, dom: MicroDomain, cfg: MacroConfig, start=None):
+def step_micro_pnp(state, dom: MicroDomain, cfg: MacroConfig, start=None,
+                   ops: GridOperators | None = None):
     """One IMEX step of cfg.dt of the microscopic system; returns (state,
     StepInfo as a dict).
 
@@ -116,14 +122,17 @@ def step_micro_pnp(state, dom: MicroDomain, cfg: MacroConfig, start=None):
     holding it that the step empties, and the [[n+, n-], phi] start of the
     Picard loop, as ``macropnp.linear_predictor`` makes it, which the loop
     empties; without a start the loop starts from the state, its first
-    potential from the state's u3.
+    potential from the state's u3.  ``ops`` are the grid's operators,
+    ``dom.operators()``; without them the step builds its own.
     """
     state = take(state)
+    if ops is None:
+        ops = dom.operators()
     u, t = [state.u1, state.u2], state.t + cfg.dt
     if start is None:
         start = [list(u), state.u3]
     del state
-    v, phi, info = picard_step(dom.ops, start, lambda r: u[r] / cfg.dt, -np.eye(dom.dim), cfg)
+    v, phi, info = picard_step(ops, start, lambda r: u[r] / cfg.dt, -np.eye(dom.dim), cfg)
     return MacroState(u1=v[0], u2=v[1], u3=phi, t=t), dataclasses.asdict(info)
 
 
@@ -131,10 +140,14 @@ def run_micro(dom: MicroDomain, init, cfg: MacroConfig):
     """March the DNS from t=0 to cfg.t_end with ``macropnp.march``; returns
     (final state, diagnostics rows).  ``init`` is the initial state, or a
     one-element list holding it, which the run empties, so that it does not
-    outlive the first step."""
+    outlive the first step.  The run builds the grid's operators and solvers
+    once, as ``run_macro`` does, and owns them: they are freed when it
+    returns."""
+    ops = dom.operators()
     rows = []
-    for state, info in march(lambda held, start: step_micro_pnp(held, dom, cfg, start=start),
-                             init, cfg.n_steps):
+    steps = march(lambda held, start: step_micro_pnp(held, dom, cfg, start=start, ops=ops),
+                  init, cfg.n_steps)
+    for state, info in steps:
         rows.append({**balance_columns(state), "picard_iters": info["picard_iters"]})
     return state, rows
 

@@ -156,12 +156,13 @@ def test_single_precision_on_dns_grids(dim, m, tiles):
     # the DNS grids of the validation workloads (alpha = 4): the float32
     # preconditioner costs at most 2 iterations per solve over float64
     dom = disc_domain(dim, m, tiles)
+    ops = dom.operators()
     shape, ones = dom.mask.shape, np.ones(dim)
     rng = np.random.default_rng(dim)
-    pairs = [(dom.ops.poisson, in_double(dom.ops.poisson, ones))]
+    pairs = [(ops.poisson, in_double(ops.poisson, ones))]
     for bc in ("dirichlet", "noflux"):
-        pairs.append((dom.ops.diffusion(1e-3, bc),
-                      in_double(dom.ops.diffusion(1e-3, bc), ones, 1e3)))
+        pairs.append((ops.diffusion(1e-3, bc),
+                      in_double(ops.diffusion(1e-3, bc), ones, 1e3)))
     for single, double in pairs:
         b = rng.standard_normal(shape)
         (x, _, iters), (ref, _, iters_double) = single.solve(b, 1e-10), double.solve(b, 1e-10)
@@ -174,9 +175,10 @@ def test_only_dns_solvers_precondition_in_single_precision(monkeypatch):
     # grid keeps float64, since its transform inverts the operator exactly,
     # and so do the cell problems, whose outputs are the stored tensors
     dom = disc_domain(2, 8, 2)
-    assert dom.ops.poisson.inv_symbol.dtype == np.float32
+    ops = dom.operators()
+    assert ops.poisson.inv_symbol.dtype == np.float32
     for bc in ("dirichlet", "noflux"):
-        assert dom.ops.diffusion(1e-3, bc).inv_symbol.dtype == np.float32
+        assert ops.diffusion(1e-3, bc).inv_symbol.dtype == np.float32
     macro = GridOperators((16, 16), 0.7, tensor=np.diag([0.5, 2.0]))
     assert macro.poisson.inv_symbol.dtype == np.float64
     for bc in ("dirichlet", "noflux"):
@@ -625,8 +627,9 @@ def test_3d_dns_at_48_cubed_is_feasible(box_iterations):
     t0 = time.perf_counter()
     state, rows = run_micro(dom, init, MacroConfig(dt=1e-3, t_end=1e-3, bc="noflux"))
     elapsed = time.perf_counter() - t0
-    assert isinstance(dom.ops.poisson, SpectralPCG)
-    assert isinstance(dom.ops.diffusion(1e-3, "noflux"), SpectralPCG)
+    ops = dom.operators()
+    assert isinstance(ops.poisson, SpectralPCG)
+    assert isinstance(ops.diffusion(1e-3, "noflux"), SpectralPCG)
     assert rows[0]["picard_iters"] > 1
     # every solve certified itself; the counts stay small
     assert 0 < max(box_iterations) <= 40
@@ -646,8 +649,9 @@ def test_2d_dns_at_512_squared_is_feasible(box_iterations):
     t0 = time.perf_counter()
     state, rows = run_micro(dom, init, MacroConfig(dt=1e-3, t_end=1e-3, bc="noflux"))
     elapsed = time.perf_counter() - t0
-    assert isinstance(dom.ops.poisson, SpectralPCG)
-    assert isinstance(dom.ops.diffusion(1e-3, "noflux"), SpectralPCG)
+    ops = dom.operators()
+    assert isinstance(ops.poisson, SpectralPCG)
+    assert isinstance(ops.diffusion(1e-3, "noflux"), SpectralPCG)
     assert rows[0]["picard_iters"] > 1
     assert 0 < max(box_iterations) <= 60
     assert np.allclose(rows[0]["mass1"], float(init.u1.mean()), rtol=1e-9)

@@ -7,6 +7,7 @@ bits of the allocating ones."""
 import json
 import tracemalloc
 import weakref
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -203,6 +204,61 @@ def test_the_dns_command_hands_its_initial_state_over(monkeypatch, tmp_path):
     cell = build_unit_cell(cfg.geometry_spec(), cfg.cell_resolution)
     assert len(list(cli._dns_runs(cfg, cell))) == 2
     assert seen == 2 * [[True] * 3, [False] * 3, [False] * 3]
+
+
+@pytest.fixture
+def built_operators(monkeypatch):
+    """Weakrefs to every ``GridOperators`` built from here on, and to the
+    Poisson solver of each that builds one, in build order."""
+    refs = []
+    init, poisson = GridOperators.__init__, GridOperators.poisson.func
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        refs.append(weakref.ref(self))
+
+    def recording_poisson(self):
+        solver = poisson(self)
+        refs.append(weakref.ref(solver))
+        return solver
+
+    monkeypatch.setattr(GridOperators, "__init__", recording)
+    monkeypatch.setattr(GridOperators, "poisson", cached_property(recording_poisson))
+    GridOperators.poisson.__set_name__(GridOperators, "poisson")
+    return refs
+
+
+def test_the_dns_frees_its_operators_when_it_returns(built_operators):
+    # the run builds the grid's operators once and owns them: the domain
+    # keeps none, so the solvers' tables go with the run
+    dom = disc_domain(2, 8, 2)
+    init, _ = handed_over(dom.mask.shape, 3, dom.mask)
+    final, rows = microdns.run_micro(dom, init, MacroConfig(dt=1e-3, t_end=3e-3, bc="noflux"))
+    assert len(rows) == 3 and len(built_operators) == 2  # the operators and their Poisson
+    assert alive(built_operators) == [False, False]
+    assert not any(isinstance(value, GridOperators) for value in vars(dom).values())
+
+
+def test_no_operators_are_alive_during_the_reconstruction(monkeypatch, tmp_path,
+                                                           built_operators):
+    # the macro run's and each DNS's operators are freed before the
+    # reconstruction of that DNS runs
+    config = tmp_path / "validate.cfg"
+    config.write_text("cell.kind = disc\ncell.dim = 2\ncell.resolution = 8\n"
+                      "cell.radius = 0.25\nphysics.lambda = 1.0\nphysics.alpha = 4.0\n"
+                      "macro.resolution = 8\nmacro.dt = 1e-3\nmacro.t_end = 2e-3\n"
+                      "micro.s = 1/2 1/3\n")
+    seen, reconstruct = [], cli.reconstruct_two_scale
+
+    def watching(*args, **kwargs):
+        seen.append(alive(built_operators))
+        return reconstruct(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "reconstruct_two_scale", watching)
+    assert len(cli.run_validation(load_config(config))) == 2
+    # the macro grid's operators and Poisson, then each DNS grid's
+    assert [len(refs) for refs in seen] == [4, 6]
+    assert not any(any(refs) for refs in seen)
 
 
 @pytest.mark.parametrize("shape", [(24, 24), (8, 8, 8)])
