@@ -288,15 +288,15 @@ def _drift_divergences(v, u3: np.ndarray, A: np.ndarray, h: float, bc: str,
 
 def linear_predictor(v, u3, v_prev, u3_prev):
     """Start of the next Picard loop from the last two accepted steps: the
-    linear extrapolation [[max(2 v - v_prev, 0) per species], 2 u3 - u3_prev],
-    a list that ``picard_step`` can empty.
+    linear extrapolation [[2 v - v_prev per species], 2 u3 - u3_prev], a
+    list that ``picard_step`` can empty.
 
-    The clip keeps the lagged densities of the first Picard iteration
-    nonnegative for the upwind drift.  Each u3 must be the potential of its
-    step's densities, so that the extrapolated potential is, by linearity,
-    close to that of the extrapolated densities."""
-    return [[np.maximum(2.0 * a - b, 0.0) for a, b in zip(v, v_prev)],
-            2.0 * u3 - u3_prev]
+    Each u3 must be the potential of its step's densities, so that the
+    extrapolated potential is, by linearity, that of the extrapolated
+    densities, from which the first Picard iteration solves its potential.
+    The densities may go negative; ``picard_step`` clips them at zero
+    before its drift reads them."""
+    return [[2.0 * a - b for a, b in zip(v, v_prev)], 2.0 * u3 - u3_prev]
 
 
 def take(held):
@@ -356,6 +356,11 @@ def picard_step(ops: GridOperators, start: list, previous, A: np.ndarray, cfg: M
     tensor.  Each iteration solves the potential from the lagged
     densities, computes both species' drift from it in one pass over the
     faces, then solves the implicit diffusion of each species with it.
+    Iteration 1 solves its potential from the start densities as given,
+    whose potential a predicted start's u3 is, then clips them at zero, a
+    copy of each species that has a negative value, so that the drift and
+    the diffusion solves read nonnegative densities, as the upwind drift
+    needs.
     Every CG solve starts from the previous iterate: the potential from the
     last u3, species r from the lagged v[r], so solves get cheaper as the
     loop contracts.
@@ -401,6 +406,8 @@ def picard_step(ops: GridOperators, start: list, previous, A: np.ndarray, cfg: M
         reduction = FORCING if forced else 0.0
         try:
             u3, cert, it = ops.potential(v[0], v[1], cfg.lin_tol, u3, reduction)
+            if iters == 1:
+                v = [np.maximum(w, 0.0) if w.min() < 0.0 else w for w in v]
             rhs = _drift_divergences(v, u3, A, ops.h, cfg.bc, cfg.drift, ops.open_faces)
             for r in range(2):  # by index: no loop variable keeps a right-hand side
                 np.subtract(previous(r), rhs[r], out=rhs[r])

@@ -1,6 +1,7 @@
 """Where each time step's Picard loop starts: ``macropnp.march``, the time
-loop of ``run_macro`` and ``run_micro``, its linear predictor and the clip at
-zero, and the warm first potential of a step from a stepped state."""
+loop of ``run_macro`` and ``run_micro``, its linear predictor, the clip at
+zero of the densities that the first drift reads, and the warm first
+potential of a step from a stepped state."""
 
 from fractions import Fraction
 
@@ -71,7 +72,7 @@ def test_march_starts_from_init_then_the_first_state_then_the_predictor():
     assert [info for _, info in accepted] == ["info 1", "info 2", "info 3", "info 4"]
     assert [state for state, _ in calls] == [init] + [state for state, _ in accepted[:3]]
     assert calls[0][1] is None and calls[1][1] is None
-    # max(2 v^n - v^(n-1), 0) per species and 2 u3^n - u3^(n-1)
+    # 2 v^n - v^(n-1) per species and 2 u3^n - u3^(n-1)
     for (_, (v, u3)), expect in zip(calls[2:], [(7.0, 0.0, -3.0), (14.0, 5.0 / 6.0, -4.0)]):
         assert [float(v[0][0]), float(v[1][0]), float(u3[0])] == pytest.approx(expect, rel=1e-15)
 
@@ -119,29 +120,56 @@ def test_dns_predictor_reaches_the_same_fixed_point(bc, box_iterations):
 
 def test_predictor_is_clipped_at_zero(monkeypatch):
     # Dirichlet densities near the wall fall by more than half in a long
-    # step, so their linear extrapolation goes negative; the third step must
-    # start from nonnegative densities and pass the upwind check
+    # step, so their linear extrapolation goes negative.  The third step
+    # solves its first potential from that extrapolation, whose potential
+    # its start is; its first drift and the CG starts of its first
+    # diffusion solves see the densities clipped at zero, and its accepted
+    # state passes the upwind check
     m = 16
     tensors = macro_tensors(2, True)
     cfg = MacroConfig(dt=2e-2, t_end=6e-2, bc="dirichlet", drift="upwind")
     u1 = blob(m, 2, (0.3, 0.6), 0.8)
     init = MacroState(u1=u1, u2=np.ones_like(u1), u3=np.zeros_like(u1))
-    starts, accepted = [], []
-    picard_step = macropnp.picard_step
+    steps = []  # per step: its start, its calls' densities, its result
+    picard_step, potential = macropnp.picard_step, macropnp.GridOperators.potential
+    drift, solve = macropnp._drift_divergences, SpectralPCG.solve
 
     def recording(ops, start, *args):
-        starts.append(start[0])
+        steps.append({"start": [w.copy() for w in start[0]], "potential": [], "drift": [],
+                      "diffusion": []})
         result = picard_step(ops, start, *args)
-        accepted.append(result[0])
+        steps[-1]["accepted"] = result[0]
         return result
 
+    def potential_reads(self, v1, v2, *args):
+        steps[-1]["potential"].append([v1.copy(), v2.copy()])
+        return potential(self, v1, v2, *args)
+
+    def drift_reads(v, *args):
+        steps[-1]["drift"].append([w.copy() for w in v])
+        return drift(v, *args)
+
+    def diffusion_starts(self, b, tol, x0=None, reduction=0.0):
+        if self.shift:
+            steps[-1]["diffusion"].append(x0.copy())
+        return solve(self, b, tol, x0, reduction)
+
     monkeypatch.setattr(macropnp, "picard_step", recording)
+    monkeypatch.setattr(macropnp.GridOperators, "potential", potential_reads)
+    monkeypatch.setattr(macropnp, "_drift_divergences", drift_reads)
+    monkeypatch.setattr(SpectralPCG, "solve", diffusion_starts)
     _, rows = run_macro(cfg, tensors, init)
-    assert len(rows) == 3
+    assert len(rows) == len(steps) == 3
+    third = steps[2]
     for r in range(2):
-        assert (2.0 * accepted[1][r] - accepted[0][r]).min() < 0.0
-        assert starts[2][r].min() == 0.0
-        assert accepted[2][r].min() >= macropnp.NEGATIVE_DENSITY_TOL
+        predicted = 2.0 * steps[1]["accepted"][r] - steps[0]["accepted"][r]
+        assert predicted.min() < 0.0
+        assert third["start"][r].tobytes() == predicted.tobytes()  # the start is not clipped
+        assert third["potential"][0][r].tobytes() == predicted.tobytes()
+        clipped = np.maximum(predicted, 0.0)
+        assert third["drift"][0][r].tobytes() == clipped.tobytes()
+        assert third["diffusion"][r].tobytes() == clipped.tobytes()
+        assert third["accepted"][r].min() >= macropnp.NEGATIVE_DENSITY_TOL
 
 
 def test_step_from_a_stepped_state_solves_its_first_potential_in_no_iteration(
