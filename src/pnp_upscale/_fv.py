@@ -202,9 +202,9 @@ def _kernel_product(kernel, blocks, x: np.ndarray, y: np.ndarray) -> None:
 
 
 def _kernel_agrees(kernel) -> bool:
-    """The blocked products of ``kernel`` equal the public ``dia_matrix``
-    product bit for bit, on a 12-cell compact operator and a full one."""
-    sp = import_scipy("scipy.sparse")
+    """The blocked products of ``kernel`` equal the DIA product summed row
+    by row in offset order in numpy, bit for bit, on a 12-cell compact
+    operator and a full one."""
     n, rng = 12, np.random.default_rng(0)
     offsets = np.array([-3, -1, 0, 1, 3])
     lower = rng.standard_normal((3, n))
@@ -215,7 +215,11 @@ def _kernel_agrees(kernel) -> bool:
         for data, holder in ((mirrored, CompactDia(lower, offsets[:3], compact=True)),
                              (full, CompactDia(full, offsets, compact=False))):
             _kernel_product(kernel, holder.blocks, x, y)
-            if y.tobytes() != (sp.dia_matrix((data, offsets), shape=(n, n)) @ x).tobytes():
+            expected = np.zeros(n)
+            for row, k in zip(data, offsets.tolist()):  # dia_matvec's loop
+                first, last = max(0, k), min(n + k, n)
+                expected[first - k:last - k] += row[first:last] * x[first:last]
+            if y.tobytes() != expected.tobytes():
                 return False
     except (TypeError, ValueError, RuntimeError):
         return False

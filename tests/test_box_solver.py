@@ -525,9 +525,12 @@ def no_cached_dia_kernel():
 ])
 def test_box_solver_without_scipy_is_a_solver_error(monkeypatch, no_cached_dia_kernel,
                                                     module, build):
-    # a None entry in sys.modules makes the import fail as on a numpy-only install
+    # a None entry in sys.modules makes the import fail as on a numpy-only
+    # install; a loaded submodule would import without its package, so the
+    # DIA kernel's module is blocked too
     monkeypatch.setitem(sys.modules, module, None)
     if module == "scipy.sparse":
+        monkeypatch.setitem(sys.modules, "scipy.sparse._sparsetools", None)
         _fv.face_operator((4, 4), 0.25, [1.0, 1.0])
     with pytest.raises(SolverError, match=f"need {module}, but scipy cannot be imported"):
         build()
