@@ -23,23 +23,23 @@ in float32 on the DNS grids and float64 on the macro grid.  The SuperLU
 solvers ``PinnedNeumannSolver`` and ``FactorizedSolver`` are its test
 oracles only, with the same solve contract, on ``scipy.sparse`` matrices
 that the tests rebuild from a holder; no grid of the program factorizes.
-Assembly needs numpy only.  scipy.sparse loads at the first product, for
-the DIA kernel of ``CompactDia``, and scipy's pocketfft extension (the
-DCT/DST kernel, loaded by file in ``_pocketfft``) when the first box solver
-is built.  So importing this module, and the package, needs numpy only;
-without scipy the first box solver is a ``SolverError``
-(``cellcorrect.import_scipy``).
+Assembly needs numpy only.  scipy's DIA kernel, ``dia_matvec``, loads by
+file at the first product, and its pocketfft DCT/DST kernel when the first
+box solver is built, both through ``_kernels``; no run imports
+``scipy.sparse``.  So importing this module, and the package, needs numpy
+only; without scipy the first box solver is a ``SolverError``
+(``_kernels.import_scipy``).
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cache, cached_property
+from functools import cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cellcorrect import SolverError, harmonic_face_coefficients, import_scipy
+from .cellcorrect import SolverError, harmonic_face_coefficients
 from .upscale import SYMMETRY_RTOL
 
 if TYPE_CHECKING:
@@ -201,40 +201,45 @@ def _kernel_product(kernel, blocks, x: np.ndarray, y: np.ndarray) -> None:
         kernel(m, m, len(offsets), table.shape[1], offsets, table, x[k:], y[:m])
 
 
-def _kernel_agrees(kernel) -> bool:
-    """The blocked products of ``kernel`` equal the DIA product summed row
-    by row in offset order in numpy, bit for bit, on a 12-cell compact
-    operator and a full one."""
+def _numpy_product(blocks, x: np.ndarray, y: np.ndarray) -> None:
+    """y = A x in numpy, block by block into the zeroed y, each block's DIA
+    product summed row by row in offset order: ``dia_matvec``'s loop."""
+    y.fill(0.0)
+    for table, offsets, k in blocks:
+        m = x.size - k
+        for row, j in zip(table, offsets.tolist()):
+            first, last = max(0, j), min(m + j, m)
+            y[first - j:last - j] += row[first:last] * x[k + first:k + last]
+
+
+def _kernel_agrees(module) -> bool:
+    """The blocked products of ``module.dia_matvec`` equal ``_numpy_product``
+    bit for bit, on a 12-cell compact operator and a full one."""
     n, rng = 12, np.random.default_rng(0)
     offsets = np.array([-3, -1, 0, 1, 3])
-    lower = rng.standard_normal((3, n))
-    mirrored = np.vstack([lower, np.roll(lower[1], 1), np.roll(lower[0], 3)])
-    full = rng.standard_normal((5, n))
-    x, y = rng.standard_normal(n), np.empty(n)
+    holders = [CompactDia(rng.standard_normal((3, n)), offsets[:3], compact=True),
+               CompactDia(rng.standard_normal((5, n)), offsets, compact=False)]
+    x, y, expected = rng.standard_normal(n), np.empty(n), np.empty(n)
     try:
-        for data, holder in ((mirrored, CompactDia(lower, offsets[:3], compact=True)),
-                             (full, CompactDia(full, offsets, compact=False))):
-            _kernel_product(kernel, holder.blocks, x, y)
-            expected = np.zeros(n)
-            for row, k in zip(data, offsets.tolist()):  # dia_matvec's loop
-                first, last = max(0, k), min(n + k, n)
-                expected[first - k:last - k] += row[first:last] * x[first:last]
+        for holder in holders:
+            _kernel_product(module.dia_matvec, holder.blocks, x, y)
+            _numpy_product(holder.blocks, x, expected)
             if y.tobytes() != expected.tobytes():
                 return False
-    except (TypeError, ValueError, RuntimeError):
+    except (AttributeError, TypeError, ValueError, RuntimeError):
         return False
     return True
 
 
 @cache
 def dia_kernel():
-    """scipy's DIA product kernel, ``scipy.sparse._sparsetools.dia_matvec``,
-    or None when it is missing or fails ``_kernel_agrees``."""
-    try:
-        from scipy.sparse._sparsetools import dia_matvec
-    except ImportError:
-        return None
-    return dia_matvec if _kernel_agrees(dia_matvec) else None
+    """scipy's DIA product kernel, ``dia_matvec`` of ``_sparsetools`` loaded by
+    file (``_kernels.load``), or None when the file is missing, fails to load
+    or fails ``_kernel_agrees``.  Without scipy, ``SolverError``."""
+    from ._kernels import SPARSETOOLS, import_scipy, load
+
+    module = load(import_scipy("scipy").__path__[0], SPARSETOOLS, _kernel_agrees)
+    return None if module is None else module.dia_matvec
 
 
 class CompactDia:
@@ -252,7 +257,7 @@ class CompactDia:
     Otherwise, as for the cross-term Poisson, the table is the whole
     storage and one block.  Products go through scipy's DIA kernel
     (``dia_kernel``) or, when that is missing or fails its check, through
-    public ``dia_matrix`` products per block, with the same bits.
+    ``_numpy_product``, with the same bits.
     ``out``, if given, is a C-contiguous float array of u's size, which the
     product overwrites and returns; the kernel checks no sizes, so a call
     checks both before it.
@@ -269,13 +274,6 @@ class CompactDia:
             self.blocks += [(lower[-k][None, :n - k], diagonal, k)
                             for k in (-offsets[offsets < 0])[::-1].tolist()]
 
-    @cached_property
-    def public(self) -> list:
-        """The blocks as public ``dia_matrix`` products, for when there is no kernel."""
-        sp = import_scipy("scipy.sparse")
-        return [sp.dia_matrix((table, offsets), shape=(self.n - k,) * 2)
-                for table, offsets, k in self.blocks]
-
     def __call__(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if out is None:
             out = np.empty(u.shape)
@@ -284,12 +282,10 @@ class CompactDia:
             raise ValueError(f"a product of an operator on {self.n} cells needs u and a "
                              f"C-contiguous float out of that size")
         kernel = dia_kernel()  # loaded here, so that assembly needs numpy only
-        if kernel is not None:
+        if kernel is None:
+            _numpy_product(self.blocks, x, y)
+        else:
             _kernel_product(kernel, self.blocks, x, y)
-            return out
-        y.fill(0.0)
-        for M, (_, _, k) in zip(self.public, self.blocks):
-            y[:self.n - k] += M @ x[k:]
         return out
 
     def norm_inf(self) -> float:

@@ -1,17 +1,17 @@
-"""The DCT/DST of the box-grid preconditioners: scipy's pocketfft kernel,
-loaded by file.
+"""scipy's two compiled kernels, loaded by file: every scipy decision of
+the program.
 
-``cellcorrect.SpectralPCG`` diagonalizes its no-flux and Dirichlet box
-preconditioners by the orthonormal type-2 DCT and DST.  Importing
-``scipy.fft`` for them would also load ``scipy.special`` (about 0.1 s per
-process), so ``load`` finds the compiled module that ``scipy.fft`` calls,
-``scipy/fft/_pocketfft/pypocketfft*.so``, through the scipy package and the
-interpreter's extension suffixes, loads it by file under its import name and
-checks it (``agrees``) before first use.  ``box_transforms`` calls it with the
-arguments ``scipy.fft`` passes, or goes through ``scipy.fft`` when the file
-is missing, fails to load or fails the check; both run the same kernel, so
-their results are the same bits.  ``cellcorrect`` imports this module only
-when it builds a box solver, so the cell problems neither load nor compile it.
+The box solvers need pocketfft's DCT/DST (the preconditioners of
+``cellcorrect.SpectralPCG``) and ``_sparsetools.dia_matvec`` (the products
+of ``_fv.CompactDia``).  Their packages would load far more: ``scipy.fft``
+loads ``scipy.special`` (about 0.1 s per process).  So ``load`` derives an
+extension's file from its import name, through the scipy package and the
+interpreter's extension suffixes, loads it by file under that name and
+returns it only if its check passes.  When it returns None,
+``box_transforms`` goes through ``scipy.fft`` and ``_fv`` through its numpy
+product, both with the same bits.  The first box solver imports this
+module, so the cell problems load neither kernel; without scipy it is a
+``SolverError`` (``import_scipy``).
 """
 
 from __future__ import annotations
@@ -23,20 +23,30 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
 
-from .cellcorrect import import_scipy
+from .cellcorrect import SolverError
 
-#: import name of scipy's compiled pocketfft module
+#: import names of scipy's compiled pocketfft and sparse-product modules
 POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
+SPARSETOOLS = "scipy.sparse._sparsetools"
 
 
-def find_file(scipy_dir: str):
-    """Path of the pocketfft extension in the scipy package at ``scipy_dir``,
-    or None when there is none."""
-    folder = os.path.join(scipy_dir, "fft", "_pocketfft")
+def import_scipy(name: str):
+    """The scipy module ``name``, imported when a box-grid solver first needs
+    it; ``SolverError`` when scipy is not installed."""
+    try:
+        return importlib.import_module(name)
+    except ImportError as exc:
+        raise SolverError(f"the box-grid solvers need {name}, but scipy cannot be "
+                          f"imported: {exc}") from exc
+
+
+def find_file(scipy_dir: str, name: str):
+    """Path of the extension with import name ``name`` (``scipy.`` and the
+    rest) in the scipy package at ``scipy_dir``, or None when there is none."""
+    stem = os.path.join(scipy_dir, *name.split(".")[1:])
     for suffix in EXTENSION_SUFFIXES:
-        path = os.path.join(folder, "pypocketfft" + suffix)
-        if os.path.isfile(path):
-            return path
+        if os.path.isfile(stem + suffix):
+            return stem + suffix
     return None
 
 
@@ -86,21 +96,22 @@ def agrees(module) -> bool:
 
 
 @cache
-def load(scipy_dir: str):
-    """pocketfft loaded from its file in the scipy package at ``scipy_dir``,
-    or None when the file is missing, fails to load or fails ``agrees``.
-    A later ``import scipy.fft`` gets this same module object back."""
-    path = find_file(scipy_dir)
+def load(scipy_dir: str, name: str, check):
+    """The extension ``name`` loaded from its file in the scipy package at
+    ``scipy_dir``, or None when the file is missing, fails to load or the
+    module fails ``check``.  A later import of ``name`` gets this same module
+    object back."""
+    path = find_file(scipy_dir, name)
     if path is None:
         return None
-    loader = ExtensionFileLoader(POCKETFFT, path)
+    loader = ExtensionFileLoader(name, path)
     try:
         module = importlib.util.module_from_spec(
-            importlib.util.spec_from_file_location(POCKETFFT, path, loader=loader))
+            importlib.util.spec_from_file_location(name, path, loader=loader))
         loader.exec_module(module)
     except ImportError:
         return None
-    return module if agrees(module) else None
+    return module if check(module) else None
 
 
 def box_transforms(name: str, ndim: int, overwrite: bool = False):
@@ -110,7 +121,7 @@ def box_transforms(name: str, ndim: int, overwrite: bool = False):
     caller must own the input; without it each writes into ``out`` when
     given.  They call the kernel from ``load``, or ``scipy.fft`` when that is
     None.  Without scipy, ``SolverError``."""
-    kernel = load(import_scipy("scipy").__path__[0])
+    kernel = load(import_scipy("scipy").__path__[0], POCKETFFT, agrees)
     if kernel is None:
         fft = import_scipy("scipy.fft")
         return tuple(_into(partial(getattr(fft, prefix + name + "n"), type=2, norm="ortho",

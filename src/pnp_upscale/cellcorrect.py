@@ -26,16 +26,16 @@ the mean-zero subspace, and on a masked problem the masked-out part is
 zeroed, which restricts the same preconditioner to the fluid; the search
 directions stay in the subspace, so the iterate is projected once, at the
 end.  The system is consistent iff the right-hand side sums to zero.  The
-same class, with a DCT or DST for the FFT, solves every box grid
-(``macropnp.GridOperators``), in float32 on the DNS grids only (the cell
-outputs are the stored tensors), which the flexible CG kernel ``pcg``
-tolerates.  Every solve stops at a certificate, or raises ``SolverError``
-at a stall (``STALL_WINDOW``) or its iteration cap.
+same class, with a DCT or DST for the FFT (scipy's pocketfft, loaded by
+``_kernels``), solves every box grid (``macropnp.GridOperators``), in
+float32 on the DNS grids only (the cell outputs are the stored tensors),
+which the flexible CG kernel ``pcg`` tolerates.  Every solve stops at a
+certificate, or raises ``SolverError`` at a stall (``STALL_WINDOW``) or its
+iteration cap.
 """
 
 from __future__ import annotations
 
-import importlib
 import logging
 from dataclasses import dataclass, field
 from functools import partial
@@ -63,16 +63,6 @@ STALL_WINDOW = 100
 class SolverError(RuntimeError):
     """Linear solve failed: incompatible system, stagnation, iteration cap
     or certificate, or no scipy for a box-grid solver."""
-
-
-def import_scipy(name: str):
-    """The scipy module ``name``, imported when a box-grid solver first needs
-    it; ``SolverError`` when scipy is not installed."""
-    try:
-        return importlib.import_module(name)
-    except ImportError as exc:
-        raise SolverError(f"the box-grid solvers need {name}, but scipy cannot be "
-                          f"imported: {exc}") from exc
 
 
 @dataclass(eq=False)
@@ -260,7 +250,7 @@ class SpectralPCG:
     boundary kind ``bc`` picks the transform that diagonalizes the
     preconditioner (``inverse_symbol``): ``numpy.fft.rfftn`` for
     ``periodic``, the orthonormal type-2 DCT for ``noflux`` and the type-2
-    DST for ``dirichlet`` ghost-cell faces (``_pocketfft.box_transforms``:
+    DST for ``dirichlet`` ghost-cell faces (``_kernels.box_transforms``:
     scipy's pocketfft kernel, loaded by file and checked when the first box
     solver is built, else through ``scipy.fft`` with the same bits).
     With ``single`` the transforms and the symbol run in float32, which
@@ -324,7 +314,7 @@ class SpectralPCG:
             dirichlet = bc == "dirichlet"
             angles = [np.pi * (np.arange(m) + int(dirichlet)) / m for m in self.shape]
             # imported here, so that the cell problems do not compile it
-            from ._pocketfft import box_transforms
+            from ._kernels import box_transforms
 
             self._forward, self._inverse = box_transforms(
                 "dst" if dirichlet else "dct", len(self.shape), overwrite=single)

@@ -17,7 +17,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 import pnp_upscale
-from pnp_upscale import _fv, _pocketfft, cellcorrect
+from pnp_upscale import _fv, _kernels, cellcorrect, cli
 from pnp_upscale.cellcorrect import (
     SolverError,
     SpectralPCG,
@@ -509,31 +509,42 @@ def test_package_import_leaves_scipy_fft_out(tmp_path):
 
 @pytest.fixture()
 def no_cached_dia_kernel():
-    """Clear ``_fv.dia_kernel``'s cache before and after the test, so that a
-    kernel found earlier in the process cannot hide a missing scipy.sparse,
-    and a kernel missing in the test is not kept for later ones."""
+    """Clear the caches of ``_fv.dia_kernel`` and ``_kernels.load`` before and
+    after the test, so that a kernel found earlier in the process cannot
+    hide a blocked or missing one, and a kernel missing in the test is not
+    kept for later ones."""
     _fv.dia_kernel.cache_clear()
+    _kernels.load.cache_clear()
     yield
     _fv.dia_kernel.cache_clear()
+    _kernels.load.cache_clear()
 
 
 @pytest.mark.parametrize("module, build", [
-    # the box transforms find pocketfft through the scipy package
+    # the box transforms and the DIA kernel find their files through the scipy package
     ("scipy", lambda: SpectralPCG(np.copy, (4, 4), 0.25, np.ones(2), bc="noflux")),
-    # assembly needs numpy only; the Poisson solver's ||A|| is its first product
-    ("scipy.sparse", lambda: GridOperators((4, 4), tensor=np.eye(2)).poisson),
 ])
 def test_box_solver_without_scipy_is_a_solver_error(monkeypatch, no_cached_dia_kernel,
                                                     module, build):
-    # a None entry in sys.modules makes the import fail as on a numpy-only
-    # install; a loaded submodule would import without its package, so the
-    # DIA kernel's module is blocked too
+    # a None entry in sys.modules makes the import fail as on a numpy-only install
     monkeypatch.setitem(sys.modules, module, None)
-    if module == "scipy.sparse":
-        monkeypatch.setitem(sys.modules, "scipy.sparse._sparsetools", None)
-        _fv.face_operator((4, 4), 0.25, [1.0, 1.0])
     with pytest.raises(SolverError, match=f"need {module}, but scipy cannot be imported"):
         build()
+
+
+def test_box_solver_without_scipy_sparse_builds_and_solves(monkeypatch, no_cached_dia_kernel):
+    # the DIA kernel loads by file, not through its package: with scipy.sparse
+    # and the kernel's module blocked, the Poisson system still builds, takes
+    # its norm by a kernel product and solves
+    monkeypatch.setitem(sys.modules, "scipy.sparse", None)
+    monkeypatch.setitem(sys.modules, _kernels.SPARSETOOLS, None)
+    ops = GridOperators((4, 4), tensor=np.eye(2))
+    b = np.cos(np.arange(16.0)).reshape(4, 4)
+    x, cert, _ = ops.poisson.solve(b, 1e-10)
+    assert _fv.dia_kernel() is not None and cert <= 1e-10
+    monkeypatch.undo()
+    A = oracles.dia_matrix(ops.poisson.apply)
+    assert np.linalg.norm(A @ x.ravel() - (b - b.mean()).ravel()) <= 1e-9 * np.linalg.norm(b)
 
 
 # ---------------------------------------------------------------------------
@@ -545,20 +556,24 @@ def force_scipy_fft(monkeypatch):
     """Call to route the box transforms through scipy.fft, as on a scipy
     whose pocketfft file cannot be found."""
     def force():
-        monkeypatch.setattr(_pocketfft, "find_file", lambda scipy_dir: None)
-        _pocketfft.load.cache_clear()
+        monkeypatch.setattr(_kernels, "find_file", lambda scipy_dir, name: None)
+        _kernels.load.cache_clear()
     yield force
-    _pocketfft.load.cache_clear()
+    _kernels.load.cache_clear()
+
+
+def pocketfft():
+    return _kernels.load(scipy.__path__[0], _kernels.POCKETFFT, _kernels.agrees)
 
 
 def test_pocketfft_loads_by_file_and_passes_its_check():
-    kernel = _pocketfft.load(scipy.__path__[0])
-    assert kernel is not None and kernel.__name__ == _pocketfft.POCKETFFT
-    assert _pocketfft.agrees(kernel)
+    kernel = pocketfft()
+    assert kernel is not None and kernel.__name__ == _kernels.POCKETFFT
+    assert _kernels.agrees(kernel)
 
 
 def test_a_wrong_kernel_fails_the_check():
-    kernel = _pocketfft.load(scipy.__path__[0])
+    kernel = pocketfft()
     for wrong in (
         SimpleNamespace(dct=lambda x, *args: x.copy(), dst=kernel.dst),  # no transform
         SimpleNamespace(dct=kernel.dct, dst=lambda x, kind, axes, norm, *args:
@@ -568,14 +583,14 @@ def test_a_wrong_kernel_fails_the_check():
         SimpleNamespace(dct=lambda x: x, dst=kernel.dst),  # another signature
         SimpleNamespace(dst=kernel.dst),  # no dct
     ):
-        assert not _pocketfft.agrees(wrong)
+        assert not _kernels.agrees(wrong)
 
 
 LATER_SCIPY_FFT = """\
 import sys
 import scipy
-from pnp_upscale import _pocketfft
-kernel = _pocketfft.load(scipy.__path__[0])
+from pnp_upscale import _kernels
+kernel = _kernels.load(scipy.__path__[0], _kernels.POCKETFFT, _kernels.agrees)
 assert "scipy.fft" not in sys.modules and "scipy.special" not in sys.modules
 import scipy.fft
 from scipy.fft._pocketfft import pypocketfft
@@ -610,13 +625,91 @@ def box_solves(shape, bc, single):
 @pytest.mark.parametrize("shape", [(24, 24), (8, 8, 8)])
 def test_scipy_fft_fallback_gives_the_same_bits(force_scipy_fft, shape, bc, single):
     kernel = box_solves(shape, bc, single)
-    assert _pocketfft.load(scipy.__path__[0]) is not None
+    assert pocketfft() is not None
     force_scipy_fft()
     fallback = box_solves(shape, bc, single)
-    assert _pocketfft.load(scipy.__path__[0]) is None
+    assert pocketfft() is None
     for (x, cert, it), (y, cert_y, it_y) in zip(kernel, fallback, strict=True):
         assert it > 1 and (cert, it) == (cert_y, it_y)
         assert x.tobytes() == y.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the DIA kernel: _sparsetools loaded by file, or the numpy product
+
+
+def sparsetools():
+    return _kernels.load(scipy.__path__[0], _kernels.SPARSETOOLS, _fv._kernel_agrees)
+
+
+def test_the_dia_kernel_loads_by_file_and_passes_its_check():
+    module = sparsetools()
+    assert module is not None and module.__name__ == _kernels.SPARSETOOLS
+    assert _fv.dia_kernel() is module.dia_matvec
+
+
+def test_a_wrong_dia_kernel_fails_the_check():
+    kernel = sparsetools().dia_matvec
+
+    def dropping(m, n, count, length, offsets, table, x, y):
+        kernel(m, n, count - 1, length, offsets[1:], table[1:], x, y)
+
+    def nudged(*args):
+        kernel(*args)
+        y = args[-1]
+        y[:1] = np.nextafter(y[:1], np.inf)
+
+    for wrong in (
+        SimpleNamespace(),  # no dia_matvec
+        SimpleNamespace(dia_matvec=lambda x: x),  # another signature
+        SimpleNamespace(dia_matvec=dropping),  # drops an offset
+        SimpleNamespace(dia_matvec=nudged),  # a sum differs in the last bit
+    ):
+        assert not _fv._kernel_agrees(wrong)
+
+
+LATER_SCIPY_SPARSE = """\
+import sys
+from pnp_upscale import _fv
+kernel = _fv.dia_kernel()
+assert "scipy.sparse" not in sys.modules and "numpy.f2py" not in sys.modules
+import scipy.sparse
+from scipy.sparse._sparsetools import dia_matvec
+assert dia_matvec is kernel
+"""
+
+
+def test_a_later_scipy_sparse_import_gets_the_same_module():
+    src = os.path.dirname(os.path.dirname(pnp_upscale.__file__))
+    proc = subprocess.run([sys.executable, "-c", LATER_SCIPY_SPARSE],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_validate_without_the_dia_kernel_gives_the_same_bits(monkeypatch, tmp_path,
+                                                             no_cached_dia_kernel):
+    # with no _sparsetools file the products go through _fv._numpy_product
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("cell.kind = disc\ncell.resolution = 8\ncell.radius = 0.25\n"
+                   "macro.resolution = 8\nmacro.dt = 1e-3\nmacro.t_end = 2e-3\n"
+                   "micro.s = 1/2\n")
+    find_file = _kernels.find_file
+
+    def no_sparsetools(scipy_dir, name):
+        return None if name == _kernels.SPARSETOOLS else find_file(scipy_dir, name)
+
+    runs = {}
+    for kernel in (True, False):
+        if not kernel:
+            monkeypatch.setattr(_kernels, "find_file", no_sparsetools)
+            _fv.dia_kernel.cache_clear()
+            _kernels.load.cache_clear()
+        out = tmp_path / str(kernel)
+        assert cli.main(["validate", "--config", str(cfg), "--out", str(out / "report.csv")]) == 0
+        assert (_fv.dia_kernel() is not None) == kernel
+        runs[kernel] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert len(runs[True]) > 1 and runs[True] == runs[False]
 
 
 def test_3d_dns_at_48_cubed_is_feasible(box_iterations):

@@ -869,13 +869,14 @@ assert main(["cell", "--config", cfg, "--out", out + "/cell"]) == 0
 assert main(["upscale", "--config", cfg, "--out", out + "/tensors.json"]) == 0
 loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 assert not loaded, loaded
-assert "pnp_upscale._pocketfft" not in sys.modules
+assert "pnp_upscale._kernels" not in sys.modules
 sys.meta_path.remove(blocker)
 assert main(["macro", "--config", cfg, "--out", out + "/macro"]) == 0
-kernels = sys.modules["pnp_upscale._pocketfft"]  # imported by the box solvers
-assert kernels.load.cache_info().currsize == 1
-assert kernels.load(sys.modules["scipy"].__path__[0]).__name__ == kernels.POCKETFFT
-assert "scipy.sparse" in sys.modules and "scipy.fft" not in sys.modules
+kernels = sys.modules["pnp_upscale._kernels"]  # imported by the box solvers
+assert kernels.load.cache_info().currsize == 2
+assert kernels.load(sys.modules["scipy"].__path__[0], kernels.POCKETFFT,
+                    kernels.agrees).__name__ == kernels.POCKETFFT
+assert "scipy.sparse" not in sys.modules and "scipy.fft" not in sys.modules
 """
 
 
@@ -887,15 +888,18 @@ sys.exit(main(["macro", "--config", cfg, "--tensors", out + "/tensors.json",
 """
 
 
-#: ``validate`` with scipy, then exit with the names of the scipy.fft and
-#: scipy.special modules it imported, if any
+#: ``macro`` and ``validate`` with scipy, then exit with the names of the
+#: scipy.fft, scipy.special, scipy.sparse and numpy.f2py modules they
+#: imported, if any
 VALIDATE_IMPORTS = """\
 import sys
 from pnp_upscale.cli import main
 cfg, out = sys.argv[1], sys.argv[2]
+assert main(["macro", "--config", cfg, "--out", out + "/macro"]) == 0
 assert main(["validate", "--config", cfg, "--out", out + "/report.csv"]) == 0
-sys.exit(sorted(m for m in sys.modules
-                if m.startswith(("scipy.fft", "scipy.special"))) or 0)
+sys.exit(sorted(m for m in sys.modules if m.startswith(
+    ("scipy.fft", "scipy.special", "scipy.sparse", "numpy.f2py"))
+    and m != "scipy.sparse._sparsetools") or 0)
 """
 
 
@@ -929,8 +933,10 @@ def test_macro_without_scipy_is_a_solver_error(tmp_path):
 
 
 def test_validate_imports_neither_scipy_fft_nor_scipy_special(tmp_path):
-    # the box solvers load pocketfft by file: scipy.fft would also load
-    # scipy.special, about 0.1 s of every macro, micro and validate process
+    # the box solvers load pocketfft and the DIA kernel by file: scipy.fft
+    # would also load scipy.special, about 0.1 s of every macro, micro and
+    # validate process, and scipy.sparse, with numpy.f2py, about 270 more modules
     proc = run_script(VALIDATE_IMPORTS, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "report.csv").exists()
+    assert (tmp_path / "macro" / "diagnostics.csv").exists()

@@ -224,14 +224,14 @@ def test_which_assembled_operators_are_bitwise_symmetric():
     assert np.abs(D.data).max() <= T[0, 1] / (h * h)
 
 
-@pytest.mark.parametrize("public", [False, True], ids=["kernel", "public"])
+@pytest.mark.parametrize("fallback", [False, True], ids=["kernel", "numpy"])
 @settings(max_examples=60)
 @given(grids(), st.floats(0.01, 100.0), st.floats(1e-5, 1.0),
        st.sampled_from(["dirichlet", "noflux"]), st.data())
-def test_compact_products_give_the_bits_of_the_dia_product(public, grid, alpha, dt, bc, data):
-    # through scipy's DIA kernel, or the public dia_matrix products per
-    # block that replace it when it is missing or fails its check
-    if not public and _fv.dia_kernel() is None:
+def test_compact_products_give_the_bits_of_the_dia_product(fallback, grid, alpha, dt, bc, data):
+    # through scipy's DIA kernel, or the numpy product that replaces it when
+    # it is missing or fails its check
+    if not fallback and _fv.dia_kernel() is None:
         pytest.skip("scipy's DIA kernel is missing or fails its check")
     shape, mask = grid
     h = 1.0 / shape[0]
@@ -243,14 +243,13 @@ def test_compact_products_give_the_bits_of_the_dia_product(public, grid, alpha, 
     holders += [_fv.assemble_diffusion_matrix(shape, h, dt, 0.5, bc, mask=m)
                 for m in (None, mask)]
     with pytest.MonkeyPatch.context() as mp:
-        if public:
+        if fallback:
             mp.setattr(_fv, "dia_kernel", lambda: None)
         for holder in holders:
             out = np.full(shape, np.nan)
             expected = (oracles.dia_matrix(holder) @ x.ravel()).tobytes()
             assert holder(x, out) is out and out.tobytes() == expected
             assert holder(x).tobytes() == expected
-            assert ("public" in vars(holder)) == public
 
 
 def test_a_compact_product_checks_its_arrays_before_the_kernel():

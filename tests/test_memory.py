@@ -11,10 +11,9 @@ from functools import cached_property
 
 import numpy as np
 import pytest
-import scipy.sparse  # noqa: F401  (loaded before tracing, as by the first box product)
 from hypothesis import given, settings, strategies as st
 
-from pnp_upscale import _fv, _pocketfft, cellcorrect, cli, macropnp, microdns
+from pnp_upscale import _fv, _kernels, cellcorrect, cli, macropnp, microdns
 from pnp_upscale.cellcorrect import (
     SolverError,
     SpectralPCG,
@@ -29,6 +28,8 @@ from pnp_upscale.upscale import EffectiveTensors
 
 import oracles
 from test_box_solver import disc_domain, random_masks
+
+_fv.dia_kernel()  # loaded before tracing, as by the first box product
 
 #: traced peak of a step of the 256^2 DNS (32^2 disc cell, s = 1/8), in
 #: bytes per fine voxel: 169.6 measured over its first three steps with
@@ -151,7 +152,7 @@ def test_a_macro_run_with_a_snapshot_at_every_step_peaks_within_one_field():
     # peaks lower by that fixed amount, whatever the snapshot count
     m, steps = 32, 20
     cfg = MacroConfig(dt=1e-3, t_end=steps * 1e-3, bc="noflux")
-    _pocketfft.box_transforms("dct", 2)  # the kernel loads once per process
+    _kernels.box_transforms("dct", 2)  # the kernel loads once per process
     dropping_writer()(MacroState.zero((m, m)))  # so do the formatter's tables
     peaks = []
     tracing = tracemalloc.is_tracing()
@@ -300,7 +301,7 @@ def test_a_256_squared_dns_step_stays_within_its_bytes_per_voxel(tmp_path):
                       "macro.dt = 1e-3\nmacro.t_end = 3e-3\nmicro.s = 1/8\n")
     cfg = load_config(config)
     cell = build_unit_cell(cfg.geometry_spec(), cfg.cell_resolution)
-    _pocketfft.box_transforms("dst", 2)  # the kernel loads once per process
+    _kernels.box_transforms("dst", 2)  # the kernel loads once per process
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -387,7 +388,7 @@ def test_preconditioner_transforms_keep_their_bits_and_the_residual(shape, bc, s
     h, ones = 1.0 / shape[0], np.ones(len(shape))
     A = _fv.assemble_diffusion_matrix(shape, h, 1e-2, 1.0, bc, mask=mask)
     solver = SpectralPCG(A, shape, h, ones, 1e2, bc, mask, single=single)
-    forward, inverse = _pocketfft.box_transforms("dst" if bc == "dirichlet" else "dct",
+    forward, inverse = _kernels.box_transforms("dst" if bc == "dirichlet" else "dct",
                                                  len(shape))
     r = np.random.default_rng(6).standard_normal(shape)
     kept, out = r.copy(), np.full(shape, np.nan)
