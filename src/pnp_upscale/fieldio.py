@@ -23,7 +23,6 @@ are not.
 from __future__ import annotations
 
 import os
-import tempfile
 from functools import cache
 from pathlib import Path
 
@@ -52,9 +51,13 @@ _WIDTH = 30
 
 
 def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` to a new sibling of ``path``, created with the mode a
+    plain ``open(path, "w")`` gets under the process umask, and rename it
+    into place."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)

@@ -5,13 +5,15 @@ bytes with ``oracles.format_field_per_value``, which formats one numpy
 scalar at a time.
 """
 
+import os
+import stat
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from pnp_upscale import fieldio
-from pnp_upscale.fieldio import format_field
+from pnp_upscale.fieldio import atomic_write_text, format_field
 
 import oracles
 
@@ -122,3 +124,18 @@ def test_peak_memory_at_most_the_per_value_oracle():
             tracemalloc.stop()
 
     assert peak(format_field) <= peak(oracles.format_field_per_value)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_an_atomic_write_gets_the_mode_of_a_plain_open(tmp_path, umask):
+    # the temporary file's mode survives the rename into place
+    old = os.umask(umask)
+    try:
+        atomic_write_text(tmp_path / "atomic.txt", "x\n")
+        with open(tmp_path / "plain.txt", "w") as f:
+            f.write("x\n")
+    finally:
+        os.umask(old)
+    modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("atomic.txt", "plain.txt")]
+    assert modes[0] == modes[1] == 0o666 & ~umask
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["atomic.txt", "plain.txt"]
