@@ -551,15 +551,21 @@ def test_box_solver_without_scipy_sparse_builds_and_solves(monkeypatch, no_cache
 # the DCT/DST kernel: pocketfft loaded by file, or scipy.fft
 
 
+def hide_file(monkeypatch, name):
+    """Make ``_kernels.find_file`` find no file for the extension ``name``,
+    as on a scipy without it, and drop the kernels loaded before."""
+    find_file = _kernels.find_file
+    monkeypatch.setattr(_kernels, "find_file", lambda scipy_dir, wanted:
+                        None if wanted == name else find_file(scipy_dir, wanted))
+    _kernels.load.cache_clear()
+    _fv.dia_kernel.cache_clear()
+
+
 @pytest.fixture()
-def force_scipy_fft(monkeypatch):
+def force_scipy_fft(monkeypatch, no_cached_dia_kernel):
     """Call to route the box transforms through scipy.fft, as on a scipy
     whose pocketfft file cannot be found."""
-    def force():
-        monkeypatch.setattr(_kernels, "find_file", lambda scipy_dir, name: None)
-        _kernels.load.cache_clear()
-    yield force
-    _kernels.load.cache_clear()
+    return lambda: hide_file(monkeypatch, _kernels.POCKETFFT)
 
 
 def pocketfft():
@@ -694,17 +700,10 @@ def test_validate_without_the_dia_kernel_gives_the_same_bits(monkeypatch, tmp_pa
     cfg.write_text("cell.kind = disc\ncell.resolution = 8\ncell.radius = 0.25\n"
                    "macro.resolution = 8\nmacro.dt = 1e-3\nmacro.t_end = 2e-3\n"
                    "micro.s = 1/2\n")
-    find_file = _kernels.find_file
-
-    def no_sparsetools(scipy_dir, name):
-        return None if name == _kernels.SPARSETOOLS else find_file(scipy_dir, name)
-
     runs = {}
     for kernel in (True, False):
         if not kernel:
-            monkeypatch.setattr(_kernels, "find_file", no_sparsetools)
-            _fv.dia_kernel.cache_clear()
-            _kernels.load.cache_clear()
+            hide_file(monkeypatch, _kernels.SPARSETOOLS)
         out = tmp_path / str(kernel)
         assert cli.main(["validate", "--config", str(cfg), "--out", str(out / "report.csv")]) == 0
         assert (_fv.dia_kernel() is not None) == kernel
