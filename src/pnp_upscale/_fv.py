@@ -174,7 +174,7 @@ def face_operator(shape, h, faces, diag=0.0, wall=None, tensor=None) -> CompactD
         folded = np.zeros((len(flat), n))
         np.add.at(folded, fold, table)
         table = folded
-    return CompactDia(table, flat, compact=not cross)
+    return CompactDia(table, flat)
 
 
 def assemble_neumann_operator(shape, h, tensor=None, coef=None) -> CompactDia:
@@ -217,8 +217,8 @@ def _kernel_agrees(module) -> bool:
     bit for bit, on a 12-cell compact operator and a full one."""
     n, rng = 12, np.random.default_rng(0)
     offsets = np.array([-3, -1, 0, 1, 3])
-    holders = [CompactDia(rng.standard_normal((3, n)), offsets[:3], compact=True),
-               CompactDia(rng.standard_normal((5, n)), offsets, compact=False)]
+    holders = [CompactDia(rng.standard_normal((3, n)), offsets[:3]),
+               CompactDia(rng.standard_normal((5, n)), offsets)]
     x, y, expected = rng.standard_normal(n), np.empty(n), np.empty(n)
     try:
         for holder in holders:
@@ -247,29 +247,29 @@ class CompactDia:
     product u -> A u on grid-shaped arrays, the ``apply`` of ``SpectralPCG``.
 
     ``table`` holds the rows of the storage at the increasing flat
-    ``offsets``: the entry of the row at k in column j is A[j - k, j].  A
-    ``compact`` operator is symmetric, and its table holds only the
-    diagonal and the rows below it: the row at +k is the row at -k moved k
-    places, A[i, i+k] = A[i+k, i], and the zero padding lines up, so each
-    row above the diagonal is a view of its mirror.  A product zeroes its
-    output, adds the lower block, then each upper row in increasing offset
-    order: the sums of the full DIA product in its order, so the same bits.
-    Otherwise, as for the cross-term Poisson, the table is the whole
-    storage and one block.  Products go through scipy's DIA kernel
-    (``dia_kernel``) or, when that is missing or fails its check, through
-    ``_numpy_product``, with the same bits.
+    ``offsets``: the entry of the row at k in column j is A[j - k, j].  The
+    offsets set the kind: with none above 0 the operator is symmetric and
+    ``compact``, its table only the diagonal and the rows below it, and
+    each row at +k, the row at -k moved k places (A[i, i+k] = A[i+k, i],
+    with the zero padding lined up), is a view of its mirror.  A product
+    zeroes its output, adds the lower block, then each upper row in
+    increasing offset order: the sums of the full DIA product in its order,
+    so the same bits.  Otherwise, as for the cross-term Poisson, the table
+    is the whole storage and one block.  Products go through scipy's DIA
+    kernel (``dia_kernel``) or, when that is missing or fails its check,
+    through ``_numpy_product``, with the same bits.
     ``out``, if given, is a C-contiguous float array of u's size, which the
     product overwrites and returns; the kernel checks no sizes, so a call
     checks both before it.
     """
 
-    def __init__(self, table: np.ndarray, offsets: np.ndarray, compact: bool):
+    def __init__(self, table: np.ndarray, offsets: np.ndarray):
         self.n = n = table.shape[1]
-        self.table, self.offsets, self.compact = table, offsets, compact
+        self.table, self.offsets, self.compact = table, offsets, not (offsets > 0).any()
         # (table, offsets, shift k): a product adds the table's DIA product
         # with x[k:] to y[:n-k]
         self.blocks = [(table, offsets, 0)]
-        if compact:
+        if self.compact:
             lower, diagonal = dict(zip(offsets.tolist(), table)), np.zeros(1, dtype=offsets.dtype)
             self.blocks += [(lower[-k][None, :n - k], diagonal, k)
                             for k in (-offsets[offsets < 0])[::-1].tolist()]
@@ -292,7 +292,7 @@ class CompactDia:
         """||A||_inf, the largest entry of |A| 1, by the product of |A|'s
         holder with ones: the sums of scipy's ``abs(A).sum(axis=1)``, which
         is the DIA product of |A| with ones."""
-        magnitude = CompactDia(np.abs(self.table), self.offsets, self.compact)
+        magnitude = CompactDia(np.abs(self.table), self.offsets)
         return float(magnitude(np.ones(self.n)).max())
 
 

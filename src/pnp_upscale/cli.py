@@ -15,9 +15,10 @@ hands each state over once, however many times snap to it.
 fails leaves its finished snapshots but neither file.
 
 Exit codes: 0 success, 2 configuration error, unusable ``--tensors`` file
-or output path, 3 solver or geometry failure, 4 validation error above the
-configured threshold.  Each command makes its output directory, or the
-parent of the file that ``upscale`` and ``validate`` may write, first.
+or output path, 3 solver or geometry failure or ``MemoryError`` (the voxel
+budget's included), 4 validation error above the configured threshold.
+Each command makes its output directory, or the parent of the file that
+``upscale`` and ``validate`` may write, first.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .config import ConfigError, RunConfig, load_config
 from .fieldio import atomic_write_text, format_field
 from .macropnp import MacroConfig, MacroState, run_macro
 from .microdns import (
-    BudgetError,
     assemble_micro_domain,
     compare_fields,
     interpolate_to_fine,
@@ -306,7 +306,7 @@ def main(argv=None) -> int:
             hint = f"; lambda^2/dt = {cfg.lam ** 2 / cfg.macro_dt:.3g}"
         _emit_error(exc, hint)
         return EXIT_SOLVER
-    except (GeometryError, BudgetError, ValueError) as exc:
+    except (GeometryError, MemoryError, ValueError) as exc:
         _emit_error(exc)
         return EXIT_SOLVER
     finally:

@@ -166,7 +166,8 @@ class RunConfig:
     cell_fraction: float | None = setting("cell.fraction", None, float, _in_unit,
                                           ("cell.kind", "laminate"))
     cell_axis: int = setting("cell.axis", 0, int, _at_least(0), ("cell.kind", "laminate"))
-    cell_radius: float | None = setting("cell.radius", None, only_with=("cell.kind", "disc"))
+    cell_radius: float | None = setting("cell.radius", None, check=disc_radius_defect,
+                                        only_with=("cell.kind", "disc"))
     cell_mask_path: str | None = setting("cell.mask_path", None, str,
                                          only_with=("cell.kind", "mask"))  # as written
     cell_mask_file: str | None = field(default=None, init=False)  # resolved by load_config
@@ -186,8 +187,10 @@ class RunConfig:
     macro_picard_cap: int = setting("macro.picard_cap", 50, int, _at_least(1))
     macro_init: str = setting("macro.init", "asymmetric", str,
                               _choice("uniform", "eigenmode", "asymmetric"))
-    macro_init_amplitude: float = setting("macro.init_amplitude", 0.5,
-                                          only_with=("macro.init", "asymmetric"))
+    macro_init_amplitude: float = setting(
+        "macro.init_amplitude", 0.5, check=lambda a: None if -1.0 < a < 1.0 else
+        f"must sit in (-1, 1) to keep densities positive, got {a}",
+        only_with=("macro.init", "asymmetric"))
     macro_loceq_window: int = setting("macro.loceq_window", 4, int, _at_least(1))
     micro_s: tuple = setting("micro.s", (Fraction(1, 2),), _parse_fraction_list)
     micro_budget: int = setting("micro.budget", 1 << 20, int, _at_least(1))
@@ -285,15 +288,12 @@ def _cross_validate(cfg: RunConfig, path: Path, seen: dict, errors: list) -> Non
         if getattr(cfg, KEYS[owner].name) != value:
             if key in seen:
                 errors.append(f"{where(key)}{key} takes effect only with {owner} = {value}")
-        elif getattr(cfg, f.name) is None:
+        elif getattr(cfg, f.name) is None and key not in seen:  # else rejected above
             required.append(f"{owner}={value} requires {key}")
     errors.extend(required)
     kind = cfg.cell_kind
     if kind == "laminate" and (defect := laminate_axis_defect(cfg.cell_axis, cfg.cell_dim)):
         errors.append(f"{where('cell.axis')}cell.axis {defect}")
-    if kind == "disc" and cfg.cell_radius is not None and (
-            defect := disc_radius_defect(cfg.cell_radius)):
-        errors.append(f"{where('cell.radius')}cell.radius {defect}")
     if kind == "mask" and cfg.cell_mask_path is not None:
         mask_path = (path.parent / cfg.cell_mask_path).resolve()
         if not mask_path.is_file():
@@ -312,6 +312,3 @@ def _cross_validate(cfg: RunConfig, path: Path, seen: dict, errors: list) -> Non
         defect = snapshot_defect(t, dt, t_end, "output.snapshots", "macro.dt", "macro.t_end")
         if defect:
             errors.append(where("output.snapshots") + defect)
-    if not -1.0 < cfg.macro_init_amplitude < 1.0:
-        errors.append(f"{where('macro.init_amplitude')}macro.init_amplitude must sit in "
-                      f"(-1, 1) to keep densities positive, got {cfg.macro_init_amplitude}")

@@ -545,10 +545,11 @@ def run_macro(cfg: MacroConfig, tensors: EffectiveTensors, init, snapshot_times=
     """March from t=0 to t_end, one diagnostics row per accepted step.
 
     ``init`` is the initial state, or a list holding it that the run
-    empties (``take``).  The accepted state nearest each of
-    ``snapshot_times`` is handed to ``write_snapshot(state)`` as the run
-    reaches it, once however many times snap to its step, and the run keeps
-    no reference to it past the steps that start from it.  Returns (final
+    empties (``take``).  Each of ``snapshot_times`` names its nearest step
+    (the earlier at a tie, to 1e-9 of a step; the first or the last at the
+    window's ends), whose state goes to ``write_snapshot(state)`` as the run
+    reaches it, once however many times name it; the run keeps no
+    reference to it past the steps that start from it.  Returns (final
     state, rows); each row is a dict of the columns t, mass1, mass2, charge,
     free_energy, picard_iters and loceq_dev, in that order.  The grid's
     operators and solvers are built once for the whole run; ``march``
@@ -560,20 +561,20 @@ def run_macro(cfg: MacroConfig, tensors: EffectiveTensors, init, snapshot_times=
         defect = snapshot_defect(t, cfg.dt, cfg.t_end)
         if defect:
             raise ValueError(defect)
+    wanted = {min(max(int(np.ceil(t / cfg.dt - 0.5 - 1e-9)), 1), cfg.n_steps)
+              for t in snapshot_times}
     init = [take(init)]
     ops = GridOperators(init[0].u1.shape, tensors.p, tensor=tensors.eps0)
     rows = []
-    pending = sorted(snapshot_times)
     steps = march(lambda held, start: step_macro_pnp(held, tensors, cfg, ops=ops, start=start),
                   init, cfg.n_steps)
-    for state, info in steps:
+    for k, (state, info) in enumerate(steps, start=1):
         rows.append({
             **balance_columns(state),
             "free_energy": free_energy(state, tensors.p),
             "picard_iters": info.picard_iters,
             "loceq_dev": check_local_equilibrium(state, cfg.loceq_window),
         })
-        if pending and state.t >= pending[0] - 0.5 * cfg.dt:
+        if k in wanted:
             write_snapshot(state)
-            pending = [t for t in pending if t - 0.5 * cfg.dt > state.t]
     return state, rows

@@ -407,7 +407,7 @@ def test_iteration_cap_and_breakdown_raise():
     with pytest.raises(SolverError, match="iteration cap 2"):
         box.solve(b, 1e-10)
     box, _, _ = diffusion_pair(shape, 1e-3, 1.0, "noflux")
-    box.apply = _fv.CompactDia(-box.apply.table, box.apply.offsets, box.apply.compact)
+    box.apply = _fv.CompactDia(-box.apply.table, box.apply.offsets)
     with pytest.raises(SolverError, match="breakdown"):
         box.solve(b, 1e-10)
 

@@ -9,6 +9,7 @@ from pnp_upscale.cellcorrect import (
     STALL_WINDOW,
     SolverError,
     SpectralPCG,
+    check_mean_zero,
     face_gradient,
     harmonic_face_coefficients,
     pcg,
@@ -600,6 +601,13 @@ def test_mean_zero_and_residual_contract():
     for k in range(2):
         assert abs(xi3[k].mean()) <= 1e-10 * max(np.abs(xi3[k]).max(), 1e-300)
     assert max(res) <= 1e-10
+
+
+def test_a_solution_off_mean_zero_raises():
+    check_mean_zero(np.array([1.0, -1.0, 0.0]))
+    check_mean_zero(np.array([5.0, 1.0, -1.0]), np.array([False, True, True]))
+    with pytest.raises(SolverError, match="mean-zero violation"):
+        check_mean_zero(np.ones(4))
 
 
 def test_symmetry_inheritance():

@@ -116,6 +116,23 @@ def test_conditional_requirements(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("text, error", [
+    ("cell.kind = laminate\ncell.fraction = 1.5\n",
+     "line 2: cell.fraction: must be in (0, 1], got 1.5"),
+    ("cell.kind = disc\ncell.radius = 0.75\n",
+     "line 2: cell.radius: must be in (0, 0.5], got 0.75"),
+    ("macro.init_amplitude = -1\n",
+     "line 1: macro.init_amplitude: must sit in (-1, 1) to keep densities positive, got -1.0"),
+], ids=["fraction", "radius", "amplitude"])
+def test_a_rejected_value_is_reported_once_by_its_key(tmp_path, text, error):
+    # a required key that the file set is rejected, not missing
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.errors == [error]
+
+
 @pytest.mark.parametrize("dt, t_end", [(1e-3, 0.05), (1e-3, 0.003), (1e-3, 3e-3), (0.1, 0.3)])
 def test_whole_step_end_times_accepted(tmp_path, dt, t_end):
     path = tmp_path / "t.cfg"
@@ -762,6 +779,20 @@ def test_exit_code_solver_failure(tmp_path, capsys):
     assert main(["cell", "--config", str(cfg), "--out", str(tmp_path / 'x')]) == 3
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "GeometryError"
+
+
+@pytest.mark.parametrize("command, key", [("upscale", "cell.resolution"),
+                                          ("macro", "macro.resolution")])
+def test_an_allocation_that_fails_exits_3_with_one_record(tmp_path, capsys, command, key):
+    # a 100000^3 grid asks numpy for at least 909 TiB, which it refuses
+    # before it allocates anything
+    cfg = tmp_path / "huge.cfg"
+    entries = {"cell.dim": 3, "cell.resolution": 4, key: 100000}
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "MemoryError" and "Unable to allocate" in record["message"]
 
 
 @pytest.mark.parametrize("message, hinted", [

@@ -320,10 +320,18 @@ def test_run_macro_rejects_a_snapshot_time_that_no_step_is_nearest_to(t):
                                          r"\[dt/2, t_end \+ dt/2\] = \[0.0005, 0.0035\]"):
         run_macro(cfg, classical_tensors(2), MacroState.zero((8, 8)), snapshot_times=(t,),
                   write_snapshot=snaps.append)
-    # the window's ends snap to the first and the last step
-    run_macro(cfg, classical_tensors(2), MacroState.zero((8, 8)),
-              snapshot_times=(5e-4, 3.5e-3), write_snapshot=snaps.append)
-    assert [s.t for s in snaps] == [pytest.approx(1e-3), pytest.approx(3e-3)]
+
+
+@pytest.mark.parametrize("dt, t_end", [(1e-3, 3e-3), (3e-3, 3e-3), (3e-3, 1.5e-2), (0.1, 0.3)])
+def test_the_snapshot_window_ends_snap_to_the_first_and_the_last_step(dt, t_end):
+    # each time in its own run: t/dt rounds, so dt/2 and t_end + dt/2 may
+    # land just outside a step's half-window; a tie takes the earlier step
+    cfg = MacroConfig(dt=dt, t_end=t_end)
+    for t, step in ((0.5 * dt, 1), (1.5 * dt, 1), (t_end + 0.5 * dt, cfg.n_steps)):
+        snaps = []
+        run_macro(cfg, classical_tensors(2), MacroState.zero((8, 8)), snapshot_times=(t,),
+                  write_snapshot=snaps.append)
+        assert [s.t for s in snaps] == [pytest.approx(step * dt)], t
 
 
 def test_the_step_takes_the_porosity_of_its_operators():

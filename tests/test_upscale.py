@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pnp_upscale import _fv
+from pnp_upscale import _fv, upscale
 from pnp_upscale.cellcorrect import SolverError, face_gradient, solve_potential_corrector
 from pnp_upscale.unitcell import (
     PermittivityParams,
@@ -170,6 +170,19 @@ def test_flux_energy_disagreement_raises():
     xi3, _ = solve_potential_corrector(cell, kappa, tol=1e-11)
     with pytest.raises(SolverError, match="disagreement"):
         effective_permittivity(cell, kappa, xi3 + 0.05 * np.sin(2 * np.pi * c)[:, None])
+
+
+def test_eigenvalues_outside_the_reuss_voigt_interval_raise():
+    # kappa = 1 everywhere: both bounds are 1, and the eigenvalue 2 leaves them
+    with pytest.raises(SolverError, match=r"violate the bounds \[1, 1\]"):
+        check_spectral_bounds(np.diag([2.0, 1.0]), np.ones((4, 4)))
+
+
+def test_an_asymmetric_eps0_stops_the_pipeline(monkeypatch):
+    asymmetric = np.array([[1.0, 0.1], [0.0, 1.0]])
+    monkeypatch.setattr(upscale, "effective_permittivity", lambda *args: asymmetric)
+    with pytest.raises(SolverError, match="eps0 symmetry defect"):
+        compute_effective_tensors(build_unit_cell({"kind": "full", "dim": 2}, 8), CONTRAST)
 
 
 def test_compute_effective_tensors_pipeline():
