@@ -92,9 +92,10 @@ def _write_csv(path, rows) -> None:
 
 
 def _write_fields(directory: Path, fields: dict) -> None:
-    """One grid dump ``<name>.dat`` per entry of {name: array}."""
+    """One grid dump ``<name>.dat`` per entry of {name: array}, each
+    streamed to its file as it is formatted."""
     for name, values in fields.items():
-        atomic_write_text(directory / f"{name}.dat", format_field(name, values))
+        format_field(name, values, directory / f"{name}.dat")
 
 
 def _compute_tensors(cfg: RunConfig, second_order: bool = False):

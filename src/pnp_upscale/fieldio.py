@@ -4,6 +4,8 @@ Dump format: header line ``field <name> <N> <m>`` followed by m^N values in
 row-major order, one per line, each printed as ``"%.17g" % v`` prints it, so
 that every value round-trips.  All files are written to a temporary sibling
 and renamed into place so a crashed run never leaves a truncated artifact.
+A dump written to a file is streamed: each chunk's bytes go to the
+temporary sibling as they are formatted, so no dump is held whole.
 
 ``format_field`` produces those bytes in numpy, ``CHUNK`` values per pass,
 not one Python float at a time.  For each value it finds the decimal
@@ -23,7 +25,9 @@ are not.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from functools import cache
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -50,17 +54,18 @@ _PREFIX, _DIGITS, _SUFFIX = 1, 6, 24
 _WIDTH = 30
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write ``text`` to a new sibling of ``path``, created with the mode a
-    plain ``open(path, "w")`` gets under the process umask, and rename it
-    into place."""
+@contextmanager
+def _replacing(path):
+    """A binary file on a new sibling of ``path``, created with the mode a
+    plain ``open(path, "w")`` gets under the process umask, renamed into
+    place once the block ends; on any failure the sibling is removed."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}{os.urandom(6).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
+        with os.fdopen(fd, "wb") as f:
+            yield f
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -68,15 +73,29 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def format_field(name: str, values: np.ndarray) -> str:
+def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` (UTF-8) to a new sibling of ``path`` and rename it
+    into place."""
+    with _replacing(path) as f:
+        f.write(text.encode())
+
+
+def format_field(name: str, values: np.ndarray, path=None) -> str | None:
+    """The dump of ``values`` as one str; with ``path``, the dump is written
+    to ``path`` instead, atomically, each chunk as it is formatted, and None
+    is returned."""
     values = np.asarray(values, dtype=float)
     m = values.shape[0]
     if values.shape != (m,) * values.ndim:
         raise ValueError(f"field grids must be square, got {values.shape}")
     flat = values.ravel()
-    parts = [f"field {name} {values.ndim} {m}\n"]
-    parts.extend(_format_chunk(flat[i:i + CHUNK]) for i in range(0, flat.size, CHUNK))
-    return "".join(parts)
+    pieces = chain([f"field {name} {values.ndim} {m}\n".encode()],
+                   (_format_chunk(flat[i:i + CHUNK]) for i in range(0, flat.size, CHUNK)))
+    if path is None:
+        return b"".join(pieces).decode()
+    with _replacing(path) as f:
+        f.writelines(pieces)
+    return None
 
 
 @cache
@@ -150,8 +169,8 @@ def _scaled(a: np.ndarray, e: np.ndarray):
     return p, err + a * lo
 
 
-def _format_chunk(x: np.ndarray) -> str:
-    """The lines of ``"%.17g\\n" % v`` for every v in x, joined."""
+def _format_chunk(x: np.ndarray) -> bytes:
+    """The lines of ``"%.17g\\n" % v`` for every v in x, joined, as ASCII bytes."""
     t = _tables()
     n = x.size
     a = np.abs(x)
@@ -212,17 +231,17 @@ def _format_chunk(x: np.ndarray) -> str:
     undecided = np.flatnonzero(~decided)
     row[undecided] = 0
     del e, lead, last, point, chars, dotted, decided
-    out = text.translate(None, b"\0").decode("ascii")
+    out = text.translate(None, b"\0")
     if not undecided.size:
         return out
     # the undecided rows are empty: put each value's own line in its place
     stops = np.cumsum(np.count_nonzero(row, axis=1)).tolist()
     pieces, start = [], 0
     for i in undecided.tolist():
-        pieces.extend((out[start:stops[i]], "%.17g\n" % x[i]))
+        pieces.extend((out[start:stops[i]], b"%.17g\n" % x[i]))
         start = stops[i]
     pieces.append(out[start:])
-    return "".join(pieces)
+    return b"".join(pieces)
 
 
 def read_field(path) -> tuple[str, np.ndarray]:
